@@ -10,11 +10,12 @@ Two bound families are provided:
       Q1 t^{1/6} (log t)^2 + Q2 t^{1/6} log t + Q3 t^{1/6}
       + Q4 (log t)^2 + Q5 log t + Q6                      (t >= e^6)
   whose six coefficients are explicit functions of the free parameters
-  (k, tau, q, t1, t2).  The assembly routes every intermediate constant
-  through a derivation trace so each absorption is auditable; the
-  closed-form geometric-sum bounds it relies on are derived in
-  docs/block_assembly.md and verified numerically against exact block
-  sums by the test suite.
+  (k, tau, q, t1, t2).  One term table per block range (BLOCK_23,
+  BLOCK_13) is the single source of the collected coefficients, their
+  unfactored audit twin and the derivation trace, which routes every
+  intermediate constant so each absorption is auditable; the closed-form
+  geometric-sum bounds it relies on are derived in docs/block_assembly.md
+  and verified numerically against exact block sums by the test suite.
 
 Every bound function checks its own t-hypothesis, with a relative slack
 of 1e-6 so that thresholds like e^2 survive decimal round-tripping.
@@ -24,6 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 from .expsums import BlockScheme, block_scheme
 
@@ -218,6 +222,9 @@ def theorem1_bound(t: float) -> BoundCurve:
 # ---------------------------------------------------------------------------
 
 
+M2_DELTAS = (1, 2, 3, 5)
+
+
 @dataclass(frozen=True)
 class GeomSumBounds:
     """Closed-form dominants of the per-block log sums for a geometric
@@ -238,6 +245,10 @@ class GeomSumBounds:
     m1: float
     m2_lead: dict[int, float]
     m2_const: dict[int, float]
+
+    def values(self) -> tuple[float, ...]:
+        """m0, m1, then m2_lead and m2_const in M2_DELTAS order."""
+        return (*self.m0, self.m1, *self.m2_lead.values(), *self.m2_const.values())
 
     def m0_at(self, t: float) -> float:
         logt = math.log(t)
@@ -274,7 +285,7 @@ def geom_sum_bounds(alpha: float, upper: float, ratio: float) -> GeomSumBounds:
     m1 = math.sqrt(ratio) / (math.sqrt(ratio) - 1.0) * upper
     m2_lead: dict[int, float] = {}
     m2_const: dict[int, float] = {}
-    for delta in (1, 2, 3, 5):
+    for delta in M2_DELTAS:
         r = ratio ** (-delta / 2.0)
         d = 1.0 / (1.0 - r)
         g = r / (1.0 - r)
@@ -303,68 +314,182 @@ def geom_sums_exact(scheme: BlockScheme) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Upper-range block bound (t^{2/3} < n <= t): curvature estimate per block
+# Block term tables: the one source of the collected coefficients, their
+# unfactored audit twin and the derivation trace (docs/block_assembly.md)
 # ---------------------------------------------------------------------------
 
-
-def _block23_coeffs(k: float) -> tuple[float, ...]:
-    """The 11 shape coefficients of the upper-range block sum.
-
-    Source terms (per block, after exact expansion of the curvature
-    estimate (1/5)(L/V + 1)(8 sqrt(W) + 15) with L = (k-1)X+1,
-    V = 2 pi X^2/t, W = 2 pi k^2 X^2/t, prefactor log X / sqrt(X)):
-
-      u1 = 2^{5/2} k(k-1)/sqrt(pi) * t^{1/2} * M2(1)
-      u2 = 2^{5/2} k/sqrt(pi)      * t^{1/2} * M2(3)
-      u3 = 2^{7/2} sqrt(pi) k      * t^{-1/2} * M1
-      u4 = 15 (k-1)/(2 pi)         * t       * M2(3)
-      u5 = 15/(2 pi)               * t       * M2(5)
-      u6 = 15                      *           M2(1)
-    """
-    g = geom_sum_bounds(2.0 / 3.0, 1.0, k)
-    logk = math.log(k)
-    u1 = 2.0**2.5 * k * (k - 1.0) / _SQRT_PI
-    u2 = 2.0**2.5 * k / _SQRT_PI
-    u3 = 2.0**3.5 * _SQRT_PI * k
-    u4 = 15.0 * (k - 1.0) / (2.0 * math.pi)
-    u5 = 15.0 / (2.0 * math.pi)
-    u6 = 15.0
-    # m2 splits: lead multiplies log t, const is the additive remainder.
-    l1, c1_ = g.m2_lead[1], g.m2_const[1]
-    l3, c3_ = g.m2_lead[3], g.m2_const[3]
-    l5, c5_ = g.m2_lead[5], g.m2_const[5]
-    s_k = g.m1  # sqrt(k)/(sqrt(k)-1) * upper, upper = 1
-    fifth = 0.2
-    return (
-        fifth * u1 * l1,          # C1  t^{1/6} log t
-        fifth * u1 * c1_,         # C2  t^{1/6}
-        fifth * (u3 * s_k + u4 * l3),  # C3  log t
-        fifth * u4 * c3_,         # C4  1
-        0.0,                      # C5  t^{-1/6} (no source term of this shape)
-        fifth * u2 * c3_,         # C6  t^{-1/2}
-        fifth * u6 * c1_,         # C7  t^{-1/3}
-        fifth * u5 * c5_,         # C8  t^{-2/3}
-        fifth * u5 * l5,          # C9  t^{-2/3} log t
-        fifth * u2 * l3,          # C10 t^{-1/2} log t
-        fifth * u6 * l1,          # C11 t^{-1/3} log t
-    )
-
-
-# (t-exponent, log-power) of each C_i, exponents in sixths.
+# (t-exponent in sixths, log-power) of Q1..Q6, which are also c1..c6 ...
+Q_SHAPES = ((1, 2), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
+# ... and of C1..C11.
 C_SHAPES = (
     (1, 1), (1, 0), (0, 1), (0, 0), (-1, 0), (-3, 0),
     (-2, 0), (-4, 0), (-4, 1), (-3, 1), (-2, 1),
 )
 
 
+def shape_name(exp6: int, logpow: int) -> str:
+    """Trace label of t^{exp6/6} (log t)^logpow, e.g. 't^(1/6) log t'."""
+    parts = [f"t^({Fraction(exp6, 6)})"] if exp6 else []
+    if logpow:
+        parts.append("log t" if logpow == 1 else f"log^{logpow} t")
+    return " ".join(parts) or "1"
+
+
+Q_NAMES = tuple(shape_name(*s) for s in Q_SHAPES)
+Q_TARGETS = tuple(f"Q{i + 1}" for i in range(len(Q_SHAPES)))
+
+
 def _shape_value(t: float, exp6: int, logpow: int) -> float:
     return t ** (exp6 / 6.0) * math.log(t) ** logpow
+
+
+def q_polynomial(t: float, Q: tuple[float, ...]) -> float:
+    logt = math.log(t)
+    t16 = t ** (1.0 / 6.0)
+    return (
+        ((Q[0] * logt + Q[1]) * logt + Q[2]) * t16
+        + (Q[3] * logt + Q[4]) * logt
+        + Q[5]
+    )
 
 
 def _c_poly_23(t: float, C: tuple[float, ...]) -> float:
     return math.fsum(
         Ci * _shape_value(t, e, p) for Ci, (e, p) in zip(C, C_SHAPES)
     )
+
+
+class BlockTerm(NamedTuple):
+    """One source term  weight * t^{exp6/6} * block_sum  of a range bound;
+    block_sum is "M0", "M1" or "M2(d)", as ``geom_sums_exact`` keys it."""
+
+    exp6: int
+    block_sum: str
+    weight: Callable[[Any], float]  # of the range's parameter factors
+
+
+def _closed_form_pieces(block_sum: str, alpha3: int, upper3: int) -> list:
+    """(t-exponent in sixths, log-power, index into GeomSumBounds.values())
+    of each piece of a block sum's closed-form dominant."""
+    if block_sum == "M0":
+        return [(0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    if block_sum == "M1":
+        return [(upper3, 1, 3)]
+    d = int(block_sum[3:-1])
+    i = 4 + M2_DELTAS.index(d)
+    return [(-d * alpha3, 1, i), (-d * alpha3, 0, i + len(M2_DELTAS))]
+
+
+@dataclass(frozen=True)
+class BlockTable:
+    """The source terms of the block range (t^{alpha3/3}, t^{upper3/3}].
+
+    What does not depend on the parameters is derived once, here:
+    ``plan`` lists (term, shape, closed-form piece) indices in summation
+    order, and ``routes`` gives each of ``shapes`` its index in Q (None
+    for a decaying shape, folded into Q6), trace label and value at e^6.
+    """
+
+    source: str  # derivation-trace stage name
+    alpha3: int
+    upper3: int
+    ratio: str  # the BoundParams field that is the block ratio
+    factors: Callable[[BoundParams], Any]
+    shapes: tuple[tuple[int, int], ...]
+    terms: tuple[BlockTerm, ...]
+    plan: tuple = field(init=False, repr=False)
+    routes: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        plan = tuple(
+            (i, self.shapes.index((term.exp6 + exp6, logpow)), j)
+            for i, term in enumerate(self.terms)
+            for exp6, logpow, j in _closed_form_pieces(term.block_sum, self.alpha3, self.upper3)
+        )
+        routes = tuple(
+            (Q_SHAPES.index(s) if s in Q_SHAPES else None, shape_name(*s), _shape_value(E6, *s))
+            for s in self.shapes
+        )
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "routes", routes)
+
+    def geom(self, p: BoundParams) -> GeomSumBounds:
+        return geom_sum_bounds(self.alpha3 / 3.0, self.upper3 / 3.0, getattr(p, self.ratio))
+
+
+def collect(table: BlockTable, p: BoundParams) -> tuple[float, ...]:
+    """The range's closed-form bound collected into ``table.shapes``."""
+    f = table.factors(p)
+    w = [term.weight(f) for term in table.terms]
+    v = table.geom(p).values()
+    out = [0.0] * len(table.shapes)
+    for i, s, j in table.plan:
+        out[s] += w[i] * v[j]
+    return tuple(out)
+
+
+def resummed(table: BlockTable, t: float, p: BoundParams) -> float:
+    """The same bound summed term by term at t, without collecting shapes;
+    must agree with the collected polynomial to floating precision."""
+    f = table.factors(p)
+    g = table.geom(p)
+    sums = {"M0": g.m0_at(t), "M1": g.m1_at(t)}
+    sums.update((f"M2({d})", g.m2_at(d, t)) for d in g.m2_lead)
+    return math.fsum(
+        term.weight(f) * t ** (term.exp6 / 6.0) * sums[term.block_sum] for term in table.terms
+    )
+
+
+# Upper range (t^{2/3} < n <= t): the curvature estimate
+# (1/5)(L/V + 1)(8 sqrt(W) + 15) per block, L = (k-1)X + 1, V = 2 pi X^2/t,
+# W = 2 pi k^2 X^2/t, times log X / sqrt(X).  The weights are u1..u6 of
+# the derivation with the 1/5 folded in.  No term has the shape t^{-1/6}
+# of C5, so C5 = 0.
+BLOCK_23 = BlockTable(
+    source="curvature-block-sum", alpha3=2, upper3=3, ratio="k",
+    factors=lambda p: p.k, shapes=C_SHAPES,
+    terms=(
+        BlockTerm(3, "M2(1)", lambda k: 0.2 * (2.0**2.5 * k * (k - 1.0) / _SQRT_PI)),
+        BlockTerm(3, "M2(3)", lambda k: 0.2 * (2.0**2.5 * k / _SQRT_PI)),
+        BlockTerm(-3, "M1", lambda k: 0.2 * (2.0**3.5 * _SQRT_PI * k)),
+        BlockTerm(6, "M2(3)", lambda k: 0.2 * (15.0 * (k - 1.0) / (2.0 * math.pi))),
+        BlockTerm(6, "M2(5)", lambda k: 0.2 * (15.0 / (2.0 * math.pi))),
+        BlockTerm(0, "M2(1)", lambda k: 0.2 * 15.0),
+    ),
+)
+
+
+def _differencing_factors(p: BoundParams) -> SimpleNamespace:
+    t2_13 = p.t2 ** (-1.0 / 3.0)
+    return SimpleNamespace(
+        tau=p.tau, q=p.q, tp34=(p.tau + 1.0) ** 0.75,
+        a1=p.tau - 1.0 + (p.q + 1.0) * t2_13, a2=p.tau - 1.0 + t2_13,
+        lam=math.sqrt(2.0 * (p.tau + t2_13) / (5.0 * p.q)),
+    )
+
+
+# Lower range (t^{1/3} < n <= t^{2/3}): differencing, shifted-sum
+# curvature bound and triangular weight sums per block.  The weights are
+# w_ab, w_c, .., w_g of the derivation.
+BLOCK_13 = BlockTable(
+    source="weyl-block-sum", alpha3=1, upper3=2, ratio="tau",
+    factors=_differencing_factors, shapes=Q_SHAPES,
+    terms=(
+        BlockTerm(1, "M0", lambda f: math.sqrt(f.a1 * f.a2 / f.q) + f.lam * (
+            math.sqrt(32.0 / (15.0 * _SQRT_PI) * (f.tau - 1.0)) * f.tp34 * f.q**0.75)),
+        BlockTerm(1, "M2(1)", lambda f: f.lam * (
+            math.sqrt(32.0 / (15.0 * _SQRT_PI)) * f.tp34 * f.q**0.75)),
+        BlockTerm(-1, "M1", lambda f: f.lam * (math.sqrt(32.0 * _SQRT_PI / 3.0) * f.tp34 * f.q**0.25)),
+        BlockTerm(2, "M2(1)", lambda f: f.lam * (math.sqrt(5.0 / (2.0 * math.pi) * (f.tau - 1.0)) * f.q)),
+        BlockTerm(2, "M2(2)", lambda f: f.lam * (math.sqrt(5.0 / (2.0 * math.pi)) * f.q)),
+        BlockTerm(0, "M0", lambda f: f.lam * math.sqrt(15.0 * f.q / 2.0)),
+    ),
+)
+
+
+# ---------------------------------------------------------------------------
+# Upper-range block bound (t^{2/3} < n <= t): curvature estimate per block
+# ---------------------------------------------------------------------------
 
 
 def crude_bound_23(t1: float) -> float:
@@ -386,7 +511,7 @@ def block_bound_23(t: float, k: float, t1: float) -> tuple[float, tuple[float, .
         raise ValueError("k must exceed 1")
     _require_t(t1, E3, "block_bound_23 (t1)")
     _require_t(t, E3, "block_bound_23")
-    C = _block23_coeffs(k)
+    C = collect(BLOCK_23, BoundParams(k=k, t1=t1))
     if t <= t1:
         return crude_bound_23(t1), C
     return _c_poly_23(t, C), C
@@ -413,72 +538,6 @@ def block23_per_block_bound(t: float, k: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Block13Weights:
-    """Per-block shape weights of the differencing chain (see
-    docs/block_assembly.md for the derivation).  Each weight multiplies a
-    (t-power, block-sum type) pair."""
-
-    w_ab: float  # t^{1/6} * M0
-    w_c: float   # t^{1/6} * M2(1)
-    w_d: float   # t^{-1/6} * M1
-    w_e: float   # t^{1/3} * M2(1)
-    w_f: float   # t^{1/3} * M2(2)
-    w_g: float   # M0
-
-
-def _block13_weights(tau: float, q: float, t2: float) -> _Block13Weights:
-    t2_13 = t2 ** (-1.0 / 3.0)
-    a1 = tau - 1.0 + (q + 1.0) * t2_13
-    a2 = tau - 1.0 + t2_13
-    a3 = tau + t2_13
-    lam = math.sqrt(2.0 * a3 / (5.0 * q))
-    tp34 = (tau + 1.0) ** 0.75
-    s1 = math.sqrt(32.0 / (15.0 * _SQRT_PI) * (tau - 1.0)) * tp34 * q**0.75
-    s2 = math.sqrt(32.0 / (15.0 * _SQRT_PI)) * tp34 * q**0.75
-    s3 = math.sqrt(32.0 * _SQRT_PI / 3.0) * tp34 * q**0.25
-    s4 = math.sqrt(5.0 / (2.0 * math.pi) * (tau - 1.0)) * q
-    s5 = math.sqrt(5.0 / (2.0 * math.pi)) * q
-    s6 = math.sqrt(15.0 * q / 2.0)
-    return _Block13Weights(
-        w_ab=math.sqrt(a1 * a2 / q) + lam * s1,
-        w_c=lam * s2,
-        w_d=lam * s3,
-        w_e=lam * s4,
-        w_f=lam * s5,
-        w_g=lam * s6,
-    )
-
-
-def _block13_coeffs(tau: float, q: float, t2: float) -> tuple[float, ...]:
-    """Collect the weighted closed-form block sums into the six shapes
-    c1 t^{1/6}(log t)^2 + c2 t^{1/6} log t + c3 t^{1/6}
-    + c4 (log t)^2 + c5 log t + c6."""
-    w = _block13_weights(tau, q, t2)
-    g = geom_sum_bounds(1.0 / 3.0, 2.0 / 3.0, tau)
-    m0_2, m0_1, m0_0 = g.m0
-    s_tau = g.m1  # includes the factor upper = 2/3
-    l1, k1 = g.m2_lead[1], g.m2_const[1]
-    l2, k2 = g.m2_lead[2], g.m2_const[2]
-    c1 = w.w_ab * m0_2
-    c2 = w.w_ab * m0_1 + w.w_d * s_tau + w.w_e * l1
-    c3 = w.w_ab * m0_0 + w.w_e * k1
-    c4 = w.w_g * m0_2
-    c5 = w.w_c * l1 + w.w_f * l2 + w.w_g * m0_1
-    c6 = w.w_c * k1 + w.w_f * k2 + w.w_g * m0_0
-    return (c1, c2, c3, c4, c5, c6)
-
-
-def _c_poly_13(t: float, c: tuple[float, ...]) -> float:
-    logt = math.log(t)
-    t16 = t ** (1.0 / 6.0)
-    return (
-        ((c[0] * logt + c[1]) * logt + c[2]) * t16
-        + (c[3] * logt + c[4]) * logt
-        + c[5]
-    )
-
-
 def crude_bound_13(t2: float) -> float:
     """Integral-comparison fallback for the lower range when t <= t2:
     2 t2^{1/3} ((2/3) log t2 - 2) + 4."""
@@ -495,50 +554,10 @@ def block_bound_13(t: float, p: BoundParams) -> tuple[float, tuple[float, ...]]:
     six-shape polynomial via the geometric closed forms.
     """
     _require_t(t, E6, "block_bound_13")
-    c = _block13_coeffs(p.tau, p.q, p.t2)
+    c = collect(BLOCK_13, p)
     if t <= p.t2:
         return crude_bound_13(p.t2), c
-    return _c_poly_13(t, c), c
-
-
-def block13_resummed(t: float, p: BoundParams) -> float:
-    """The same assembly as ``block_bound_13`` (t > t2 branch) but summed
-    term-by-term without collecting into the six shapes; must agree with
-    the polynomial to floating precision.  Audit helper."""
-    w = _block13_weights(p.tau, p.q, p.t2)
-    g = geom_sum_bounds(1.0 / 3.0, 2.0 / 3.0, p.tau)
-    t16 = t ** (1.0 / 6.0)
-    return math.fsum(
-        (
-            w.w_ab * t16 * g.m0_at(t),
-            w.w_c * t16 * g.m2_at(1, t),
-            w.w_d * t ** (-1.0 / 6.0) * g.m1_at(t),
-            w.w_e * t ** (1.0 / 3.0) * g.m2_at(1, t),
-            w.w_f * t ** (1.0 / 3.0) * g.m2_at(2, t),
-            w.w_g * g.m0_at(t),
-        )
-    )
-
-
-def block23_resummed(t: float, k: float) -> float:
-    """Unfactored twin of the 11-shape polynomial of ``block_bound_23``."""
-    g = geom_sum_bounds(2.0 / 3.0, 1.0, k)
-    u1 = 2.0**2.5 * k * (k - 1.0) / _SQRT_PI
-    u2 = 2.0**2.5 * k / _SQRT_PI
-    u3 = 2.0**3.5 * _SQRT_PI * k
-    u4 = 15.0 * (k - 1.0) / (2.0 * math.pi)
-    u5 = 15.0 / (2.0 * math.pi)
-    u6 = 15.0
-    return 0.2 * math.fsum(
-        (
-            u1 * math.sqrt(t) * g.m2_at(1, t),
-            u2 * math.sqrt(t) * g.m2_at(3, t),
-            u3 / math.sqrt(t) * g.m1_at(t),
-            u4 * t * g.m2_at(3, t),
-            u5 * t * g.m2_at(5, t),
-            u6 * g.m2_at(1, t),
-        )
-    )
+    return q_polynomial(t, c), c
 
 
 def block13_per_block_bound(t: float, p: BoundParams) -> float:
@@ -583,93 +602,61 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     the crude branches contribute through constant paddings (their maxima
     over [e^6, infinity)), each recorded in the derivation trace.
     """
-    C = _block23_coeffs(p.k)
-    c = _block13_coeffs(p.tau, p.q, p.t2)
+    C = collect(BLOCK_23, p)
+    c = collect(BLOCK_13, p)
     trace: list[TraceEntry] = []
+    Q = [0.0] * 6
 
-    def put(target: str, source: str, shape: str, value: float, note: str = "") -> None:
-        trace.append(TraceEntry(target, source, shape, value, note))
+    def put(i: int, source: str, value: float, shape: str = "", note: str = "") -> None:
+        trace.append(TraceEntry(Q_TARGETS[i], source, shape or Q_NAMES[i], value, note))
+        Q[i] += value
 
     # head sum over n <= t^{1/3}: 2 t^{1/6}((1/3) log t - 2)
-    head_log, head_const = 2.0 / 3.0, -4.0
-    put("Q2", "head-integral", "t^(1/6) log t", head_log)
-    put("Q3", "head-integral", "t^(1/6)", head_const)
+    put(1, "head-integral", 2.0 / 3.0)
+    put(2, "head-integral", -4.0)
 
-    # lower-range block coefficients, same shapes as the theorem
-    c_targets = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6")
-    c_shapes = (
-        "t^(1/6) log^2 t", "t^(1/6) log t", "t^(1/6)",
-        "log^2 t", "log t", "1",
-    )
-    for target, shape, value in zip(c_targets, c_shapes, c):
-        put(target, "weyl-block-sum", shape, value)
-
-    # upper-range block coefficients: four shapes match directly...
-    put("Q2", "curvature-block-sum", "t^(1/6) log t", C[0])
-    put("Q3", "curvature-block-sum", "t^(1/6)", C[1])
-    put("Q5", "curvature-block-sum", "log t", C[2])
-    put("Q6", "curvature-block-sum", "1", C[3])
-    # ...and the decaying shapes fold into Q6 at their maximum over [e^6, inf).
+    # block ranges: a shape that matches a Q adds to it; the decaying
+    # (upper-range) shapes fold into Q6 at their maximum over [e^6, inf).
     fold23 = 0.0
-    shape_names = (
-        "t^(-1/6)", "t^(-1/2)", "t^(-1/3)", "t^(-2/3)",
-        "t^(-2/3) log t", "t^(-1/2) log t", "t^(-1/3) log t",
-    )
-    for (e6p, lp), name, Ci in zip(C_SHAPES[4:], shape_names, C[4:]):
-        contrib = Ci * _shape_value(E6, e6p, lp)
-        fold23 += contrib
-        if Ci:
-            put("Q6", "curvature-block-sum", name, contrib, "folded at t = e^6")
+    for table, coeffs in ((BLOCK_13, c), (BLOCK_23, C)):
+        for (i, name, at_e6), value in zip(table.routes, coeffs):
+            if i is not None:
+                put(i, table.source, value)
+                continue
+            contrib = value * at_e6
+            fold23 += contrib
+            if value:
+                put(5, table.source, contrib, name, "folded at t = e^6")
 
     # mid-tail sum over (t, t^2]
-    put("Q5", "mid-tail-sum", "log t", 2.0)
-    put("Q6", "mid-tail-sum", "1", MID_TAIL_CONST)
+    put(4, "mid-tail-sum", 2.0)
+    put(5, "mid-tail-sum", MID_TAIL_CONST)
 
     # tail remainder, constant-factored form for t >= e^6
-    put("Q5", "tail-remainder", "log t", THM2_TAIL_LOG)
-    put("Q6", "tail-remainder", "1", THM2_TAIL_CONST)
+    put(4, "tail-remainder", THM2_TAIL_LOG)
+    put(5, "tail-remainder", THM2_TAIL_CONST)
 
     # crude-branch paddings: the six-shape polynomial must also dominate
     # the flat crude bounds on [e^6, t2] and (when t1 > e^6) on [e^6, t1].
-    absorb13 = max(0.0, crude_bound_13(p.t2) - _c_poly_13(E6, c))
+    absorb13 = max(0.0, crude_bound_13(p.t2) - q_polynomial(E6, c))
     if absorb13:
-        put("Q6", "weyl-block-sum", "1", absorb13, "crude-branch padding on [e^6, t2]")
+        put(5, BLOCK_13.source, absorb13, note="crude-branch padding on [e^6, t2]")
     absorb23 = 0.0
     if p.t1 > E6:
         poly23_at_e6 = math.fsum(
-            (
-                C[0] * _shape_value(E6, 1, 1),
-                C[1] * _shape_value(E6, 1, 0),
-                C[2] * _shape_value(E6, 0, 1),
-                C[3],
-                fold23,
-            )
+            [v * at_e6 for (i, _, at_e6), v in zip(BLOCK_23.routes, C) if i is not None]
+            + [fold23]
         )
         absorb23 = max(0.0, crude_bound_23(p.t1) - poly23_at_e6)
         if absorb23:
-            put("Q6", "curvature-block-sum", "1", absorb23,
-                "crude-branch padding on [e^6, t1]")
+            put(5, BLOCK_23.source, absorb23, note="crude-branch padding on [e^6, t1]")
 
-    q_acc = {f"Q{i}": 0.0 for i in range(1, 7)}
-    for entry in trace:
-        q_acc[entry.target] += entry.value
-    Q = tuple(q_acc[f"Q{i}"] for i in range(1, 7))
     # Q4 carries no k- or q-dependent contribution: only the lower-range
     # (log t)^2 shape feeds it, a function of (tau, t2) alone.
     return BoundCoefficients(
-        params=p, C=C, c=c, Q=Q,
+        params=p, C=C, c=c, Q=tuple(Q),
         fold23_const=fold23, absorb13=absorb13, absorb23=absorb23,
         derivation_trace=tuple(trace),
-    )
-
-
-def q_polynomial(t: float, Q: tuple[float, ...]) -> float:
-    logt = math.log(t)
-    t16 = t ** (1.0 / 6.0)
-    return (
-        ((Q[0] * logt + Q[1]) * logt + Q[2]) * t16
-        + (Q[3] * logt + Q[4]) * logt
-        + Q[5]
     )
 
 
@@ -693,7 +680,7 @@ def theorem2_bound(
     logt = math.log(t)
     t16 = t ** (1.0 / 6.0)
     head = (2.0 / 3.0 * logt - 4.0) * t16
-    part13 = _c_poly_13(t, c) + coeffs.absorb13
+    part13 = q_polynomial(t, c) + coeffs.absorb13
     part23 = (
         (C[0] * logt + C[1]) * t16
         + C[2] * logt

@@ -18,6 +18,7 @@ from .bounds import (
     E3,
     E6,
     MID_TAIL_CONST,
+    Q_SHAPES,
     THM1_TAIL_CONST,
     THM1_TAIL_LOG,
     BoundCoefficients,
@@ -256,15 +257,10 @@ def log_theorem2_bound(logt: float, coeffs: BoundCoefficients) -> float:
     """log of the six-shape polynomial via max-term factoring."""
     if not (logt >= 6.0 * (1 - 1e-12)):
         raise ValueError("log-space form needs log t >= 6")
-    Q = coeffs.Q
     loglog = math.log(logt)
-    shapes = (
-        (logt / 6.0, 2), (logt / 6.0, 1), (logt / 6.0, 0),
-        (0.0, 2), (0.0, 1), (0.0, 0),
-    )
     terms = [
-        math.log(q) + base + p * loglog
-        for q, (base, p) in zip(Q, shapes)
+        math.log(q) + exp6 * logt / 6.0 + p * loglog
+        for q, (exp6, p) in zip(coeffs.Q, Q_SHAPES)
         if q > 0.0
     ]
     return _logsumexp(terms)

@@ -9,10 +9,10 @@ from zetabounds.bounds import (
     E6,
     BoundCurve,
     BoundParams,
+    BLOCK_13,
+    BLOCK_23,
     block13_per_block_bound,
-    block13_resummed,
     block23_per_block_bound,
-    block23_resummed,
     block_bound_13,
     block_bound_23,
     crude_bound_13,
@@ -22,12 +22,12 @@ from zetabounds.bounds import (
     head_sum_bound,
     mid_tail_sum_bound,
     q_polynomial,
+    resummed,
     tail_error_bound,
     theorem1_bound,
     theorem2_bound,
     theorem2_coeffs,
     theorem2_parts_exact,
-    _c_poly_13,
     _c_poly_23,
 )
 from zetabounds.expsums import block_scheme, log_dirichlet_sum
@@ -217,21 +217,27 @@ class TestBlockBound23:
 
     def test_coefficients_recompute_from_derivation_pieces(self):
         # oracle: rebuild each coefficient from the geometric-sum factors
-        # recorded in the derivation, independently of _block23_coeffs
+        # recorded in the derivation, independently of the term table
         for k in (1.1, 2.0, 4.0):
             _, C = block_bound_23(100.0, k, E3)
             g = geom_sum_bounds(2.0 / 3.0, 1.0, k)
             u1 = 2.0**2.5 * k * (k - 1.0) / math.sqrt(math.pi)
+            u3 = 2.0**3.5 * math.sqrt(math.pi) * k
             u4 = 15.0 * (k - 1.0) / (2.0 * math.pi)
             assert C[0] == pytest.approx(0.2 * u1 * g.m2_lead[1], rel=1e-14)
             assert C[1] == pytest.approx(0.2 * u1 * g.m2_const[1], rel=1e-14)
+            assert C[2] == pytest.approx(
+                0.2 * (u3 * g.m1 + u4 * g.m2_lead[3]), rel=1e-14
+            )
             assert C[3] == pytest.approx(0.2 * u4 * g.m2_const[3], rel=1e-14)
 
     def test_resummed_consistency(self):
         for k in (1.3, 2.0, 3.7):
             _, C = block_bound_23(1e4, k, E3)
             poly = _c_poly_23(1e4, C)
-            assert block23_resummed(1e4, k) == pytest.approx(poly, rel=1e-12)
+            assert resummed(BLOCK_23, 1e4, BoundParams(k=k)) == pytest.approx(
+                poly, rel=1e-12
+            )
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -267,8 +273,8 @@ class TestBlockBound13:
             )
             t = float(rng.uniform(p.t2 * 1.01, 1e6))
             _, c = block_bound_13(t, p)
-            assert block13_resummed(t, p) == pytest.approx(
-                _c_poly_13(t, c), rel=1e-11
+            assert resummed(BLOCK_13, t, p) == pytest.approx(
+                q_polynomial(t, c), rel=1e-11
             ), p
 
     def test_domain(self):
