@@ -6,7 +6,7 @@ here is pure: same inputs, same bits, on any platform with IEEE-754
 doubles.  All higher-level bound checks in this package lean on these
 primitives, so each one carries an explicit error contract:
 
-* ``compensated_sum``  -- absolute error <= 2 * eps * sum(|terms|)
+* ``compensated_sum``  -- correctly rounded (``math.fsum``)
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
 * ``integrate_adaptive`` -- |value - integral| <= error_estimate <= tol
   whenever the subdivision cap was not hit.
@@ -26,52 +26,22 @@ import numpy as np
 EPS = math.ulp(1.0)  # 2^-52
 
 
-class Accumulator:
-    """Neumaier-compensated running sum.
-
-    Keeps a correction term alongside the running sum so that the final
-    total is accurate to 2*eps*sum(|x|) regardless of cancellation.
-    Adding the same values in the same order is bit-reproducible.
-    """
-
-    __slots__ = ("running_sum", "compensation")
-
-    def __init__(self) -> None:
-        self.running_sum = 0.0
-        self.compensation = 0.0
-
-    def add(self, value: float) -> None:
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite term in compensated sum: {value!r}")
-        t = self.running_sum + value
-        if abs(self.running_sum) >= abs(value):
-            self.compensation += (self.running_sum - t) + value
-        else:
-            self.compensation += (value - t) + self.running_sum
-        self.running_sum = t
-
-    @property
-    def total(self) -> float:
-        return self.running_sum + self.compensation
-
-
 def compensated_sum(terms: Iterable[float]) -> float:
-    """Sum ``terms`` in the given order with Neumaier compensation.
+    """Correctly rounded sum of ``terms`` (``math.fsum``).
 
     Raises ValueError on non-finite input.  The empty sum is 0.0.
     """
-    acc = Accumulator()
-    for x in terms:
-        acc.add(float(x))
-    return acc.total
+    values = [float(x) for x in terms]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite term in compensated sum")
+    return math.fsum(values)
 
 
 def compensated_complex_sum(values: np.ndarray) -> complex:
     """Exactly-rounded sum of a complex array (independent fsum per part).
 
-    Used for the long Dirichlet-type sums where a Python-level loop would
-    dominate the runtime; math.fsum gives the correctly rounded result,
-    which is at least as accurate as the Neumaier loop.
+    Used for the long Dirichlet-type sums; math.fsum gives the correctly
+    rounded result of each part.
     """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.size and not np.isfinite(arr).all():
