@@ -45,6 +45,13 @@ MID_TAIL_CONST = 1.944
 _SQRT_PI = math.sqrt(math.pi)
 
 
+def in_theorem_domain(t: float, which: int) -> bool:
+    """Whether t is finite and inside theorem ``which``'s range, t >= e^2
+    for theorem 1 and t >= e^6 for theorem 2, up to HYPOTHESIS_RTOL."""
+    threshold = E2 if which == 1 else E6
+    return math.isfinite(t) and t >= threshold * (1.0 - HYPOTHESIS_RTOL)
+
+
 def _require_t(t: float, threshold: float, label: str) -> None:
     if not (math.isfinite(t) and t >= threshold * (1.0 - HYPOTHESIS_RTOL)):
         raise ValueError(f"{label} requires t >= {threshold:.9g}, got {t!r}")

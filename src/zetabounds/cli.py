@@ -6,14 +6,15 @@ Numeric columns are emitted with 17 significant digits so files
 round-trip bit-exactly; re-running a command with the same inputs and
 seed produces byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 verification violation,
-3 numerical non-convergence.
+Exit codes: 0 success, 1 usage error (reported on one `error:` line),
+2 verification violation, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -23,6 +24,7 @@ from .bounds import (
     E3,
     E6,
     BoundParams,
+    in_theorem_domain,
     theorem1_bound,
     theorem2_bound,
     theorem2_coeffs,
@@ -30,7 +32,7 @@ from .bounds import (
 from .numerics import geometric_grid
 from .optimize import Objective, crossover_scan, optimize_params
 from .verify import SampleSpec, SUPPORTED_CHECKS, verify_lemma, verify_theorem_envelope
-from .zeta import EvalPoint, default_em_config, zeta_prime_em
+from .zeta import EvalPoint, default_em_config, zeta_prime_em, zeta_prime_oracle
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "ZETABOUNDS_OUT"
@@ -43,6 +45,30 @@ EXIT_NONCONVERGED = 3
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+# Argument types; argparse names them in its message: "invalid finite value".
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def weights(text: str) -> tuple[float, ...]:
+    return tuple(finite(w) for w in text.split(","))
 
 
 def _fmt(x) -> str:
@@ -60,7 +86,10 @@ def _resolve_out(path: str | None):
         base = os.environ.get(OUT_DIR_ENV)
         if base:
             path = os.path.join(base, path)
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n"), True
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_rows(rows, columns, kind, fmt, out_path) -> None:
@@ -99,10 +128,17 @@ def _bound_params(args) -> BoundParams:
         raise UsageError(str(exc)) from exc
 
 
+def _theorem2_coeffs(params: BoundParams):
+    try:
+        return theorem2_coeffs(params)
+    except ValueError as exc:  # parameters outside the assembly's regime
+        raise UsageError(str(exc)) from exc
+
+
 def _check_theorem_domain(ts: Sequence[float], theorem: int) -> None:
     threshold = E2 if theorem == 1 else E6
     for t in ts:
-        if not (t >= threshold * (1 - 1e-6)):
+        if not in_theorem_domain(t, theorem):
             raise UsageError(
                 f"t={t:g} below theorem-{theorem} threshold {threshold:.6f}"
             )
@@ -152,16 +188,16 @@ def _cmd_bound(args) -> int:
     want = {1, 2} if args.theorem is None else {args.theorem}
     if args.theorem is not None:
         _check_theorem_domain(ts, args.theorem)
-    coeffs = theorem2_coeffs(params)
+    coeffs = _theorem2_coeffs(params)
     rows = []
     for t in sorted(ts):
         row: dict = {"t": t}
-        if 1 in want and t >= E2 * (1 - 1e-6):
+        if 1 in want and in_theorem_domain(t, 1):
             curve = theorem1_bound(t)
             row["thm1_total"] = curve.total
             for name, val in curve.per_term.items():
                 row[f"thm1_{name}"] = val
-        if 2 in want and t >= E6 * (1 - 1e-6):
+        if 2 in want and in_theorem_domain(t, 2):
             curve = theorem2_bound(t, params, coeffs)
             row["thm2_total"] = curve.total
             for name, val in curve.per_term.items():
@@ -191,6 +227,8 @@ def _cmd_verify(args) -> int:
         for check_id in targets:
             if check_id == "2.2" and args.lemma == "all":
                 continue  # the variants are already in the list
+            if check_id == "2.2" and args.samples < 4:
+                raise UsageError("check 2.2 splits --samples over 4 variants; need at least 4")
             ranges = {"M": (1, args.max_m)} if check_id == "4.6" else {}
             spec = SampleSpec(samples=args.samples, seed=args.seed, ranges=ranges)
             try:
@@ -220,9 +258,8 @@ def _cmd_optimize(args) -> int:
     elif args.objective == "q1":
         obj = Objective.minimize_q1()
     else:
-        weights = tuple(float(w) for w in args.weights.split(","))
         try:
-            obj = Objective.minimize_weighted_q(weights)
+            obj = Objective.minimize_weighted_q(args.weights)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     try:
@@ -254,13 +291,11 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .zeta import zeta_prime_oracle  # heavy import path kept local
-
     ts = _t_values(args)
     theorem = args.theorem if args.theorem is not None else 1
     _check_theorem_domain(ts, theorem)
     params = _bound_params(args)
-    coeffs = theorem2_coeffs(params) if theorem == 2 else None
+    coeffs = _theorem2_coeffs(params) if theorem == 2 else None
     rows = []
     nonconverged = 0
     for t in sorted(ts):
@@ -287,7 +322,7 @@ def _cmd_scan(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zetabounds",
         description=(
             "Evaluate the zeta derivative on the critical line, compute its "
@@ -299,14 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, with_t: bool = True) -> None:
         if with_t:
-            p.add_argument("--t", type=float, default=None, help="single t value")
-            p.add_argument("--t-min", type=float, default=None)
-            p.add_argument("--t-max", type=float, default=None)
+            p.add_argument("--t", type=finite, default=None, help="single t value")
+            p.add_argument("--t-min", type=finite, default=None)
+            p.add_argument("--t-max", type=finite, default=None)
             p.add_argument(
-                "--samples", type=int, default=50,
+                "--samples", type=positive, default=50,
                 help="grid size for --t-min/--t-max (geometric spacing)",
             )
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout); "
                        f"relative paths resolve under ${OUT_DIR_ENV} when set")
         p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
@@ -339,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lemma", default=None,
                           help=f"check id ({', '.join(SUPPORTED_CHECKS)}) or 'all'")
     p_verify.add_argument("--theorem", type=int, choices=(1, 2), default=None)
-    p_verify.add_argument("--max-m", type=int, default=10000,
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--max-m", type=positive, default=10000,
                           help="exhaustive M range for check 4.6")
     p_verify.set_defaults(func=_cmd_verify, samples=50)
 
@@ -347,9 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_opt, with_t=False)
     p_opt.add_argument("--objective", choices=("q1", "bound-at-t", "weighted"),
                        default="bound-at-t")
-    p_opt.add_argument("--t", type=float, default=None,
+    p_opt.add_argument("--t", type=finite, default=None,
                        help="target t for --objective bound-at-t")
-    p_opt.add_argument("--weights", default="1,1,1,1,1,1",
+    p_opt.add_argument("--weights", type=weights, default="1,1,1,1,1,1",
                        help="comma-separated Q weights for --objective weighted")
     p_opt.add_argument("--budget", type=int, default=600)
     p_opt.add_argument("--crossover", action="store_true",
@@ -370,10 +405,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

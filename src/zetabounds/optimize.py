@@ -23,6 +23,7 @@ from .bounds import (
     THM1_TAIL_LOG,
     BoundCoefficients,
     BoundParams,
+    in_theorem_domain,
     theorem2_bound,
     theorem2_coeffs,
 )
@@ -62,7 +63,7 @@ class Objective:
         if self.kind == "min_q1":
             pass
         elif self.kind == "min_bound_at_t":
-            if self.t is None or not (self.t >= E6 * (1 - 1e-6)):
+            if self.t is None or not in_theorem_domain(self.t, 2):
                 raise ValueError("min_bound_at_t needs t >= e^6")
         elif self.kind == "min_weighted_q":
             if (

@@ -20,6 +20,7 @@ from .bounds import (
     E2,
     E6,
     BoundParams,
+    in_theorem_domain,
     mid_tail_sum_bound,
     theorem1_bound,
     theorem2_bound,
@@ -437,8 +438,8 @@ def verify_theorem_envelope(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     lo, hi = t_range
-    threshold = E2 if which == 1 else E6
-    if not (lo >= threshold * (1 - 1e-6)):
+    if not in_theorem_domain(lo, which):
+        threshold = E2 if which == 1 else E6
         raise ValueError(f"t range must start at or above {threshold:.6g}")
     params = p or BoundParams()
     coeffs = theorem2_coeffs(params) if which == 2 else None

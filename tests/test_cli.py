@@ -171,3 +171,29 @@ class TestOutputRouting:
 
     def test_bad_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--t", "nan"],
+        ["bound", "--t", "nan"],
+        ["bound", "--t", "1e400"],
+        ["bound", "--t", "1e4", "--k", "1e200"],
+        ["scan", "--t", "inf", "--theorem", "1"],
+        ["bound", "--t-min", "500", "--t-max", "1e4", "--samples", "0"],
+        ["verify", "--lemma", "2.5", "--samples", "0"],
+        ["verify", "--lemma", "4.6", "--max-m", "0"],
+        ["verify", "--lemma", "2.2", "--samples", "3"],
+        ["optimize", "--objective", "weighted", "--weights", "a,b"],
+        ["eval", "--t", "50", "--seed", "1"],
+        ["eval", "--t", "50", "--out", "{missing}"],
+    ],
+)
+def test_input_error_is_one_error_line(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing" / "x.csv") for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
