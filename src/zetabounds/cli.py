@@ -48,6 +48,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse would print the usage block and exit 2; report argument
+    # errors like every other usage error instead (one line, exit 1).
     def error(self, message):
         raise UsageError(message)
 
