@@ -19,6 +19,7 @@ GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
 
 CASES = {
     "eval_t50": ["eval", "--t", "50"],
+    "eval_decades": ["eval", "--t-min", "10", "--t-max", "1e5", "--samples", "9"],
     "bound_theorem1_e2": ["bound", "--t", "7.389056", "--theorem", "1"],
     "bound_sweep": ["bound", "--t-min", "500", "--t-max", "1e5", "--samples", "100"],
     "bound_trace": ["bound", "--t", "1e4", "--trace"],
