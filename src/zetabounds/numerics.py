@@ -52,14 +52,15 @@ def compensated_complex_sum(values: np.ndarray) -> complex:
 @lru_cache(maxsize=None)
 def _bernoulli_exact(m: int) -> Fraction:
     # B_m by the defining recurrence sum_{k<=m} C(m+1,k) B_k = 0, exact
-    # rationals throughout; cached because callers re-request small m often.
-    table: list[Fraction] = [Fraction(1)]
-    for n in range(1, m + 1):
-        s = Fraction(0)
-        for k in range(n):
-            s += math.comb(n + 1, k) * table[k]
-        table.append(-s / (n + 1))
-    return table[m]
+    # rationals throughout.  The cache makes each B_k a single computation
+    # however many orders are requested.
+    if m == 0:
+        return Fraction(1)
+    s = Fraction(0)
+    for k in range(m):
+        if k < 2 or k % 2 == 0:  # B_k = 0 for odd k >= 3
+            s += math.comb(m + 1, k) * _bernoulli_exact(k)
+    return -s / (m + 1)
 
 
 def bernoulli_number(m: int) -> float:

@@ -19,12 +19,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .numerics import EPS, bernoulli_number, compensated_complex_sum
 
-T_CEILING = 1.0e5  # certified-evaluation ceiling; N = 8t stays below 8e5 terms
+# Certified-evaluation ceiling; the truncation index never exceeds 8|t| <= 8e5
+# terms, and at the default tol it is about 0.37|t|.
+T_CEILING = 1.0e5
+_MAX_V = 15  # largest correction order EMConfig accepts
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,8 @@ class EMConfig:
     def validate(self, point: EvalPoint) -> None:
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
-        if not (0 <= self.v <= 15):
-            raise ValueError(f"v must lie in [0, 15], got {self.v}")
+        if not (0 <= self.v <= _MAX_V):
+            raise ValueError(f"v must lie in [0, {_MAX_V}], got {self.v}")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
         # validity half-plane of the correction formula
@@ -86,40 +90,46 @@ class CertifiedComplex:
 def default_em_config(
     point: EvalPoint, tol: float = 1e-9, for_derivative: bool = False
 ) -> EMConfig:
-    """N ~ 8|t| puts the truncation well past the accuracy knee at 64-bit
-    precision; v is the smallest order <= 12 meeting ``tol`` (judged by the
-    derivative's remainder bound when the config will feed zeta_prime_em)."""
+    """The smallest truncation index N in [64, cap] whose remainder bound at
+    correction order v = 15 meets ``tol``, with cap = max(ceil(8|t|), 64).
+
+    The bound (the derivative's when the config will feed zeta_prime_em)
+    decreases in N, and v = 15, the largest order ``EMConfig`` allows, gives
+    the smallest such N.  If even the cap misses ``tol`` the config is
+    (cap, 15) and the evaluation reports itself non-converged.
+    """
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
-    N = max(math.ceil(8 * abs(point.t)), 64)
+    cap = max(math.ceil(8 * abs(point.t)), 64)
+    bound = _remainder_bound_in_n(point, _MAX_V, for_derivative)
+    lo, hi = 64, cap  # the smallest N meeting tol, if any, lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bound(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    # The evaluators judge convergence with the public bound functions.
     bound_fn = _em_prime_remainder_bound if for_derivative else em_remainder_bound
-    best_v, best_bound = 1, math.inf
-    for v in range(1, 13):
-        bound = bound_fn(point, N, v)
-        if bound < best_bound:
-            best_v, best_bound = v, bound
-        if bound < tol:
-            return EMConfig(N=N, v=v, tol=tol)
-    return EMConfig(N=N, v=best_v, tol=tol)
+    if bound_fn(point, lo, _MAX_V) > tol:
+        lo = cap
+    return EMConfig(N=lo, v=_MAX_V, tol=tol)
 
 
-def _power_sums(s: complex, N: int) -> tuple[complex, complex, float, float]:
-    """sum_{n<N} n^{-s} and sum_{n<N} log n * n^{-s} by compensated
-    summation, plus the root-sum-squares of the term moduli that feed the
-    rounding budgets."""
+def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
+    """sum_{n<N} n^{-s} (or sum_{n<N} log n * n^{-s} when ``log_weighted``)
+    by compensated summation, plus the root-sum-square of the term moduli
+    that feeds the rounding budget."""
     if N <= 1:
-        return 0.0 + 0.0j, 0.0 + 0.0j, 0.0, 0.0
+        return 0.0 + 0.0j, 0.0
     n = np.arange(1, N, dtype=np.float64)
     logn = np.log(n)
     moduli = n ** (-s.real)
     terms = moduli * np.exp(-1j * s.imag * logn)
-    log_terms = logn * terms
-    return (
-        compensated_complex_sum(terms),
-        compensated_complex_sum(log_terms),
-        math.sqrt(float(np.sum(moduli**2))),
-        math.sqrt(float(np.sum((logn * moduli) ** 2))),
-    )
+    if log_weighted:
+        terms = logn * terms
+        moduli = logn * moduli
+    return compensated_complex_sum(terms), math.sqrt(float(np.sum(moduli**2)))
 
 
 def _phase_rounding_budget(t: float, N: int, rss: float) -> float:
@@ -142,6 +152,29 @@ def _pochhammer_abs(s: complex, count: int) -> float:
     return prod
 
 
+def _remainder_bound_in_n(
+    point: EvalPoint, v: int, derivative: bool
+) -> Callable[[int], float]:
+    """The order-v truncation-remainder bound as a function of N (v >= 1).
+
+    With K = prod_{i<2v} |s+i| * |B_{2v}| / (2v)!, H = sum_{i<2v} 1/|s+i| and
+    p = sigma + 2v - 1 (docs/remainder_bounds.md):
+
+        remainder:   K * N^{-p} / p
+        derivative:  K * N^{-p} / p * (H + log N + 1/p)
+
+    Everything that does not depend on N is computed once here, so a search
+    over N costs one power (and one log) per probe.
+    """
+    s = point.s
+    p = point.sigma + 2 * v - 1  # decay exponent of the integrated tail
+    k = _pochhammer_abs(s, 2 * v) * abs(bernoulli_number(2 * v)) / math.factorial(2 * v)
+    if not derivative:
+        return lambda N: k * N ** (-p) / p
+    shift = sum(1.0 / abs(s + i) for i in range(2 * v)) + 1.0 / p
+    return lambda N: k * N ** (-p) / p * (shift + math.log(N))
+
+
 def em_remainder_bound(point: EvalPoint, N: int, v: int) -> float:
     """Closed-form truncation-remainder bound for correction order v >= 1.
 
@@ -156,19 +189,9 @@ def em_remainder_bound(point: EvalPoint, N: int, v: int) -> float:
         raise ValueError("em_remainder_bound requires v >= 1")
     if N < 1:
         raise ValueError("N must be positive")
-    s = point.s
-    sigma = point.sigma
-    if not (sigma + 2 * v > 0):
+    if not (point.sigma + 2 * v > 0):
         raise ValueError("sigma + 2v + 1 > 1 required")
-    prod = _pochhammer_abs(s, 2 * v)
-    b = abs(bernoulli_number(2 * v))
-    return (
-        prod
-        / math.factorial(2 * v)
-        * b
-        * N ** (1.0 - sigma - 2 * v)
-        / (sigma + 2 * v - 1)
-    )
+    return _remainder_bound_in_n(point, v, derivative=False)(N)
 
 
 def _em_v0_remainder_bound(point: EvalPoint, N: int) -> float:
@@ -187,22 +210,14 @@ def _em_prime_remainder_bound(point: EvalPoint, N: int, v: int) -> float:
     kernel (an extra log x <= log factor under the integral).  Both tails
     are integrated in closed form; see docs/remainder_bounds.md.
     """
-    s = point.s
-    sigma = point.sigma
-    logN = math.log(N)
     if v == 0:
+        sigma = point.sigma
         if not (sigma > 0):
             raise ValueError("v = 0 truncation needs sigma > 0")
         tail0 = N ** (-sigma) / sigma
-        tail_log = N ** (-sigma) * (logN / sigma + 1.0 / sigma**2)
-        return tail0 + abs(s) * tail_log
-    p = sigma + 2 * v - 1  # decay exponent of the integrated tail
-    prod = _pochhammer_abs(s, 2 * v)
-    harm = sum(1.0 / abs(s + i) for i in range(2 * v))
-    b = abs(bernoulli_number(2 * v))
-    tail0 = N ** (-p) / p
-    tail_log = N ** (-p) * (logN / p + 1.0 / p**2)
-    return b / math.factorial(2 * v) * (prod * harm * tail0 + prod * tail_log)
+        tail_log = N ** (-sigma) * (math.log(N) / sigma + 1.0 / sigma**2)
+        return tail0 + abs(point.s) * tail_log
+    return _remainder_bound_in_n(point, v, derivative=True)(N)
 
 
 def zeta_em(point: EvalPoint, cfg: EMConfig) -> CertifiedComplex:
@@ -211,16 +226,17 @@ def zeta_em(point: EvalPoint, cfg: EMConfig) -> CertifiedComplex:
     value = sum_{n<N} n^-s + N^{1-s}/(s-1) + N^-s/2
             + sum_{j<=v} (B_2j/(2j)!) s(s+1)...(s+2j-2) N^{-s-2j+1}
 
-    The returned error bound covers the truncation remainder only; the
-    floating-point summation error (<= 2 eps sum|terms|) is orders of
-    magnitude below it at every certified configuration.
+    The returned error bound is the truncation remainder plus the phase-
+    rounding budget of the power sum (``_phase_rounding_budget``); the
+    summation itself is correctly rounded, so its error (half an ulp per
+    part) is left out.
     """
     cfg.validate(point)
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
     s = point.s
     N = cfg.N
-    head, _, rss, _ = _power_sums(s, N)
+    head, rss = _power_sums(s, N, log_weighted=False)
     n_pow = cmath.exp(-s * math.log(N))  # N^{-s}
     value = head + N * n_pow / (s - 1) + 0.5 * n_pow
     for j in range(1, cfg.v + 1):
@@ -263,7 +279,7 @@ def zeta_prime_em(point: EvalPoint, cfg: EMConfig) -> CertifiedComplex:
     s = point.s
     N = cfg.N
     logN = math.log(N)
-    _, log_head, _, log_rss = _power_sums(s, N)
+    log_head, log_rss = _power_sums(s, N, log_weighted=True)
     n_pow = cmath.exp(-s * logN)  # N^{-s}
     value = -log_head
     value += -logN * N * n_pow / (s - 1) - N * n_pow / (s - 1) ** 2

@@ -8,6 +8,7 @@ from zetabounds.zeta import (
     CertifiedComplex,
     EMConfig,
     EvalPoint,
+    _em_prime_remainder_bound,
     default_em_config,
     default_eta_terms,
     em_remainder_bound,
@@ -146,6 +147,44 @@ class TestZetaPrimeEm:
                 row.append((f * row[j - 1] - table[j - 1]) / (f - 1.0))
             table = row
         assert abs(em.value - table[-1]) < 1e-9
+
+
+class TestDefaultEmConfig:
+    @pytest.mark.parametrize("for_derivative", [False, True])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_smallest_n_meeting_tol(self, for_derivative, tol):
+        bound = _em_prime_remainder_bound if for_derivative else em_remainder_bound
+        for t in (0.0, 10.0, 170.0, 1234.5, 1e4, 99999.9, 1e5):
+            point = EvalPoint(t)
+            cfg = default_em_config(point, tol, for_derivative)
+            assert bound(point, cfg.N, cfg.v) <= tol, t
+            if cfg.N > 64:
+                # no correction order lets one term fewer meet tol
+                assert all(bound(point, cfg.N - 1, v) > tol for v in range(1, 16)), t
+
+    def test_cap_fallback_reports_nonconverged(self):
+        point = EvalPoint(t=10.0)
+        cfg = default_em_config(point, tol=1e-300, for_derivative=True)
+        assert (cfg.N, cfg.v) == (80, 15)
+        assert not zeta_prime_em(point, cfg).converged
+
+
+# mpmath at 30 digits is independent of both routes; its own error is far
+# below every radius checked here.
+REFERENCE_TS = (10.0, FIRST_ZERO_T, 100.0, 1234.5, 1e4, 19291.48, 54321.0, 99999.9, 1e5)
+
+
+@pytest.mark.parametrize("t", REFERENCE_TS)
+def test_default_config_within_radius_of_mpmath(t):
+    mpmath = pytest.importorskip("mpmath")
+    point = EvalPoint(t)
+    with mpmath.workdps(30):
+        s = mpmath.mpc(0.5, t)
+        for derivative, evaluate in ((0, zeta_em), (1, zeta_prime_em)):
+            r = evaluate(point, default_em_config(point, for_derivative=bool(derivative)))
+            assert r.converged
+            err = abs(mpmath.mpc(r.value) - mpmath.zeta(s, derivative=derivative))
+            assert float(err) <= r.error_bound, (t, derivative)
 
 
 class TestEtaOracle:
