@@ -74,6 +74,9 @@ class BoundParams:
     t2: float = E6
 
     def __post_init__(self) -> None:
+        for name in ("k", "tau", "q", "t1", "t2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.k > 1.0):
             raise ValueError("k must exceed 1")
         if not (self.tau > 1.0):

@@ -305,7 +305,10 @@ def _cmd_scan(args) -> int:
             bound = theorem1_bound(t).total
         else:
             bound = theorem2_bound(t, params, coeffs).total
-        oracle = zeta_prime_oracle(EvalPoint(t))
+        try:
+            oracle = zeta_prime_oracle(EvalPoint(t))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if not oracle.converged:
             nonconverged += 1
         value = abs(oracle.value)

@@ -316,11 +316,6 @@ class BlockScheme:
     def J(self) -> int:
         return len(self.blocks)
 
-    def count_limit(self) -> int:
-        """Closed-form cap on the number of blocks for the standard ranges
-        (exponent span 1/3): floor(log t / (3 log ratio)) + 1."""
-        return math.floor(math.log(self.t) / (3.0 * math.log(self.ratio))) + 1
-
 
 _ALLOWED_EXPONENTS = (1.0 / 3.0, 2.0 / 3.0, 1.0)
 

@@ -81,13 +81,6 @@ class QuadratureResult:
     subdivisions: int
     converged: bool = True
 
-    def require_converged(self) -> "QuadratureResult":
-        if not self.converged:
-            raise ArithmeticError(
-                "quadrature did not converge; result is unusable as an oracle"
-            )
-        return self
-
 
 # Gauss-Kronrod 7-15 nodes/weights on [-1, 1] (abscissae symmetric).
 _GK_NODES = (

@@ -69,11 +69,12 @@ class Objective:
             if (
                 self.weights is None
                 or len(self.weights) != 6
-                or any(w < 0 for w in self.weights)
+                or not all(math.isfinite(w) and w >= 0 for w in self.weights)
                 or not any(w > 0 for w in self.weights)
             ):
                 raise ValueError(
-                    "min_weighted_q needs six non-negative weights, not all zero"
+                    "min_weighted_q needs six finite non-negative weights, "
+                    "not all zero"
                 )
         else:
             raise ValueError(f"unknown objective kind {self.kind!r}")

@@ -370,9 +370,12 @@ def zeta_prime_oracle(
     The stencil stays clear of the pole at s=1 (requires |s-1| > 0.5).
     The error bound stacks the difference-stencil truncation estimate and
     the propagated oracle error; a stencil whose last two extrapolants
-    disagree beyond that budget is flagged non-converged.
+    disagree beyond that budget is flagged non-converged.  The default
+    term count grows like 4|t|, so |t| is held to the certified ceiling.
     """
     s = point.s
+    if abs(point.t) > T_CEILING:
+        raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
     if abs(s - 1.0) <= 0.5:
         raise ValueError("stencil too close to s = 1; need |s - 1| > 0.5")
     if terms is None:

@@ -283,6 +283,12 @@ class TestBlockBound13:
         with pytest.raises(ValueError):
             BoundParams(q=1.5)
 
+    @pytest.mark.parametrize("name", ["k", "tau", "q", "t1", "t2"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BoundParams(**{name: value})
+
 
 class TestTheorem2Assembly:
     def test_all_q_finite_positive_at_default(self):

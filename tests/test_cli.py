@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetabounds.cli import main
 
@@ -197,3 +201,44 @@ def test_input_error_is_one_error_line(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+# Hostile spellings of a number: non-finite, zero, negative, overflowing,
+# above the 1e5 ceiling, plus a few valid values so that runs get past parsing.
+HOSTILE_T = ["nan", "inf", "-inf", "0", "-7", "1e400", "2e5", "1e300", "10", "1e4", "1e5"]
+HOSTILE_COUNT = ["nan", "inf", "0", "-3", "1e400", "2.5", "1", "3"]
+HOSTILE_FLOAT = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e200", "3"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["eval", "bound", "scan"]))
+    argv = [command]
+    span = draw(st.sampled_from(["t", "range", "none"]))
+    if span == "t":
+        argv += ["--t", draw(st.sampled_from(HOSTILE_T))]
+    elif span == "range":
+        argv += ["--t-min", draw(st.sampled_from(HOSTILE_T)),
+                 "--t-max", draw(st.sampled_from(HOSTILE_T))]
+    # a range always gets a count, so that a valid run stays a few points long
+    if span == "range" or draw(st.booleans()):
+        argv += ["--samples", draw(st.sampled_from(HOSTILE_COUNT))]
+    if command == "eval" and draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(HOSTILE_FLOAT))]
+    if command != "eval" and draw(st.booleans()):
+        argv += ["--k", draw(st.sampled_from(HOSTILE_FLOAT))]
+    if command != "bound" and draw(st.booleans()):
+        argv += ["--theorem", draw(st.sampled_from(["1", "2", "0"]))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argv())
+def test_hostile_numbers_end_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

@@ -232,11 +232,17 @@ class TestWeightSums:
         assert all(r_big >= r_small for r_big, r_small in zip(ratios, smaller))
 
 
+def count_limit(scheme: BlockScheme) -> int:
+    """Closed-form cap on the number of blocks for the standard ranges
+    (exponent span 1/3): floor(log t / (3 log ratio)) + 1."""
+    return math.floor(math.log(scheme.t) / (3.0 * math.log(scheme.ratio))) + 1
+
+
 class TestBlockScheme:
     def test_worked_example(self):
         scheme = block_scheme(math.exp(6.0), 1.0 / 3.0, 2.0, 2.0 / 3.0)
         assert scheme.blocks[0][0] == pytest.approx(math.exp(2.0))
-        assert scheme.J <= scheme.count_limit() == 3
+        assert scheme.J <= count_limit(scheme) == 3
 
     def test_partition_property(self):
         for t, ratio in ((12345.6, 1.7), (999.0, 1.1), (4.06e5, 3.0)):
@@ -255,7 +261,7 @@ class TestBlockScheme:
     def test_invariants_hold(self):
         scheme = block_scheme(5e4, 1.0 / 3.0, 1.35, 2.0 / 3.0)
         t = scheme.t
-        assert scheme.J <= scheme.count_limit()
+        assert scheme.J <= count_limit(scheme)
         for (x0, x1, n0, n1) in scheme.blocks:
             assert n0 == math.floor(x0) or x1 == t ** (2.0 / 3.0)
             assert x0 < x1

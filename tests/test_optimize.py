@@ -31,6 +31,11 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective(kind="nope")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite non-negative weights"):
+            Objective.minimize_weighted_q((bad, 1, 1, 1, 1, 1))
+
     def test_evaluate_matches_direct(self):
         obj = Objective.minimize_bound_at_t(2e4)
         assert obj.evaluate(P0) == theorem2_bound(2e4, P0).total
