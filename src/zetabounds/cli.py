@@ -254,18 +254,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    if args.objective == "bound-at-t":
-        t = args.t if args.t is not None else 1e4
-        obj = Objective.minimize_bound_at_t(t)
-    elif args.objective == "q1":
-        obj = Objective.minimize_q1()
-    else:
-        try:
-            obj = Objective.minimize_weighted_q(args.weights)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    # Everything that can reject an input runs before any row is written.
     try:
+        if args.objective == "bound-at-t":
+            t = args.t if args.t is not None else 1e4
+            obj = Objective.minimize_bound_at_t(t)
+        elif args.objective == "q1":
+            obj = Objective.minimize_q1()
+        else:
+            obj = Objective.minimize_weighted_q(args.weights)
         result = optimize_params(obj, ranges=None, budget=args.budget)
+        if args.crossover:
+            t_star = crossover_scan(result.best, t_max=args.crossover_t_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     rows = []
@@ -287,7 +287,6 @@ def _cmd_optimize(args) -> int:
         f"evaluations={result.evaluations}\n"
     )
     if args.crossover:
-        t_star = crossover_scan(best, t_max=args.crossover_t_max)
         sys.stderr.write(f"crossover: {_fmt(t_star)}\n")
     return EXIT_OK
 
@@ -394,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--budget", type=int, default=600)
     p_opt.add_argument("--crossover", action="store_true",
                        help="also report the crossover t* for the tuned parameters")
-    p_opt.add_argument("--crossover-t-max", type=float, default=1e30)
+    p_opt.add_argument("--crossover-t-max", type=finite, default=1e30)
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_scan = sub.add_parser("scan", help="(t, bound, oracle, slack) sweep rows")

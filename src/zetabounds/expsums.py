@@ -22,78 +22,19 @@ TWO_PI = 2.0 * math.pi
 RANGE_GUARD = 10**8  # direct summation refuses longer ranges
 
 
-@dataclass(frozen=True)
-class PhaseFunction:
-    """Phase f for sums of e^{2 pi i f(n)}.
+Phase = Callable[[np.ndarray], np.ndarray]  # f for sums of e^{2 pi i f(n)}
 
-    kind:
-      * "log"       -- f(x) = -t log(x) / (2 pi), params = (t,), t > 0
-      * "quadratic" -- f(x) = a x^2 + b x + c, params = (a, b, c)
-      * "custom"    -- tabulated/callable phase; second derivative callable
-                       optional (needed only by curvature-based estimates)
-    """
 
-    kind: str
-    params: tuple[float, ...] = ()
-    func: Callable[[float], float] | None = None
-    second_derivative_func: Callable[[float], float] | None = None
+def log_phase(t: float) -> Phase:
+    """f(x) = -t log(x) / (2 pi), t > 0: the phase of n^{-it}."""
+    if not t > 0:
+        raise ValueError("log phase needs t > 0")
+    return lambda x: -t * np.log(x) / TWO_PI
 
-    def __post_init__(self) -> None:
-        if self.kind == "log":
-            if len(self.params) != 1 or not self.params[0] > 0:
-                raise ValueError("log phase needs params=(t,) with t > 0")
-        elif self.kind == "quadratic":
-            if len(self.params) != 3:
-                raise ValueError("quadratic phase needs params=(a, b, c)")
-        elif self.kind == "custom":
-            if self.func is None:
-                raise ValueError("custom phase needs a callable")
-        else:
-            raise ValueError(f"unknown phase kind {self.kind!r}")
 
-    @staticmethod
-    def log_phase(t: float) -> "PhaseFunction":
-        return PhaseFunction(kind="log", params=(t,))
-
-    @staticmethod
-    def quadratic(a: float, b: float, c: float = 0.0) -> "PhaseFunction":
-        return PhaseFunction(kind="quadratic", params=(a, b, c))
-
-    @staticmethod
-    def custom(
-        func: Callable[[float], float],
-        second_derivative: Callable[[float], float] | None = None,
-    ) -> "PhaseFunction":
-        return PhaseFunction(
-            kind="custom", func=func, second_derivative_func=second_derivative
-        )
-
-    def __call__(self, x: float) -> float:
-        if self.kind == "log":
-            return -self.params[0] * math.log(x) / TWO_PI
-        if self.kind == "quadratic":
-            a, b, c = self.params
-            return (a * x + b) * x + c
-        assert self.func is not None
-        return self.func(x)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "log":
-            return -self.params[0] * np.log(x) / TWO_PI
-        if self.kind == "quadratic":
-            a, b, c = self.params
-            return (a * x + b) * x + c
-        assert self.func is not None
-        return np.array([self.func(float(xi)) for xi in x])
-
-    def second_derivative(self, x: float) -> float:
-        if self.kind == "log":
-            return self.params[0] / (TWO_PI * x * x)
-        if self.kind == "quadratic":
-            return 2.0 * self.params[0]
-        if self.second_derivative_func is None:
-            raise ValueError("custom phase has no second derivative attached")
-        return self.second_derivative_func(x)
+def quadratic_phase(a: float, b: float, c: float = 0.0) -> Phase:
+    """f(x) = a x^2 + b x + c."""
+    return lambda x: (a * x + b) * x + c
 
 
 @dataclass(frozen=True)
@@ -132,7 +73,7 @@ def vdc_params_for_log_block(t: float, N: int, L: int) -> VdCParams:
     return VdCParams(L=L, V=TWO_PI * (N + 1) ** 2 / t, W=TWO_PI * (N + L) ** 2 / t)
 
 
-def exp_sum_exact(f: PhaseFunction, N: int, L: int) -> complex:
+def exp_sum_exact(f: Phase, N: int, L: int) -> complex:
     """Direct sum of e^{2 pi i f(n)} over n = N+1 .. N+L."""
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -141,7 +82,7 @@ def exp_sum_exact(f: PhaseFunction, N: int, L: int) -> complex:
     if L > RANGE_GUARD:
         raise ValueError("range too long for direct summation")
     n = np.arange(N + 1, N + L + 1, dtype=np.float64)
-    phase = TWO_PI * f.values(n)
+    phase = TWO_PI * f(n)
     return compensated_complex_sum(np.cos(phase) + 1j * np.sin(phase))
 
 
@@ -164,7 +105,7 @@ def log_dirichlet_sum(t: float, a: float, b: float) -> complex:
     return compensated_complex_sum(amp * np.exp(-1j * t * logn))
 
 
-def shifted_diff_maxima(f: PhaseFunction, N: int, L: int, M: int) -> list[float]:
+def shifted_diff_maxima(f: Phase, N: int, L: int, M: int) -> list[float]:
     """Exact max_{K <= L} |sum_{n=N+1}^{N+K} e^{2 pi i (f(n+m) - f(n))}|
     for m = 1 .. M-1, scanning every prefix K."""
     if M < 1:
@@ -172,10 +113,10 @@ def shifted_diff_maxima(f: PhaseFunction, N: int, L: int, M: int) -> list[float]
     if L < 1:
         raise ValueError("L must be >= 1")
     n = np.arange(N + 1, N + L + 1, dtype=np.float64)
-    fn = f.values(n)
+    fn = f(n)
     out: list[float] = []
     for m in range(1, M):
-        fm = f.values(n + m)
+        fm = f(n + m)
         terms = np.exp(TWO_PI * 1j * (fm - fn))
         out.append(float(np.max(np.abs(np.cumsum(terms)))))
     return out
@@ -221,10 +162,7 @@ def vertex_max_bound(amps: Sequence[float], phases: Sequence[float]) -> float:
     if any(amps[i] > amps[i + 1] for i in range(n - 1)):
         raise ValueError("amplitudes must be sorted ascending")
     if n > 20:
-        raise ValueError(
-            "exact subset enumeration capped at n = 20; "
-            "use vertex_max_estimate for larger n"
-        )
+        raise ValueError("exact subset enumeration capped at n = 20")
     phasors = np.exp(1j * np.asarray(phases, dtype=np.float64))
     # Subset sums by doubling: sums[mask] indexed by bitmask.
     sums = np.zeros(1, dtype=np.complex128)
@@ -233,30 +171,6 @@ def vertex_max_bound(amps: Sequence[float], phases: Sequence[float]) -> float:
     masks = np.arange(sums.size)
     multi = (masks & (masks - 1)) != 0  # popcount >= 2
     best = float(np.max(np.abs(sums[multi]))) if multi.any() else 0.0
-    return float(amps[-1]) * max(1.0, best)
-
-
-def vertex_max_estimate(
-    amps: Sequence[float],
-    phases: Sequence[float],
-    samples: int = 20000,
-    seed: int = 0,
-) -> float:
-    """Sampled stand-in for ``vertex_max_bound`` when n > 20.
-
-    Random subsets only; the result is an estimate (a lower bound on the
-    true vertex maximum) and is never used inside verification sweeps.
-    """
-    n = len(amps)
-    if len(phases) != n or n == 0:
-        raise ValueError("amps and phases must be non-empty, equal length")
-    rng = np.random.default_rng(seed)
-    phasors = np.exp(1j * np.asarray(phases, dtype=np.float64))
-    best = 0.0
-    for _ in range(samples):
-        r = int(rng.integers(2, n + 1))
-        idx = rng.choice(n, size=r, replace=False)
-        best = max(best, abs(complex(np.sum(phasors[idx]))))
     return float(amps[-1]) * max(1.0, best)
 
 

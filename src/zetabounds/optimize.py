@@ -130,10 +130,6 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def _params_from_dict(vals: dict[str, float]) -> BoundParams:
-    return BoundParams(**vals)
-
-
 def optimize_params(
     obj: Objective,
     ranges: dict[str, tuple[float, float]] | None = None,
@@ -161,14 +157,14 @@ def optimize_params(
     def spend(vals: dict[str, float]) -> float:
         nonlocal evaluations
         evaluations += 1
-        return obj.evaluate(_params_from_dict(vals))
+        return obj.evaluate(BoundParams(**vals))
 
     def consider(vals: dict[str, float]) -> bool:
         nonlocal best_p, best_v
         value = spend(vals)
         if value < best_v:
             best_v = value
-            best_p = _params_from_dict(vals)
+            best_p = BoundParams(**vals)
             trace.append((best_p, value))
             return True
         return False
@@ -268,47 +264,27 @@ def log_theorem2_bound(logt: float, coeffs: BoundCoefficients) -> float:
     return _logsumexp(terms)
 
 
-def crossover_scan(
-    p: BoundParams,
-    t_max: float | None = None,
-    log_t_max: float | None = None,
-    grid_ratio: float = 1.1,
-) -> float | None:
+def crossover_scan(p: BoundParams, t_max: float) -> float | None:
     """Smallest t* in [e^6, t_max] where the six-shape bound drops below
     the direct-integration bound, or None if there is no crossover in
     range.
 
     The scan walks a geometric grid (ratio 1.1) in log space and refines
-    the first sign change by bisection to relative width 1e-6.  Passing
-    ``log_t_max`` instead of ``t_max`` allows scanning beyond float range;
-    the returned value is then exp(log t*), which may overflow to inf for
-    log t* > ~709, so callers working that far out should use
-    ``crossover_scan_log``.
+    the first sign change by bisection to relative width 1e-6.  Beyond
+    float range, scan with ``crossover_scan_log``.
     """
-    lmax = _resolve_log_tmax(t_max, log_t_max)
-    lstar = crossover_scan_log(p, lmax, grid_ratio=grid_ratio)
+    if not (t_max >= E6):
+        raise ValueError("t_max must be >= e^6")
+    lstar = crossover_scan_log(p, math.log(t_max))
     return None if lstar is None else math.exp(lstar)
 
 
-def _resolve_log_tmax(t_max: float | None, log_t_max: float | None) -> float:
-    if (t_max is None) == (log_t_max is None):
-        raise ValueError("pass exactly one of t_max, log_t_max")
-    lmax = math.log(t_max) if t_max is not None else float(log_t_max)
-    if not (lmax >= 6.0):
-        raise ValueError("t_max must be >= e^6")
-    return lmax
-
-
-def crossover_scan_log(
-    p: BoundParams,
-    log_t_max: float,
-    grid_ratio: float = 1.1,
-) -> float | None:
+def crossover_scan_log(p: BoundParams, log_t_max: float) -> float | None:
     """Log-space core of ``crossover_scan``: returns log t* (or None)."""
     if not (log_t_max >= 6.0):
         raise ValueError("log_t_max must be >= 6")
     coeffs = theorem2_coeffs(p)
-    step = math.log(grid_ratio)
+    step = math.log(1.1)
 
     def beats(logt: float) -> bool:
         return log_theorem2_bound(logt, coeffs) < log_theorem1_bound(logt)

@@ -27,9 +27,10 @@ from .bounds import (
     theorem2_coeffs,
 )
 from .expsums import (
-    PhaseFunction,
     exp_sum_exact,
     log_dirichlet_sum,
+    log_phase,
+    quadratic_phase,
     shifted_diff_maxima,
     vdc_params_for_log_block,
     vdc_second_derivative_bound,
@@ -305,7 +306,7 @@ def _check_curvature_estimate(spec: SampleSpec) -> VerificationReport:
         n_start = int(x0 * float(rng.uniform(1.0, 3.0)))
         max_len = max(3, min(int((rng.uniform(0.1, 1.5)) * n_start), 10**4))
         length = int(rng.integers(2, max_len + 1))
-        f = PhaseFunction.log_phase(t)
+        f = log_phase(t)
         value = abs(exp_sum_exact(f, n_start, length))
         params = vdc_params_for_log_block(t, n_start, length)
         bound = vdc_second_derivative_bound(params)
@@ -324,13 +325,13 @@ def _check_differencing(spec: SampleSpec) -> VerificationReport:
     for i in range(spec.samples):
         kind = i % 3
         if kind == 0:
-            f = PhaseFunction.custom(lambda x: 0.0)
+            f = quadratic_phase(0.0, 0.0)
         elif kind == 1:
-            f = PhaseFunction.quadratic(
+            f = quadratic_phase(
                 float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-1.0, 1.0))
             )
         else:
-            f = PhaseFunction.log_phase(float(rng.uniform(10.0, 1e4)))
+            f = log_phase(float(rng.uniform(10.0, 1e4)))
         n_start = int(rng.integers(1, 500))
         length = int(rng.integers(1, 200))
         m_cap = int(spec.range("M", 1, 20)[1])

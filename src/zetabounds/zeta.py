@@ -109,10 +109,6 @@ def default_em_config(
             hi = mid
         else:
             lo = mid + 1
-    # The evaluators judge convergence with the public bound functions.
-    bound_fn = _em_prime_remainder_bound if for_derivative else em_remainder_bound
-    if bound_fn(point, lo, _MAX_V) > tol:
-        lo = cap
     return EMConfig(N=lo, v=_MAX_V, tol=tol)
 
 
@@ -144,6 +140,14 @@ def _phase_rounding_budget(t: float, N: int, rss: float) -> float:
     return 8.0 * EPS * (abs(t) * math.log(max(N, 2)) + 4.0) * rss
 
 
+def _pochhammer(s: complex, count: int) -> complex:
+    """prod_{i=0}^{count-1} (s + i); empty product is 1."""
+    prod = 1.0 + 0.0j
+    for i in range(count):
+        prod *= s + i
+    return prod
+
+
 def _pochhammer_abs(s: complex, count: int) -> float:
     """prod_{i=0}^{count-1} |s + i| (count >= 1)."""
     prod = 1.0
@@ -155,18 +159,30 @@ def _pochhammer_abs(s: complex, count: int) -> float:
 def _remainder_bound_in_n(
     point: EvalPoint, v: int, derivative: bool
 ) -> Callable[[int], float]:
-    """The order-v truncation-remainder bound as a function of N (v >= 1).
+    """The order-v truncation-remainder bound as a function of N.
 
-    With K = prod_{i<2v} |s+i| * |B_{2v}| / (2v)!, H = sum_{i<2v} 1/|s+i| and
-    p = sigma + 2v - 1 (docs/remainder_bounds.md):
+    For v >= 1, with K = prod_{i<2v} |s+i| * |B_{2v}| / (2v)!,
+    H = sum_{i<2v} 1/|s+i| and p = sigma + 2v - 1 (docs/remainder_bounds.md):
 
         remainder:   K * N^{-p} / p
         derivative:  K * N^{-p} / p * (H + log N + 1/p)
+
+    For v = 0 the kernel is the fractional part, bounded by 1 (sigma > 0):
+
+        remainder:   |s| * N^{-sigma} / sigma
+        derivative:  N^{-sigma} / sigma + |s| * N^{-sigma} * (log N / sigma + 1/sigma^2)
 
     Everything that does not depend on N is computed once here, so a search
     over N costs one power (and one log) per probe.
     """
     s = point.s
+    if v == 0:
+        sigma = point.sigma
+        if not derivative:
+            return lambda N: abs(s) * N ** (-sigma) / sigma
+        return lambda N: N ** (-sigma) / sigma + abs(s) * (
+            N ** (-sigma) * (math.log(N) / sigma + 1.0 / sigma**2)
+        )
     p = point.sigma + 2 * v - 1  # decay exponent of the integrated tail
     k = _pochhammer_abs(s, 2 * v) * abs(bernoulli_number(2 * v)) / math.factorial(2 * v)
     if not derivative:
@@ -175,49 +191,67 @@ def _remainder_bound_in_n(
     return lambda N: k * N ** (-p) / p * (shift + math.log(N))
 
 
-def em_remainder_bound(point: EvalPoint, N: int, v: int) -> float:
-    """Closed-form truncation-remainder bound for correction order v >= 1.
+def em_remainder_bound(
+    point: EvalPoint, N: int, v: int, derivative: bool = False
+) -> float:
+    """Closed-form bound for the order-v truncation remainder of ``zeta_em``
+    (or, with ``derivative``, of ``zeta_prime_em``).
 
-    Uses |periodized B_{2v}(x)| <= |B_{2v}|, giving
+    For v >= 1 it uses |periodized B_{2v}(x)| <= |B_{2v}|, giving
 
-        (|s||s+1|...|s+2v-1| / (2v)!) * |B_{2v}| * N^{1-sigma-2v} / (sigma+2v-1).
+        (|s||s+1|...|s+2v-1| / (2v)!) * |B_{2v}| * N^{1-sigma-2v} / (sigma+2v-1);
 
-    The v = 0 truncation is bounded separately (fractional-part kernel <= 1)
-    inside ``zeta_em``; requesting v = 0 here is an error.
+    the derivative bound and the v = 0 bounds are derived in
+    docs/remainder_bounds.md.
     """
-    if v < 1:
-        raise ValueError("em_remainder_bound requires v >= 1")
+    if v < 0:
+        raise ValueError("em_remainder_bound requires v >= 0")
     if N < 1:
         raise ValueError("N must be positive")
     if not (point.sigma + 2 * v > 0):
         raise ValueError("sigma + 2v + 1 > 1 required")
-    return _remainder_bound_in_n(point, v, derivative=False)(N)
+    return _remainder_bound_in_n(point, v, derivative)(N)
 
 
-def _em_v0_remainder_bound(point: EvalPoint, N: int) -> float:
-    # |s| * integral_N^inf x^{-sigma-1} dx with the kernel bounded by 1.
-    sigma = point.sigma
-    if not (sigma > 0):
-        raise ValueError("v = 0 truncation needs sigma > 0")
-    return abs(point.s) * N ** (-sigma) / sigma
+def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedComplex:
+    """The corrected truncation of zeta(s), or its term-wise s-derivative.
 
-
-def _em_prime_remainder_bound(point: EvalPoint, N: int, v: int) -> float:
-    """Bound for the s-derivative of the order-v truncation remainder.
-
-    Differentiating the remainder integral gives two pieces: the product
-    rule hits the Pochhammer factor (harmonic-sum growth) and the x^{-s-2v}
-    kernel (an extra log x <= log factor under the integral).  Both tails
-    are integrated in closed form; see docs/remainder_bounds.md.
+    The error bound is the truncation remainder plus the phase-rounding
+    budget of the power sum (``_phase_rounding_budget``); the summation
+    itself is correctly rounded, so its error (half an ulp per part) is
+    left out.
     """
-    if v == 0:
-        sigma = point.sigma
-        if not (sigma > 0):
-            raise ValueError("v = 0 truncation needs sigma > 0")
-        tail0 = N ** (-sigma) / sigma
-        tail_log = N ** (-sigma) * (math.log(N) / sigma + 1.0 / sigma**2)
-        return tail0 + abs(point.s) * tail_log
-    return _remainder_bound_in_n(point, v, derivative=True)(N)
+    cfg.validate(point)
+    if abs(point.t) > T_CEILING:
+        raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
+    s = point.s
+    N = cfg.N
+    logN = math.log(N)
+    head, rss = _power_sums(s, N, log_weighted=derivative)
+    n_pow = cmath.exp(-s * logN)  # N^{-s}
+    if derivative:
+        value = -head
+        value += -logN * N * n_pow / (s - 1) - N * n_pow / (s - 1) ** 2
+        value += -0.5 * logN * n_pow
+    else:
+        value = head + N * n_pow / (s - 1) + 0.5 * n_pow
+    for j in range(1, cfg.v + 1):
+        poch = _pochhammer(s, 2 * j - 1)
+        if derivative:  # d/ds (poch * N^{-s}) over N^{-s}
+            poch = poch * sum(1.0 / (s + i) for i in range(2 * j - 1)) - poch * logN
+        term = (
+            bernoulli_number(2 * j)
+            / math.factorial(2 * j)
+            * poch
+            * N ** (1 - 2 * j)
+            * n_pow
+        )
+        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            raise OverflowError("correction-term overflow; reduce v")
+        value += term
+    trunc = _remainder_bound_in_n(point, cfg.v, derivative)(N)
+    err = trunc + _phase_rounding_budget(point.t, N, rss)
+    return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
 
 
 def zeta_em(point: EvalPoint, cfg: EMConfig) -> CertifiedComplex:
@@ -225,45 +259,8 @@ def zeta_em(point: EvalPoint, cfg: EMConfig) -> CertifiedComplex:
 
     value = sum_{n<N} n^-s + N^{1-s}/(s-1) + N^-s/2
             + sum_{j<=v} (B_2j/(2j)!) s(s+1)...(s+2j-2) N^{-s-2j+1}
-
-    The returned error bound is the truncation remainder plus the phase-
-    rounding budget of the power sum (``_phase_rounding_budget``); the
-    summation itself is correctly rounded, so its error (half an ulp per
-    part) is left out.
     """
-    cfg.validate(point)
-    if abs(point.t) > T_CEILING:
-        raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
-    s = point.s
-    N = cfg.N
-    head, rss = _power_sums(s, N, log_weighted=False)
-    n_pow = cmath.exp(-s * math.log(N))  # N^{-s}
-    value = head + N * n_pow / (s - 1) + 0.5 * n_pow
-    for j in range(1, cfg.v + 1):
-        term = (
-            bernoulli_number(2 * j)
-            / math.factorial(2 * j)
-            * _pochhammer(s, 2 * j - 1)
-            * N ** (1 - 2 * j)
-            * n_pow
-        )
-        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-            raise OverflowError("correction-term overflow; reduce v")
-        value += term
-    if cfg.v >= 1:
-        trunc = em_remainder_bound(point, N, cfg.v)
-    else:
-        trunc = _em_v0_remainder_bound(point, N)
-    err = trunc + _phase_rounding_budget(point.t, N, rss)
-    return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
-
-
-def _pochhammer(s: complex, count: int) -> complex:
-    """prod_{i=0}^{count-1} (s + i); empty product is 1."""
-    prod = 1.0 + 0.0j
-    for i in range(count):
-        prod *= s + i
-    return prod
+    return _truncated(point, cfg, derivative=False)
 
 
 def zeta_prime_em(point: EvalPoint, cfg: EMConfig) -> CertifiedComplex:
@@ -273,33 +270,7 @@ def zeta_prime_em(point: EvalPoint, cfg: EMConfig) -> CertifiedComplex:
     they are differentiated under the integral sign and bounded in closed
     form (``docs/remainder_bounds.md``), which keeps the result certified.
     """
-    cfg.validate(point)
-    if abs(point.t) > T_CEILING:
-        raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
-    s = point.s
-    N = cfg.N
-    logN = math.log(N)
-    log_head, log_rss = _power_sums(s, N, log_weighted=True)
-    n_pow = cmath.exp(-s * logN)  # N^{-s}
-    value = -log_head
-    value += -logN * N * n_pow / (s - 1) - N * n_pow / (s - 1) ** 2
-    value += -0.5 * logN * n_pow
-    for j in range(1, cfg.v + 1):
-        poch = _pochhammer(s, 2 * j - 1)
-        dpoch = poch * sum(1.0 / (s + i) for i in range(2 * j - 1))
-        term = (
-            bernoulli_number(2 * j)
-            / math.factorial(2 * j)
-            * (dpoch - poch * logN)
-            * N ** (1 - 2 * j)
-            * n_pow
-        )
-        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-            raise OverflowError("correction-term overflow; reduce v")
-        value += term
-    trunc = _em_prime_remainder_bound(point, N, cfg.v)
-    err = trunc + _phase_rounding_budget(point.t, N, log_rss)
-    return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
+    return _truncated(point, cfg, derivative=True)
 
 
 # ---------------------------------------------------------------------------

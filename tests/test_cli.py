@@ -192,6 +192,9 @@ class TestOutputRouting:
         ["optimize", "--objective", "weighted", "--weights", "a,b"],
         ["eval", "--t", "50", "--seed", "1"],
         ["eval", "--t", "50", "--out", "{missing}"],
+        ["optimize", "--crossover", "--crossover-t-max", "1"],
+        ["optimize", "--crossover", "--crossover-t-max", "nan"],
+        ["optimize", "--objective", "bound-at-t", "--t", "5"],
     ],
 )
 def test_input_error_is_one_error_line(argv, tmp_path, capsys):
@@ -212,8 +215,18 @@ HOSTILE_FLOAT = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e200", "3"]
 
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(["eval", "bound", "scan"]))
+    command = draw(st.sampled_from(["eval", "bound", "scan", "optimize"]))
     argv = [command]
+    if command == "optimize":
+        # budgets of at most 12 evaluations keep a valid run near 1 ms
+        argv += ["--budget", draw(st.sampled_from(["nan", "0", "-3", "5", "10", "12"]))]
+        if draw(st.booleans()):
+            argv += ["--t", draw(st.sampled_from(HOSTILE_T))]
+        if draw(st.booleans()):
+            argv += ["--crossover"]
+        if draw(st.booleans()):
+            argv += ["--crossover-t-max", draw(st.sampled_from(HOSTILE_T))]
+        return argv
     span = draw(st.sampled_from(["t", "range", "none"]))
     if span == "t":
         argv += ["--t", draw(st.sampled_from(HOSTILE_T))]

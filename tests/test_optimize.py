@@ -142,6 +142,4 @@ class TestCrossoverScan:
         with pytest.raises(ValueError):
             crossover_scan(P0, t_max=100.0)
         with pytest.raises(ValueError):
-            crossover_scan(P0)
-        with pytest.raises(ValueError):
-            crossover_scan(P0, t_max=1e6, log_t_max=20.0)
+            crossover_scan(P0, t_max=math.nan)

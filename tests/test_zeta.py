@@ -8,7 +8,6 @@ from zetabounds.zeta import (
     CertifiedComplex,
     EMConfig,
     EvalPoint,
-    _em_prime_remainder_bound,
     default_em_config,
     default_eta_terms,
     em_remainder_bound,
@@ -88,9 +87,13 @@ class TestRemainderBound:
             b2 = em_remainder_bound(s, N=200, v=v)
             assert b1 / b2 >= 2.0 ** (0.5 + 2 * v - 1) * (1.0 - 1e-12)
 
-    def test_v0_rejected(self):
+    def test_v0_worked_value(self):
+        # |2| * 10^-2 / 2, and 10^-2/2 + |2| * 10^-2 * (log 10 / 2 + 1/4)
+        assert em_remainder_bound(S2, N=10, v=0) == pytest.approx(0.01, rel=1e-12)
+        got = em_remainder_bound(S2, N=10, v=0, derivative=True)
+        assert got == pytest.approx(0.01 + 0.01 * math.log(10.0), rel=1e-12)
         with pytest.raises(ValueError):
-            em_remainder_bound(S2, N=10, v=0)
+            em_remainder_bound(EvalPoint(t=1.0, sigma=0.0), N=10, v=0)
 
     def test_monotone_decreasing_in_n(self):
         s = EvalPoint(t=50.0)
@@ -153,7 +156,9 @@ class TestDefaultEmConfig:
     @pytest.mark.parametrize("for_derivative", [False, True])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_smallest_n_meeting_tol(self, for_derivative, tol):
-        bound = _em_prime_remainder_bound if for_derivative else em_remainder_bound
+        def bound(point, N, v):
+            return em_remainder_bound(point, N, v, derivative=for_derivative)
+
         for t in (0.0, 10.0, 170.0, 1234.5, 1e4, 99999.9, 1e5):
             point = EvalPoint(t)
             cfg = default_em_config(point, tol, for_derivative)
@@ -183,6 +188,21 @@ def test_default_config_within_radius_of_mpmath(t):
         for derivative, evaluate in ((0, zeta_em), (1, zeta_prime_em)):
             r = evaluate(point, default_em_config(point, for_derivative=bool(derivative)))
             assert r.converged
+            err = abs(mpmath.mpc(r.value) - mpmath.zeta(s, derivative=derivative))
+            assert float(err) <= r.error_bound, (t, derivative)
+
+
+@pytest.mark.parametrize("t", REFERENCE_TS)
+def test_oracles_within_radius_of_mpmath(t):
+    mpmath = pytest.importorskip("mpmath")
+    point = EvalPoint(t)
+    with mpmath.workdps(30):
+        s = mpmath.mpc(0.5, t)
+        for derivative, r in (
+            (0, eta_oracle(point, default_eta_terms(t))),
+            (1, zeta_prime_oracle(point)),
+        ):
+            assert r.converged, (t, derivative)
             err = abs(mpmath.mpc(r.value) - mpmath.zeta(s, derivative=derivative))
             assert float(err) <= r.error_bound, (t, derivative)
 
