@@ -39,7 +39,7 @@ from .expsums import (
     weyl_differencing_rhs,
 )
 from .numerics import EPS, geometric_grid, integrate_adaptive
-from .zeta import EvalPoint, zeta_prime_oracle
+from .zeta import T_CEILING, EvalPoint, default_em_config, zeta_prime_em
 
 TWO_PI = 2.0 * math.pi
 
@@ -431,9 +431,15 @@ def verify_theorem_envelope(
     n_samples: int,
     p: BoundParams | None = None,
 ) -> VerificationReport:
-    """|zeta'(1/2+it)| (by the derivative oracle) against a bound family
-    on a geometric t-grid; non-converged oracle points are excluded and
-    counted in the notes."""
+    """|zeta'(1/2+it)| against a bound family on a geometric t-grid.
+
+    zeta' comes from the certified truncation route, ``zeta_prime_em`` at
+    its default derivative config, and each sample's budget is its error
+    radius plus 1e-9 of the bound.  Non-converged points are excluded and
+    counted in the notes.  The range must start inside the theorem's
+    domain and satisfy t_min <= t_max <= T_CEILING; it is checked before
+    anything is evaluated.
+    """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     if n_samples < 1:
@@ -442,18 +448,23 @@ def verify_theorem_envelope(
     if not in_theorem_domain(lo, which):
         threshold = E2 if which == 1 else E6
         raise ValueError(f"t range must start at or above {threshold:.6g}")
+    if not lo <= hi:
+        raise ValueError("need 0 < t_min <= t_max")
+    if hi > T_CEILING:
+        raise ValueError(f"t_max={hi:g} exceeds the certified ceiling {T_CEILING:g}")
     params = p or BoundParams()
     coeffs = theorem2_coeffs(params) if which == 2 else None
     sweep = _Sweep(f"theorem-{which}")
     for t in geometric_grid(lo, hi, n_samples):
-        oracle = zeta_prime_oracle(EvalPoint(t))
-        if not oracle.converged:
+        point = EvalPoint(t)
+        zp = zeta_prime_em(point, default_em_config(point, for_derivative=True))
+        if not zp.converged:
             sweep.skip()
             continue
         if which == 1:
             bound = theorem1_bound(t).total
         else:
             bound = theorem2_bound(t, params, coeffs).total
-        budget = oracle.error_bound + 1e-9 * bound
-        sweep.add(abs(oracle.value), bound, budget, {"t": t})
+        budget = zp.error_bound + 1e-9 * bound
+        sweep.add(abs(zp.value), bound, budget, {"t": t})
     return sweep.report()

@@ -31,15 +31,9 @@ from zetabounds.optimize import (
     optimize_params,
 )
 from zetabounds.verify import SampleSpec, verify_lemma, verify_theorem_envelope
-from zetabounds.zeta import (
-    EMConfig,
-    EvalPoint,
-    default_em_config,
-    default_eta_terms,
-    eta_oracle,
-    zeta_em,
-    zeta_prime_em,
-)
+from zetabounds.zeta import EMConfig, EvalPoint, default_em_config, zeta_em, zeta_prime_em
+
+from reference_oracle import default_eta_terms, eta_oracle
 
 P0 = BoundParams(k=2.0, tau=2.0, q=2.0, t1=math.exp(3.0), t2=math.exp(6.0))
 

@@ -368,7 +368,8 @@ class TestTheorem2Assembly:
             assert acc[f"Q{i}"] == pytest.approx(coeffs.Q[i - 1], rel=1e-15)
 
     def test_envelope_against_derivative_oracle_spot(self):
-        from zetabounds.zeta import EvalPoint, zeta_prime_oracle
+        from reference_oracle import zeta_prime_oracle
+        from zetabounds.zeta import EvalPoint
 
         coeffs = theorem2_coeffs(P0)
         for t in (E6, 2e3, 3e4):

@@ -5,7 +5,7 @@ import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetabounds.cli import main
@@ -177,6 +177,14 @@ class TestOutputRouting:
         assert main(["frobnicate"]) == 1
 
 
+# The message of an input error, where a test pins it.
+ERROR_MESSAGES = {
+    "verify --theorem 1 --t-min 2e4": "need 0 < t_min <= t_max",
+    "verify --theorem 2 --t-min 500 --t-max 100": "need 0 < t_min <= t_max",
+    "verify --theorem 1 --t-max 2e5": "exceeds the certified ceiling",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -195,6 +203,9 @@ class TestOutputRouting:
         ["optimize", "--crossover", "--crossover-t-max", "1"],
         ["optimize", "--crossover", "--crossover-t-max", "nan"],
         ["optimize", "--objective", "bound-at-t", "--t", "5"],
+        ["verify", "--theorem", "1", "--t-min", "2e4"],
+        ["verify", "--theorem", "2", "--t-min", "500", "--t-max", "100"],
+        ["verify", "--theorem", "1", "--t-max", "2e5"],
     ],
 )
 def test_input_error_is_one_error_line(argv, tmp_path, capsys):
@@ -204,6 +215,7 @@ def test_input_error_is_one_error_line(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert ERROR_MESSAGES.get(" ".join(argv), "") in lines[0]
 
 
 # Hostile spellings of a number: non-finite, zero, negative, overflowing,
@@ -215,8 +227,18 @@ HOSTILE_FLOAT = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e200", "3"]
 
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(["eval", "bound", "scan", "optimize"]))
+    command = draw(st.sampled_from(["eval", "bound", "scan", "optimize", "verify"]))
     argv = [command]
+    if command == "verify":
+        # the envelope grid defaults to 50 points, so a count is always given
+        argv += ["--theorem", draw(st.sampled_from(["1", "2", "0"]))]
+        for flag in ("--t-min", "--t-max"):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(HOSTILE_T))]
+        argv += ["--samples", draw(st.sampled_from(HOSTILE_COUNT))]
+        if draw(st.booleans()):
+            argv += ["--k", draw(st.sampled_from(HOSTILE_FLOAT))]
+        return argv
     if command == "optimize":
         # budgets of at most 12 evaluations keep a valid run near 1 ms
         argv += ["--budget", draw(st.sampled_from(["nan", "0", "-3", "5", "10", "12"]))]
@@ -247,6 +269,11 @@ def cli_argv(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(argv=cli_argv())
+# Tracebacks that only a few drawn optimize argv lists reach; pinned so
+# that every seed runs them.
+@example(argv=["optimize", "--crossover", "--crossover-t-max", "1"])
+@example(argv=["optimize", "--crossover", "--crossover-t-max", "nan"])
+@example(argv=["optimize", "--objective", "bound-at-t", "--t", "5"])
 def test_hostile_numbers_end_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

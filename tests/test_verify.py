@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from zetabounds.bounds import BoundParams, E2, E6
+from zetabounds import verify
+from zetabounds.bounds import BoundParams, E2, E6, theorem1_bound
 from zetabounds.verify import (
     SampleSpec,
     SUPPORTED_CHECKS,
@@ -10,6 +11,7 @@ from zetabounds.verify import (
     verify_lemma,
     verify_theorem_envelope,
 )
+from zetabounds.zeta import EvalPoint, default_em_config, zeta_prime_em
 
 
 class TestLemmaSweeps:
@@ -115,3 +117,25 @@ class TestTheoremEnvelopes:
             verify_theorem_envelope(2, (E2, 1e4), 5)  # starts below e^6
         with pytest.raises(ValueError):
             verify_theorem_envelope(1, (E2, 100.0), 0)
+
+    def test_bad_range_rejected_before_any_evaluation(self, monkeypatch):
+        def no_evaluation(point, cfg):
+            raise AssertionError(f"zeta' evaluated at t={point.t}")
+
+        monkeypatch.setattr(verify, "zeta_prime_em", no_evaluation)
+        with pytest.raises(ValueError, match="exceeds the certified ceiling"):
+            verify_theorem_envelope(1, (E2, 2e5), 50)
+        with pytest.raises(ValueError, match="exceeds the certified ceiling"):
+            verify_theorem_envelope(2, (E6, 1e5 * (1 + 1e-15)), 3)
+        for which, t_range in ((1, (2e4, 1e4)), (2, (500.0, 100.0))):
+            with pytest.raises(ValueError, match="need 0 < t_min <= t_max"):
+                verify_theorem_envelope(which, t_range, 50)
+
+    def test_budget_is_certified_radius(self):
+        # the value side is zeta_prime_em at its default derivative config
+        t = 1e5
+        point = EvalPoint(t)
+        zp = zeta_prime_em(point, default_em_config(point, for_derivative=True))
+        r = verify_theorem_envelope(1, (t, t), 1)
+        assert r.error_budget_used == zp.error_bound + 1e-9 * theorem1_bound(t).total
+        assert r.max_oracle == abs(zp.value)

@@ -4,18 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from zetabounds.numerics import geometric_grid
 from zetabounds.zeta import (
     CertifiedComplex,
     EMConfig,
     EvalPoint,
     default_em_config,
-    default_eta_terms,
     em_remainder_bound,
-    eta_oracle,
     zeta_em,
     zeta_prime_em,
-    zeta_prime_oracle,
 )
+
+from reference_oracle import default_eta_terms, eta_oracle, zeta_prime_oracle
 
 ZETA2 = math.pi**2 / 6.0
 # zeta'(2) frozen from the direct-summation oracle (see test below, which
@@ -205,6 +205,20 @@ def test_oracles_within_radius_of_mpmath(t):
             assert r.converged, (t, derivative)
             err = abs(mpmath.mpc(r.value) - mpmath.zeta(s, derivative=derivative))
             assert float(err) <= r.error_bound, (t, derivative)
+
+
+# The t grid of the scan_theorem2 golden file, whose printed values come
+# from zeta_prime_em, plus the top of the certified range.
+GOLDEN_SCAN_TS = (*geometric_grid(500.0, 1e4, 12), 1e5)
+
+
+@pytest.mark.parametrize("t", GOLDEN_SCAN_TS)
+def test_certified_route_within_radii_of_oracle(t):
+    point = EvalPoint(t)
+    em = zeta_prime_em(point, default_em_config(point, for_derivative=True))
+    oracle = zeta_prime_oracle(point)
+    assert em.converged and oracle.converged
+    assert abs(em.value - oracle.value) <= em.error_bound + oracle.error_bound
 
 
 class TestEtaOracle:
