@@ -17,8 +17,9 @@ Two bound families are provided:
   geometric-sum bounds it relies on are derived in docs/block_assembly.md
   and verified numerically against exact block sums by the test suite.
 
-Every bound function checks its own t-hypothesis, with a relative slack
-of 1e-6 so that thresholds like e^2 survive decimal round-tripping.
+Each part of both bounds has one definition, which docs/block_assembly.md
+lists.  Every bound function checks its own t-hypothesis, with a relative
+slack of 1e-6 so that thresholds like e^2 survive decimal round-tripping.
 """
 
 from __future__ import annotations
@@ -37,10 +38,24 @@ E6 = math.exp(6.0)
 
 HYPOTHESIS_RTOL = 1e-6
 
-# Constant-factored tail-remainder forms (valid beyond the stated thresholds).
-THM1_TAIL_LOG, THM1_TAIL_CONST = 6.047, 4.455  # t >= e^2
-THM2_TAIL_LOG, THM2_TAIL_CONST = 6.001, 4.008  # t >= e^6
-MID_TAIL_CONST = 1.944
+# Where each theorem's range starts.
+THRESHOLD = {1: E2, 2: E6}
+
+
+class LogLinear(NamedTuple):
+    """The bound log_coef * log t + const."""
+
+    log_coef: float
+    const: float
+
+    def at(self, t: float) -> float:
+        return self.log_coef * math.log(t) + self.const
+
+
+# The Dirichlet-type sum over (t, t^2], for t >= e^2.
+MID_TAIL = LogLinear(2.0, 1.944)
+# Constant-factored tail-remainder forms, valid from each theorem's threshold.
+TAIL_REMAINDER = {1: LogLinear(6.047, 4.455), 2: LogLinear(6.001, 4.008)}
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -48,8 +63,7 @@ _SQRT_PI = math.sqrt(math.pi)
 def in_theorem_domain(t: float, which: int) -> bool:
     """Whether t is finite and inside theorem ``which``'s range, t >= e^2
     for theorem 1 and t >= e^6 for theorem 2, up to HYPOTHESIS_RTOL."""
-    threshold = E2 if which == 1 else E6
-    return math.isfinite(t) and t >= threshold * (1.0 - HYPOTHESIS_RTOL)
+    return math.isfinite(t) and t >= THRESHOLD[which] * (1.0 - HYPOTHESIS_RTOL)
 
 
 def _require_t(t: float, threshold: float, label: str) -> None:
@@ -194,20 +208,28 @@ def tail_error_bound(t: float) -> float:
 def mid_tail_sum_bound(t: float) -> float:
     """2 log t + 1.944, bounding the Dirichlet-type sum over (t, t^2]."""
     _require_t(t, E2, "mid_tail_sum_bound")
-    return 2.0 * math.log(t) + MID_TAIL_CONST
+    return MID_TAIL.at(t)
+
+
+def integral_bound(x: float, alpha: float) -> float:
+    """2 x^{alpha/2} (alpha log x - 2), which is the integral of
+    log u / sqrt(u) over [1, x^alpha] less 4: the head bound, and with the
+    4 added back the crude bound of a block range."""
+    root = math.sqrt(x) if alpha == 1.0 else x ** (alpha / 2.0)
+    return 2.0 * root * (alpha * math.log(x) - 2.0)
 
 
 def head_sum_bound(t: float, alpha: float) -> float:
-    """2 t^{alpha/2} (alpha log t - 2): the integral-comparison bound for
-    the head sum over n <= t^alpha.  alpha = 1 needs t >= e^2, alpha = 1/3
-    needs t >= e^6 (otherwise the closed form goes negative)."""
+    """``integral_bound(t, alpha)`` as a bound for the head sum over
+    n <= t^alpha.  alpha = 1 needs t >= e^2, alpha = 1/3 needs t >= e^6
+    (otherwise the closed form goes negative)."""
     if math.isclose(alpha, 1.0):
         _require_t(t, E2, "head_sum_bound(alpha=1)")
     elif math.isclose(alpha, 1.0 / 3.0):
         _require_t(t, E6, "head_sum_bound(alpha=1/3)")
     else:
         raise ValueError("alpha must be 1 or 1/3")
-    value = 2.0 * t ** (alpha / 2.0) * (alpha * math.log(t) - 2.0)
+    value = integral_bound(t, alpha)
     if value < -1e-9:
         raise ValueError("hypothesis violated: head bound negative")
     return max(value, 0.0)
@@ -218,12 +240,12 @@ def theorem1_bound(t: float) -> BoundCurve:
 
         2 t^{1/2} log t - 4 t^{1/2} + 8.047 log t + 6.399
     """
-    _require_t(t, E2, "theorem1_bound")
-    logt = math.log(t)
-    head = 2.0 * math.sqrt(t) * (logt - 2.0)
-    mid = 2.0 * logt + MID_TAIL_CONST
-    tail = THM1_TAIL_LOG * logt + THM1_TAIL_CONST
-    per = {"head": max(head, 0.0), "mid_tail": mid, "tail_error": tail}
+    _require_t(t, THRESHOLD[1], "theorem1_bound")
+    per = {
+        "head": max(integral_bound(t, 1.0), 0.0),
+        "mid_tail": MID_TAIL.at(t),
+        "tail_error": TAIL_REMAINDER[1].at(t),
+    }
     return BoundCurve(t=t, total=math.fsum(per.values()), per_term=per)
 
 
@@ -316,7 +338,7 @@ def geom_sums_exact(scheme: BlockScheme) -> dict[str, float]:
         "M0": math.fsum(logs),
         "M1": math.fsum(math.sqrt(x) * lx for x, lx in zip(xs, logs)),
     }
-    for delta in (1, 2, 3, 5):
+    for delta in M2_DELTAS:
         out[f"M2({delta})"] = math.fsum(
             lx / x ** (delta / 2.0) for x, lx in zip(xs, logs)
         )
@@ -363,12 +385,6 @@ def q_polynomial(t: float, Q: tuple[float, ...]) -> float:
     )
 
 
-def _c_poly_23(t: float, C: tuple[float, ...]) -> float:
-    return math.fsum(
-        Ci * _shape_value(t, e, p) for Ci, (e, p) in zip(C, C_SHAPES)
-    )
-
-
 class BlockTerm(NamedTuple):
     """One source term  weight * t^{exp6/6} * block_sum  of a range bound;
     block_sum is "M0", "M1" or "M2(d)", as ``geom_sums_exact`` keys it."""
@@ -392,7 +408,9 @@ def _closed_form_pieces(block_sum: str, alpha3: int, upper3: int) -> list:
 
 @dataclass(frozen=True)
 class BlockTable:
-    """The source terms of the block range (t^{alpha3/3}, t^{upper3/3}].
+    """The source terms of the block range (t^{alpha3/3}, t^{upper3/3}],
+    whose bound holds where t^{alpha3/3} >= e^2.  At t <= the ``cutoff``
+    parameter the range takes its crude bound instead.
 
     What does not depend on the parameters is derived once, here:
     ``plan`` lists (term, shape, closed-form piece) indices in summation
@@ -404,6 +422,7 @@ class BlockTable:
     alpha3: int
     upper3: int
     ratio: str  # the BoundParams field that is the block ratio
+    cutoff: str  # the BoundParams field below which the crude bound applies
     factors: Callable[[BoundParams], Any]
     shapes: tuple[tuple[int, int], ...]
     terms: tuple[BlockTerm, ...]
@@ -438,6 +457,24 @@ def collect(table: BlockTable, p: BoundParams) -> tuple[float, ...]:
     return tuple(out)
 
 
+def crude_bound(table: BlockTable, p: BoundParams) -> float:
+    """Integral-comparison fallback for the range when t <= its cutoff T:
+    the integral of log u / sqrt(u) over [1, T^{upper}]."""
+    return integral_bound(getattr(p, table.cutoff), table.upper3 / 3.0) + 4.0
+
+
+def block_bound(table: BlockTable, t: float, p: BoundParams) -> float:
+    """Bound for |sum over the range of log n * n^{-1/2-it}|: the crude
+    bound up to the cutoff, above it the block decomposition collected into
+    ``table.shapes`` (docs/block_assembly.md)."""
+    _require_t(t, math.exp(6.0 / table.alpha3), f"block_bound({table.source})")
+    if t <= getattr(p, table.cutoff):
+        return crude_bound(table, p)
+    return math.fsum(
+        c * _shape_value(t, *s) for c, s in zip(collect(table, p), table.shapes)
+    )
+
+
 def resummed(table: BlockTable, t: float, p: BoundParams) -> float:
     """The same bound summed term by term at t, without collecting shapes;
     must agree with the collected polynomial to floating precision."""
@@ -456,7 +493,7 @@ def resummed(table: BlockTable, t: float, p: BoundParams) -> float:
 # the derivation with the 1/5 folded in.  No term has the shape t^{-1/6}
 # of C5, so C5 = 0.
 BLOCK_23 = BlockTable(
-    source="curvature-block-sum", alpha3=2, upper3=3, ratio="k",
+    source="curvature-block-sum", alpha3=2, upper3=3, ratio="k", cutoff="t1",
     factors=lambda p: p.k, shapes=C_SHAPES,
     terms=(
         BlockTerm(3, "M2(1)", lambda k: 0.2 * (2.0**2.5 * k * (k - 1.0) / _SQRT_PI)),
@@ -482,7 +519,7 @@ def _differencing_factors(p: BoundParams) -> SimpleNamespace:
 # curvature bound and triangular weight sums per block.  The weights are
 # w_ab, w_c, .., w_g of the derivation.
 BLOCK_13 = BlockTable(
-    source="weyl-block-sum", alpha3=1, upper3=2, ratio="tau",
+    source="weyl-block-sum", alpha3=1, upper3=2, ratio="tau", cutoff="t2",
     factors=_differencing_factors, shapes=Q_SHAPES,
     terms=(
         BlockTerm(1, "M0", lambda f: math.sqrt(f.a1 * f.a2 / f.q) + f.lam * (
@@ -498,33 +535,8 @@ BLOCK_13 = BlockTable(
 
 
 # ---------------------------------------------------------------------------
-# Upper-range block bound (t^{2/3} < n <= t): curvature estimate per block
+# Per-block chains on the exact block grid
 # ---------------------------------------------------------------------------
-
-
-def crude_bound_23(t1: float) -> float:
-    """Integral-comparison fallback for the upper range when t <= t1:
-    2 t1^{1/2} (log t1 - 2) + 4."""
-    _require_t(t1, E3, "crude_bound_23")
-    return 2.0 * math.sqrt(t1) * (math.log(t1) - 2.0) + 4.0
-
-
-def block_bound_23(t: float, k: float, t1: float) -> tuple[float, tuple[float, ...]]:
-    """Bound for |sum over t^{2/3} < n <= t of log n * n^{-1/2-it}|.
-
-    Below the crossover t1 the crude integral bound applies; above it the
-    geometric block decomposition with the curvature estimate gives an
-    11-shape polynomial whose coefficients (functions of k alone) are
-    returned alongside the value.
-    """
-    if not (k > 1.0):
-        raise ValueError("k must exceed 1")
-    _require_t(t1, E3, "block_bound_23 (t1)")
-    _require_t(t, E3, "block_bound_23")
-    C = collect(BLOCK_23, BoundParams(k=k, t1=t1))
-    if t <= t1:
-        return crude_bound_23(t1), C
-    return _c_poly_23(t, C), C
 
 
 def block23_per_block_bound(t: float, k: float) -> float:
@@ -541,33 +553,6 @@ def block23_per_block_bound(t: float, k: float) -> float:
         est = 0.2 * (L / V + 1.0) * (8.0 * math.sqrt(W) + 15.0)
         total += math.log(x0) / math.sqrt(x0) * est
     return total
-
-
-# ---------------------------------------------------------------------------
-# Lower-range block bound (t^{1/3} < n <= t^{2/3}): differencing per block
-# ---------------------------------------------------------------------------
-
-
-def crude_bound_13(t2: float) -> float:
-    """Integral-comparison fallback for the lower range when t <= t2:
-    2 t2^{1/3} ((2/3) log t2 - 2) + 4."""
-    _require_t(t2, E6, "crude_bound_13")
-    return 2.0 * t2 ** (1.0 / 3.0) * (2.0 / 3.0 * math.log(t2) - 2.0) + 4.0
-
-
-def block_bound_13(t: float, p: BoundParams) -> tuple[float, tuple[float, ...]]:
-    """Bound for |sum over t^{1/3} < n <= t^{2/3} of log n * n^{-1/2-it}|.
-
-    Below t2 the crude integral bound applies; above it each block is fed
-    through the differencing inequality, the shifted-sum curvature bound
-    and the triangular weight sums, then the block sums collapse to the
-    six-shape polynomial via the geometric closed forms.
-    """
-    _require_t(t, E6, "block_bound_13")
-    c = collect(BLOCK_13, p)
-    if t <= p.t2:
-        return crude_bound_13(p.t2), c
-    return q_polynomial(t, c), c
 
 
 def block13_per_block_bound(t: float, p: BoundParams) -> float:
@@ -621,7 +606,7 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
         trace.append(TraceEntry(Q_TARGETS[i], source, shape or Q_NAMES[i], value, note))
         Q[i] += value
 
-    # head sum over n <= t^{1/3}: 2 t^{1/6}((1/3) log t - 2)
+    # head sum over n <= t^{1/3}: integral_bound(t, 1/3) = 2 t^{1/6}((1/3) log t - 2)
     put(1, "head-integral", 2.0 / 3.0)
     put(2, "head-integral", -4.0)
 
@@ -639,16 +624,16 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
                 put(5, table.source, contrib, name, "folded at t = e^6")
 
     # mid-tail sum over (t, t^2]
-    put(4, "mid-tail-sum", 2.0)
-    put(5, "mid-tail-sum", MID_TAIL_CONST)
+    put(4, "mid-tail-sum", MID_TAIL.log_coef)
+    put(5, "mid-tail-sum", MID_TAIL.const)
 
     # tail remainder, constant-factored form for t >= e^6
-    put(4, "tail-remainder", THM2_TAIL_LOG)
-    put(5, "tail-remainder", THM2_TAIL_CONST)
+    put(4, "tail-remainder", TAIL_REMAINDER[2].log_coef)
+    put(5, "tail-remainder", TAIL_REMAINDER[2].const)
 
     # crude-branch paddings: the six-shape polynomial must also dominate
     # the flat crude bounds on [e^6, t2] and (when t1 > e^6) on [e^6, t1].
-    absorb13 = max(0.0, crude_bound_13(p.t2) - q_polynomial(E6, c))
+    absorb13 = max(0.0, crude_bound(BLOCK_13, p) - q_polynomial(E6, c))
     if absorb13:
         put(5, BLOCK_13.source, absorb13, note="crude-branch padding on [e^6, t2]")
     absorb23 = 0.0
@@ -657,7 +642,7 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
             [v * at_e6 for (i, _, at_e6), v in zip(BLOCK_23.routes, C) if i is not None]
             + [fold23]
         )
-        absorb23 = max(0.0, crude_bound_23(p.t1) - poly23_at_e6)
+        absorb23 = max(0.0, crude_bound(BLOCK_23, p) - poly23_at_e6)
         if absorb23:
             put(5, BLOCK_23.source, absorb23, note="crude-branch padding on [e^6, t1]")
 
@@ -681,7 +666,7 @@ def theorem2_bound(
     polynomial, so the parts sum to the total bit-for-bit while each part
     still dominates its own branchy bound.
     """
-    _require_t(t, E6, "theorem2_bound")
+    _require_t(t, THRESHOLD[2], "theorem2_bound")
     if coeffs is None:
         coeffs = theorem2_coeffs(p)
     elif coeffs.params != p:
@@ -689,7 +674,6 @@ def theorem2_bound(
     C, c = coeffs.C, coeffs.c
     logt = math.log(t)
     t16 = t ** (1.0 / 6.0)
-    head = (2.0 / 3.0 * logt - 4.0) * t16
     part13 = q_polynomial(t, c) + coeffs.absorb13
     part23 = (
         (C[0] * logt + C[1]) * t16
@@ -698,14 +682,12 @@ def theorem2_bound(
         + coeffs.fold23_const
         + coeffs.absorb23
     )
-    mid = 2.0 * logt + MID_TAIL_CONST
-    tail = THM2_TAIL_LOG * logt + THM2_TAIL_CONST
     per = {
-        "head": head,
+        "head": integral_bound(t, 1.0 / 3.0),
         "block_13": part13,
         "block_23": part23,
-        "mid_tail": mid,
-        "tail_error": tail,
+        "mid_tail": MID_TAIL.at(t),
+        "tail_error": TAIL_REMAINDER[2].at(t),
     }
     return BoundCurve(t=t, total=math.fsum(per.values()), per_term=per)
 
@@ -713,11 +695,11 @@ def theorem2_bound(
 def theorem2_parts_exact(t: float, p: BoundParams = DEFAULT_PARAMS) -> dict[str, float]:
     """The exact five per-part bounds of the range decomposition (branchy
     versions); the Q polynomial must dominate their sum pointwise."""
-    _require_t(t, E6, "theorem2_parts_exact")
+    _require_t(t, THRESHOLD[2], "theorem2_parts_exact")
     return {
         "head": head_sum_bound(t, 1.0 / 3.0),
-        "block_13": block_bound_13(t, p)[0],
-        "block_23": block_bound_23(t, p.k, p.t1)[0],
+        "block_13": block_bound(BLOCK_13, t, p),
+        "block_23": block_bound(BLOCK_23, t, p),
         "mid_tail": mid_tail_sum_bound(t),
-        "tail_error": THM2_TAIL_LOG * math.log(t) + THM2_TAIL_CONST,
+        "tail_error": TAIL_REMAINDER[2].at(t),
     }

@@ -20,9 +20,9 @@ import sys
 from typing import Sequence
 
 from .bounds import (
-    E2,
     E3,
     E6,
+    THRESHOLD,
     BoundParams,
     in_theorem_domain,
     theorem1_bound,
@@ -31,7 +31,13 @@ from .bounds import (
 )
 from .numerics import geometric_grid
 from .optimize import Objective, crossover_scan, optimize_params
-from .verify import SampleSpec, SUPPORTED_CHECKS, verify_lemma, verify_theorem_envelope
+from .verify import (
+    SUPPORTED_CHECKS,
+    SampleSpec,
+    envelope_points,
+    verify_lemma,
+    verify_theorem_envelope,
+)
 from .zeta import EvalPoint, default_em_config, zeta_prime_em
 
 SCHEMA_VERSION = 1
@@ -130,19 +136,11 @@ def _bound_params(args) -> BoundParams:
         raise UsageError(str(exc)) from exc
 
 
-def _theorem2_coeffs(params: BoundParams):
-    try:
-        return theorem2_coeffs(params)
-    except ValueError as exc:  # parameters outside the assembly's regime
-        raise UsageError(str(exc)) from exc
-
-
 def _check_theorem_domain(ts: Sequence[float], theorem: int) -> None:
-    threshold = E2 if theorem == 1 else E6
     for t in ts:
         if not in_theorem_domain(t, theorem):
             raise UsageError(
-                f"t={t:g} below theorem-{theorem} threshold {threshold:.6f}"
+                f"t={t:g} below theorem-{theorem} threshold {THRESHOLD[theorem]:.6f}"
             )
 
 
@@ -190,7 +188,10 @@ def _cmd_bound(args) -> int:
     want = {1, 2} if args.theorem is None else {args.theorem}
     if args.theorem is not None:
         _check_theorem_domain(ts, args.theorem)
-    coeffs = _theorem2_coeffs(params)
+    try:
+        coeffs = theorem2_coeffs(params)
+    except ValueError as exc:  # parameters outside the assembly's regime
+        raise UsageError(str(exc)) from exc
     rows = []
     for t in sorted(ts):
         row: dict = {"t": t}
@@ -238,7 +239,7 @@ def _cmd_verify(args) -> int:
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
     if args.theorem is not None:
-        lo = args.t_min if args.t_min is not None else (E2 if args.theorem == 1 else E6)
+        lo = args.t_min if args.t_min is not None else THRESHOLD[args.theorem]
         hi = args.t_max if args.t_max is not None else 1e4
         try:
             reports.append(
@@ -263,7 +264,7 @@ def _cmd_optimize(args) -> int:
             obj = Objective.minimize_q1()
         else:
             obj = Objective.minimize_weighted_q(args.weights)
-        result = optimize_params(obj, ranges=None, budget=args.budget)
+        result = optimize_params(obj, budget=args.budget)
         if args.crossover:
             t_star = crossover_scan(result.best, t_max=args.crossover_t_max)
     except ValueError as exc:
@@ -293,34 +294,26 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_scan(args) -> int:
     ts = _t_values(args)
-    theorem = args.theorem if args.theorem is not None else 1
-    _check_theorem_domain(ts, theorem)
+    _check_theorem_domain(ts, args.theorem)
     params = _bound_params(args)
-    coeffs = _theorem2_coeffs(params) if theorem == 2 else None
     rows = []
     nonconverged = 0
-    for t in sorted(ts):
-        if theorem == 1:
-            bound = theorem1_bound(t).total
-        else:
-            bound = theorem2_bound(t, params, coeffs).total
-        try:
-            point = EvalPoint(t)
-            zp = zeta_prime_em(point, default_em_config(point, for_derivative=True))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        if not zp.converged:
-            nonconverged += 1
-        value = abs(zp.value)
-        rows.append(
-            {
-                "t": t,
-                "bound": bound,
-                "oracle": value,
-                "slack": bound - value - zp.error_bound,
-                "oracle_error": zp.error_bound,
-            }
-        )
+    try:
+        for t, bound, zp in envelope_points(args.theorem, sorted(ts), params):
+            if not zp.converged:
+                nonconverged += 1
+            value = abs(zp.value)
+            rows.append(
+                {
+                    "t": t,
+                    "bound": bound,
+                    "oracle": value,
+                    "slack": bound - value - zp.error_bound,
+                    "oracle_error": zp.error_bound,
+                }
+            )
+    except ValueError as exc:  # parameters outside the assembly's regime, t too large
+        raise UsageError(str(exc)) from exc
     columns = ["t", "bound", "oracle", "slack", "oracle_error"]
     _write_rows(rows, columns, "scan", args.format, args.out)
     return EXIT_NONCONVERGED if nonconverged else EXIT_OK
@@ -337,9 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_t: bool = True) -> None:
-        if with_t:
-            p.add_argument("--t", type=finite, default=None, help="single t value")
+    def add_common(
+        p: argparse.ArgumentParser, t_help: str | None = "single t value",
+        with_range: bool = True,
+    ) -> None:
+        if t_help is not None:
+            p.add_argument("--t", type=finite, default=None, help=t_help)
+        if with_range:
             p.add_argument("--t-min", type=finite, default=None)
             p.add_argument("--t-max", type=finite, default=None)
             p.add_argument(
@@ -373,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=_cmd_bound)
 
     p_verify = sub.add_parser("verify", help="inequality sweeps")
-    add_common(p_verify)
+    add_common(p_verify, t_help=None)
     add_params(p_verify)
     p_verify.add_argument("--lemma", default=None,
                           help=f"check id ({', '.join(SUPPORTED_CHECKS)}) or 'all'")
@@ -384,11 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify, samples=50)
 
     p_opt = sub.add_parser("optimize", help="tune the free parameters")
-    add_common(p_opt, with_t=False)
+    add_common(p_opt, t_help="target t for --objective bound-at-t", with_range=False)
     p_opt.add_argument("--objective", choices=("q1", "bound-at-t", "weighted"),
                        default="bound-at-t")
-    p_opt.add_argument("--t", type=finite, default=None,
-                       help="target t for --objective bound-at-t")
     p_opt.add_argument("--weights", type=weights, default="1,1,1,1,1,1",
                        help="comma-separated Q weights for --objective weighted")
     p_opt.add_argument("--budget", type=int, default=600)

@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 from .bounds import (
+    DEFAULT_PARAMS,
     E3,
     E6,
-    MID_TAIL_CONST,
+    MID_TAIL,
     Q_SHAPES,
-    THM1_TAIL_CONST,
-    THM1_TAIL_LOG,
+    TAIL_REMAINDER,
     BoundCoefficients,
     BoundParams,
     in_theorem_domain,
@@ -28,13 +28,9 @@ from .bounds import (
     theorem2_coeffs,
 )
 
-# Collected log t / constant coefficients of the direct-integration bound:
-# 2 sqrt(t)(log t - 2) + (mid-tail + tail-remainder) linear forms.
-_THM1_LOG_COEF = THM1_TAIL_LOG + 2.0  # 8.047
-_THM1_CONST = THM1_TAIL_CONST + MID_TAIL_CONST  # 6.399
-
 PARAM_ORDER = ("k", "tau", "q", "t1", "t2")
 
+# The search box; BoundParams accepts every point of it.
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "k": (1.1, 8.0),
     "tau": (1.1, 8.0),
@@ -42,8 +38,6 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "t1": (E3, math.exp(8.0)),
     "t2": (E6, math.exp(10.0)),
 }
-
-_LOWER_LIMITS = {"k": 1.0, "tau": 1.0, "q": 2.0, "t1": E3, "t2": E6}
 
 
 @dataclass(frozen=True)
@@ -113,29 +107,13 @@ class OptResult:
     evaluations: int = 0
 
 
-def _validate_ranges(ranges: dict[str, tuple[float, float]]) -> None:
-    for name in PARAM_ORDER:
-        if name not in ranges:
-            raise ValueError(f"missing range for parameter {name!r}")
-        lo, hi = ranges[name]
-        if not (lo <= hi):
-            raise ValueError(f"empty feasible range for {name!r}")
-        limit = _LOWER_LIMITS[name]
-        strict = name in ("k", "tau")
-        if (lo <= limit) if strict else (lo < limit * (1 - 1e-9)):
-            raise ValueError(f"range for {name!r} violates its lower limit {limit}")
-
-
 def _clamp(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def optimize_params(
-    obj: Objective,
-    ranges: dict[str, tuple[float, float]] | None = None,
-    budget: int = 600,
-) -> OptResult:
-    """Coarse grid scan followed by coordinate descent.
+def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
+    """Coarse grid scan over the DEFAULT_RANGES box followed by coordinate
+    descent.
 
     The scan places up to 5 geometric points per axis (fewer under a tight
     budget) and walks them in lexicographic axis order, so grid ties
@@ -146,8 +124,6 @@ def optimize_params(
     """
     if budget < 10:
         raise ValueError("budget must be at least 10 evaluations")
-    ranges = dict(DEFAULT_RANGES if ranges is None else ranges)
-    _validate_ranges(ranges)
 
     evaluations = 0
     trace: list[tuple[BoundParams, float]] = []
@@ -169,23 +145,16 @@ def optimize_params(
             return True
         return False
 
-    # Seed with the default parameter point (clamped into the box) so the
+    # Seed with the default parameter point, which lies in the box, so the
     # search can never end up worse than the documented defaults.
-    seed = {
-        name: _clamp(getattr(BoundParams(), name), *ranges[name])
-        for name in PARAM_ORDER
-    }
-    consider(seed)
+    consider({name: getattr(DEFAULT_PARAMS, name) for name in PARAM_ORDER})
 
     per_axis = 5 if budget >= 5**5 else max(2, int(budget ** (1.0 / 5.0)))
     axes = []
     for name in PARAM_ORDER:
-        lo, hi = ranges[name]
-        if hi / lo < 1.0 + 1e-12:
-            axes.append([lo])
-        else:
-            r = (hi / lo) ** (1.0 / (per_axis - 1))
-            axes.append([lo * r**i for i in range(per_axis - 1)] + [hi])
+        lo, hi = DEFAULT_RANGES[name]
+        r = (hi / lo) ** (1.0 / (per_axis - 1))
+        axes.append([lo * r**i for i in range(per_axis - 1)] + [hi])
 
     for combo in itertools.product(*axes):
         if evaluations >= budget:
@@ -203,7 +172,7 @@ def optimize_params(
         for name in PARAM_ORDER:
             if evaluations >= budget:
                 break
-            lo, hi = ranges[name]
+            lo, hi = DEFAULT_RANGES[name]
             for factor in (1.0 + step, 1.0 / (1.0 + step)):
                 if evaluations >= budget:
                     break
@@ -245,8 +214,8 @@ def log_theorem1_bound(logt: float) -> float:
         raise ValueError("log-space form needs log t > 2")
     terms = [
         math.log(2.0) + 0.5 * logt + math.log(logt - 2.0),
-        math.log(_THM1_LOG_COEF) + math.log(logt),
-        math.log(_THM1_CONST),
+        math.log(MID_TAIL.log_coef + TAIL_REMAINDER[1].log_coef) + math.log(logt),
+        math.log(MID_TAIL.const + TAIL_REMAINDER[1].const),
     ]
     return _logsumexp(terms)
 

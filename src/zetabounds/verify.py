@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .bounds import (
+    DEFAULT_PARAMS,
     E2,
-    E6,
+    THRESHOLD,
     BoundParams,
     in_theorem_domain,
     mid_tail_sum_bound,
@@ -39,7 +40,7 @@ from .expsums import (
     weyl_differencing_rhs,
 )
 from .numerics import EPS, geometric_grid, integrate_adaptive
-from .zeta import T_CEILING, EvalPoint, default_em_config, zeta_prime_em
+from .zeta import T_CEILING, CertifiedComplex, EvalPoint, default_em_config, zeta_prime_em
 
 TWO_PI = 2.0 * math.pi
 
@@ -425,6 +426,22 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
     return _CHECKS[check_id](spec)
 
 
+def envelope_points(
+    which: int, ts: Iterable[float], p: BoundParams,
+) -> Iterator[tuple[float, float, CertifiedComplex]]:
+    """(t, theorem ``which``'s bound at t, certified zeta'(1/2+it)) along
+    ts; zeta' comes from ``zeta_prime_em`` at its default derivative
+    config.  Each t must lie in the theorem's domain and below T_CEILING."""
+    coeffs = theorem2_coeffs(p) if which == 2 else None
+    for t in ts:
+        if which == 1:
+            bound = theorem1_bound(t).total
+        else:
+            bound = theorem2_bound(t, p, coeffs).total
+        point = EvalPoint(t)
+        yield t, bound, zeta_prime_em(point, default_em_config(point, for_derivative=True))
+
+
 def verify_theorem_envelope(
     which: int,
     t_range: tuple[float, float],
@@ -433,12 +450,11 @@ def verify_theorem_envelope(
 ) -> VerificationReport:
     """|zeta'(1/2+it)| against a bound family on a geometric t-grid.
 
-    zeta' comes from the certified truncation route, ``zeta_prime_em`` at
-    its default derivative config, and each sample's budget is its error
-    radius plus 1e-9 of the bound.  Non-converged points are excluded and
-    counted in the notes.  The range must start inside the theorem's
-    domain and satisfy t_min <= t_max <= T_CEILING; it is checked before
-    anything is evaluated.
+    zeta' and the bound come from ``envelope_points``; each sample's budget
+    is the error radius plus 1e-9 of the bound.  Non-converged points are
+    excluded and counted in the notes.  The range must start inside the
+    theorem's domain and satisfy t_min <= t_max <= T_CEILING; it is checked
+    before anything is evaluated.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
@@ -446,25 +462,17 @@ def verify_theorem_envelope(
         raise ValueError("need at least one sample")
     lo, hi = t_range
     if not in_theorem_domain(lo, which):
-        threshold = E2 if which == 1 else E6
-        raise ValueError(f"t range must start at or above {threshold:.6g}")
+        raise ValueError(f"t range must start at or above {THRESHOLD[which]:.6g}")
     if not lo <= hi:
         raise ValueError("need 0 < t_min <= t_max")
     if hi > T_CEILING:
         raise ValueError(f"t_max={hi:g} exceeds the certified ceiling {T_CEILING:g}")
-    params = p or BoundParams()
-    coeffs = theorem2_coeffs(params) if which == 2 else None
     sweep = _Sweep(f"theorem-{which}")
-    for t in geometric_grid(lo, hi, n_samples):
-        point = EvalPoint(t)
-        zp = zeta_prime_em(point, default_em_config(point, for_derivative=True))
+    grid = geometric_grid(lo, hi, n_samples)
+    for t, bound, zp in envelope_points(which, grid, p or DEFAULT_PARAMS):
         if not zp.converged:
             sweep.skip()
             continue
-        if which == 1:
-            bound = theorem1_bound(t).total
-        else:
-            bound = theorem2_bound(t, params, coeffs).total
         budget = zp.error_bound + 1e-9 * bound
         sweep.add(abs(zp.value), bound, budget, {"t": t})
     return sweep.report()

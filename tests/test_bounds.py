@@ -11,12 +11,12 @@ from zetabounds.bounds import (
     BoundParams,
     BLOCK_13,
     BLOCK_23,
+    TAIL_REMAINDER,
     block13_per_block_bound,
     block23_per_block_bound,
-    block_bound_13,
-    block_bound_23,
-    crude_bound_13,
-    crude_bound_23,
+    block_bound,
+    collect,
+    crude_bound,
     geom_sum_bounds,
     geom_sums_exact,
     head_sum_bound,
@@ -28,7 +28,6 @@ from zetabounds.bounds import (
     theorem2_bound,
     theorem2_coeffs,
     theorem2_parts_exact,
-    _c_poly_23,
 )
 from zetabounds.expsums import block_scheme, log_dirichlet_sum
 
@@ -184,25 +183,25 @@ class TestGeomSumClosedForms:
 
 class TestBlockBound23:
     def test_crude_branch_value(self):
-        value, _ = block_bound_23(E3, 2.0, E3)
+        value = block_bound(BLOCK_23, E3, P0)
         assert value == pytest.approx(12.963, abs=1e-3)
-        assert value == pytest.approx(crude_bound_23(E3), rel=1e-15)
+        assert value == crude_bound(BLOCK_23, P0)
 
     def test_direct_sum_envelope_t50(self):
         t = 50.0
-        value, _ = block_bound_23(t, 2.0, E3)  # t > t1: block branch
+        value = block_bound(BLOCK_23, t, P0)  # t > t1: block branch
         direct = abs(log_dirichlet_sum(t, t ** (2.0 / 3.0), t))
         per_block = block23_per_block_bound(t, 2.0)
         assert direct <= per_block <= value * (1 + 1e-12)
 
     def test_direct_sum_envelope_sweep(self):
         for t in (30.0, 100.0, 1e3, 1e4):
-            value, _ = block_bound_23(t, 2.0, E3)
+            value = block_bound(BLOCK_23, t, P0)
             direct = abs(log_dirichlet_sum(t, t ** (2.0 / 3.0), t))
             assert direct <= value
 
     def test_coefficients_nonnegative_and_monotone_families(self):
-        cs = {k: block_bound_23(100.0, k, E3)[1] for k in (1.1, 2.0, 4.0)}
+        cs = {k: collect(BLOCK_23, BoundParams(k=k)) for k in (1.1, 2.0, 4.0)}
         for k, C in cs.items():
             assert len(C) == 11
             assert all(x >= 0 for x in C)
@@ -219,7 +218,7 @@ class TestBlockBound23:
         # oracle: rebuild each coefficient from the geometric-sum factors
         # recorded in the derivation, independently of the term table
         for k in (1.1, 2.0, 4.0):
-            _, C = block_bound_23(100.0, k, E3)
+            C = collect(BLOCK_23, BoundParams(k=k))
             g = geom_sum_bounds(2.0 / 3.0, 1.0, k)
             u1 = 2.0**2.5 * k * (k - 1.0) / math.sqrt(math.pi)
             u3 = 2.0**3.5 * math.sqrt(math.pi) * k
@@ -233,28 +232,27 @@ class TestBlockBound23:
 
     def test_resummed_consistency(self):
         for k in (1.3, 2.0, 3.7):
-            _, C = block_bound_23(1e4, k, E3)
-            poly = _c_poly_23(1e4, C)
+            poly = block_bound(BLOCK_23, 1e4, BoundParams(k=k))
             assert resummed(BLOCK_23, 1e4, BoundParams(k=k)) == pytest.approx(
                 poly, rel=1e-12
             )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            block_bound_23(100.0, 1.0, E3)
+            block_bound(BLOCK_23, 100.0, BoundParams(k=1.0))
         with pytest.raises(ValueError):
-            block_bound_23(10.0, 2.0, E3)  # t below e^3
+            block_bound(BLOCK_23, 10.0, P0)  # t below e^3
 
 
 class TestBlockBound13:
     def test_crude_branch_value(self):
-        value, _ = block_bound_13(E6, P0)
+        value = block_bound(BLOCK_13, E6, P0)
         assert value == pytest.approx(33.556, abs=1e-3)
-        assert value == pytest.approx(crude_bound_13(E6), rel=1e-15)
+        assert value == crude_bound(BLOCK_13, P0)
 
     def test_direct_sum_envelope_t1e4(self):
         t = 1e4
-        value, _ = block_bound_13(t, P0)
+        value = block_bound(BLOCK_13, t, P0)
         direct = abs(log_dirichlet_sum(t, t ** (1.0 / 3.0), t ** (2.0 / 3.0)))
         per_block = block13_per_block_bound(t, P0)
         assert direct <= per_block
@@ -272,14 +270,14 @@ class TestBlockBound13:
                 t2=float(rng.uniform(E6, math.exp(8.0))),
             )
             t = float(rng.uniform(p.t2 * 1.01, 1e6))
-            _, c = block_bound_13(t, p)
+            c = collect(BLOCK_13, p)
             assert resummed(BLOCK_13, t, p) == pytest.approx(
                 q_polynomial(t, c), rel=1e-11
             ), p
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            block_bound_13(100.0, P0)  # below e^6
+            block_bound(BLOCK_13, 100.0, P0)  # below e^6
         with pytest.raises(ValueError):
             BoundParams(q=1.5)
 
@@ -389,6 +387,31 @@ class TestTheorem2Assembly:
             theorem2_bound(1e4, BoundParams(k=3.0), coeffs)
 
 
+class TestOneDefinitionPerPart:
+    # Each theorem reads its parts from the stand-alone definitions, so the
+    # values agree exactly, not just to rounding.
+    def test_theorem1_head_is_head_sum_bound(self):
+        for t in [8.025638422954174, *np.geomspace(E2, 1e15, 2000)]:
+            assert theorem1_bound(float(t)).per_term["head"] == head_sum_bound(float(t), 1.0), t
+
+    def test_theorem1_parts_are_their_definitions(self):
+        for t in np.geomspace(E2 * 1.01, 1e15, 500):
+            t = float(t)
+            per = theorem1_bound(t).per_term
+            assert per["mid_tail"] == mid_tail_sum_bound(t), t
+            assert per["tail_error"] == TAIL_REMAINDER[1].at(t), t
+
+    @pytest.mark.parametrize("p", [P0, BoundParams(t1=math.exp(7.0), t2=math.exp(8.0))])
+    def test_theorem2_parts_are_their_definitions(self, p):
+        coeffs = theorem2_coeffs(p)
+        for t in np.geomspace(max(p.t1, p.t2) * 1.01, 1e15, 500):
+            t = float(t)
+            per = theorem2_bound(t, p, coeffs).per_term
+            exact = theorem2_parts_exact(t, p)
+            for name in ("head", "mid_tail", "tail_error"):
+                assert per[name] == exact[name], (name, t)
+
+
 class TestMonotonicityInvariant:
     def test_every_bound_operation_monotone_beyond_threshold(self):
         coeffs = theorem2_coeffs(P0)
@@ -399,8 +422,8 @@ class TestMonotonicityInvariant:
             (lambda t: head_sum_bound(t, 1.0 / 3.0), E6, 1e6),
             (lambda t: theorem1_bound(t).total, E2, 1e6),
             (lambda t: theorem2_bound(t, P0, coeffs).total, E6, 1e8),
-            (lambda t: block_bound_23(t, 2.0, E3)[0], E3, 1e6),
-            (lambda t: block_bound_13(t, P0)[0], E6, 1e7),
+            (lambda t: block_bound(BLOCK_23, t, P0), E3, 1e6),
+            (lambda t: block_bound(BLOCK_13, t, P0), E6, 1e7),
         ]
         for f, lo, hi in cases:
             ts = np.geomspace(lo, hi, 400)

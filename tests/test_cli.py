@@ -182,6 +182,8 @@ ERROR_MESSAGES = {
     "verify --theorem 1 --t-min 2e4": "need 0 < t_min <= t_max",
     "verify --theorem 2 --t-min 500 --t-max 100": "need 0 < t_min <= t_max",
     "verify --theorem 1 --t-max 2e5": "exceeds the certified ceiling",
+    # verify sweeps a range; a single --t is not one of its options
+    "verify --theorem 1 --t 50 --samples 3": "ambiguous option: --t could match --t-min",
 }
 
 
@@ -206,6 +208,7 @@ ERROR_MESSAGES = {
         ["verify", "--theorem", "1", "--t-min", "2e4"],
         ["verify", "--theorem", "2", "--t-min", "500", "--t-max", "100"],
         ["verify", "--theorem", "1", "--t-max", "2e5"],
+        ["verify", "--theorem", "1", "--t", "50", "--samples", "3"],
     ],
 )
 def test_input_error_is_one_error_line(argv, tmp_path, capsys):

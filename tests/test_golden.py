@@ -9,6 +9,7 @@ explain the diff.  Regenerate with
 
 import contextlib
 import io
+import itertools
 import pathlib
 
 import pytest
@@ -52,12 +53,26 @@ def _path(name, stream):
     return GOLDEN_DIR / f"{name}.{stream}"
 
 
+def first_difference(expected, got):
+    """Where two texts first differ, golden line next to the new one."""
+    pairs = itertools.zip_longest(
+        expected.splitlines(), got.splitlines(), fillvalue="<end of file>"
+    )
+    for number, (old, new) in enumerate(pairs, 1):
+        if old != new:
+            return f"line {number}:\n  golden: {old!r}\n  now:    {new!r}"
+    return "the texts differ only in their line endings"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     got = run(CASES[name])
     for stream, text in got.items():
         expected = _path(name, stream).read_text(encoding="utf-8")
-        assert text == expected, f"{name}.{stream} differs from its golden file"
+        assert text == expected, (
+            f"{name}.{stream} differs from its golden file at "
+            + first_difference(expected, text)
+        )
 
 
 if __name__ == "__main__":

@@ -81,15 +81,6 @@ class TestOptimizeParams:
         with pytest.raises(ValueError):
             optimize_params(Objective.minimize_q1(), budget=5)
 
-    def test_empty_range_rejected(self):
-        bad = dict(DEFAULT_RANGES)
-        bad["k"] = (3.0, 2.0)
-        with pytest.raises(ValueError):
-            optimize_params(Objective.minimize_q1(), ranges=bad, budget=100)
-        bad["k"] = (0.5, 2.0)  # violates k > 1
-        with pytest.raises(ValueError):
-            optimize_params(Objective.minimize_q1(), ranges=bad, budget=100)
-
 
 class TestLogSpaceBounds:
     def test_matches_direct_evaluation(self):
