@@ -39,6 +39,7 @@ CASES = {
                         "--samples", "12"],
     "verify_lemma_all": ["verify", "--lemma", "all", "--samples", "20", "--max-m", "500",
                          "--format", "json-lines"],
+    "verify_lemma_46": ["verify", "--lemma", "4.6", "--max-m", "10000"],
 }
 
 
