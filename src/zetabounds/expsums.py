@@ -10,8 +10,9 @@ assumes the estimates hold.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -176,12 +177,14 @@ def vertex_max_bound(amps: Sequence[float], phases: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class WeightSums:
-    """Exact triangular weight sums over m = 1..M-1 next to their bounds.
+    """Triangular weight sums over m = 1..M-1 next to their bounds.
 
     Order: sum (1-m/M) m^{1/2}, m^{-1/2}, m, 1 with bounds
-    (4/15) M^{3/2}, (4/3) M^{1/2}, M^2/6, M/2.  The third and fourth exact
-    values are (M^2-1)/6 and (M-1)/2, strictly below their quoted bounds
-    for M >= 2.
+    (4/15) M^{3/2}, (4/3) M^{1/2}, M^2/6, M/2.  ``exact`` means within the
+    rounding bound of docs/weight_sums.md: its first two values carry at
+    most 2.7e-15 of their bound; the third and fourth are (M^2-1)/6 and
+    (M-1)/2 correctly rounded, strictly below their quoted bounds for
+    M >= 2.
     """
 
     M: int
@@ -189,27 +192,59 @@ class WeightSums:
     bound: tuple[float, float, float, float]
 
 
-def weight_sums(M: int) -> WeightSums:
-    if M < 1:
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def weight_sum_rows(max_m: int) -> Iterator[WeightSums]:
+    """``WeightSums`` for M = 1, 2, ..., max_m in one pass with O(1) state.
+
+    sum_{m<M} (1 - m/M) f(m) = S0 - S1/M with S0 = sum_{m<M} f(m) and
+    S1 = sum_{m<M} m f(m).  Relations 1 and 2 need running sums of
+    m^{-1/2}, m^{1/2} and m^{3/2}, carried compensated (TwoSum with the
+    errors summed apart); relations 3 and 4 need sums of m and m^2,
+    carried as integers and divided once.  docs/weight_sums.md bounds
+    the rounding error.
+    """
+    if max_m < 1:
         raise ValueError("M must be >= 1")
-    if M == 1:
-        exact = (0.0, 0.0, 0.0, 0.0)
-    else:
-        m = np.arange(1, M, dtype=np.float64)
-        w = 1.0 - m / M
+    # sums of m^{-1/2}, m^{1/2}, m^{3/2} over m < M and their rounding errors
+    s_inv = s_root = s_root3 = 0.0
+    e_inv = e_root = e_root3 = 0.0
+    n_lin = n_sq = 0  # sums of m and m^2 over m < M
+    for M in range(1, max_m + 1):
+        root = s_root + e_root
         exact = (
-            float(math.fsum(w * np.sqrt(m))),
-            float(math.fsum(w / np.sqrt(m))),
-            float(math.fsum(w * m)),
-            float(math.fsum(w)),
+            root - (s_root3 + e_root3) / M,
+            (s_inv + e_inv) - root / M,
+            (M * n_lin - n_sq) / M,
+            (M * (M - 1) - n_lin) / M,
         )
-    bound = (
-        4.0 / 15.0 * M**1.5,
-        4.0 / 3.0 * math.sqrt(M),
-        M**2 / 6.0,
-        M / 2.0,
-    )
-    return WeightSums(M=M, exact=exact, bound=bound)
+        bound = (
+            4.0 / 15.0 * M**1.5,
+            4.0 / 3.0 * math.sqrt(M),
+            M**2 / 6.0,
+            M / 2.0,
+        )
+        yield WeightSums(M=M, exact=exact, bound=bound)
+        # the m = M terms enter the rows of every larger M
+        r = math.sqrt(M)
+        s_inv, e = _two_sum(s_inv, 1.0 / r)
+        e_inv += e
+        s_root, e = _two_sum(s_root, r)
+        e_root += e
+        s_root3, e = _two_sum(s_root3, M * r)
+        e_root3 += e
+        n_lin += M
+        n_sq += M * M
+
+
+def weight_sums(M: int) -> WeightSums:
+    """The weight sums at one M: the last row of ``weight_sum_rows(M)``."""
+    return deque(weight_sum_rows(M), maxlen=1)[0]
 
 
 @dataclass(frozen=True)

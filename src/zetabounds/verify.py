@@ -28,6 +28,7 @@ from .bounds import (
     theorem2_coeffs,
 )
 from .expsums import (
+    RANGE_GUARD,
     exp_sum_exact,
     log_dirichlet_sum,
     log_phase,
@@ -36,7 +37,7 @@ from .expsums import (
     vdc_params_for_log_block,
     vdc_second_derivative_bound,
     vertex_max_bound,
-    weight_sums,
+    weight_sum_rows,
     weyl_differencing_rhs,
 )
 from .numerics import EPS, geometric_grid, integrate_adaptive
@@ -350,12 +351,15 @@ def _check_differencing(spec: SampleSpec) -> VerificationReport:
 
 
 def _check_weight_sums(spec: SampleSpec) -> VerificationReport:
-    """Exhaustive exact-vs-bound comparison of the triangular weight sums."""
+    """Exhaustive exact-vs-bound comparison of the triangular weight sums
+    at every M up to the top of the "M" range."""
     max_m = int(spec.range("M", 1, 10**4)[1])
+    if not 1 <= max_m <= RANGE_GUARD:
+        raise ValueError(f"check 4.6 needs 1 <= max M <= {RANGE_GUARD}, got {max_m}")
     sweep = _Sweep("4.6")
     strict_34 = True
-    for m_val in range(1, max_m + 1):
-        ws = weight_sums(m_val)
+    for ws in weight_sum_rows(max_m):
+        m_val = ws.M
         closed3 = (m_val**2 - 1) / 6.0
         closed4 = (m_val - 1) / 2.0
         if abs(ws.exact[2] - closed3) > 1e-9 * (1.0 + closed3):
@@ -396,11 +400,21 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
     """Run one inequality sweep and return its report.
 
     "2.2" fans out to the four oscillatory-tail variants, splitting the
-    sample budget evenly and merging the counters.
+    sample budget evenly and merging the counters.  A sweep that would
+    check nothing raises ValueError: fewer than one sample (four for
+    "2.2"), or for "4.6" an "M" range whose top is below 1.
     """
     spec = spec or SampleSpec()
+    if check_id not in SUPPORTED_CHECKS:
+        raise ValueError(
+            f"unknown check id {check_id!r}; supported: {', '.join(SUPPORTED_CHECKS)}"
+        )
+    if check_id == "2.2" and spec.samples < 4:
+        raise ValueError("check 2.2 splits its samples over 4 variants; need at least 4")
+    if check_id != "4.6" and spec.samples < 1:
+        raise ValueError(f"check {check_id} needs at least one sample")
     if check_id == "2.2":
-        per = max(0, spec.samples // 4) if spec.samples else 0
+        per = spec.samples // 4
         sub = [
             _check_oscillatory_tail(
                 SampleSpec(samples=per, seed=spec.seed + i, ranges=spec.ranges),
@@ -418,10 +432,6 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
             error_budget_used=max(r.error_budget_used for r in sub),
             notes="; ".join(f"{r.check_id}: {r.violations} violations" for r in sub),
             min_slack_inputs=worst.min_slack_inputs,
-        )
-    if check_id not in _CHECKS:
-        raise ValueError(
-            f"unknown check id {check_id!r}; supported: {', '.join(SUPPORTED_CHECKS)}"
         )
     return _CHECKS[check_id](spec)
 

@@ -182,6 +182,8 @@ ERROR_MESSAGES = {
     "verify --theorem 1 --t-min 2e4": "need 0 < t_min <= t_max",
     "verify --theorem 2 --t-min 500 --t-max 100": "need 0 < t_min <= t_max",
     "verify --theorem 1 --t-max 2e5": "exceeds the certified ceiling",
+    "verify --lemma 4.6 --max-m 100000001": "check 4.6 needs 1 <= max M <= 100000000",
+    "verify --lemma 2.2 --samples 3": "check 2.2 splits its samples over 4 variants",
     # verify sweeps a range; a single --t is not one of its options
     "verify --theorem 1 --t 50 --samples 3": "ambiguous option: --t could match --t-min",
 }
@@ -198,6 +200,7 @@ ERROR_MESSAGES = {
         ["bound", "--t-min", "500", "--t-max", "1e4", "--samples", "0"],
         ["verify", "--lemma", "2.5", "--samples", "0"],
         ["verify", "--lemma", "4.6", "--max-m", "0"],
+        ["verify", "--lemma", "4.6", "--max-m", "100000001"],
         ["verify", "--lemma", "2.2", "--samples", "3"],
         ["optimize", "--objective", "weighted", "--weights", "a,b"],
         ["eval", "--t", "50", "--seed", "1"],

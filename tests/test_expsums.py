@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetabounds.expsums import (
+    RANGE_GUARD,
     BlockScheme,
     VdCParams,
     block_scheme,
@@ -18,6 +20,7 @@ from zetabounds.expsums import (
     vdc_params_for_log_block,
     vdc_second_derivative_bound,
     vertex_max_bound,
+    weight_sum_rows,
     weight_sums,
     weyl_differencing_rhs,
 )
@@ -191,6 +194,48 @@ class TestVertexMaxBound:
         assert direct <= vertex_max_bound(amps, phases) + 1e-9
 
 
+U = 2.0**-53  # unit roundoff of IEEE doubles
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+def reference_weight_sums(M):
+    """The weight sums at one M by the per-M route: every weight 1 - m/M
+    formed and each sum taken with math.fsum, O(M) work per M.  It shares
+    nothing with the running sums of ``weight_sum_rows``."""
+    if M == 1:
+        return (0.0, 0.0, 0.0, 0.0)
+    m = np.arange(1, M, dtype=np.float64)
+    w = 1.0 - m / M
+    return (
+        math.fsum(w * np.sqrt(m)),
+        math.fsum(w / np.sqrt(m)),
+        math.fsum(w * m),
+        math.fsum(w),
+    )
+
+
+# docs/weight_sums.md: for relations 1 and 2, |computed - exact| <= K P,
+# where P = S0 + S1/M <= SCALE[i] * bound[i].  K(M) covers the running
+# sums, REFERENCE_K the per-M fsum route.
+SCALE = (4.0, 2.0)
+REFERENCE_K = (U * (1 + U) * (1 + gamma(2)) + gamma(2)) * (1 + U) + U
+
+
+def running_sum_k(M):
+    n = M - 1
+    g = gamma(n - 1) ** 2 if n >= 2 else 0.0
+    eta = gamma(3) + (1 + gamma(2)) * g
+    return (eta + U * (1 + eta)) * (1 + U) + U
+
+
+def rows_at(ms):
+    wanted = set(ms)
+    return [ws for ws in weight_sum_rows(max(ms)) if ws.M in wanted]
+
+
 class TestWeightSums:
     def test_m1_all_zero(self):
         ws = weight_sums(1)
@@ -205,12 +250,52 @@ class TestWeightSums:
         assert ws.bound[3] == pytest.approx(1.5)
 
     def test_closed_forms_and_bounds_sweep(self):
-        for m_val in list(range(1, 400)) + [1000, 5000, 10000]:
-            ws = weight_sums(m_val)
-            assert ws.exact[2] == pytest.approx((m_val**2 - 1) / 6.0, rel=1e-12)
-            assert ws.exact[3] == pytest.approx((m_val - 1) / 2.0, rel=1e-12)
+        for ws in weight_sum_rows(10**4):
+            m_val = ws.M
+            assert ws.exact[2] == float(Fraction(m_val * m_val - 1, 6))
+            assert ws.exact[3] == float(Fraction(m_val - 1, 2))
             for e, b in zip(ws.exact, ws.bound):
                 assert e <= b * (1 + 1e-12)
+
+    def test_weight_sums_is_the_last_row(self):
+        for m_val in (1, 2, 3, 657, 1000):
+            assert weight_sums(m_val) == rows_at([m_val])[0]
+        with pytest.raises(ValueError):
+            weight_sums(0)
+
+    def test_rows_match_fsum_reference(self):
+        rng = np.random.default_rng(46)
+        sampled = sorted(set(rng.integers(2001, 10**4, size=20).tolist()) | {10**4})
+        for ws in rows_at(list(range(1, 2001)) + sampled):
+            ref = reference_weight_sums(ws.M)
+            k = running_sum_k(ws.M) + REFERENCE_K
+            for i in (0, 1):
+                assert abs(ws.exact[i] - ref[i]) <= k * SCALE[i] * ws.bound[i], (ws.M, i)
+
+    def test_relations_1_2_within_bound_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        ms = [2, 3, 10, 64, 444, 657, 1000, 2048, 5000, 10**4]
+        with mpmath.workdps(30):
+            for ws in rows_at(ms):
+                M = ws.M
+                exact = [mpmath.mpf(0), mpmath.mpf(0)]
+                for m in range(1, M):
+                    w, root = 1 - mpmath.mpf(m) / M, mpmath.sqrt(m)
+                    exact[0] += w * root
+                    exact[1] += w / root
+                for i in (0, 1):
+                    err = abs(mpmath.mpf(ws.exact[i]) - exact[i])
+                    assert err <= running_sum_k(M) * SCALE[i] * ws.bound[i], (M, i)
+
+    def test_error_bound_below_check_budget(self):
+        # check 4.6 budgets 1e-12 (1 + bound) for every M <= RANGE_GUARD
+        for i in (0, 1):
+            assert SCALE[i] * running_sum_k(RANGE_GUARD) < 1e-14
+
+    def test_rows_stream(self):
+        first = next(weight_sum_rows(10**9))
+        assert first.M == 1
+        assert first.exact == (0.0, 0.0, 0.0, 0.0)
 
     def test_bounds_asymptotically_tight(self):
         ws = weight_sums(10**4)

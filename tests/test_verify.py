@@ -27,10 +27,16 @@ class TestLemmaSweeps:
         assert r.violations == 0
         assert r.min_slack > 0
 
-    def test_vacuous_sweep(self):
-        r = verify_lemma("2.2a", SampleSpec(samples=0))
-        assert r.samples == 0
-        assert r.violations == 0
+    def test_vacuous_sweep_rejected(self):
+        # a sweep that would check nothing raises instead of passing clean
+        for check_id, spec in [
+            ("2.1", SampleSpec(samples=0)),
+            ("2.2a", SampleSpec(samples=0)),
+            ("2.2", SampleSpec(samples=3)),
+            ("4.6", SampleSpec(ranges={"M": (1, 0)})),
+        ]:
+            with pytest.raises(ValueError):
+                verify_lemma(check_id, spec)
 
     def test_fanout_merges_variants(self):
         r = verify_lemma("2.2", SampleSpec(samples=16, seed=3))
