@@ -122,8 +122,7 @@ class BoundCurve:
             raise ValueError("per-term breakdown does not sum to the total")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     target: str  # coefficient receiving the contribution, e.g. "Q2"
     source: str  # producing stage, e.g. "weyl-block-sum"
     shape: str  # t/log shape of the contribution at its origin

@@ -3,9 +3,8 @@
 A coarse geometric grid scan seeds a coordinate-descent refinement with
 geometrically shrinking multiplicative steps.  No randomness anywhere:
 identical inputs give identical traces.  The crossover scan compares the
-two bound families entirely in log space, so it stays exact for t far
-beyond floating-point range (the comparison is well defined up to
-t = 1e300 and beyond).
+totals of ``theorem1_bound`` and ``theorem2_bound``, so it reads the same
+part definitions as every other caller of the two theorems.
 """
 
 from __future__ import annotations
@@ -18,12 +17,9 @@ from .bounds import (
     DEFAULT_PARAMS,
     E3,
     E6,
-    MID_TAIL,
-    Q_SHAPES,
-    TAIL_REMAINDER,
-    BoundCoefficients,
     BoundParams,
     in_theorem_domain,
+    theorem1_bound,
     theorem2_bound,
     theorem2_coeffs,
 )
@@ -195,42 +191,8 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
 
 
 # ---------------------------------------------------------------------------
-# Log-space bound comparison and crossover scan
+# Crossover scan
 # ---------------------------------------------------------------------------
-
-
-def _logsumexp(logvals: list[float]) -> float:
-    m = max(logvals)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in logvals))
-
-
-def log_theorem1_bound(logt: float) -> float:
-    """log of the direct-integration bound, computed without forming t.
-
-    Valid for logt > 2 (all three grouped terms positive there)."""
-    if not (logt > 2.0):
-        raise ValueError("log-space form needs log t > 2")
-    terms = [
-        math.log(2.0) + 0.5 * logt + math.log(logt - 2.0),
-        math.log(MID_TAIL.log_coef + TAIL_REMAINDER[1].log_coef) + math.log(logt),
-        math.log(MID_TAIL.const + TAIL_REMAINDER[1].const),
-    ]
-    return _logsumexp(terms)
-
-
-def log_theorem2_bound(logt: float, coeffs: BoundCoefficients) -> float:
-    """log of the six-shape polynomial via max-term factoring."""
-    if not (logt >= 6.0 * (1 - 1e-12)):
-        raise ValueError("log-space form needs log t >= 6")
-    loglog = math.log(logt)
-    terms = [
-        math.log(q) + exp6 * logt / 6.0 + p * loglog
-        for q, (exp6, p) in zip(coeffs.Q, Q_SHAPES)
-        if q > 0.0
-    ]
-    return _logsumexp(terms)
 
 
 def crossover_scan(p: BoundParams, t_max: float) -> float | None:
@@ -238,39 +200,28 @@ def crossover_scan(p: BoundParams, t_max: float) -> float | None:
     the direct-integration bound, or None if there is no crossover in
     range.
 
-    The scan walks a geometric grid (ratio 1.1) in log space and refines
-    the first sign change by bisection to relative width 1e-6.  Beyond
-    float range, scan with ``crossover_scan_log``.
+    The scan walks a geometric grid (ratio 1.1) in log t and refines the
+    first sign change by bisection to width 1e-6 in log t, comparing the
+    ``theorem2_bound`` and ``theorem1_bound`` totals at each probe.
     """
     if not (t_max >= E6):
         raise ValueError("t_max must be >= e^6")
-    lstar = crossover_scan_log(p, math.log(t_max))
-    return None if lstar is None else math.exp(lstar)
-
-
-def crossover_scan_log(p: BoundParams, log_t_max: float) -> float | None:
-    """Log-space core of ``crossover_scan``: returns log t* (or None)."""
-    if not (log_t_max >= 6.0):
-        raise ValueError("log_t_max must be >= 6")
+    log_t_max = math.log(t_max)
     coeffs = theorem2_coeffs(p)
     step = math.log(1.1)
 
     def beats(logt: float) -> bool:
-        return log_theorem2_bound(logt, coeffs) < log_theorem1_bound(logt)
+        t = math.exp(logt)
+        return theorem2_bound(t, p, coeffs).total < theorem1_bound(t).total
 
-    lo = 6.0
-    if beats(lo):
-        return lo  # crossover at (or before) the grid start
-    logt = lo
-    hit: float | None = None
-    while logt < log_t_max:
+    logt = 6.0
+    while not beats(logt):
+        if logt >= log_t_max:
+            return None
         logt = min(logt + step, log_t_max)
-        if beats(logt):
-            hit = logt
-            break
-    if hit is None:
-        return None
-    left, right = hit - step, hit
+    if logt == 6.0:
+        return math.exp(logt)  # crossover at (or before) the grid start
+    left, right = logt - step, logt
     # invariant: thm2 >= thm1 at left, thm2 < thm1 at right
     while right - left > 1e-6:
         mid = 0.5 * (left + right)
@@ -278,4 +229,4 @@ def crossover_scan_log(p: BoundParams, log_t_max: float) -> float | None:
             right = mid
         else:
             left = mid
-    return right
+    return math.exp(right)

@@ -320,8 +320,20 @@ def _check_curvature_estimate(spec: SampleSpec) -> VerificationReport:
     return sweep.report()
 
 
+def _m_range(spec: SampleSpec, check_id: str, hi: int) -> tuple[int, int]:
+    """The integer "M" range of a check, (1, hi) unless the spec sets one."""
+    m_lo, m_hi = (int(m) for m in spec.range("M", 1, hi))
+    if not 1 <= m_lo <= m_hi <= RANGE_GUARD:
+        raise ValueError(
+            f"check {check_id} needs 1 <= max M <= {RANGE_GUARD} and 1 <= min M <= max M, "
+            f"got ({m_lo}, {m_hi})"
+        )
+    return m_lo, m_hi
+
+
 def _check_differencing(spec: SampleSpec) -> VerificationReport:
     """|S|^2 against the differencing inequality with exact prefix maxima."""
+    m_lo, m_hi = _m_range(spec, "4.3", 20)
     rng = np.random.default_rng(spec.seed)
     sweep = _Sweep("4.3")
     for i in range(spec.samples):
@@ -336,8 +348,7 @@ def _check_differencing(spec: SampleSpec) -> VerificationReport:
             f = log_phase(float(rng.uniform(10.0, 1e4)))
         n_start = int(rng.integers(1, 500))
         length = int(rng.integers(1, 200))
-        m_cap = int(spec.range("M", 1, 20)[1])
-        m_val = int(rng.integers(1, m_cap + 1))
+        m_val = int(rng.integers(m_lo, m_hi + 1))
         s_val = abs(exp_sum_exact(f, n_start, length)) ** 2
         diffmax = shifted_diff_maxima(f, n_start, length, m_val)
         rhs = weyl_differencing_rhs(length, m_val, diffmax)
@@ -352,14 +363,14 @@ def _check_differencing(spec: SampleSpec) -> VerificationReport:
 
 def _check_weight_sums(spec: SampleSpec) -> VerificationReport:
     """Exhaustive exact-vs-bound comparison of the triangular weight sums
-    at every M up to the top of the "M" range."""
-    max_m = int(spec.range("M", 1, 10**4)[1])
-    if not 1 <= max_m <= RANGE_GUARD:
-        raise ValueError(f"check 4.6 needs 1 <= max M <= {RANGE_GUARD}, got {max_m}")
+    at every M of the "M" range; the running sums start at M = 1."""
+    m_lo, max_m = _m_range(spec, "4.6", 10**4)
     sweep = _Sweep("4.6")
     strict_34 = True
     for ws in weight_sum_rows(max_m):
         m_val = ws.M
+        if m_val < m_lo:
+            continue
         closed3 = (m_val**2 - 1) / 6.0
         closed4 = (m_val - 1) / 2.0
         if abs(ws.exact[2] - closed3) > 1e-9 * (1.0 + closed3):
@@ -402,7 +413,7 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
     "2.2" fans out to the four oscillatory-tail variants, splitting the
     sample budget evenly and merging the counters.  A sweep that would
     check nothing raises ValueError: fewer than one sample (four for
-    "2.2"), or for "4.6" an "M" range whose top is below 1.
+    "2.2"), or for "4.3" and "4.6" an "M" range outside 1 <= min <= max <= 1e8.
     """
     spec = spec or SampleSpec()
     if check_id not in SUPPORTED_CHECKS:

@@ -23,13 +23,7 @@ from zetabounds.bounds import (
     theorem2_parts_exact,
 )
 from zetabounds.expsums import block_scheme
-from zetabounds.optimize import (
-    Objective,
-    crossover_scan_log,
-    log_theorem1_bound,
-    log_theorem2_bound,
-    optimize_params,
-)
+from zetabounds.optimize import Objective, crossover_scan, optimize_params
 from zetabounds.verify import SampleSpec, verify_lemma, verify_theorem_envelope
 from zetabounds.zeta import EMConfig, EvalPoint, default_em_config, zeta_em, zeta_prime_em
 
@@ -178,13 +172,16 @@ def test_criterion_12_optimizer_and_crossover():
     at_default = obj.evaluate(P0)
     assert result.objective_value <= at_default
 
-    l_star = crossover_scan_log(P0, 300.0 * math.log(10.0))
-    assert l_star is not None
+    t_star = crossover_scan(P0, t_max=1e300)
+    assert t_star is not None
     coeffs = theorem2_coeffs(P0)
-    # both-sided certification in log space at +-1%
-    up, down = l_star + math.log(1.01), l_star - math.log(1.01)
-    assert log_theorem2_bound(l_star, coeffs) < log_theorem1_bound(l_star)
-    assert log_theorem2_bound(up, coeffs) < log_theorem1_bound(up)
-    assert log_theorem2_bound(down, coeffs) >= log_theorem1_bound(down)
+
+    def beats(t):
+        return theorem2_bound(t, P0, coeffs).total < theorem1_bound(t).total
+
+    # both-sided certification at +-1%
+    assert beats(t_star)
+    assert beats(t_star * 1.01)
+    assert not beats(t_star / 1.01)
     _pass(12, f"optimized {result.objective_value:.1f} <= default {at_default:.1f}; "
-              f"crossover log t* = {l_star:.4f} (t* ~ {math.exp(l_star):.1f}) certified")
+              f"crossover t* = {t_star:.1f} certified")

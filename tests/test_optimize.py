@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -7,9 +8,6 @@ from zetabounds.optimize import (
     DEFAULT_RANGES,
     Objective,
     crossover_scan,
-    crossover_scan_log,
-    log_theorem1_bound,
-    log_theorem2_bound,
     optimize_params,
 )
 from zetabounds.bounds import theorem2_coeffs
@@ -82,25 +80,6 @@ class TestOptimizeParams:
             optimize_params(Objective.minimize_q1(), budget=5)
 
 
-class TestLogSpaceBounds:
-    def test_matches_direct_evaluation(self):
-        coeffs = theorem2_coeffs(P0)
-        for t in (math.exp(6.0), 1e4, 1e5, 1e200):
-            logt = math.log(t)
-            assert log_theorem1_bound(logt) == pytest.approx(
-                math.log(theorem1_bound(t).total), abs=1e-12
-            )
-            assert log_theorem2_bound(logt, coeffs) == pytest.approx(
-                math.log(theorem2_bound(t, P0, coeffs).total), abs=1e-12
-            )
-
-    def test_huge_t_no_overflow(self):
-        coeffs = theorem2_coeffs(P0)
-        logt = 300 * math.log(10.0)
-        assert math.isfinite(log_theorem1_bound(logt))
-        assert math.isfinite(log_theorem2_bound(logt, coeffs))
-
-
 class TestCrossoverScan:
     def test_exists_and_certified_at_default(self):
         t_star = crossover_scan(P0, t_max=1e6)
@@ -117,17 +96,17 @@ class TestCrossoverScan:
     def test_none_when_range_too_small(self):
         assert crossover_scan(P0, t_max=math.exp(6.5)) is None
 
-    def test_log_space_matches_linear_space(self):
-        t_star = crossover_scan(P0, t_max=1e6)
-        l_star = crossover_scan_log(P0, math.log(1e6))
-        assert math.exp(l_star) == pytest.approx(t_star, rel=1e-12)
-
     def test_far_scan_exponent_dominance(self):
         # the leading shapes guarantee a crossover below 1e300 for any
-        # finite coefficients; scan entirely in log space
-        l_star = crossover_scan_log(P0, 300.0 * math.log(10.0))
-        assert l_star is not None
-        assert l_star <= 300.0 * math.log(10.0)
+        # finite coefficients
+        t_star = crossover_scan(P0, t_max=1e300)
+        assert t_star is not None
+        assert t_star <= 1e300
+        assert theorem2_bound(t_star, P0).total < theorem1_bound(t_star).total
+
+    def test_float_max_range_matches_near_range(self):
+        # both linear bounds stay finite up to the largest float
+        assert crossover_scan(P0, t_max=sys.float_info.max) == crossover_scan(P0, t_max=1e6)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

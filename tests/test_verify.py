@@ -70,6 +70,23 @@ class TestLemmaSweeps:
         assert "strict inequality" in r.notes
         assert "(M^2-1)/6" in r.notes
 
+    def test_weight_sums_honour_low_end_of_m_range(self):
+        r = verify_lemma("4.6", SampleSpec(ranges={"M": (500, 600)}))
+        assert r.samples == 4 * 101
+        assert r.violations == 0
+        assert 500 <= r.min_slack_inputs["M"] <= 600
+
+    def test_differencing_honours_low_end_of_m_range(self):
+        r = verify_lemma("4.3", SampleSpec(samples=30, ranges={"M": (20, 20)}))
+        assert r.violations == 0
+        assert r.min_slack_inputs["M"] == 20
+
+    @pytest.mark.parametrize("check_id", ["4.3", "4.6"])
+    @pytest.mark.parametrize("m_range", [(0, 5), (6, 5)])
+    def test_bad_m_range_rejected(self, check_id, m_range):
+        with pytest.raises(ValueError, match="needs 1 <= max M <= 100000000 and 1 <= min M <= max M"):
+            verify_lemma(check_id, SampleSpec(samples=3, ranges={"M": m_range}))
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             verify_lemma("9.9")
