@@ -7,6 +7,8 @@ doubles.  All higher-level bound checks in this package lean on these
 primitives, so each one carries an explicit error contract:
 
 * ``compensated_sum``  -- correctly rounded (``math.fsum``)
+* ``compensated_complex_sum`` -- correctly rounded per part; the same bits
+  as ``math.fsum`` (``docs/exact_summation.md``)
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
 * ``integrate_adaptive`` -- |value - integral| <= error_estimate <= tol
   whenever the subdivision cap was not hit.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,16 +40,69 @@ def compensated_sum(terms: Iterable[float]) -> float:
     return math.fsum(values)
 
 
-def compensated_complex_sum(values: np.ndarray) -> complex:
-    """Exactly-rounded sum of a complex array (independent fsum per part).
+# Exact summation of long arrays; docs/exact_summation.md proves each step.
+# m * 2^53 (np.frexp's m) is an integer, split as hi * 2^27 + lo with
+# |hi| < 2^26 and |lo| < 2^27; float64 bins per exponent sum the halves.
+_EXACT_MIN_TERMS = 512  # below this, math.fsum is the faster of the two
+_CHUNK = 4096  # complex terms per bincount pass; bounds the temporaries
+_FLUSH_TERMS = 2**26  # 2^26 * (2^27 - 1) < 2^53: every bin sum stays exact
+_EXP_MIN = -1073  # np.frexp(5e-324) = (0.5, -1073)
+_EXP_BINS = 1024 - _EXP_MIN + 1
+_SCALE = 1 << (53 - _EXP_MIN)  # every double is an integer multiple of 1/_SCALE
+# bincount index of the interleaved (re, im) doubles: exponent bins of the
+# real part, then those of the imaginary part
+_BIN_INDEX = np.tile(np.array([-_EXP_MIN, _EXP_BINS - _EXP_MIN], dtype=np.intp), _CHUNK)
+# the bit position (in units of 1/_SCALE) of each bin of one part: hi halves
+# sit 27 bits above the lo halves of the same exponent
+_BIN_SHIFT = np.concatenate([np.arange(_EXP_BINS) + 27, np.arange(_EXP_BINS)])
 
-    Used for the long Dirichlet-type sums; math.fsum gives the correctly
-    rounded result of each part.
+
+def _bin_sums(flat: np.ndarray) -> np.ndarray:
+    """Exact per-exponent sums of the halves of at most _FLUSH_TERMS
+    complex terms, given as their interleaved doubles; shape (part, half,
+    exponent) with part 0 real, 1 imaginary and half 0 hi, 1 lo."""
+    bins = np.zeros((2, 2, _EXP_BINS))
+    for start in range(0, flat.size, 2 * _CHUNK):
+        m, e = np.frexp(flat[start:start + 2 * _CHUNK])
+        m *= 2.0**26
+        hi = np.trunc(m)
+        lo = np.subtract(m, hi, out=m)
+        lo *= 2.0**27
+        index = np.add(e, _BIN_INDEX[: e.size])
+        for half, weights in enumerate((hi, lo)):
+            counts = np.bincount(index, weights=weights, minlength=2 * _EXP_BINS)
+            bins[:, half] += counts.reshape(2, _EXP_BINS)
+    return bins
+
+
+def _exact_complex_sum(arr: np.ndarray) -> complex:
+    """Correctly rounded sum of each part of a finite 1-D complex array."""
+    flat = arr.view(np.float64)
+    totals = [0, 0]  # each part's exact sum times _SCALE
+    for start in range(0, flat.size, 2 * _FLUSH_TERMS):
+        for part, bins in enumerate(_bin_sums(flat[start:start + 2 * _FLUSH_TERMS])):
+            used = np.flatnonzero(bins != 0)
+            values = map(int, bins.ravel()[used].tolist())
+            totals[part] += sum(map(operator.lshift, values, _BIN_SHIFT[used].tolist()))
+    # int / int is correctly rounded, half to even; an exact zero gives +0.0
+    return complex(totals[0] / _SCALE, totals[1] / _SCALE)
+
+
+def compensated_complex_sum(values: np.ndarray) -> complex:
+    """Correctly rounded sum of a complex array, each part on its own.
+
+    The result has the same bits as ``math.fsum`` of the real parts and of
+    the imaginary parts.  Below _EXACT_MIN_TERMS terms it is ``math.fsum``;
+    longer arrays go through an exact binned accumulator that rounds once,
+    with temporaries bounded by _CHUNK terms (``docs/exact_summation.md``).
+    Raises ValueError on non-finite input.
     """
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.ascontiguousarray(values, dtype=np.complex128).ravel()
     if arr.size and not np.isfinite(arr).all():
         raise ValueError("non-finite term in compensated sum")
-    return complex(math.fsum(arr.real), math.fsum(arr.imag))
+    if arr.size < _EXACT_MIN_TERMS:
+        return complex(math.fsum(arr.real), math.fsum(arr.imag))
+    return _exact_complex_sum(arr)
 
 
 @lru_cache(maxsize=None)

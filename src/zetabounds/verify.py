@@ -414,12 +414,15 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
     sample budget evenly and merging the counters.  A sweep that would
     check nothing raises ValueError: fewer than one sample (four for
     "2.2"), or for "4.3" and "4.6" an "M" range outside 1 <= min <= max <= 1e8.
+    So does a negative seed.
     """
     spec = spec or SampleSpec()
     if check_id not in SUPPORTED_CHECKS:
         raise ValueError(
             f"unknown check id {check_id!r}; supported: {', '.join(SUPPORTED_CHECKS)}"
         )
+    if spec.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {spec.seed}")
     if check_id == "2.2" and spec.samples < 4:
         raise ValueError("check 2.2 splits its samples over 4 variants; need at least 4")
     if check_id != "4.6" and spec.samples < 1:

@@ -108,8 +108,9 @@ def default_em_config(
 
 
 def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
-    """sum_{n<N} n^{-s} (or sum_{n<N} log n * n^{-s} when ``log_weighted``)
-    by compensated summation, plus the root-sum-square of the term moduli
+    """sum_{n<N} n^{-s} (or sum_{n<N} log n * n^{-s} when ``log_weighted``),
+    each part correctly rounded by ``compensated_complex_sum``
+    (docs/exact_summation.md), plus the root-sum-square of the term moduli
     that feeds the rounding budget."""
     if N <= 1:
         return 0.0 + 0.0j, 0.0

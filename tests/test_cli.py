@@ -184,6 +184,7 @@ ERROR_MESSAGES = {
     "verify --theorem 1 --t-max 2e5": "exceeds the certified ceiling",
     "verify --lemma 4.6 --max-m 100000001": "check 4.6 needs 1 <= max M <= 100000000",
     "verify --lemma 2.2 --samples 3": "check 2.2 splits its samples over 4 variants",
+    "verify --lemma 2.1 --seed -1": "seed must be a non-negative integer",
     # verify sweeps a range; a single --t is not one of its options
     "verify --theorem 1 --t 50 --samples 3": "ambiguous option: --t could match --t-min",
 }
@@ -202,6 +203,7 @@ ERROR_MESSAGES = {
         ["verify", "--lemma", "4.6", "--max-m", "0"],
         ["verify", "--lemma", "4.6", "--max-m", "100000001"],
         ["verify", "--lemma", "2.2", "--samples", "3"],
+        ["verify", "--lemma", "2.1", "--seed", "-1"],
         ["optimize", "--objective", "weighted", "--weights", "a,b"],
         ["eval", "--t", "50", "--seed", "1"],
         ["eval", "--t", "50", "--out", "{missing}"],

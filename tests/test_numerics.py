@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zetabounds.numerics import (
+    _CHUNK,
+    _EXACT_MIN_TERMS,
     EPS,
     QuadratureResult,
     bernoulli_number,
@@ -15,6 +18,7 @@ from zetabounds.numerics import (
     geometric_grid,
     integrate_adaptive,
 )
+from zetabounds import numerics, zeta
 
 
 class TestCompensatedSum:
@@ -65,10 +69,123 @@ class TestCompensatedSum:
 
     def test_complex_sum_matches_fsum(self):
         rng = np.random.default_rng(0)
-        arr = rng.normal(size=500) + 1j * rng.normal(size=500)
-        got = compensated_complex_sum(arr)
-        assert got.real == math.fsum(arr.real)
-        assert got.imag == math.fsum(arr.imag)
+        for n in (500, 5000):  # one size on each side of the fsum threshold
+            arr = rng.normal(size=n) + 1j * rng.normal(size=n)
+            got = compensated_complex_sum(arr)
+            assert got.real == math.fsum(arr.real)
+            assert got.imag == math.fsum(arr.imag)
+
+
+# Sizes around every boundary of compensated_complex_sum: the fsum threshold,
+# one bincount chunk, several chunks with a ragged tail, and a long array.
+EXACT_SIZES = [
+    0, 1, _EXACT_MIN_TERMS - 1, _EXACT_MIN_TERMS, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**5,
+]
+
+
+def assert_fsum_bits(re, im):
+    """compensated_complex_sum(re + i im) has the bits of math.fsum, part by part."""
+    arr = np.empty(len(re), dtype=np.complex128)
+    arr.real, arr.imag = re, im
+    got = compensated_complex_sum(arr)
+    assert got.real.hex() == math.fsum(arr.real).hex()
+    assert got.imag.hex() == math.fsum(arr.imag).hex()
+    return got
+
+
+FINITE = st.floats(-1e300, 1e300)
+
+
+def wide_exponents(rng, n):
+    # magnitudes from the smallest subnormal to 1e300, mixed signs
+    mags = np.exp(rng.uniform(math.log(5e-324), math.log(1e300), size=n))
+    mags[rng.random(n) < 0.05] = 5e-324
+    return np.where(rng.random(n) < 0.5, -mags, mags)
+
+
+class TestExactComplexSum:
+    @pytest.mark.parametrize("n", EXACT_SIZES)
+    def test_wide_exponents(self, n):
+        rng = np.random.default_rng(n)
+        assert_fsum_bits(wide_exponents(rng, n), wide_exponents(rng, n))
+
+    @pytest.mark.parametrize("n", EXACT_SIZES)
+    def test_cancellation_gives_positive_zero(self, n):
+        rng = np.random.default_rng(n + 1)
+        half = wide_exponents(rng, n // 2)
+        re = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+        got = assert_fsum_bits(re, re[::-1])
+        assert got.real.hex() == got.imag.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("n", EXACT_SIZES[2:])
+    def test_round_half_even_ties(self, n):
+        # head + 2^-53 lies halfway between two doubles: pairs x, -x that
+        # cancel, plus two terms of 2^-54, make up the tail
+        rng = np.random.default_rng(n + 3)
+        pairs = wide_exponents(rng, (n - 3) // 2)
+        tail = np.concatenate([pairs, -pairs, [2.0**-54, 2.0**-54], np.zeros((n - 3) % 2)])
+        ties = {1.0: 1.0, 1.0 + 2.0**-52: 1.0 + 2.0**-51}  # round half to even
+        for head, rounded in ties.items():
+            for sign in (1.0, -1.0):
+                re = np.concatenate([[sign * head], rng.permutation(sign * tail)])
+                got = assert_fsum_bits(re, re[::-1])
+                assert got.real == got.imag == sign * rounded
+
+    @pytest.mark.parametrize("n", [_CHUNK, 3 * _CHUNK + 7, 10**5])
+    def test_maximal_mantissas(self, n):
+        # (2^53 - 1) 2^k fills both halves of every bin they land in
+        rng = np.random.default_rng(n + 2)
+        k = rng.integers(-1000, 950, size=n)
+        k[: n // 2] = 3  # half of them in one bin
+        re = np.ldexp(float(2**53 - 1), k) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
+        got = assert_fsum_bits(re, np.ldexp(float(2**53 - 1), -k - 53))
+        assert got.real == float(sum(map(Fraction, re.tolist())))
+
+    @pytest.mark.parametrize("flush_terms", [1000, _CHUNK])
+    def test_several_flushes(self, flush_terms, monkeypatch):
+        # a second block needs over 2^26 terms; smaller blocks run the same path
+        monkeypatch.setattr(numerics, "_FLUSH_TERMS", flush_terms)
+        rng = np.random.default_rng(flush_terms)
+        n = 3 * _CHUNK + 7
+        assert_fsum_bits(wide_exponents(rng, n), wide_exponents(rng, n))
+        k = rng.integers(-1000, 950, size=n)
+        assert_fsum_bits(np.ldexp(float(2**53 - 1), k), -np.ldexp(float(2**53 - 1), k // 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=_EXACT_MIN_TERMS, max_value=3 * _CHUNK + 7).flatmap(
+            lambda n: st.tuples(*[arrays(np.float64, n, elements=FINITE, fill=FINITE)] * 2)
+        )
+    )
+    def test_matches_fsum_property(self, parts):
+        # finite |x| <= 1e300, sizes above the fsum threshold
+        assert_fsum_bits(*parts)
+
+    @pytest.mark.parametrize("log_weighted", [False, True])
+    def test_evaluator_power_sums(self, log_weighted, monkeypatch):
+        # the arrays zeta_em / zeta_prime_em sum at their default config
+        seen = []
+
+        def recording(values):
+            seen.append((np.array(values), compensated_complex_sum(values)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(zeta, "compensated_complex_sum", recording)
+        for t in geometric_grid(10.0, 1e5, 81):
+            point = zeta.EvalPoint(t)
+            N = zeta.default_em_config(point, for_derivative=log_weighted).N
+            zeta._power_sums(point.s, N, log_weighted)
+        assert len(seen) == 81 and max(arr.size for arr, _ in seen) > 3 * _CHUNK
+        for arr, got in seen:
+            assert got.real.hex() == math.fsum(arr.real).hex()
+            assert got.imag.hex() == math.fsum(arr.imag).hex()
+
+    def test_rejects_non_finite(self):
+        for n in (10, 10**4):
+            arr = np.ones(n, dtype=np.complex128)
+            arr[n // 2] = complex(0.0, math.nan)
+            with pytest.raises(ValueError):
+                compensated_complex_sum(arr)
 
 
 class TestBernoulli:
