@@ -43,7 +43,7 @@ def compensated_sum(terms: Iterable[float]) -> float:
 # Exact summation of long arrays; docs/exact_summation.md proves each step.
 # m * 2^53 (np.frexp's m) is an integer, split as hi * 2^27 + lo with
 # |hi| < 2^26 and |lo| < 2^27; float64 bins per exponent sum the halves.
-_EXACT_MIN_TERMS = 512  # below this, math.fsum is the faster of the two
+_EXACT_MIN_TERMS = 768  # below this, math.fsum is the faster of the two
 _CHUNK = 4096  # complex terms per bincount pass; bounds the temporaries
 _FLUSH_TERMS = 2**26  # 2^26 * (2^27 - 1) < 2^53: every bin sum stays exact
 _EXP_MIN = -1073  # np.frexp(5e-324) = (0.5, -1073)
@@ -97,11 +97,11 @@ def compensated_complex_sum(values: np.ndarray) -> complex:
     with temporaries bounded by _CHUNK terms (``docs/exact_summation.md``).
     Raises ValueError on non-finite input.
     """
-    arr = np.ascontiguousarray(values, dtype=np.complex128).ravel()
+    arr = np.ascontiguousarray(values, dtype=np.complex128)
     if arr.size and not np.isfinite(arr).all():
         raise ValueError("non-finite term in compensated sum")
     if arr.size < _EXACT_MIN_TERMS:
-        return complex(math.fsum(arr.real), math.fsum(arr.imag))
+        return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
     return _exact_complex_sum(arr)
 
 
