@@ -9,7 +9,6 @@ from .bounds import (
     DEFAULT_PARAMS,
     head_sum_bound,
     mid_tail_sum_bound,
-    q_polynomial,
     tail_error_bound,
     theorem1_bound,
     theorem2_bound,
@@ -17,17 +16,13 @@ from .bounds import (
     theorem2_parts_exact,
 )
 from .expsums import (
-    BlockScheme,
     VdCParams,
-    WeightSums,
-    block_scheme,
     exp_sum_exact,
     log_dirichlet_sum,
     shifted_diff_maxima,
     vdc_params_for_log_block,
     vdc_second_derivative_bound,
     vertex_max_bound,
-    weight_sums,
     weyl_differencing_rhs,
 )
 from .numerics import (
@@ -55,7 +50,6 @@ from .zeta import (
     EMConfig,
     EvalPoint,
     default_em_config,
-    em_remainder_bound,
     zeta_em,
     zeta_prime_em,
 )
@@ -63,7 +57,6 @@ from .zeta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockScheme",
     "BoundCoefficients",
     "BoundCurve",
     "BoundParams",
@@ -78,13 +71,10 @@ __all__ = [
     "SUPPORTED_CHECKS",
     "VdCParams",
     "VerificationReport",
-    "WeightSums",
     "bernoulli_number",
-    "block_scheme",
     "compensated_sum",
     "crossover_scan",
     "default_em_config",
-    "em_remainder_bound",
     "exp_sum_exact",
     "geometric_grid",
     "head_sum_bound",
@@ -92,7 +82,6 @@ __all__ = [
     "log_dirichlet_sum",
     "mid_tail_sum_bound",
     "optimize_params",
-    "q_polynomial",
     "shifted_diff_maxima",
     "tail_error_bound",
     "theorem1_bound",
@@ -104,7 +93,6 @@ __all__ = [
     "verify_lemma",
     "verify_theorem_envelope",
     "vertex_max_bound",
-    "weight_sums",
     "weyl_differencing_rhs",
     "zeta_em",
     "zeta_prime_em",

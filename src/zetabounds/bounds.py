@@ -11,11 +11,12 @@ Two bound families are provided:
       + Q4 (log t)^2 + Q5 log t + Q6                      (t >= e^6)
   whose six coefficients are explicit functions of the free parameters
   (k, tau, q, t1, t2).  One term table per block range (BLOCK_23,
-  BLOCK_13) is the single source of the collected coefficients, their
-  unfactored audit twin and the derivation trace, which routes every
-  intermediate constant so each absorption is auditable; the closed-form
-  geometric-sum bounds it relies on are derived in docs/block_assembly.md
-  and verified numerically against exact block sums by the test suite.
+  BLOCK_13) is the single source of the collected coefficients and the
+  derivation trace, which routes every intermediate constant so each
+  absorption is auditable; the closed-form geometric-sum bounds it relies
+  on are derived in docs/block_assembly.md.  The exact block grids and
+  the unfactored resummation they are checked against live with the
+  tests (tests/reference_blocks.py).
 
 Each part of both bounds has one definition, which docs/block_assembly.md
 lists.  Every bound function checks its own t-hypothesis, with a relative
@@ -29,8 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
-
-from .expsums import BlockScheme, block_scheme
 
 E2 = math.exp(2.0)
 E3 = math.exp(3.0)
@@ -281,17 +280,6 @@ class GeomSumBounds:
         """m0, m1, then m2_lead and m2_const in M2_DELTAS order."""
         return (*self.m0, self.m1, *self.m2_lead.values(), *self.m2_const.values())
 
-    def m0_at(self, t: float) -> float:
-        logt = math.log(t)
-        return (self.m0[0] * logt + self.m0[1]) * logt + self.m0[2]
-
-    def m1_at(self, t: float) -> float:
-        return self.m1 * t ** (self.upper / 2.0) * math.log(t)
-
-    def m2_at(self, delta: int, t: float) -> float:
-        decay = t ** (-delta * self.alpha / 2.0)
-        return decay * (self.m2_lead[delta] * math.log(t) + self.m2_const[delta])
-
 
 def geom_sum_bounds(alpha: float, upper: float, ratio: float) -> GeomSumBounds:
     """Derive the closed-form dominants for ratio > 1, 0 < alpha < upper.
@@ -328,25 +316,9 @@ def geom_sum_bounds(alpha: float, upper: float, ratio: float) -> GeomSumBounds:
     )
 
 
-def geom_sums_exact(scheme: BlockScheme) -> dict[str, float]:
-    """Exact M0, M1, M2(delta) over the constructed blocks (the oracle the
-    closed forms are checked against)."""
-    xs = [blk[0] for blk in scheme.blocks]
-    logs = [math.log(x) for x in xs]
-    out: dict[str, float] = {
-        "M0": math.fsum(logs),
-        "M1": math.fsum(math.sqrt(x) * lx for x, lx in zip(xs, logs)),
-    }
-    for delta in M2_DELTAS:
-        out[f"M2({delta})"] = math.fsum(
-            lx / x ** (delta / 2.0) for x, lx in zip(xs, logs)
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Block term tables: the one source of the collected coefficients, their
-# unfactored audit twin and the derivation trace (docs/block_assembly.md)
+# Block term tables: the one source of the collected coefficients and the
+# derivation trace (docs/block_assembly.md)
 # ---------------------------------------------------------------------------
 
 # (t-exponent in sixths, log-power) of Q1..Q6, which are also c1..c6 ...
@@ -386,7 +358,8 @@ def q_polynomial(t: float, Q: tuple[float, ...]) -> float:
 
 class BlockTerm(NamedTuple):
     """One source term  weight * t^{exp6/6} * block_sum  of a range bound;
-    block_sum is "M0", "M1" or "M2(d)", as ``geom_sums_exact`` keys it."""
+    block_sum names a block-sum family of GeomSumBounds: "M0", "M1" or
+    "M2(d)"."""
 
     exp6: int
     block_sum: str
@@ -474,18 +447,6 @@ def block_bound(table: BlockTable, t: float, p: BoundParams) -> float:
     )
 
 
-def resummed(table: BlockTable, t: float, p: BoundParams) -> float:
-    """The same bound summed term by term at t, without collecting shapes;
-    must agree with the collected polynomial to floating precision."""
-    f = table.factors(p)
-    g = table.geom(p)
-    sums = {"M0": g.m0_at(t), "M1": g.m1_at(t)}
-    sums.update((f"M2({d})", g.m2_at(d, t)) for d in g.m2_lead)
-    return math.fsum(
-        term.weight(f) * t ** (term.exp6 / 6.0) * sums[term.block_sum] for term in table.terms
-    )
-
-
 # Upper range (t^{2/3} < n <= t): the curvature estimate
 # (1/5)(L/V + 1)(8 sqrt(W) + 15) per block, L = (k-1)X + 1, V = 2 pi X^2/t,
 # W = 2 pi k^2 X^2/t, times log X / sqrt(X).  The weights are u1..u6 of
@@ -531,56 +492,6 @@ BLOCK_13 = BlockTable(
         BlockTerm(0, "M0", lambda f: f.lam * math.sqrt(15.0 * f.q / 2.0)),
     ),
 )
-
-
-# ---------------------------------------------------------------------------
-# Per-block chains on the exact block grid
-# ---------------------------------------------------------------------------
-
-
-def block23_per_block_bound(t: float, k: float) -> float:
-    """Per-block curvature-estimate chain evaluated with the exact block
-    grid (the sharper sum the closed-form coefficients must dominate)."""
-    _require_t(t, E3, "block23_per_block_bound")
-    scheme = block_scheme(t, 2.0 / 3.0, k, 1.0)
-    total = 0.0
-    for idx, (x0, _, n0, n1) in enumerate(scheme.blocks):
-        last = idx == len(scheme.blocks) - 1
-        L = (n1 - n0) if last else (k - 1.0) * x0 + 1.0
-        V = 2.0 * math.pi * x0 * x0 / t
-        W = 2.0 * math.pi * k * k * x0 * x0 / t
-        est = 0.2 * (L / V + 1.0) * (8.0 * math.sqrt(W) + 15.0)
-        total += math.log(x0) / math.sqrt(x0) * est
-    return total
-
-
-def block13_per_block_bound(t: float, p: BoundParams) -> float:
-    """Exact-grid differencing chain with integer M = max(1, floor(q X / t^{1/3}))
-    per block: the rigorous per-block route used by verification tests."""
-    if not (t > p.t2):
-        raise ValueError("per-block route applies for t > t2")
-    scheme = block_scheme(t, 1.0 / 3.0, p.tau, 2.0 / 3.0)
-    tau, q, t2 = p.tau, p.q, p.t2
-    t13 = t ** (1.0 / 3.0)
-    total = 0.0
-    for idx, (x0, _, n0, n1) in enumerate(scheme.blocks):
-        last = idx == len(scheme.blocks) - 1
-        L = (n1 - n0) if last else (tau - 1.0) * x0 + 1.0
-        M = max(1, math.floor(q * x0 / t13))
-        # first radical: ((L + M-cover) L / M)^{1/2} with M <= q t2^{-1/3} X
-        p1 = L + q * t2 ** (-1.0 / 3.0) * x0
-        first = math.sqrt(p1 * L / M)
-        # weighted shifted-sum bound, through the triangular weight sums
-        s1 = 8.0 * (tau - 1.0) * (tau + 1.0) ** 1.5 / _SQRT_PI * math.sqrt(t) / math.sqrt(x0) * (4.0 / 15.0) * M**1.5
-        s2 = 8.0 * (tau + 1.0) ** 1.5 / _SQRT_PI * math.sqrt(t) / x0**1.5 * (4.0 / 15.0) * M**1.5
-        s3 = 8.0 * _SQRT_PI * (tau + 1.0) ** 1.5 * x0**1.5 / math.sqrt(t) * (4.0 / 3.0) * math.sqrt(M)
-        s4 = 15.0 * (tau - 1.0) / math.pi * t / x0**2 * M**2 / 6.0
-        s5 = 15.0 / math.pi * t / x0**3 * M**2 / 6.0
-        s6 = 15.0 * M / 2.0
-        inner = 0.2 * (s1 + s2 + s3 + s4 + s5 + s6)
-        second = math.sqrt(2.0 * (tau * x0 + 1.0) / M) * math.sqrt(inner)
-        total += math.log(x0) / math.sqrt(x0) * (first + second)
-    return total
 
 
 # ---------------------------------------------------------------------------

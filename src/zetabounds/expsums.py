@@ -10,8 +10,7 @@ assumes the estimates hold.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -241,69 +240,3 @@ def weight_sum_rows(max_m: int) -> Iterator[WeightSums]:
         n_lin += M
         n_sq += M * M
 
-
-def weight_sums(M: int) -> WeightSums:
-    """The weight sums at one M: the last row of ``weight_sum_rows(M)``."""
-    return deque(weight_sum_rows(M), maxlen=1)[0]
-
-
-@dataclass(frozen=True)
-class BlockScheme:
-    """Geometric cover of (t^alpha, t^upper] by blocks X_j = ratio^j t^alpha.
-
-    blocks[j-1] = (X_{j-1}, X_j, N_{j-1}, N_j) with N = floor(X); the last
-    grid point is clamped to t^upper so the integer cover is exact.
-    """
-
-    t: float
-    base_exponent: float
-    ratio: float
-    upper_exponent: float
-    blocks: tuple[tuple[float, float, int, int], ...] = field(repr=False)
-
-    @property
-    def J(self) -> int:
-        return len(self.blocks)
-
-
-_ALLOWED_EXPONENTS = (1.0 / 3.0, 2.0 / 3.0, 1.0)
-
-
-def block_scheme(
-    t: float, alpha: float, ratio: float, upper_exponent: float
-) -> BlockScheme:
-    """Build the geometric block cover of (t^alpha, t^upper_exponent]."""
-    if not t > 1:
-        raise ValueError("t must exceed 1")
-    if not ratio > 1:
-        raise ValueError("ratio must exceed 1")
-    if not any(math.isclose(alpha, e) for e in _ALLOWED_EXPONENTS):
-        raise ValueError("alpha must be one of 1/3, 2/3, 1")
-    if not any(math.isclose(upper_exponent, e) for e in _ALLOWED_EXPONENTS):
-        raise ValueError("upper_exponent must be one of 1/3, 2/3, 1")
-    if not alpha < upper_exponent:
-        raise ValueError("alpha must be smaller than upper_exponent")
-    x0 = t**alpha
-    if x0 < 2:
-        raise ValueError("t^alpha < 2: blocks degenerate")
-    x_top = t**upper_exponent
-    blocks: list[tuple[float, float, int, int]] = []
-    x_prev = x0
-    n_prev = math.floor(x0)
-    n_top = math.floor(x_top)
-    while n_prev < n_top:
-        x_next = x_prev * ratio
-        if x_next >= x_top:
-            x_next = x_top
-            n_next = n_top
-        else:
-            n_next = math.floor(x_next)
-        blocks.append((x_prev, x_next, n_prev, n_next))
-        x_prev, n_prev = x_next, n_next
-    return BlockScheme(
-        t=t,
-        base_exponent=alpha,
-        ratio=ratio,
-        upper_exponent=upper_exponent,
-        blocks=tuple(blocks),
-    )

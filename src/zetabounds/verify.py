@@ -48,14 +48,12 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sample count, seed, and optional per-variable ranges for a sweep."""
+    """Sample count, seed, and the optional "M" range (min M, max M) of
+    checks 4.3 and 4.6, the only range a sweep takes."""
 
     samples: int = 100
     seed: int = 0
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def range(self, name: str, lo: float, hi: float) -> tuple[float, float]:
-        return self.ranges.get(name, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,8 @@ def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
     rng = np.random.default_rng(spec.seed)
     sweep = _Sweep("2.1")
     for _ in range(spec.samples):
-        a = float(rng.uniform(*spec.range("a", 0.5, 5.0)))
-        b = a + float(rng.uniform(*spec.range("length", 0.5, 8.0)))
+        a = float(rng.uniform(0.5, 5.0))
+        b = a + float(rng.uniform(0.5, 8.0))
         c = float(rng.uniform(0.1, 3.0))
         d = float(rng.uniform(0.0, 2.0))
         pw = float(rng.uniform(0.2, 3.0))
@@ -197,8 +195,8 @@ def _check_oscillatory_tail(spec: SampleSpec, variant: str) -> VerificationRepor
     rng = np.random.default_rng(spec.seed)
     sweep = _Sweep(variant)
     for _ in range(spec.samples):
-        t = float(rng.uniform(*spec.range("t", 5.0, 60.0)))
-        margin = float(rng.uniform(*spec.range("margin", 0.1, 2.0)))
+        t = float(rng.uniform(5.0, 60.0))
+        margin = float(rng.uniform(0.1, 2.0))
         a = t / TWO_PI * (1.0 + margin)
         if a <= math.e:
             a = math.e * 1.05  # keep log a positive so the bound is meaningful
@@ -268,11 +266,9 @@ def _check_mid_tail(spec: SampleSpec) -> VerificationReport:
     t-dependence of the bound is fully exercised.
     """
     rng = np.random.default_rng(spec.seed)
-    lo, hi = spec.range("t", E2, 300.0)
-    hi = min(hi, 300.0)
     sweep = _Sweep("2.4")
     for _ in range(spec.samples):
-        t = math.exp(float(rng.uniform(math.log(lo), math.log(hi))))
+        t = math.exp(float(rng.uniform(math.log(E2), math.log(300.0))))
         value = abs(log_dirichlet_sum(t, t, t * t))
         bound = mid_tail_sum_bound(t)
         n_terms = t * t - t
@@ -284,10 +280,9 @@ def _check_mid_tail(spec: SampleSpec) -> VerificationReport:
 def _check_vertex_bound(spec: SampleSpec) -> VerificationReport:
     """Amplitude-ordered phasor sums against the vertex enumeration bound."""
     rng = np.random.default_rng(spec.seed)
-    n_lo, n_hi = spec.range("n", 1, 8)
     sweep = _Sweep("2.5")
     for _ in range(spec.samples):
-        n = int(rng.integers(int(n_lo), int(n_hi) + 1))
+        n = int(rng.integers(1, 9))  # 1 to 8 terms
         amps = np.sort(rng.uniform(0.05, 3.0, size=n))
         phases = rng.uniform(0.0, TWO_PI, size=n)
         direct = abs(complex(np.sum(amps * np.exp(1j * phases))))
@@ -300,10 +295,9 @@ def _check_vertex_bound(spec: SampleSpec) -> VerificationReport:
 def _check_curvature_estimate(spec: SampleSpec) -> VerificationReport:
     """Exact log-phase block sums against (1/5)(L/V+1)(8 sqrt(W)+15)."""
     rng = np.random.default_rng(spec.seed)
-    t_lo, t_hi = spec.range("t", 1e3, 1e5)
     sweep = _Sweep("4.1")
     for _ in range(spec.samples):
-        t = math.exp(float(rng.uniform(math.log(t_lo), math.log(t_hi))))
+        t = math.exp(float(rng.uniform(math.log(1e3), math.log(1e5))))
         x0 = t ** (2.0 / 3.0)
         n_start = int(x0 * float(rng.uniform(1.0, 3.0)))
         max_len = max(3, min(int((rng.uniform(0.1, 1.5)) * n_start), 10**4))
@@ -322,7 +316,7 @@ def _check_curvature_estimate(spec: SampleSpec) -> VerificationReport:
 
 def _m_range(spec: SampleSpec, check_id: str, hi: int) -> tuple[int, int]:
     """The integer "M" range of a check, (1, hi) unless the spec sets one."""
-    m_lo, m_hi = (int(m) for m in spec.range("M", 1, hi))
+    m_lo, m_hi = (int(m) for m in spec.ranges.get("M", (1, hi)))
     if not 1 <= m_lo <= m_hi <= RANGE_GUARD:
         raise ValueError(
             f"check {check_id} needs 1 <= max M <= {RANGE_GUARD} and 1 <= min M <= max M, "
@@ -414,7 +408,7 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
     sample budget evenly and merging the counters.  A sweep that would
     check nothing raises ValueError: fewer than one sample (four for
     "2.2"), or for "4.3" and "4.6" an "M" range outside 1 <= min <= max <= 1e8.
-    So does a negative seed.
+    So does a negative seed, and any range but the "M" of 4.3 and 4.6.
     """
     spec = spec or SampleSpec()
     if check_id not in SUPPORTED_CHECKS:
@@ -423,6 +417,11 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
         )
     if spec.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {spec.seed}")
+    for name in spec.ranges:
+        if not (name == "M" and check_id in ("4.3", "4.6")):
+            raise ValueError(
+                f"check {check_id} takes no {name!r} range; only 4.3 and 4.6 take one, 'M'"
+            )
     if check_id == "2.2" and spec.samples < 4:
         raise ValueError("check 2.2 splits its samples over 4 variants; need at least 4")
     if check_id != "4.6" and spec.samples < 1:
@@ -431,7 +430,7 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
         per = spec.samples // 4
         sub = [
             _check_oscillatory_tail(
-                SampleSpec(samples=per, seed=spec.seed + i, ranges=spec.ranges),
+                SampleSpec(samples=per, seed=spec.seed + i),
                 variant,
             )
             for i, variant in enumerate(_OSC_VARIANTS)

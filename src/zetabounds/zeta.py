@@ -41,9 +41,6 @@ class EvalPoint:
     def s(self) -> complex:
         return complex(self.sigma, self.t)
 
-    def conjugate(self) -> "EvalPoint":
-        return EvalPoint(-self.t, self.sigma)
-
 
 @dataclass(frozen=True)
 class EMConfig:
@@ -76,10 +73,6 @@ class CertifiedComplex:
     def __post_init__(self) -> None:
         if not (self.error_bound >= 0 and math.isfinite(self.error_bound)):
             raise ValueError("error_bound must be finite and non-negative")
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 def default_em_config(
@@ -134,14 +127,6 @@ def _phase_rounding_budget(t: float, N: int, rss: float) -> float:
     cross-oracle agreement tests, which fail if this budget under-covers.
     """
     return 8.0 * EPS * (abs(t) * math.log(max(N, 2)) + 4.0) * rss
-
-
-def _pochhammer(s: complex, count: int) -> complex:
-    """prod_{i=0}^{count-1} (s + i); empty product is 1."""
-    prod = 1.0 + 0.0j
-    for i in range(count):
-        prod *= s + i
-    return prod
 
 
 def _pochhammer_abs(s: complex, count: int) -> float:
@@ -231,14 +216,22 @@ def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedCo
         value += -0.5 * logN * n_pow
     else:
         value = head + N * n_pow / (s - 1) + 0.5 * n_pow
+    # Order j needs poch = s(s+1)...(s+2j-2) and, for the derivative,
+    # harm = sum_{i<2j-1} 1/(s+i).  Both are carried from order j-1 and
+    # extended by i = 2j-3, 2j-2 (by i = 0 for j = 1): O(v) work, not O(v^2).
+    poch = 1.0 + 0.0j
+    harm = 0.0
     for j in range(1, cfg.v + 1):
-        poch = _pochhammer(s, 2 * j - 1)
-        if derivative:  # d/ds (poch * N^{-s}) over N^{-s}
-            poch = poch * sum(1.0 / (s + i) for i in range(2 * j - 1)) - poch * logN
+        for i in range(max(2 * j - 3, 0), 2 * j - 1):
+            poch *= s + i
+            if derivative:
+                harm += 1.0 / (s + i)
+        # d/ds (poch * N^{-s}) over N^{-s}
+        coef = poch * harm - poch * logN if derivative else poch
         term = (
             bernoulli_number(2 * j)
             / math.factorial(2 * j)
-            * poch
+            * coef
             * N ** (1 - 2 * j)
             * n_pow
         )

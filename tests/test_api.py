@@ -1,6 +1,25 @@
 """The package's public names: ``__all__`` is exactly what ``import *`` gives."""
 
+import pathlib
+import re
+
 import zetabounds
+
+PUBLIC_NAMES = {
+    "BoundCoefficients", "BoundCurve", "BoundParams", "CertifiedComplex",
+    "DEFAULT_PARAMS", "EMConfig", "EvalPoint", "Objective", "OptResult",
+    "QuadratureResult", "SampleSpec", "SUPPORTED_CHECKS", "VdCParams",
+    "VerificationReport", "bernoulli_number", "compensated_sum",
+    "crossover_scan", "default_em_config", "exp_sum_exact", "geometric_grid",
+    "head_sum_bound", "integrate_adaptive", "log_dirichlet_sum",
+    "mid_tail_sum_bound", "optimize_params", "shifted_diff_maxima",
+    "tail_error_bound", "theorem1_bound", "theorem2_bound", "theorem2_coeffs",
+    "theorem2_parts_exact", "vdc_params_for_log_block",
+    "vdc_second_derivative_bound", "verify_lemma", "verify_theorem_envelope",
+    "vertex_max_bound", "weyl_differencing_rhs", "zeta_em", "zeta_prime_em",
+}
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_resolve_once():
@@ -14,3 +33,16 @@ def test_star_import_runs():
     namespace: dict = {}
     exec("from zetabounds import *", namespace)
     assert set(zetabounds.__all__) <= set(namespace)
+
+
+def test_public_names_pinned():
+    assert len(PUBLIC_NAMES) == 39
+    assert set(zetabounds.__all__) == PUBLIC_NAMES
+
+
+def test_readme_library_example_uses_public_names():
+    block = re.search(r"from zetabounds import \(([^)]*)\)", README.read_text(encoding="utf-8"))
+    assert block is not None, "README has no library example"
+    names = {n.strip() for n in block.group(1).split(",") if n.strip()}
+    assert names
+    assert names <= set(zetabounds.__all__), names - set(zetabounds.__all__)

@@ -12,24 +12,31 @@ from zetabounds.bounds import (
     BLOCK_13,
     BLOCK_23,
     TAIL_REMAINDER,
-    block13_per_block_bound,
-    block23_per_block_bound,
     block_bound,
     collect,
     crude_bound,
     geom_sum_bounds,
-    geom_sums_exact,
     head_sum_bound,
     mid_tail_sum_bound,
     q_polynomial,
-    resummed,
     tail_error_bound,
     theorem1_bound,
     theorem2_bound,
     theorem2_coeffs,
     theorem2_parts_exact,
 )
-from zetabounds.expsums import block_scheme, log_dirichlet_sum
+from zetabounds.expsums import log_dirichlet_sum
+
+from reference_blocks import (
+    block13_per_block_bound,
+    block23_per_block_bound,
+    block_scheme,
+    geom_sums_exact,
+    m0_at,
+    m1_at,
+    m2_at,
+    resummed,
+)
 
 P0 = BoundParams()
 
@@ -160,10 +167,10 @@ class TestGeomSumClosedForms:
                 exact = geom_sums_exact(scheme)
                 g = geom_sum_bounds(alpha, upper, ratio)
                 pairs = [
-                    (exact["M0"], g.m0_at(t)),
-                    (exact["M1"], g.m1_at(t)),
+                    (exact["M0"], m0_at(g, t)),
+                    (exact["M1"], m1_at(g, t)),
                 ] + [
-                    (exact[f"M2({d})"], g.m2_at(d, t)) for d in (1, 2, 3, 5)
+                    (exact[f"M2({d})"], m2_at(g, d, t)) for d in (1, 2, 3, 5)
                 ]
                 for e_val, b_val in pairs:
                     budget = 1e-9 * (1.0 + abs(b_val))
@@ -178,7 +185,7 @@ class TestGeomSumClosedForms:
         assert scheme.J == 1
         g = geom_sum_bounds(2.0 / 3.0, 1.0, 1000.0)
         exact = geom_sums_exact(scheme)
-        assert exact["M2(5)"] <= g.m2_at(5, 1000.0) * (1 + 1e-12)
+        assert exact["M2(5)"] <= m2_at(g, 5, 1000.0) * (1 + 1e-12)
 
 
 class TestBlockBound23:

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from zetabounds.expsums import (
     RANGE_GUARD,
-    BlockScheme,
     VdCParams,
-    block_scheme,
     exp_sum_exact,
     log_dirichlet_sum,
     log_phase,
@@ -21,9 +19,10 @@ from zetabounds.expsums import (
     vdc_second_derivative_bound,
     vertex_max_bound,
     weight_sum_rows,
-    weight_sums,
     weyl_differencing_rhs,
 )
+
+from reference_blocks import BlockScheme, block_scheme
 
 
 class TestPhaseFunction:
@@ -238,12 +237,12 @@ def rows_at(ms):
 
 class TestWeightSums:
     def test_m1_all_zero(self):
-        ws = weight_sums(1)
+        ws = rows_at([1])[0]
         assert ws.exact == (0.0, 0.0, 0.0, 0.0)
         assert all(e <= b for e, b in zip(ws.exact, ws.bound))
 
     def test_m3_worked_values(self):
-        ws = weight_sums(3)
+        ws = rows_at([3])[0]
         assert ws.exact[2] == pytest.approx(4.0 / 3.0)
         assert ws.bound[2] == pytest.approx(1.5)
         assert ws.exact[3] == pytest.approx(1.0)
@@ -256,12 +255,6 @@ class TestWeightSums:
             assert ws.exact[3] == float(Fraction(m_val - 1, 2))
             for e, b in zip(ws.exact, ws.bound):
                 assert e <= b * (1 + 1e-12)
-
-    def test_weight_sums_is_the_last_row(self):
-        for m_val in (1, 2, 3, 657, 1000):
-            assert weight_sums(m_val) == rows_at([m_val])[0]
-        with pytest.raises(ValueError):
-            weight_sums(0)
 
     def test_rows_match_fsum_reference(self):
         rng = np.random.default_rng(46)
@@ -296,15 +289,17 @@ class TestWeightSums:
         first = next(weight_sum_rows(10**9))
         assert first.M == 1
         assert first.exact == (0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            next(weight_sum_rows(0))
 
     def test_bounds_asymptotically_tight(self):
-        ws = weight_sums(10**4)
+        small, ws = rows_at([100, 10**4])
         ratios = [e / b for e, b in zip(ws.exact, ws.bound)]
         assert ratios[0] > 0.999
         assert ratios[1] > 0.985  # m^{-1/2} sum converges like 1 - c/sqrt(M)
         assert ratios[2] > 0.999
         assert ratios[3] > 0.999
-        smaller = [e / b for e, b in zip(weight_sums(100).exact, weight_sums(100).bound)]
+        smaller = [e / b for e, b in zip(small.exact, small.bound)]
         assert all(r_big >= r_small for r_big, r_small in zip(ratios, smaller))
 
 

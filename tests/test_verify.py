@@ -87,6 +87,21 @@ class TestLemmaSweeps:
         with pytest.raises(ValueError, match="needs 1 <= max M <= 100000000 and 1 <= min M <= max M"):
             verify_lemma(check_id, SampleSpec(samples=3, ranges={"M": m_range}))
 
+    @pytest.mark.parametrize(
+        "check_id, ranges, name",
+        [
+            ("2.4", {"T": (10.0, 20.0)}, "T"),
+            ("2.4", {"t": (10.0, 1e6)}, "t"),
+            ("2.5", {"n": (1, 8)}, "n"),
+            ("2.1", {"M": (1, 5)}, "M"),
+            ("2.2", {"margin": (0.1, 2.0)}, "margin"),
+            ("4.6", {"M": (1, 5), "m": (1, 5)}, "m"),
+        ],
+    )
+    def test_unknown_range_rejected(self, check_id, ranges, name):
+        with pytest.raises(ValueError, match=f"check {check_id} takes no '{name}' range"):
+            verify_lemma(check_id, SampleSpec(samples=4, ranges=ranges))
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             verify_lemma("9.9")
