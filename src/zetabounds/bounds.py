@@ -59,14 +59,19 @@ TAIL_REMAINDER = {1: LogLinear(6.047, 4.455), 2: LogLinear(6.001, 4.008)}
 _SQRT_PI = math.sqrt(math.pi)
 
 
+def _at_least(t: float, threshold: float) -> bool:
+    """Whether t is finite and t >= threshold, up to HYPOTHESIS_RTOL."""
+    return math.isfinite(t) and t >= threshold * (1.0 - HYPOTHESIS_RTOL)
+
+
 def in_theorem_domain(t: float, which: int) -> bool:
     """Whether t is finite and inside theorem ``which``'s range, t >= e^2
     for theorem 1 and t >= e^6 for theorem 2, up to HYPOTHESIS_RTOL."""
-    return math.isfinite(t) and t >= THRESHOLD[which] * (1.0 - HYPOTHESIS_RTOL)
+    return _at_least(t, THRESHOLD[which])
 
 
 def _require_t(t: float, threshold: float, label: str) -> None:
-    if not (math.isfinite(t) and t >= threshold * (1.0 - HYPOTHESIS_RTOL)):
+    if not _at_least(t, threshold):
         raise ValueError(f"{label} requires t >= {threshold:.9g}, got {t!r}")
 
 
@@ -87,8 +92,8 @@ class BoundParams:
     t2: float = E6
 
     def __post_init__(self) -> None:
-        for name in ("k", "tau", "q", "t1", "t2"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in vars(self).items():  # the fields, in order
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if not (self.k > 1.0):
             raise ValueError("k must exceed 1")
@@ -96,9 +101,9 @@ class BoundParams:
             raise ValueError("tau must exceed 1")
         if not (self.q >= 2.0):
             raise ValueError("q must be >= 2")
-        if not (self.t1 >= E3 * (1.0 - HYPOTHESIS_RTOL)):
+        if not _at_least(self.t1, E3):
             raise ValueError("t1 must be >= e^3")
-        if not (self.t2 >= E6 * (1.0 - HYPOTHESIS_RTOL)):
+        if not _at_least(self.t2, E6):
             raise ValueError("t2 must be >= e^6")
 
 
@@ -169,8 +174,7 @@ class BoundCoefficients:
     def trace_report(self) -> str:
         lines = [
             "# derivation trace: one line per combined/absorbed term",
-            f"# params: k={self.params.k!r} tau={self.params.tau!r} "
-            f"q={self.params.q!r} t1={self.params.t1!r} t2={self.params.t2!r}",
+            "# params: " + " ".join(f"{name}={value!r}" for name, value in vars(self.params).items()),
         ]
         lines.extend(entry.format() for entry in self.derivation_trace)
         for i, x in enumerate(self.Q):

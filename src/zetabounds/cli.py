@@ -20,8 +20,7 @@ import sys
 from typing import Sequence
 
 from .bounds import (
-    E3,
-    E6,
+    DEFAULT_PARAMS,
     THRESHOLD,
     BoundParams,
     in_theorem_domain,
@@ -30,7 +29,7 @@ from .bounds import (
     theorem2_coeffs,
 )
 from .numerics import geometric_grid
-from .optimize import Objective, crossover_scan, optimize_params
+from .optimize import PARAM_ORDER, Objective, crossover_scan, optimize_params
 from .verify import (
     SUPPORTED_CHECKS,
     SampleSpec,
@@ -131,7 +130,7 @@ def _t_values(args) -> list[float]:
 
 def _bound_params(args) -> BoundParams:
     try:
-        return BoundParams(k=args.k, tau=args.tau, q=args.q, t1=args.t1, t2=args.t2)
+        return BoundParams(**{name: getattr(args, name) for name in PARAM_ORDER})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -267,22 +266,15 @@ def _cmd_optimize(args) -> int:
             t_star = crossover_scan(result.best, t_max=args.crossover_t_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = []
-    for step, (p, value) in enumerate(result.trace):
-        rows.append(
-            {
-                "step": step, "k": p.k, "tau": p.tau, "q": p.q,
-                "t1": p.t1, "t2": p.t2, "objective": value,
-            }
-        )
-    columns = ["step", "k", "tau", "q", "t1", "t2", "objective"]
+    rows = [
+        {"step": step, **{name: getattr(p, name) for name in PARAM_ORDER}, "objective": value}
+        for step, (p, value) in enumerate(result.trace)
+    ]
+    columns = ["step", *PARAM_ORDER, "objective"]
     _write_rows(rows, columns, "optimize", args.format, args.out)
-    best = result.best
+    best = " ".join(f"{name}={_fmt(getattr(result.best, name))}" for name in PARAM_ORDER)
     sys.stderr.write(
-        "best: "
-        f"k={_fmt(best.k)} tau={_fmt(best.tau)} q={_fmt(best.q)} "
-        f"t1={_fmt(best.t1)} t2={_fmt(best.t2)} "
-        f"objective={_fmt(result.objective_value)} "
+        f"best: {best} objective={_fmt(result.objective_value)} "
         f"evaluations={result.evaluations}\n"
     )
     if args.crossover:
@@ -346,11 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
 
     def add_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--k", type=float, default=2.0)
-        p.add_argument("--tau", type=float, default=2.0)
-        p.add_argument("--q", type=float, default=2.0)
-        p.add_argument("--t1", type=float, default=E3)
-        p.add_argument("--t2", type=float, default=E6)
+        for name in PARAM_ORDER:
+            p.add_argument(f"--{name}", type=float, default=getattr(DEFAULT_PARAMS, name))
 
     p_eval = sub.add_parser("eval", help="certified zeta' values")
     add_common(p_eval)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bounds import (
     DEFAULT_PARAMS,
@@ -23,8 +23,9 @@ from .bounds import (
     theorem2_bound,
     theorem2_coeffs,
 )
+from .numerics import geometric_grid
 
-PARAM_ORDER = ("k", "tau", "q", "t1", "t2")
+PARAM_ORDER = tuple(f.name for f in fields(BoundParams))
 
 # The search box; BoundParams accepts every point of it.
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {
@@ -38,60 +39,51 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class Objective:
-    """What to minimize over the parameter box.
-
-    kind "min_q1" minimizes the leading coefficient Q1; "min_bound_at_t"
-    minimizes the full bound at a fixed t >= e^6; "min_weighted_q"
-    minimizes a non-negative weighting of Q1..Q6.
+    """What to minimize over the parameter box: the full bound at a fixed
+    t >= e^6, or else the weighted sum of Q1..Q6 with six finite
+    non-negative weights, not all zero.  Exactly one of t and weights is
+    set.  Minimizing the leading coefficient Q1 is the weighting
+    (1, 0, 0, 0, 0, 0): Q is finite and non-negative, so the sum is Q1
+    exactly.
     """
 
-    kind: str
     t: float | None = None
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "min_q1":
-            pass
-        elif self.kind == "min_bound_at_t":
-            if self.t is None or not in_theorem_domain(self.t, 2):
+        if (self.t is None) == (self.weights is None):
+            raise ValueError("an objective takes exactly one of t and weights")
+        if self.t is not None:
+            if not in_theorem_domain(self.t, 2):
                 raise ValueError("min_bound_at_t needs t >= e^6")
-        elif self.kind == "min_weighted_q":
-            if (
-                self.weights is None
-                or len(self.weights) != 6
-                or not all(math.isfinite(w) and w >= 0 for w in self.weights)
-                or not any(w > 0 for w in self.weights)
-            ):
-                raise ValueError(
-                    "min_weighted_q needs six finite non-negative weights, "
-                    "not all zero"
-                )
-        else:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
+        elif not (
+            len(self.weights) == 6
+            and all(math.isfinite(w) and w >= 0 for w in self.weights)
+            and any(w > 0 for w in self.weights)
+        ):
+            raise ValueError(
+                "min_weighted_q needs six finite non-negative weights, not all zero"
+            )
 
     @staticmethod
     def minimize_q1() -> "Objective":
-        return Objective(kind="min_q1")
+        return Objective(weights=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @staticmethod
     def minimize_bound_at_t(t: float) -> "Objective":
-        return Objective(kind="min_bound_at_t", t=t)
+        return Objective(t=t)
 
     @staticmethod
     def minimize_weighted_q(weights: tuple[float, ...]) -> "Objective":
-        return Objective(kind="min_weighted_q", weights=tuple(weights))
+        return Objective(weights=tuple(weights))
 
     def evaluate(self, p: BoundParams) -> float:
         try:
             coeffs = theorem2_coeffs(p)
         except ValueError:
             return math.inf  # parameter corner outside the assembly's regime
-        if self.kind == "min_q1":
-            return coeffs.Q[0]
-        if self.kind == "min_bound_at_t":
-            assert self.t is not None
+        if self.t is not None:
             return theorem2_bound(self.t, p, coeffs).total
-        assert self.weights is not None
         return math.fsum(w * q for w, q in zip(self.weights, coeffs.Q))
 
 
@@ -146,12 +138,7 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
     consider({name: getattr(DEFAULT_PARAMS, name) for name in PARAM_ORDER})
 
     per_axis = 5 if budget >= 5**5 else max(2, int(budget ** (1.0 / 5.0)))
-    axes = []
-    for name in PARAM_ORDER:
-        lo, hi = DEFAULT_RANGES[name]
-        r = (hi / lo) ** (1.0 / (per_axis - 1))
-        axes.append([lo * r**i for i in range(per_axis - 1)] + [hi])
-
+    axes = [geometric_grid(*DEFAULT_RANGES[name], per_axis) for name in PARAM_ORDER]
     for combo in itertools.product(*axes):
         if evaluations >= budget:
             break
@@ -198,13 +185,13 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
 def crossover_scan(p: BoundParams, t_max: float) -> float | None:
     """Smallest t* in [e^6, t_max] where the six-shape bound drops below
     the direct-integration bound, or None if there is no crossover in
-    range.
+    range.  t_max must lie in theorem 2's domain (``in_theorem_domain``).
 
     The scan walks a geometric grid (ratio 1.1) in log t and refines the
     first sign change by bisection to width 1e-6 in log t, comparing the
     ``theorem2_bound`` and ``theorem1_bound`` totals at each probe.
     """
-    if not (t_max >= E6):
+    if not in_theorem_domain(t_max, 2):
         raise ValueError("t_max must be >= e^6")
     log_t_max = math.log(t_max)
     coeffs = theorem2_coeffs(p)

@@ -57,11 +57,7 @@ class EMConfig:
             raise ValueError(f"v must lie in [0, {_MAX_V}], got {self.v}")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        # validity half-plane of the correction formula
-        if not (point.sigma + 2 * self.v > 0):
-            raise ValueError(
-                f"sigma + 2v + 1 > 1 required (sigma={point.sigma}, v={self.v})"
-            )
+        _check_domain(point, self.v, derivative=False)
 
 
 @dataclass(frozen=True)
@@ -137,6 +133,20 @@ def _pochhammer_abs(s: complex, count: int) -> float:
     return prod
 
 
+def _check_domain(point: EvalPoint, v: int, derivative: bool) -> None:
+    """Where the closed-form remainder bounds hold (docs/remainder_bounds.md):
+    sigma > 0 at v = 0, and p = sigma + 2v - 1 > 0 at v >= 1.  The
+    derivative also divides by s + i for i < 2v, which vanishes only at
+    t = 0 with sigma a non-positive integer."""
+    if not (point.sigma > 0 if v == 0 else point.sigma + 2 * v - 1 > 0):
+        raise ValueError(
+            "the remainder bound needs sigma > 0 at v = 0 and sigma + 2v - 1 > 0 "
+            f"at v >= 1 (sigma={point.sigma}, v={v})"
+        )
+    if derivative and point.t == 0 and point.sigma <= 0 and float(point.sigma).is_integer():
+        raise ValueError(f"the derivative bound needs s + i != 0 for i < 2v (s={point.s})")
+
+
 def _remainder_bound_in_n(
     point: EvalPoint, v: int, derivative: bool
 ) -> Callable[[int], float]:
@@ -154,8 +164,10 @@ def _remainder_bound_in_n(
         derivative:  N^{-sigma} / sigma + |s| * N^{-sigma} * (log N / sigma + 1/sigma^2)
 
     Everything that does not depend on N is computed once here, so a search
-    over N costs one power (and one log) per probe.
+    over N costs one power (and one log) per probe.  The point must lie in
+    the domain of ``_check_domain``.
     """
+    _check_domain(point, v, derivative)
     s = point.s
     if v == 0:
         sigma = point.sigma
@@ -189,8 +201,6 @@ def em_remainder_bound(
         raise ValueError("em_remainder_bound requires v >= 0")
     if N < 1:
         raise ValueError("N must be positive")
-    if not (point.sigma + 2 * v > 0):
-        raise ValueError("sigma + 2v + 1 > 1 required")
     return _remainder_bound_in_n(point, v, derivative)(N)
 
 
@@ -205,6 +215,7 @@ def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedCo
     cfg.validate(point)
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
+    remainder_bound = _remainder_bound_in_n(point, cfg.v, derivative)
     s = point.s
     N = cfg.N
     logN = math.log(N)
@@ -238,7 +249,7 @@ def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedCo
         if not (math.isfinite(term.real) and math.isfinite(term.imag)):
             raise OverflowError("correction-term overflow; reduce v")
         value += term
-    trunc = _remainder_bound_in_n(point, cfg.v, derivative)(N)
+    trunc = remainder_bound(N)
     err = trunc + _phase_rounding_budget(point.t, N, rss)
     return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetabounds.cli import main
+from zetabounds.bounds import DEFAULT_PARAMS, BoundParams
+from zetabounds.cli import _bound_params, _build_parser, main
 
 
 def run_cli(args, tmp_path, name="out.csv", env_dir=None, monkeypatch=None):
@@ -50,6 +51,18 @@ class TestBoundCommand:
     def test_usage_error_below_threshold(self, tmp_path):
         code, _ = run_cli(["bound", "--t", "5", "--theorem", "1"], tmp_path)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags, params",
+        [
+            ([], DEFAULT_PARAMS),
+            (["--k", "3", "--tau", "4", "--q", "5", "--t1", "500", "--t2", "900"],
+             BoundParams(k=3.0, tau=4.0, q=5.0, t1=500.0, t2=900.0)),
+        ],
+    )
+    def test_parameter_flags_parse_to_params(self, flags, params):
+        args = _build_parser().parse_args(["bound", "--t", "1e4", *flags])
+        assert _bound_params(args) == params
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["bound", "--t-min", "500", "--t-max", "5000", "--samples", "9"]
@@ -231,6 +244,7 @@ def test_input_error_is_one_error_line(argv, tmp_path, capsys):
 HOSTILE_T = ["nan", "inf", "-inf", "0", "-7", "1e400", "2e5", "1e300", "10", "1e4", "1e5"]
 HOSTILE_COUNT = ["nan", "inf", "0", "-3", "1e400", "2.5", "1", "3"]
 HOSTILE_FLOAT = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e200", "3"]
+PARAM_FLAGS = ["--k", "--tau", "--q", "--t1", "--t2"]
 
 
 @st.composite
@@ -245,7 +259,7 @@ def cli_argv(draw):
                 argv += [flag, draw(st.sampled_from(HOSTILE_T))]
         argv += ["--samples", draw(st.sampled_from(HOSTILE_COUNT))]
         if draw(st.booleans()):
-            argv += ["--k", draw(st.sampled_from(HOSTILE_FLOAT))]
+            argv += [draw(st.sampled_from(PARAM_FLAGS)), draw(st.sampled_from(HOSTILE_FLOAT))]
         return argv
     if command == "optimize":
         # budgets of at most 12 evaluations keep a valid run near 1 ms
@@ -269,7 +283,7 @@ def cli_argv(draw):
     if command == "eval" and draw(st.booleans()):
         argv += ["--tol", draw(st.sampled_from(HOSTILE_FLOAT))]
     if command != "eval" and draw(st.booleans()):
-        argv += ["--k", draw(st.sampled_from(HOSTILE_FLOAT))]
+        argv += [draw(st.sampled_from(PARAM_FLAGS)), draw(st.sampled_from(HOSTILE_FLOAT))]
     if command != "bound" and draw(st.booleans()):
         argv += ["--theorem", draw(st.sampled_from(["1", "2", "0"]))]
     return argv

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -26,8 +27,13 @@ class TestObjective:
             Objective.minimize_weighted_q((0, 0, 0, 0, 0, 0))
         with pytest.raises(ValueError):
             Objective.minimize_weighted_q((1, -1, 0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            Objective(kind="nope")
+
+    def test_exactly_one_of_t_and_weights(self):
+        assert [f.name for f in dataclasses.fields(Objective)] == ["t", "weights"]
+        with pytest.raises(ValueError, match="exactly one of t and weights"):
+            Objective()
+        with pytest.raises(ValueError, match="exactly one of t and weights"):
+            Objective(t=1e4, weights=(1, 1, 1, 1, 1, 1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, bad):
@@ -107,6 +113,15 @@ class TestCrossoverScan:
     def test_float_max_range_matches_near_range(self):
         # both linear bounds stay finite up to the largest float
         assert crossover_scan(P0, t_max=sys.float_info.max) == crossover_scan(P0, t_max=1e6)
+
+    def test_t_max_on_the_theorem_domain(self):
+        # e^6 (1 - 5e-7) lies in theorem 2's domain, below the default
+        # parameters' crossover
+        t_max = math.exp(6.0) * (1.0 - 5e-7)
+        assert theorem2_bound(t_max, P0).total > theorem1_bound(t_max).total
+        assert crossover_scan(P0, t_max=t_max) is None
+        with pytest.raises(ValueError, match="t_max must be >= e\\^6"):
+            crossover_scan(P0, t_max=math.exp(6.0) * (1.0 - 2e-6))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import pytest
@@ -44,6 +46,22 @@ class TestLemmaSweeps:
         assert r.violations == 0
         for variant in ("2.2a", "2.2b", "2.2c", "2.2d"):
             assert variant in r.notes
+
+    def test_fanout_keeps_skip_note(self, monkeypatch):
+        # every third quadrature fails to converge; the merged report must
+        # say how many samples it left out
+        calls = itertools.count(1)
+        integrate = verify.integrate_adaptive
+
+        def flaky(*args, **kwargs):
+            result = integrate(*args, **kwargs)
+            return dataclasses.replace(result, converged=bool(next(calls) % 3))
+
+        monkeypatch.setattr(verify, "integrate_adaptive", flaky)
+        r = verify_lemma("2.2", SampleSpec(samples=16, seed=3))
+        assert r.samples == 11
+        assert "5 samples excluded (oracle did not converge)" in r.notes
+        assert r.notes.startswith("2.2a: 0 violations; 2.2b: 0 violations")
 
     def test_mid_tail_clean(self):
         r = verify_lemma("2.4", SampleSpec(samples=10, seed=4))

@@ -95,6 +95,31 @@ class TestRemainderBound:
         with pytest.raises(ValueError):
             em_remainder_bound(EvalPoint(t=1.0, sigma=0.0), N=10, v=0)
 
+    def test_domain_is_where_the_closed_form_holds(self):
+        # sigma + 2v > 0 but p = sigma + 2v - 1 <= 0: the closed form would
+        # be negative (p < 0) or divide by zero (p = 0)
+        for point in (EvalPoint(t=3.0, sigma=-3.2), EvalPoint(t=0.0, sigma=-3.0)):
+            for derivative in (False, True):
+                with pytest.raises(ValueError, match="sigma \\+ 2v - 1 > 0"):
+                    em_remainder_bound(point, N=300, v=2, derivative=derivative)
+            for evaluate in (zeta_em, zeta_prime_em):
+                with pytest.raises(ValueError, match="sigma \\+ 2v - 1 > 0"):
+                    evaluate(point, EMConfig(N=300, v=2))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, -2.0])
+    def test_derivative_needs_s_plus_i_nonzero(self, sigma):
+        # at t = 0 the derivative divides by s + i = 0; the value does not
+        point = EvalPoint(t=0.0, sigma=sigma)
+        with pytest.raises(ValueError, match="s \\+ i != 0"):
+            zeta_prime_em(point, EMConfig(N=300, v=2))
+        with pytest.raises(ValueError, match="s \\+ i != 0"):
+            em_remainder_bound(point, N=300, v=2, derivative=True)
+        em_remainder_bound(point, N=300, v=2)
+
+    def test_zeta_at_zero_is_minus_half(self):
+        r = zeta_em(EvalPoint(t=0.0, sigma=0.0), EMConfig(N=300, v=2))
+        assert abs(r.value + 0.5) <= r.error_bound
+
     def test_monotone_decreasing_in_n(self):
         s = EvalPoint(t=50.0)
         for v in (1, 3, 6):
