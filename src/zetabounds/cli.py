@@ -6,8 +6,11 @@ Numeric columns are emitted with 17 significant digits so files
 round-trip bit-exactly; re-running a command with the same inputs and
 seed produces byte-identical output.
 
-Exit codes: 0 success, 1 usage error (reported on one `error:` line),
-2 verification violation, 3 numerical non-convergence.
+Exit codes: 0 success, 1 usage error, 2 verification violation,
+3 numerical non-convergence.  Any ValueError raised while handling an
+input, by the library or by this module's own rules, is a usage error:
+`main` alone prints its message on one `error:` line and returns 1, so
+no command wraps the calls it makes.
 """
 
 from __future__ import annotations
@@ -48,15 +51,11 @@ EXIT_VIOLATION = 2
 EXIT_NONCONVERGED = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse would print the usage block and exit 2; report argument
     # errors like every other usage error instead (one line, exit 1).
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # Argument types; argparse names them in its message: "invalid finite value".
@@ -96,7 +95,7 @@ def _resolve_out(path: str | None):
     try:
         return open(path, "w", encoding="utf-8", newline="\n"), True
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_rows(rows, columns, kind, fmt, out_path) -> None:
@@ -119,26 +118,23 @@ def _write_rows(rows, columns, kind, fmt, out_path) -> None:
 def _t_values(args) -> list[float]:
     if args.t is not None:
         if args.t_min is not None or args.t_max is not None:
-            raise UsageError("pass either --t or a --t-min/--t-max range, not both")
+            raise ValueError("pass either --t or a --t-min/--t-max range, not both")
         return [args.t]
     if args.t_min is None or args.t_max is None:
-        raise UsageError("need --t or both --t-min and --t-max")
+        raise ValueError("need --t or both --t-min and --t-max")
     if not (0 < args.t_min <= args.t_max):
-        raise UsageError("need 0 < t_min <= t_max")
+        raise ValueError("need 0 < t_min <= t_max")
     return geometric_grid(args.t_min, args.t_max, args.samples)
 
 
 def _bound_params(args) -> BoundParams:
-    try:
-        return BoundParams(**{name: getattr(args, name) for name in PARAM_ORDER})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return BoundParams(**{name: getattr(args, name) for name in PARAM_ORDER})
 
 
 def _check_theorem_domain(ts: Sequence[float], theorem: int) -> None:
     for t in ts:
         if not in_theorem_domain(t, theorem):
-            raise UsageError(
+            raise ValueError(
                 f"t={t:g} below theorem-{theorem} threshold {THRESHOLD[theorem]:.6f}"
             )
 
@@ -151,11 +147,8 @@ def _cmd_eval(args) -> int:
     nonconverged = 0
     for t in sorted(ts):
         point = EvalPoint(t)
-        try:
-            cfg = default_em_config(point, tol=args.tol, for_derivative=True)
-            result = zeta_prime_em(point, cfg)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        cfg = default_em_config(point, tol=args.tol, for_derivative=True)
+        result = zeta_prime_em(point, cfg)
         if not result.converged:
             nonconverged += 1
         rows.append(
@@ -187,10 +180,7 @@ def _cmd_bound(args) -> int:
     want = {1, 2} if args.theorem is None else {args.theorem}
     if args.theorem is not None:
         _check_theorem_domain(ts, args.theorem)
-    try:
-        coeffs = theorem2_coeffs(params)
-    except ValueError as exc:  # parameters outside the assembly's regime
-        raise UsageError(str(exc)) from exc
+    coeffs = theorem2_coeffs(params)
     rows = []
     for t in sorted(ts):
         row: dict = {"t": t}
@@ -223,7 +213,7 @@ def _cmd_verify(args) -> int:
     params = _bound_params(args)
     reports = []
     if args.lemma is None and args.theorem is None:
-        raise UsageError("verify needs --lemma and/or --theorem")
+        raise ValueError("verify needs --lemma and/or --theorem")
     if args.lemma is not None:
         targets = SUPPORTED_CHECKS if args.lemma == "all" else [args.lemma]
         for check_id in targets:
@@ -231,21 +221,13 @@ def _cmd_verify(args) -> int:
                 continue  # the variants are already in the list
             ranges = {"M": (1, args.max_m)} if check_id == "4.6" else {}
             spec = SampleSpec(samples=args.samples, seed=args.seed, ranges=ranges)
-            try:
-                reports.append(verify_lemma(check_id, spec))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            reports.append(verify_lemma(check_id, spec))
     if args.theorem is not None:
         lo = args.t_min if args.t_min is not None else THRESHOLD[args.theorem]
         hi = args.t_max if args.t_max is not None else 1e4
-        try:
-            reports.append(
-                verify_theorem_envelope(
-                    args.theorem, (lo, hi), args.samples, params
-                )
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        reports.append(
+            verify_theorem_envelope(args.theorem, (lo, hi), args.samples, params)
+        )
     rows = [r.to_record() for r in reports]
     _write_rows(rows, _VERIFY_COLUMNS, "verify", args.format, args.out)
     return EXIT_VIOLATION if any(r.violations for r in reports) else EXIT_OK
@@ -253,19 +235,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_optimize(args) -> int:
     # Everything that can reject an input runs before any row is written.
-    try:
-        if args.objective == "bound-at-t":
-            t = args.t if args.t is not None else 1e4
-            obj = Objective.minimize_bound_at_t(t)
-        elif args.objective == "q1":
-            obj = Objective.minimize_q1()
-        else:
-            obj = Objective.minimize_weighted_q(args.weights)
-        result = optimize_params(obj, budget=args.budget)
-        if args.crossover:
-            t_star = crossover_scan(result.best, t_max=args.crossover_t_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.objective == "bound-at-t":
+        t = args.t if args.t is not None else 1e4
+        obj = Objective.minimize_bound_at_t(t)
+    elif args.objective == "q1":
+        obj = Objective.minimize_q1()
+    else:
+        obj = Objective.minimize_weighted_q(args.weights)
+    result = optimize_params(obj, budget=args.budget)
+    if args.crossover:
+        t_star = crossover_scan(result.best, t_max=args.crossover_t_max)
     rows = [
         {"step": step, **{name: getattr(p, name) for name in PARAM_ORDER}, "objective": value}
         for step, (p, value) in enumerate(result.trace)
@@ -288,22 +267,19 @@ def _cmd_scan(args) -> int:
     params = _bound_params(args)
     rows = []
     nonconverged = 0
-    try:
-        for t, bound, zp in envelope_points(args.theorem, sorted(ts), params):
-            if not zp.converged:
-                nonconverged += 1
-            value = abs(zp.value)
-            rows.append(
-                {
-                    "t": t,
-                    "bound": bound,
-                    "oracle": value,
-                    "slack": bound - value - zp.error_bound,
-                    "oracle_error": zp.error_bound,
-                }
-            )
-    except ValueError as exc:  # parameters outside the assembly's regime, t too large
-        raise UsageError(str(exc)) from exc
+    for t, bound, zp in envelope_points(args.theorem, sorted(ts), params):
+        if not zp.converged:
+            nonconverged += 1
+        value = abs(zp.value)
+        rows.append(
+            {
+                "t": t,
+                "bound": bound,
+                "oracle": value,
+                "slack": bound - value - zp.error_bound,
+                "oracle_error": zp.error_bound,
+            }
+        )
     columns = ["t", "bound", "oracle", "slack", "oracle_error"]
     _write_rows(rows, columns, "scan", args.format, args.out)
     return EXIT_NONCONVERGED if nonconverged else EXIT_OK
@@ -399,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    except UsageError as exc:
+    except ValueError as exc:  # a rejected input, wherever the rule lives
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except ArithmeticError as exc:

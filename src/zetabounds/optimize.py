@@ -55,14 +55,15 @@ class Objective:
             raise ValueError("an objective takes exactly one of t and weights")
         if self.t is not None:
             if not in_theorem_domain(self.t, 2):
-                raise ValueError("min_bound_at_t needs t >= e^6")
+                raise ValueError(f"the objective's t must be >= e^6, got {self.t}")
         elif not (
             len(self.weights) == 6
             and all(math.isfinite(w) and w >= 0 for w in self.weights)
             and any(w > 0 for w in self.weights)
         ):
             raise ValueError(
-                "min_weighted_q needs six finite non-negative weights, not all zero"
+                "the objective needs six finite non-negative weights, not all zero, "
+                f"got {self.weights}"
             )
 
     @staticmethod
@@ -84,7 +85,10 @@ class Objective:
             return math.inf  # parameter corner outside the assembly's regime
         if self.t is not None:
             return theorem2_bound(self.t, p, coeffs).total
-        return math.fsum(w * q for w, q in zip(self.weights, coeffs.Q))
+        try:
+            return math.fsum(w * q for w, q in zip(self.weights, coeffs.Q))
+        except OverflowError:
+            return math.inf  # the weighted sum exceeds the float range
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,7 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
     cycles the axes in the fixed order (k, tau, q, t1, t2) with
     multiplicative steps that halve after each improvement-free cycle,
     stopping below 1e-3 relative step or when the budget runs out.
+    Raises ValueError if no point the scan evaluates has a finite objective.
     """
     if budget < 10:
         raise ValueError("budget must be at least 10 evaluations")
@@ -144,8 +149,8 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
             break
         consider(dict(zip(PARAM_ORDER, combo)))
 
-    if best_p is None:  # pragma: no cover - seed always evaluates
-        raise RuntimeError("no feasible point evaluated")
+    if best_p is None:
+        raise ValueError("the objective is not finite at any point the scan evaluated")
 
     # Coordinate descent with geometric step shrinking.
     step = 0.25

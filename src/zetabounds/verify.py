@@ -177,7 +177,14 @@ def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
     return sweep.report()
 
 
-_OSC_VARIANTS = ("2.2a", "2.2b", "2.2c", "2.2d")
+# Check 2.2's integrands: kernel(t log x, 2 pi v x, sign) log x / x^{1+sigma}.
+_OSC_KERNELS: dict[str, Callable[[float, float, float], float]] = {
+    "2.2a": lambda tl, w, sign: math.sin(tl + sign * w),
+    "2.2b": lambda tl, w, sign: math.sin(tl + w) + sign * math.sin(tl - w),
+    "2.2c": lambda tl, w, sign: math.sin(tl) * math.sin(w),
+    "2.2d": lambda tl, w, sign: math.cos(tl) * math.sin(w),
+}
+_OSC_VARIANTS = tuple(_OSC_KERNELS)
 
 
 def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> VerificationReport:
@@ -185,7 +192,8 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
 
     variant a: integrand sin(t log x +/- 2 pi v x) log x / x^{1+sigma},
                bound 2 log a / (a^sigma (2 pi v a +/- t));
-    variants b, c, d: sine-combination / product forms, bound
+    variants b, c, d: the sine-combination / product kernels of
+               _OSC_KERNELS in place of the sine, bound
                8 pi v a log a / (a^sigma (4 pi^2 v^2 a^2 - t^2)).
 
     Samples respect a >= (t / 2 pi)(1 + margin) with margin >= 0.1, away
@@ -209,40 +217,14 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
             sigma = float(rng.uniform(0.0, 1.5))
             sign = 1.0 if rng.integers(0, 2) else -1.0
 
-            def phase_sin(x: float, sgn: float) -> float:
-                return math.sin(t * math.log(x) + sgn * TWO_PI * v * x)
+            def integrand(x: float, kernel=_OSC_KERNELS[variant]) -> float:
+                log_x = math.log(x)
+                return kernel(t * log_x, TWO_PI * v * x, sign) * log_x / x ** (1.0 + sigma)
 
             if variant == "2.2a":
-                def integrand(x: float) -> float:
-                    return phase_sin(x, sign) * math.log(x) / x ** (1.0 + sigma)
-
                 denom = TWO_PI * v * a + sign * t
                 bound = 2.0 * math.log(a) / (a**sigma * denom)
             else:
-                if variant == "2.2b":
-                    def integrand(x: float) -> float:
-                        return (
-                            (phase_sin(x, 1.0) + sign * phase_sin(x, -1.0))
-                            * math.log(x)
-                            / x ** (1.0 + sigma)
-                        )
-                elif variant == "2.2c":
-                    def integrand(x: float) -> float:
-                        return (
-                            math.sin(t * math.log(x))
-                            * math.sin(TWO_PI * v * x)
-                            * math.log(x)
-                            / x ** (1.0 + sigma)
-                        )
-                else:
-                    def integrand(x: float) -> float:
-                        return (
-                            math.cos(t * math.log(x))
-                            * math.sin(TWO_PI * v * x)
-                            * math.log(x)
-                            / x ** (1.0 + sigma)
-                        )
-
                 bound = (
                     8.0 * math.pi * v * a * math.log(a)
                     / (a**sigma * (4.0 * math.pi**2 * v**2 * a**2 - t * t))

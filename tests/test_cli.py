@@ -3,11 +3,16 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zetabounds
+from zetabounds import cli
 from zetabounds.bounds import DEFAULT_PARAMS, BoundParams
 from zetabounds.cli import _bound_params, _build_parser, main
 
@@ -190,8 +195,78 @@ class TestOutputRouting:
         assert main(["frobnicate"]) == 1
 
 
+# One library call per subcommand, and an argv that reaches it.
+LIBRARY_CALLS = {
+    "eval": ("zeta_prime_em", ["eval", "--t", "50"]),
+    "bound": ("theorem1_bound", ["bound", "--t", "1e4"]),
+    "verify": ("verify_lemma", ["verify", "--lemma", "2.1", "--samples", "2"]),
+    "optimize": ("optimize_params", ["optimize", "--budget", "10"]),
+    "scan": ("envelope_points", ["scan", "--t", "1e3", "--theorem", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+def test_library_value_error_is_one_error_line(command, monkeypatch, capsys):
+    # main alone turns a ValueError into a usage error, whichever call raised it
+    name, argv = LIBRARY_CALLS[command]
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, name, boom)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: boom\n"
+
+
+def _run_module(*argv):
+    env = dict(os.environ)
+    src = str(pathlib.Path(zetabounds.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "zetabounds.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point_runs():
+    result = _run_module("eval", "--t", "50")
+    assert result.returncode == 0, result.stderr
+    golden = pathlib.Path(__file__).with_name("golden") / "eval_t50.stdout"
+    assert result.stdout == golden.read_text(encoding="utf-8")
+    assert result.stderr == ""
+
+
+def test_module_entry_point_usage_error():
+    result = _run_module("eval", "--t", "nan")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_overflowing_weighted_sums_are_infeasible_points():
+    # Q1 and Q3 weighted by 1.5e307 overflow the sum at some points only;
+    # those count as infeasible, not as non-convergence (exit 3)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(OVERFLOW_SOME)
+    assert code == 0, err.getvalue()
+    assert math.isfinite(float(out.getvalue().splitlines()[-1].split(",")[-1]))
+
+
+# Weights under which every weighted Q sum overflows, or only some do.
+OVERFLOW_ALL = ["optimize", "--objective", "weighted", "--weights",
+                "1e308,1e308,1e308,1e308,1e308,1e308", "--budget", "10"]
+OVERFLOW_SOME = ["optimize", "--objective", "weighted", "--weights",
+                 "1.5e307,0,1.5e307,0,0,0", "--budget", "10"]
+
 # The message of an input error, where a test pins it.
 ERROR_MESSAGES = {
+    "optimize --objective bound-at-t --t 5": "the objective's t must be >= e^6, got 5.0",
+    " ".join(OVERFLOW_ALL): "the objective is not finite at any point the scan evaluated",
     "verify --theorem 1 --t-min 2e4": "need 0 < t_min <= t_max",
     "verify --theorem 2 --t-min 500 --t-max 100": "need 0 < t_min <= t_max",
     "verify --theorem 1 --t-max 2e5": "exceeds the certified ceiling",
@@ -227,6 +302,7 @@ ERROR_MESSAGES = {
         ["verify", "--theorem", "2", "--t-min", "500", "--t-max", "100"],
         ["verify", "--theorem", "1", "--t-max", "2e5"],
         ["verify", "--theorem", "1", "--t", "50", "--samples", "3"],
+        OVERFLOW_ALL,
     ],
 )
 def test_input_error_is_one_error_line(argv, tmp_path, capsys):
@@ -245,6 +321,10 @@ HOSTILE_T = ["nan", "inf", "-inf", "0", "-7", "1e400", "2e5", "1e300", "10", "1e
 HOSTILE_COUNT = ["nan", "inf", "0", "-3", "1e400", "2.5", "1", "3"]
 HOSTILE_FLOAT = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e200", "3"]
 PARAM_FLAGS = ["--k", "--tau", "--q", "--t1", "--t2"]
+HOSTILE_WEIGHTS = [
+    "1e308,1e308,1e308,1e308,1e308,1e308", "1.5e307,0,1.5e307,0,0,0", "1e400,1,1,1,1,1",
+    "nan,1,1,1,1,1", "0,0,0,0,0,0", "1,-1,0,0,0,0", "1,1,1", "1,0,0,0,0,0",
+]
 
 
 @st.composite
@@ -270,6 +350,8 @@ def cli_argv(draw):
             argv += ["--crossover"]
         if draw(st.booleans()):
             argv += ["--crossover-t-max", draw(st.sampled_from(HOSTILE_T))]
+        if draw(st.booleans()):
+            argv += ["--objective", "weighted", "--weights", draw(st.sampled_from(HOSTILE_WEIGHTS))]
         return argv
     span = draw(st.sampled_from(["t", "range", "none"]))
     if span == "t":
@@ -296,6 +378,8 @@ def cli_argv(draw):
 @example(argv=["optimize", "--crossover", "--crossover-t-max", "1"])
 @example(argv=["optimize", "--crossover", "--crossover-t-max", "nan"])
 @example(argv=["optimize", "--objective", "bound-at-t", "--t", "5"])
+@example(argv=OVERFLOW_ALL)
+@example(argv=OVERFLOW_SOME)
 def test_hostile_numbers_end_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -85,6 +85,10 @@ class TestOptimizeParams:
         with pytest.raises(ValueError):
             optimize_params(Objective.minimize_q1(), budget=5)
 
+    def test_overflowing_weighted_sum_is_infinite(self):
+        obj = Objective.minimize_weighted_q((1.5e307, 0, 1.5e307, 0, 0, 0))
+        assert obj.evaluate(P0) == math.inf
+
 
 class TestCrossoverScan:
     def test_exists_and_certified_at_default(self):
