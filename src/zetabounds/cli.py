@@ -234,17 +234,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    # Everything that can reject an input runs before any row is written.
+    # Everything that can reject an input runs before any row is written,
+    # including an option that the chosen objective would ignore.
+    if args.t is not None and args.objective != "bound-at-t":
+        raise ValueError("--t applies only to --objective bound-at-t")
+    if args.weights is not None and args.objective != "weighted":
+        raise ValueError("--weights applies only to --objective weighted")
+    if args.crossover_t_max is not None and not args.crossover:
+        raise ValueError("--crossover-t-max applies only with --crossover")
     if args.objective == "bound-at-t":
-        t = args.t if args.t is not None else 1e4
-        obj = Objective.minimize_bound_at_t(t)
+        obj = Objective.minimize_bound_at_t(args.t if args.t is not None else 1e4)
     elif args.objective == "q1":
         obj = Objective.minimize_q1()
     else:
-        obj = Objective.minimize_weighted_q(args.weights)
+        obj = Objective.minimize_weighted_q(
+            args.weights if args.weights is not None else (1.0,) * 6
+        )
     result = optimize_params(obj, budget=args.budget)
     if args.crossover:
-        t_star = crossover_scan(result.best, t_max=args.crossover_t_max)
+        t_max = args.crossover_t_max if args.crossover_t_max is not None else 1e30
+        t_star = crossover_scan(result.best, t_max=t_max)
     rows = [
         {"step": step, **{name: getattr(p, name) for name in PARAM_ORDER}, "objective": value}
         for step, (p, value) in enumerate(result.trace)
@@ -347,12 +356,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_opt, t_help="target t for --objective bound-at-t", with_range=False)
     p_opt.add_argument("--objective", choices=("q1", "bound-at-t", "weighted"),
                        default="bound-at-t")
-    p_opt.add_argument("--weights", type=weights, default="1,1,1,1,1,1",
-                       help="comma-separated Q weights for --objective weighted")
+    p_opt.add_argument("--weights", type=weights, default=None,
+                       help="comma-separated Q weights for --objective weighted "
+                       "(default 1,1,1,1,1,1)")
     p_opt.add_argument("--budget", type=int, default=600)
     p_opt.add_argument("--crossover", action="store_true",
                        help="also report the crossover t* for the tuned parameters")
-    p_opt.add_argument("--crossover-t-max", type=finite, default=1e30)
+    p_opt.add_argument("--crossover-t-max", type=finite, default=None,
+                       help="top of the --crossover scan (default 1e30)")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_scan = sub.add_parser(

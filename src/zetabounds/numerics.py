@@ -27,6 +27,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 EPS = math.ulp(1.0)  # 2^-52
+BERNOULLI_MAX_M = 120  # largest index bernoulli_number accepts
 
 
 def compensated_sum(terms: Iterable[float]) -> float:
@@ -120,13 +121,18 @@ def _bernoulli_exact(m: int) -> Fraction:
 
 
 def bernoulli_number(m: int) -> float:
-    """Bernoulli number B_m for even m with 2 <= m <= 60.
+    """Bernoulli number B_m for even m with 2 <= m <= BERNOULLI_MAX_M (120),
+    twice the largest Euler-Maclaurin order ``zeta.EMConfig`` accepts.
 
     Computed through the exact rational recurrence and rounded once, so
-    the result is within 1 ulp of the true value.
+    the result is within 1 ulp of the true value.  Each B_m is computed
+    on first use and cached, together with every B_k below it; a cold
+    B_120 takes milliseconds, so callers ask only for the orders they use.
     """
-    if not isinstance(m, int) or m % 2 != 0 or not (2 <= m <= 60):
-        raise ValueError(f"bernoulli_number requires even m in [2, 60], got {m!r}")
+    if not isinstance(m, int) or m % 2 != 0 or not (2 <= m <= BERNOULLI_MAX_M):
+        raise ValueError(
+            f"bernoulli_number requires even m in [2, {BERNOULLI_MAX_M}], got {m!r}"
+        )
     return float(_bernoulli_exact(m))
 
 

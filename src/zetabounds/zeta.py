@@ -13,17 +13,26 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from itertools import count, islice
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import EPS, bernoulli_number, compensated_complex_sum
+from .numerics import BERNOULLI_MAX_M, EPS, bernoulli_number, compensated_complex_sum
 
 # Certified-evaluation ceiling; the truncation index never exceeds 8|t| <= 8e5
-# terms, and at the default tol it is about 0.37|t|.
+# terms, and at the default tol it falls from about 0.34|t| at t = 1e3 to
+# 0.19|t| at t = 1e5 (docs/remainder_bounds.md, "Choosing N and v").
 T_CEILING = 1.0e5
-_MAX_V = 15  # largest correction order EMConfig accepts
+_MAX_V = BERNOULLI_MAX_M // 2  # largest correction order EMConfig accepts (60)
+_START_V = 15  # default_em_config's first order; see its docstring
+# The time of one more correction order, in power-sum terms (measured;
+# docs/remainder_bounds.md): default_em_config raises v only while the
+# saved terms outweigh it.
+_COST_PER_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -74,26 +83,67 @@ class CertifiedComplex:
 def default_em_config(
     point: EvalPoint, tol: float = 1e-9, for_derivative: bool = False
 ) -> EMConfig:
-    """The smallest truncation index N in [64, cap] whose remainder bound at
-    correction order v = 15 meets ``tol``, with cap = max(ceil(8|t|), 64).
+    """The cheapest (N, v) whose remainder bound meets ``tol``, under the
+    cost model N + _COST_PER_ORDER * v (docs/remainder_bounds.md).
 
-    The bound (the derivative's when the config will feed zeta_prime_em)
-    decreases in N, and v = 15, the largest order ``EMConfig`` allows, gives
-    the smallest such N.  If even the cap misses ``tol`` the config is
-    (cap, 15) and the evaluation reports itself non-converged.
+    N is the smallest truncation index in [64, cap] meeting ``tol`` at
+    order v, with cap = max(ceil(8|t|), 64).  The search starts from the
+    smallest such N at v = 15 and raises v one order at a time while the
+    cost falls, so it never returns a config dearer than the v = 15 one.
+    The bound is the derivative's when the config will feed
+    zeta_prime_em.  If even the cap misses ``tol`` at v = 15 the config
+    is (cap, 15) and the evaluation reports itself non-converged.
     """
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
+    _check_domain(point, _START_V, for_derivative)
     cap = max(math.ceil(8 * abs(point.t)), 64)
-    bound = _remainder_bound_in_n(point, _MAX_V, for_derivative)
-    lo, hi = 64, cap  # the smallest N meeting tol, if any, lies in [lo, hi]
+    sums = _pochhammer_sums(point.s)
+    v = _START_V
+    log_pi, habs = next(islice(sums, v - 1, None))
+    bound = _bound_in_n(point.sigma, v, log_pi, habs, for_derivative)
+    N = _smallest_n(bound, tol, 64, cap)
+    if bound(N) > tol:  # even the cap misses tol
+        return EMConfig(N=N, v=v, tol=tol)
+    # Raise v while the cost falls.  The smallest N at order v + 1 solves
+    # log N = (log K - log(p tol) + log(H + 1/p + log N)) / p (the value's
+    # bound drops the last log); two fixed-point steps from the last log N
+    # leave it well under one term off, since each shrinks the error by
+    # 1 / (p (H + 1/p + log N)) < 1/30.
+    x = math.log(N)
+    log_tol = math.log(tol)
+    for v_next, (pi_next, h_next) in enumerate(sums, start=v + 1):
+        hi = N - _COST_PER_ORDER - 1  # order v + 1 must need at most hi terms
+        if v_next > _MAX_V or hi < 64:
+            break
+        log_k, p, shift = _bound_constants(point.sigma, v_next, pi_next, h_next)
+        a = log_k - math.log(p) - log_tol
+        y = x
+        for _ in range(2):
+            y = (a + math.log(shift + y)) / p if for_derivative else a / p
+        estimate = max(64, math.ceil(math.exp(y)))
+        if estimate > hi:
+            break
+        N, v, x, log_pi, habs = estimate, v_next, y, pi_next, h_next
+    if v > _START_V:  # settle the estimate with the bound _truncated uses
+        bound = _bound_in_n(point.sigma, v, log_pi, habs, for_derivative)
+        while bound(N) > tol:
+            N += 1
+        while N > 64 and bound(N - 1) <= tol:
+            N -= 1
+    return EMConfig(N=N, v=v, tol=tol)
+
+
+def _smallest_n(bound: Callable[[int], float], tol: float, lo: int, hi: int) -> int:
+    """The smallest N in [lo, hi] with bound(N) <= tol, or hi if none is;
+    ``bound`` must decrease in N."""
     while lo < hi:
         mid = (lo + hi) // 2
         if bound(mid) <= tol:
             hi = mid
         else:
             lo = mid + 1
-    return EMConfig(N=lo, v=_MAX_V, tol=tol)
+    return lo
 
 
 def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
@@ -125,12 +175,33 @@ def _phase_rounding_budget(t: float, N: int, rss: float) -> float:
     return 8.0 * EPS * (abs(t) * math.log(max(N, 2)) + 4.0) * rss
 
 
-def _pochhammer_abs(s: complex, count: int) -> float:
-    """prod_{i=0}^{count-1} |s + i| (count >= 1)."""
-    prod = 1.0
-    for i in range(count):
-        prod *= abs(s + i)
-    return prod
+@lru_cache(maxsize=None)
+def _correction_ratio(j: int) -> float:
+    """B_{2j} / (B_{2j-2} (2j)(2j-1)) (B_0 = 1), the ratio of B_{2j}/(2j)!
+    to B_{2j-2}/(2j-2)!; computed on first use, so only the orders a
+    caller reaches cost a Bernoulli number."""
+    prev = bernoulli_number(2 * j - 2) if j > 1 else 1.0
+    return bernoulli_number(2 * j) / prev / (2 * j * (2 * j - 1))
+
+
+@lru_cache(maxsize=None)
+def _log_bernoulli_factor(v: int) -> float:
+    """log(|B_{2v}| / (2v)!)."""
+    return math.log(abs(bernoulli_number(2 * v))) - math.log(math.factorial(2 * v))
+
+
+def _pochhammer_sums(s: complex) -> Iterator[tuple[float, float]]:
+    """Yield sum_{i<2v} log|s+i| and sum_{i<2v} 1/|s+i| for v = 1, 2, ...
+    Once some s + i = 0 they are -inf (the product is 0) and inf."""
+    log_pi = habs = 0.0
+    for i in count(0, 2):
+        a, b = abs(s + i), abs(s + (i + 1))
+        if a and b:
+            log_pi += math.log(a * b)
+            habs += 1.0 / a + 1.0 / b
+        else:
+            log_pi, habs = -math.inf, math.inf
+        yield log_pi, habs
 
 
 def _check_domain(point: EvalPoint, v: int, derivative: bool) -> None:
@@ -158,30 +229,57 @@ def _remainder_bound_in_n(
         remainder:   K * N^{-p} / p
         derivative:  K * N^{-p} / p * (H + log N + 1/p)
 
+    K * N^{-p} is formed as exp(log K - p log N), since K alone overflows
+    at high order (|s|^119 ~ 1e595 at t = 1e5, v = 60).
+
     For v = 0 the kernel is the fractional part, bounded by 1 (sigma > 0):
 
         remainder:   |s| * N^{-sigma} / sigma
         derivative:  N^{-sigma} / sigma + |s| * N^{-sigma} * (log N / sigma + 1/sigma^2)
 
     Everything that does not depend on N is computed once here, so a search
-    over N costs one power (and one log) per probe.  The point must lie in
+    over N costs one exp (and one log) per probe.  The point must lie in
     the domain of ``_check_domain``.
     """
     _check_domain(point, v, derivative)
-    s = point.s
     if v == 0:
-        sigma = point.sigma
+        s, sigma = point.s, point.sigma
         if not derivative:
             return lambda N: abs(s) * N ** (-sigma) / sigma
         return lambda N: N ** (-sigma) / sigma + abs(s) * (
             N ** (-sigma) * (math.log(N) / sigma + 1.0 / sigma**2)
         )
-    p = point.sigma + 2 * v - 1  # decay exponent of the integrated tail
-    k = _pochhammer_abs(s, 2 * v) * abs(bernoulli_number(2 * v)) / math.factorial(2 * v)
-    if not derivative:
-        return lambda N: k * N ** (-p) / p
-    shift = sum(1.0 / abs(s + i) for i in range(2 * v)) + 1.0 / p
-    return lambda N: k * N ** (-p) / p * (shift + math.log(N))
+    sums = next(islice(_pochhammer_sums(point.s), v - 1, None))
+    return _bound_in_n(point.sigma, v, *sums, derivative)
+
+
+def _bound_constants(
+    sigma: float, v: int, log_pi: float, habs: float
+) -> tuple[float, float, float]:
+    """log K, p and H + 1/p of the order-v bound, from
+    log_pi = sum_{i<2v} log|s+i| and habs = H."""
+    p = sigma + 2 * v - 1
+    return log_pi + _log_bernoulli_factor(v), p, habs + 1.0 / p
+
+
+def _bound_in_n(
+    sigma: float, v: int, log_pi: float, habs: float, derivative: bool
+) -> Callable[[int], float]:
+    """The v >= 1 bound of ``_remainder_bound_in_n``; inf where
+    K N^{-p} overflows."""
+    log_k, p, shift = _bound_constants(sigma, v, log_pi, habs)
+
+    def bound(N: int) -> float:
+        log_n = math.log(N)
+        x = log_k - p * log_n
+        if x >= _LOG_MAX:
+            return math.inf
+        return math.exp(x) / p * (shift + log_n) if derivative else math.exp(x) / p
+
+    return bound
+
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def em_remainder_bound(
@@ -204,13 +302,63 @@ def em_remainder_bound(
     return _remainder_bound_in_n(point, v, derivative)(N)
 
 
+def _corrections(
+    s: complex, N: int, n_pow: complex, v: int, derivative: bool
+) -> tuple[complex, float]:
+    """The sum of the order-1..v corrections of ``zeta_em`` (of their
+    s-derivatives, with ``derivative``) and a bound on its rounding error.
+
+    The order-j value correction is
+    base_j = B_2j/(2j)! s(s+1)...(s+2j-2) N^{1-2j} N^{-s}, the running
+    product of base_0 = N N^{-s} and the ratios
+    base_j / base_{j-1} = _correction_ratio(j) (s+2j-3)(s+2j-2) / N^2
+    (s alone at j = 1), so no |s|^{2j} is ever formed.  The derivative
+    correction is base_j (harm_j - log N), harm_j = sum_{i<2j-1} 1/(s+i).
+    base_j is off by at most 7 j eps relative and the derivative term by
+    16 j eps |base_j| (H_j + log N), H_j = sum_{i<2j-1} 1/|s+i|; summing
+    v terms adds v eps times each modulus (docs/remainder_bounds.md).
+    ``n_pow`` = N^{-s} is taken as given.
+    """
+    logN = math.log(N)
+    n2 = float(N * N)
+    base = N * n_pow
+    total = harm = 0j
+    habs = rounding = 0.0
+    for j in range(1, v + 1):
+        a = s + (2 * j - 2)
+        step = _correction_ratio(j) / n2
+        if j == 1:
+            base *= step * a
+        else:
+            b = a - 1
+            base *= step * (b * a)
+            if derivative:
+                inv = 1.0 / b
+                harm += inv
+                habs += abs(inv)
+        if derivative:
+            inv = 1.0 / a
+            harm += inv
+            habs += abs(inv)
+            term = base * (harm - logN)
+            mag = abs(base) * (habs + logN)
+        else:
+            term = base
+            mag = abs(base)
+        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            raise OverflowError("correction-term overflow; reduce v")
+        total += term
+        rounding += (16 * j + v) * mag
+    return total, EPS * rounding
+
+
 def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedComplex:
     """The corrected truncation of zeta(s), or its term-wise s-derivative.
 
-    The error bound is the truncation remainder plus the phase-rounding
-    budget of the power sum (``_phase_rounding_budget``); the summation
-    itself is correctly rounded, so its error (half an ulp per part) is
-    left out.
+    The error bound is the truncation remainder, plus the phase-rounding
+    budget of the power sum (``_phase_rounding_budget``), plus the rounding
+    bound of the corrections (``_corrections``); the summation itself is
+    correctly rounded, so its error (half an ulp per part) is left out.
     """
     cfg.validate(point)
     if abs(point.t) > T_CEILING:
@@ -227,30 +375,10 @@ def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedCo
         value += -0.5 * logN * n_pow
     else:
         value = head + N * n_pow / (s - 1) + 0.5 * n_pow
-    # Order j needs poch = s(s+1)...(s+2j-2) and, for the derivative,
-    # harm = sum_{i<2j-1} 1/(s+i).  Both are carried from order j-1 and
-    # extended by i = 2j-3, 2j-2 (by i = 0 for j = 1): O(v) work, not O(v^2).
-    poch = 1.0 + 0.0j
-    harm = 0.0
-    for j in range(1, cfg.v + 1):
-        for i in range(max(2 * j - 3, 0), 2 * j - 1):
-            poch *= s + i
-            if derivative:
-                harm += 1.0 / (s + i)
-        # d/ds (poch * N^{-s}) over N^{-s}
-        coef = poch * harm - poch * logN if derivative else poch
-        term = (
-            bernoulli_number(2 * j)
-            / math.factorial(2 * j)
-            * coef
-            * N ** (1 - 2 * j)
-            * n_pow
-        )
-        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-            raise OverflowError("correction-term overflow; reduce v")
-        value += term
+    corrections, rounding = _corrections(s, N, n_pow, cfg.v, derivative)
+    value += corrections
     trunc = remainder_bound(N)
-    err = trunc + _phase_rounding_budget(point.t, N, rss)
+    err = trunc + _phase_rounding_budget(point.t, N, rss) + rounding
     return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
 
 

@@ -275,6 +275,15 @@ ERROR_MESSAGES = {
     "verify --lemma 2.1 --seed -1": "seed must be a non-negative integer",
     # verify sweeps a range; a single --t is not one of its options
     "verify --theorem 1 --t 50 --samples 3": "ambiguous option: --t could match --t-min",
+    # optimize rejects an option that the chosen objective would ignore
+    "optimize --objective q1 --t 5": "--t applies only to --objective bound-at-t",
+    "optimize --objective weighted --t 1e4": "--t applies only to --objective bound-at-t",
+    "optimize --weights 1,1,1,1,1,1": "--weights applies only to --objective weighted",
+    "optimize --objective q1 --weights 0,0,0,0,0,0":
+        "--weights applies only to --objective weighted",
+    "optimize --crossover-t-max 1": "--crossover-t-max applies only with --crossover",
+    "optimize --crossover-t-max 1e30 --budget 10":
+        "--crossover-t-max applies only with --crossover",
 }
 
 
@@ -303,6 +312,12 @@ ERROR_MESSAGES = {
         ["verify", "--theorem", "1", "--t-max", "2e5"],
         ["verify", "--theorem", "1", "--t", "50", "--samples", "3"],
         OVERFLOW_ALL,
+        ["optimize", "--objective", "q1", "--t", "5"],
+        ["optimize", "--objective", "weighted", "--t", "1e4"],
+        ["optimize", "--weights", "1,1,1,1,1,1"],
+        ["optimize", "--objective", "q1", "--weights", "0,0,0,0,0,0"],
+        ["optimize", "--crossover-t-max", "1"],
+        ["optimize", "--crossover-t-max", "1e30", "--budget", "10"],
     ],
 )
 def test_input_error_is_one_error_line(argv, tmp_path, capsys):
@@ -388,3 +403,24 @@ def test_hostile_numbers_end_in_an_exit_code(argv):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "implicit, explicit",
+    [
+        (["optimize", "--objective", "weighted", "--budget", "10"],
+         ["optimize", "--objective", "weighted", "--weights", "1,1,1,1,1,1", "--budget", "10"]),
+        (["optimize", "--crossover", "--budget", "10"],
+         ["optimize", "--crossover", "--crossover-t-max", "1e30", "--budget", "10"]),
+    ],
+)
+def test_optimize_defaults_apply_only_where_used(implicit, explicit):
+    # --weights and --crossover-t-max default to None so that a stray one
+    # can be rejected; where they apply, their documented defaults hold
+    outputs = []
+    for argv in (implicit, explicit):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0, err.getvalue()
+        outputs.append((out.getvalue(), err.getvalue()))
+    assert outputs[0] == outputs[1]

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from zetabounds.numerics import (
     _CHUNK,
     _EXACT_MIN_TERMS,
+    BERNOULLI_MAX_M,
     EPS,
     QuadratureResult,
     bernoulli_number,
@@ -19,6 +20,7 @@ from zetabounds.numerics import (
     integrate_adaptive,
 )
 from zetabounds import numerics, zeta
+from zetabounds.zeta import _MAX_V
 
 
 class TestCompensatedSum:
@@ -205,8 +207,17 @@ class TestBernoulli:
             mine = bernoulli_number(m)
             assert mine == pytest.approx(float(exact), rel=4 * EPS), m
 
+    def test_against_mpmath_up_to_cap(self):
+        # every order EMConfig accepts needs B_2 .. B_{2 _MAX_V}; each is
+        # the correctly rounded exact value
+        mpmath = pytest.importorskip("mpmath")
+        assert BERNOULLI_MAX_M == 2 * _MAX_V
+        with mpmath.workdps(60):
+            for m in range(2, BERNOULLI_MAX_M + 1, 2):
+                assert bernoulli_number(m) == float(mpmath.bernoulli(m)), m
+
     def test_domain_errors(self):
-        for bad in (1, 3, 0, -2, 62, 2.0):
+        for bad in (1, 3, 0, -2, 2 * _MAX_V + 2, 2.0):
             with pytest.raises(ValueError):
                 bernoulli_number(bad)
 

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from zetabounds import numerics, zeta
 from zetabounds.numerics import geometric_grid
 from zetabounds.zeta import (
+    _COST_PER_ORDER,
+    _MAX_V,
     CertifiedComplex,
     EMConfig,
     EvalPoint,
@@ -68,7 +71,7 @@ class TestZetaEm:
         with pytest.raises(ValueError):
             EMConfig(N=1, v=2).validate(S2)
         with pytest.raises(ValueError):
-            EMConfig(N=10, v=16).validate(S2)
+            EMConfig(N=10, v=_MAX_V + 1).validate(S2)
         with pytest.raises(ValueError):
             EMConfig(N=10, v=2, tol=0.0).validate(S2)
 
@@ -177,6 +180,19 @@ class TestZetaPrimeEm:
         assert abs(em.value - table[-1]) < 1e-9
 
 
+def smallest_n_at(point, v, tol, derivative):
+    """The smallest N in [64, max(ceil(8|t|), 64)] whose order-v bound
+    meets tol, by bisection on em_remainder_bound; the cap if none does."""
+    lo, hi = 64, max(math.ceil(8 * abs(point.t)), 64)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if em_remainder_bound(point, mid, v, derivative) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class TestDefaultEmConfig:
     @pytest.mark.parametrize("for_derivative", [False, True])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -184,19 +200,100 @@ class TestDefaultEmConfig:
         def bound(point, N, v):
             return em_remainder_bound(point, N, v, derivative=for_derivative)
 
-        for t in (0.0, 10.0, 170.0, 1234.5, 1e4, 99999.9, 1e5):
+        for t in (0.0, 10.0, 170.0, 1234.5, 3e3, 1e4, 3e4, 99999.9, 1e5):
             point = EvalPoint(t)
             cfg = default_em_config(point, tol, for_derivative)
+            assert 15 <= cfg.v <= _MAX_V, t
             assert bound(point, cfg.N, cfg.v) <= tol, t
             if cfg.N > 64:
-                # no correction order lets one term fewer meet tol
-                assert all(bound(point, cfg.N - 1, v) > tol for v in range(1, 16)), t
+                # N is the smallest that meets tol at the chosen order
+                assert bound(point, cfg.N - 1, cfg.v) > tol, t
+            # and the config costs no more than the v = 15 one
+            n15 = smallest_n_at(point, 15, tol, for_derivative)
+            assert cfg.N + _COST_PER_ORDER * cfg.v <= n15 + _COST_PER_ORDER * 15, t
+
+    @pytest.mark.parametrize("t, n", [(50.0, 64), (1e3, 340)])
+    def test_low_t_keeps_order_15(self, t, n):
+        # below t ~ 2e3 one more order saves fewer terms than it costs
+        cfg = default_em_config(EvalPoint(t), for_derivative=True)
+        assert (cfg.N, cfg.v) == (n, 15)
+
+    def test_high_t_raises_the_order(self):
+        # the cost model's gains: N at most 0.2 t from t = 3.5e4 up, and the
+        # top order at the ceiling (where v = 15 needs 37,430 terms)
+        for t in np.geomspace(3.5e4, 1e5, 12):
+            cfg = default_em_config(EvalPoint(t), for_derivative=True)
+            assert cfg.N <= 0.2 * t, t
+        cfg = default_em_config(EvalPoint(1e5), for_derivative=True)
+        assert (cfg.N, cfg.v) == (19_417, _MAX_V)
+
+    def test_low_t_reads_no_high_bernoulli_number(self):
+        # only the orders the walk reaches cost a Bernoulli number: at
+        # t = 100 and e^6 (the benchmark warm-ups) nothing past B_32
+        caches = (numerics._bernoulli_exact, zeta._correction_ratio, zeta._log_bernoulli_factor)
+        for cache in caches:
+            cache.cache_clear()
+        for t in (100.0, math.exp(6.0)):
+            point = EvalPoint(t)
+            zeta_prime_em(point, default_em_config(point, for_derivative=True))
+        assert max(numerics._bernoulli_exact.cache_info().currsize - 1, 0) <= 32
 
     def test_cap_fallback_reports_nonconverged(self):
         point = EvalPoint(t=10.0)
         cfg = default_em_config(point, tol=1e-300, for_derivative=True)
         assert (cfg.N, cfg.v) == (80, 15)
         assert not zeta_prime_em(point, cfg).converged
+
+
+class TestCorrections:
+    def test_top_order_at_the_ceiling(self):
+        # at t = 1e5, v = 60 the Pochhammer product alone is ~1e595: the
+        # ratio recurrence and the log-space bound keep every value finite
+        mpmath = pytest.importorskip("mpmath")
+        point = EvalPoint(1e5)
+        r = zeta_prime_em(point, EMConfig(N=19_417, v=_MAX_V))
+        assert r.converged and math.isfinite(r.error_bound)
+        with mpmath.workdps(30):
+            exact = mpmath.zeta(mpmath.mpc(0.5, 1e5), derivative=1)
+            assert float(abs(mpmath.mpc(r.value) - exact)) <= r.error_bound
+
+    def test_rounding_term_is_part_of_the_radius(self):
+        for t, N, v in ((10.0, 64, 15), (1e3, 340, 15), (1e4, 2346, 30)):
+            point = EvalPoint(t)
+            s = point.s
+            r = zeta_prime_em(point, EMConfig(N=N, v=v))
+            _, rss = zeta._power_sums(s, N, log_weighted=True)
+            n_pow = cmath.exp(-s * math.log(N))
+            _, rounding = zeta._corrections(s, N, n_pow, v, derivative=True)
+            assert rounding > 0
+            trunc = em_remainder_bound(point, N, v, derivative=True)
+            assert r.error_bound == trunc + zeta._phase_rounding_budget(t, N, rss) + rounding
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize(
+        "t, sigma, N, v",
+        [(0.0, 2.0, 50, 5), (25.0, 0.5, 64, 15), (1e3, 0.5, 340, 15),
+         (1e4, 0.5, 2346, 30), (1e5, 0.5, 19_417, _MAX_V), (3.0, -3.2, 300, 4)],
+    )
+    def test_rounding_bound_covers_the_recurrence(self, t, sigma, N, v, derivative):
+        # the same corrections in 50-digit arithmetic from the same N^{-s}:
+        # sum_j B_2j/(2j)! s(s+1)...(s+2j-2) N^{1-2j} N^{-s} [* (harm_j - log N)]
+        mpmath = pytest.importorskip("mpmath")
+        s = complex(sigma, t)
+        n_pow = cmath.exp(-s * math.log(N))
+        total, rounding = zeta._corrections(s, N, n_pow, v, derivative)
+        with mpmath.workdps(50):
+            sm, logn = mpmath.mpc(s), mpmath.log(N)
+            exact, poch, harm = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpc(0)
+            for j in range(1, v + 1):
+                for i in range(max(2 * j - 3, 0), 2 * j - 1):
+                    poch *= sm + i
+                    harm += 1 / (sm + i)
+                term = (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * poch
+                        * mpmath.mpf(N) ** (1 - 2 * j) * mpmath.mpc(n_pow))
+                exact += term * (harm - logn) if derivative else term
+            err = float(abs(mpmath.mpc(total) - exact))
+        assert err <= rounding, (err, rounding)
 
 
 # mpmath at 30 digits is independent of both routes; its own error is far
