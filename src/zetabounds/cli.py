@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .bounds import (
@@ -128,7 +129,17 @@ def _t_values(args) -> list[float]:
 
 
 def _bound_params(args) -> BoundParams:
-    return BoundParams(**{name: getattr(args, name) for name in PARAM_ORDER})
+    """The default theorem-2 parameters, overridden by the flags given; a flag
+    is an error where the run prints no theorem-2 figure (`bound --theorem 1`
+    without --trace, `verify` or `scan` without --theorem 2)."""
+    given = {name: getattr(args, name) for name in PARAM_ORDER}
+    given = {name: value for name, value in given.items() if value is not None}
+    used = args.theorem == 2 or (
+        args.command == "bound" and (args.theorem is None or args.trace)
+    )
+    if given and not used:
+        raise ValueError(f"--{next(iter(given))} applies only to theorem 2")
+    return replace(DEFAULT_PARAMS, **given)
 
 
 def _check_theorem_domain(ts: Sequence[float], theorem: int) -> None:
@@ -210,18 +221,27 @@ _VERIFY_COLUMNS = [
 
 
 def _cmd_verify(args) -> int:
-    params = _bound_params(args)
-    reports = []
+    # Everything that can reject an input runs before any check, including
+    # an option that the chosen checks would ignore.
     if args.lemma is None and args.theorem is None:
         raise ValueError("verify needs --lemma and/or --theorem")
-    if args.lemma is not None:
-        targets = SUPPORTED_CHECKS if args.lemma == "all" else [args.lemma]
-        for check_id in targets:
-            if check_id == "2.2" and args.lemma == "all":
-                continue  # the variants are already in the list
-            ranges = {"M": (1, args.max_m)} if check_id == "4.6" else {}
-            spec = SampleSpec(samples=args.samples, seed=args.seed, ranges=ranges)
-            reports.append(verify_lemma(check_id, spec))
+    targets = [] if args.lemma is None else [args.lemma]
+    if args.lemma == "all":  # the 2.2 variants are already in the list
+        targets = [check_id for check_id in SUPPORTED_CHECKS if check_id != "2.2"]
+    if args.max_m is not None and "4.6" not in targets:
+        raise ValueError("--max-m applies only to check 4.6")
+    if args.seed is not None and args.lemma is None:
+        raise ValueError("--seed applies only with --lemma")
+    if (args.t_min is not None or args.t_max is not None) and args.theorem is None:
+        raise ValueError("--t-min and --t-max apply only with --theorem")
+    params = _bound_params(args)
+    max_m = args.max_m if args.max_m is not None else 10000
+    seed = args.seed if args.seed is not None else 0
+    reports = []
+    for check_id in targets:
+        ranges = {"M": (1, max_m)} if check_id == "4.6" else {}
+        spec = SampleSpec(samples=args.samples, seed=seed, ranges=ranges)
+        reports.append(verify_lemma(check_id, spec))
     if args.theorem is not None:
         lo = args.t_min if args.t_min is not None else THRESHOLD[args.theorem]
         hi = args.t_max if args.t_max is not None else 1e4
@@ -324,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_params(p: argparse.ArgumentParser) -> None:
         for name in PARAM_ORDER:
-            p.add_argument(f"--{name}", type=float, default=getattr(DEFAULT_PARAMS, name))
+            p.add_argument(f"--{name}", type=float, default=None,
+                           help=f"theorem 2 only (default {getattr(DEFAULT_PARAMS, name):g})")
 
     p_eval = sub.add_parser("eval", help="certified zeta' values")
     add_common(p_eval)
@@ -347,9 +368,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lemma", default=None,
                           help=f"check id ({', '.join(SUPPORTED_CHECKS)}) or 'all'")
     p_verify.add_argument("--theorem", type=int, choices=(1, 2), default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--max-m", type=positive, default=10000,
-                          help="top of the exhaustive M range for check 4.6 (at most 1e8)")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed of the --lemma samples (default 0)")
+    p_verify.add_argument("--max-m", type=positive, default=None,
+                          help="top of the exhaustive M range for check 4.6 "
+                          "(default 10000, at most 1e8)")
     p_verify.set_defaults(func=_cmd_verify, samples=50)
 
     p_opt = sub.add_parser("optimize", help="tune the free parameters")

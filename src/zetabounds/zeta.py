@@ -29,9 +29,8 @@ from .numerics import BERNOULLI_MAX_M, EPS, bernoulli_number, compensated_comple
 T_CEILING = 1.0e5
 _MAX_V = BERNOULLI_MAX_M // 2  # largest correction order EMConfig accepts (60)
 _START_V = 15  # default_em_config's first order; see its docstring
-# The time of one more correction order, in power-sum terms (measured;
-# docs/remainder_bounds.md): default_em_config raises v only while the
-# saved terms outweigh it.
+# The time of one more correction order in power-sum terms (measured, see
+# docs/remainder_bounds.md); default_em_config raises v while it saves more.
 _COST_PER_ORDER = 32
 
 
@@ -59,14 +58,17 @@ class EMConfig:
     v: int
     tol: float = 1e-9
 
-    def validate(self, point: EvalPoint) -> None:
+    def __post_init__(self) -> None:
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
-        if not (0 <= self.v <= _MAX_V):
-            raise ValueError(f"v must lie in [0, {_MAX_V}], got {self.v}")
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
-        _check_domain(point, self.v, derivative=False)
+        if not (1 <= self.v <= _MAX_V):
+            raise ValueError(f"v must lie in [1, {_MAX_V}], got {self.v}")
+        _check_tol(self.tol)
+
+
+def _check_tol(tol: float) -> None:
+    if not (0 < tol < math.inf):
+        raise ValueError("tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -87,63 +89,51 @@ def default_em_config(
     cost model N + _COST_PER_ORDER * v (docs/remainder_bounds.md).
 
     N is the smallest truncation index in [64, cap] meeting ``tol`` at
-    order v, with cap = max(ceil(8|t|), 64).  The search starts from the
-    smallest such N at v = 15 and raises v one order at a time while the
-    cost falls, so it never returns a config dearer than the v = 15 one.
-    The bound is the derivative's when the config will feed
-    zeta_prime_em.  If even the cap misses ``tol`` at v = 15 the config
-    is (cap, 15) and the evaluation reports itself non-converged.
+    order v, with cap = max(ceil(8|t|), 64).  The walk estimates that N
+    from v = 15 up while the cost falls, so it never returns a config
+    dearer than the v = 15 one, and settles the last N taken exactly.  The
+    bound is the derivative's when the config will feed zeta_prime_em.  If
+    no N up to the cap meets ``tol`` at v = 15 the config is (cap, 15) and
+    the evaluation reports itself non-converged.
     """
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
+    _check_tol(tol)
     _check_domain(point, _START_V, for_derivative)
     cap = max(math.ceil(8 * abs(point.t)), 64)
-    sums = _pochhammer_sums(point.s)
-    v = _START_V
-    log_pi, habs = next(islice(sums, v - 1, None))
-    bound = _bound_in_n(point.sigma, v, log_pi, habs, for_derivative)
-    N = _smallest_n(bound, tol, 64, cap)
-    if bound(N) > tol:  # even the cap misses tol
-        return EMConfig(N=N, v=v, tol=tol)
-    # Raise v while the cost falls.  The smallest N at order v + 1 solves
-    # log N = (log K - log(p tol) + log(H + 1/p + log N)) / p (the value's
-    # bound drops the last log); two fixed-point steps from the last log N
-    # leave it well under one term off, since each shrinks the error by
-    # 1 / (p (H + 1/p + log N)) < 1/30.
-    x = math.log(N)
-    log_tol = math.log(tol)
-    for v_next, (pi_next, h_next) in enumerate(sums, start=v + 1):
-        hi = N - _COST_PER_ORDER - 1  # order v + 1 must need at most hi terms
-        if v_next > _MAX_V or hi < 64:
+    # The smallest N at order v solves log N = (log K - log(p tol) + log(H +
+    # 1/p + log N)) / p, the value's without the last log.  Each fixed-point
+    # step shrinks the error by 1 / (p (H + 1/p + log N)) < 1/30: four from
+    # log(cap) at v = 15, then two from the last estimate.
+    log_tol, log_cap = math.log(tol), math.log(cap)
+    hi, y, steps = cap, log_cap, 4  # order v must need at most hi terms
+    taken = None
+    sums = islice(_pochhammer_sums(point.s), _START_V - 1, None)
+    for v, (log_pi, habs) in enumerate(sums, start=_START_V):
+        if v > _MAX_V or hi < 64:
             break
-        log_k, p, shift = _bound_constants(point.sigma, v_next, pi_next, h_next)
+        log_k, p, shift = _bound_constants(point.sigma, v, log_pi, habs)
         a = log_k - math.log(p) - log_tol
-        y = x
-        for _ in range(2):
+        for _ in range(steps):
             y = (a + math.log(shift + y)) / p if for_derivative else a / p
+            if y < 0.0:  # keeps log(shift + y) defined; the estimate is 64 either way
+                y = 0.0
+        if y > log_cap:  # hi <= cap; before exp, which overflows near sigma = -29
+            break
         estimate = max(64, math.ceil(math.exp(y)))
         if estimate > hi:
             break
-        N, v, x, log_pi, habs = estimate, v_next, y, pi_next, h_next
-    if v > _START_V:  # settle the estimate with the bound _truncated uses
-        bound = _bound_in_n(point.sigma, v, log_pi, habs, for_derivative)
-        while bound(N) > tol:
-            N += 1
-        while N > 64 and bound(N - 1) <= tol:
-            N -= 1
+        N, taken = estimate, (v, log_pi, habs)
+        hi, steps = N - _COST_PER_ORDER - 1, 2
+    if taken is None:  # even the cap misses tol at v = 15
+        return EMConfig(N=cap, v=_START_V, tol=tol)
+    v, log_pi, habs = taken
+    bound = _bound_in_n(point.sigma, v, log_pi, habs, for_derivative)
+    while N < cap and bound(N) > tol:  # settle with the bound _truncated uses
+        N += 1
+    while N > 64 and bound(N - 1) <= tol:
+        N -= 1
     return EMConfig(N=N, v=v, tol=tol)
-
-
-def _smallest_n(bound: Callable[[int], float], tol: float, lo: int, hi: int) -> int:
-    """The smallest N in [lo, hi] with bound(N) <= tol, or hi if none is;
-    ``bound`` must decrease in N."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bound(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
@@ -206,51 +196,14 @@ def _pochhammer_sums(s: complex) -> Iterator[tuple[float, float]]:
 
 def _check_domain(point: EvalPoint, v: int, derivative: bool) -> None:
     """Where the closed-form remainder bounds hold (docs/remainder_bounds.md):
-    sigma > 0 at v = 0, and p = sigma + 2v - 1 > 0 at v >= 1.  The
-    derivative also divides by s + i for i < 2v, which vanishes only at
-    t = 0 with sigma a non-positive integer."""
-    if not (point.sigma > 0 if v == 0 else point.sigma + 2 * v - 1 > 0):
+    p = sigma + 2v - 1 > 0.  The derivative also divides by s + i for
+    i < 2v, which vanishes only at t = 0 with sigma a non-positive integer."""
+    if not point.sigma + 2 * v - 1 > 0:
         raise ValueError(
-            "the remainder bound needs sigma > 0 at v = 0 and sigma + 2v - 1 > 0 "
-            f"at v >= 1 (sigma={point.sigma}, v={v})"
+            f"the remainder bound needs sigma + 2v - 1 > 0 (sigma={point.sigma}, v={v})"
         )
     if derivative and point.t == 0 and point.sigma <= 0 and float(point.sigma).is_integer():
         raise ValueError(f"the derivative bound needs s + i != 0 for i < 2v (s={point.s})")
-
-
-def _remainder_bound_in_n(
-    point: EvalPoint, v: int, derivative: bool
-) -> Callable[[int], float]:
-    """The order-v truncation-remainder bound as a function of N.
-
-    For v >= 1, with K = prod_{i<2v} |s+i| * |B_{2v}| / (2v)!,
-    H = sum_{i<2v} 1/|s+i| and p = sigma + 2v - 1 (docs/remainder_bounds.md):
-
-        remainder:   K * N^{-p} / p
-        derivative:  K * N^{-p} / p * (H + log N + 1/p)
-
-    K * N^{-p} is formed as exp(log K - p log N), since K alone overflows
-    at high order (|s|^119 ~ 1e595 at t = 1e5, v = 60).
-
-    For v = 0 the kernel is the fractional part, bounded by 1 (sigma > 0):
-
-        remainder:   |s| * N^{-sigma} / sigma
-        derivative:  N^{-sigma} / sigma + |s| * N^{-sigma} * (log N / sigma + 1/sigma^2)
-
-    Everything that does not depend on N is computed once here, so a search
-    over N costs one exp (and one log) per probe.  The point must lie in
-    the domain of ``_check_domain``.
-    """
-    _check_domain(point, v, derivative)
-    if v == 0:
-        s, sigma = point.s, point.sigma
-        if not derivative:
-            return lambda N: abs(s) * N ** (-sigma) / sigma
-        return lambda N: N ** (-sigma) / sigma + abs(s) * (
-            N ** (-sigma) * (math.log(N) / sigma + 1.0 / sigma**2)
-        )
-    sums = next(islice(_pochhammer_sums(point.s), v - 1, None))
-    return _bound_in_n(point.sigma, v, *sums, derivative)
 
 
 def _bound_constants(
@@ -265,8 +218,10 @@ def _bound_constants(
 def _bound_in_n(
     sigma: float, v: int, log_pi: float, habs: float, derivative: bool
 ) -> Callable[[int], float]:
-    """The v >= 1 bound of ``_remainder_bound_in_n``; inf where
-    K N^{-p} overflows."""
+    """``em_remainder_bound`` as a function of N, from log_pi =
+    sum_{i<2v} log|s+i| and habs = H, at one exp and one log per probe.
+    K N^{-p} is formed as exp(log K - p log N), since K alone overflows at
+    high order (|s|^119 ~ 1e595 at t = 1e5, v = 60); inf where K N^{-p} does."""
     log_k, p, shift = _bound_constants(sigma, v, log_pi, habs)
 
     def bound(N: int) -> float:
@@ -288,18 +243,19 @@ def em_remainder_bound(
     """Closed-form bound for the order-v truncation remainder of ``zeta_em``
     (or, with ``derivative``, of ``zeta_prime_em``).
 
-    For v >= 1 it uses |periodized B_{2v}(x)| <= |B_{2v}|, giving
+    With K = prod_{i<2v} |s+i| * |B_{2v}| / (2v)!, H = sum_{i<2v} 1/|s+i|
+    and p = sigma + 2v - 1 (docs/remainder_bounds.md):
 
-        (|s||s+1|...|s+2v-1| / (2v)!) * |B_{2v}| * N^{1-sigma-2v} / (sigma+2v-1);
+        remainder:   K * N^{-p} / p
+        derivative:  K * N^{-p} / p * (H + log N + 1/p)
 
-    the derivative bound and the v = 0 bounds are derived in
-    docs/remainder_bounds.md.
+    It raises ValueError outside the domain of ``_check_domain``.
     """
-    if v < 0:
-        raise ValueError("em_remainder_bound requires v >= 0")
-    if N < 1:
-        raise ValueError("N must be positive")
-    return _remainder_bound_in_n(point, v, derivative)(N)
+    if N < 1 or v < 1:
+        raise ValueError(f"em_remainder_bound needs N, v >= 1, got N={N}, v={v}")
+    _check_domain(point, v, derivative)
+    sums = next(islice(_pochhammer_sums(point.s), v - 1, None))
+    return _bound_in_n(point.sigma, v, *sums, derivative)(N)
 
 
 def _corrections(
@@ -360,10 +316,9 @@ def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedCo
     bound of the corrections (``_corrections``); the summation itself is
     correctly rounded, so its error (half an ulp per part) is left out.
     """
-    cfg.validate(point)
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
-    remainder_bound = _remainder_bound_in_n(point, cfg.v, derivative)
+    trunc = em_remainder_bound(point, cfg.N, cfg.v, derivative)  # rejects s + i = 0
     s = point.s
     N = cfg.N
     logN = math.log(N)
@@ -377,7 +332,6 @@ def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedCo
         value = head + N * n_pow / (s - 1) + 0.5 * n_pow
     corrections, rounding = _corrections(s, N, n_pow, cfg.v, derivative)
     value += corrections
-    trunc = remainder_bound(N)
     err = trunc + _phase_rounding_budget(point.t, N, rss) + rounding
     return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
 

@@ -284,6 +284,21 @@ ERROR_MESSAGES = {
     "optimize --crossover-t-max 1": "--crossover-t-max applies only with --crossover",
     "optimize --crossover-t-max 1e30 --budget 10":
         "--crossover-t-max applies only with --crossover",
+    # tol must be finite and positive
+    "eval --t 50 --tol nan": "tol must be finite and positive",
+    "eval --t 50 --tol inf": "tol must be finite and positive",
+    "eval --t 50 --tol 0": "tol must be finite and positive",
+    "eval --t 50 --tol -1": "tol must be finite and positive",
+    # verify, scan and bound reject an option that their run would ignore
+    "verify --lemma 2.1 --samples 2 --max-m 5": "--max-m applies only to check 4.6",
+    "verify --lemma 4.3 --samples 2 --max-m 5": "--max-m applies only to check 4.6",
+    "verify --lemma 2.1 --samples 2 --t-min 100":
+        "--t-min and --t-max apply only with --theorem",
+    "verify --theorem 1 --samples 2 --seed 5": "--seed applies only with --lemma",
+    "verify --lemma 2.1 --samples 2 --k 3": "--k applies only to theorem 2",
+    "verify --theorem 1 --samples 2 --k 3": "--k applies only to theorem 2",
+    "scan --theorem 1 --t 100 --k 3": "--k applies only to theorem 2",
+    "bound --t 100 --theorem 1 --k 3": "--k applies only to theorem 2",
 }
 
 
@@ -318,6 +333,15 @@ ERROR_MESSAGES = {
         ["optimize", "--objective", "q1", "--weights", "0,0,0,0,0,0"],
         ["optimize", "--crossover-t-max", "1"],
         ["optimize", "--crossover-t-max", "1e30", "--budget", "10"],
+        *(["eval", "--t", "50", "--tol", tol] for tol in ("nan", "inf", "0", "-1")),
+        ["verify", "--lemma", "2.1", "--samples", "2", "--max-m", "5"],
+        ["verify", "--lemma", "4.3", "--samples", "2", "--max-m", "5"],
+        ["verify", "--lemma", "2.1", "--samples", "2", "--t-min", "100"],
+        ["verify", "--theorem", "1", "--samples", "2", "--seed", "5"],
+        ["verify", "--lemma", "2.1", "--samples", "2", "--k", "3"],
+        ["verify", "--theorem", "1", "--samples", "2", "--k", "3"],
+        ["scan", "--theorem", "1", "--t", "100", "--k", "3"],
+        ["bound", "--t", "100", "--theorem", "1", "--k", "3"],
     ],
 )
 def test_input_error_is_one_error_line(argv, tmp_path, capsys):
@@ -405,6 +429,17 @@ def test_hostile_numbers_end_in_an_exit_code(argv):
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
 
 
+def assert_same_output(implicit, explicit):
+    """Both argv lists exit 0 with the same stdout and stderr."""
+    outputs = []
+    for argv in (implicit, explicit):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0, err.getvalue()
+        outputs.append((out.getvalue(), err.getvalue()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "implicit, explicit",
     [
@@ -417,10 +452,32 @@ def test_hostile_numbers_end_in_an_exit_code(argv):
 def test_optimize_defaults_apply_only_where_used(implicit, explicit):
     # --weights and --crossover-t-max default to None so that a stray one
     # can be rejected; where they apply, their documented defaults hold
-    outputs = []
-    for argv in (implicit, explicit):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main(argv) == 0, err.getvalue()
-        outputs.append((out.getvalue(), err.getvalue()))
-    assert outputs[0] == outputs[1]
+    assert_same_output(implicit, explicit)
+
+
+# Every theorem-2 parameter flag, spelled at its default.
+DEFAULT_PARAM_FLAGS = [
+    arg for name in ("k", "tau", "q", "t1", "t2")
+    for arg in (f"--{name}", repr(getattr(DEFAULT_PARAMS, name)))
+]
+
+
+@pytest.mark.parametrize(
+    "implicit, explicit",
+    [
+        (["verify", "--lemma", "4.6"], ["verify", "--lemma", "4.6", "--max-m", "10000"]),
+        (["verify", "--lemma", "2.1", "--samples", "2"],
+         ["verify", "--lemma", "2.1", "--samples", "2", "--seed", "0"]),
+        (["verify", "--theorem", "2", "--samples", "2"],
+         ["verify", "--theorem", "2", "--samples", "2", *DEFAULT_PARAM_FLAGS]),
+        (["scan", "--theorem", "2", "--t", "1e3"],
+         ["scan", "--theorem", "2", "--t", "1e3", *DEFAULT_PARAM_FLAGS]),
+        (["bound", "--t", "1e4", "--trace"],
+         ["bound", "--t", "1e4", "--trace", *DEFAULT_PARAM_FLAGS]),
+    ],
+)
+def test_verify_scan_bound_defaults_apply_only_where_used(implicit, explicit):
+    # --max-m, --seed and the parameter flags default to None so that a
+    # stray one can be rejected; where they apply, their documented
+    # defaults hold
+    assert_same_output(implicit, explicit)

@@ -58,22 +58,18 @@ class TestZetaEm:
         minus = zeta_em(EvalPoint(t=-37.5), cfg)
         assert minus.value == plus.value.conjugate()
 
-    def test_v0_path(self):
-        r = zeta_em(S2, EMConfig(N=4000, v=0))
-        assert abs(r.value - ZETA2) <= r.error_bound
-        assert r.error_bound < 1e-3
-
     def test_desk_ceiling(self):
         with pytest.raises(ValueError):
             zeta_em(EvalPoint(t=2e5), EMConfig(N=100, v=4))
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            EMConfig(N=1, v=2).validate(S2)
+            EMConfig(N=1, v=2)
         with pytest.raises(ValueError):
-            EMConfig(N=10, v=_MAX_V + 1).validate(S2)
-        with pytest.raises(ValueError):
-            EMConfig(N=10, v=2, tol=0.0).validate(S2)
+            EMConfig(N=10, v=_MAX_V + 1)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                EMConfig(N=10, v=2, tol=tol)
 
 
 class TestRemainderBound:
@@ -90,13 +86,12 @@ class TestRemainderBound:
             b2 = em_remainder_bound(s, N=200, v=v)
             assert b1 / b2 >= 2.0 ** (0.5 + 2 * v - 1) * (1.0 - 1e-12)
 
-    def test_v0_worked_value(self):
-        # |2| * 10^-2 / 2, and 10^-2/2 + |2| * 10^-2 * (log 10 / 2 + 1/4)
-        assert em_remainder_bound(S2, N=10, v=0) == pytest.approx(0.01, rel=1e-12)
-        got = em_remainder_bound(S2, N=10, v=0, derivative=True)
-        assert got == pytest.approx(0.01 + 0.01 * math.log(10.0), rel=1e-12)
+    def test_order_zero_is_rejected(self):
+        # every bound and evaluation uses a Bernoulli kernel of order v >= 1
         with pytest.raises(ValueError):
-            em_remainder_bound(EvalPoint(t=1.0, sigma=0.0), N=10, v=0)
+            EMConfig(N=10, v=0)
+        with pytest.raises(ValueError):
+            em_remainder_bound(S2, 10, 0)
 
     def test_domain_is_where_the_closed_form_holds(self):
         # sigma + 2v > 0 but p = sigma + 2v - 1 <= 0: the closed form would
@@ -238,11 +233,38 @@ class TestDefaultEmConfig:
             zeta_prime_em(point, default_em_config(point, for_derivative=True))
         assert max(numerics._bernoulli_exact.cache_info().currsize - 1, 0) <= 32
 
+    @pytest.mark.parametrize(
+        "t, n, v",
+        [(100.0, 64, 15), (1e3, 340, 15), (2e3, 655, 16), (3e3, 909, 18),
+         (1e4, 2_346, 30), (3e4, 6_092, 48), (3.5e4, 6_975, 52), (1e5, 19_417, _MAX_V)],
+    )
+    def test_remainder_bounds_table(self, t, n, v):
+        # the table of docs/remainder_bounds.md, "Choosing N and v"
+        cfg = default_em_config(EvalPoint(t), for_derivative=True)
+        assert (cfg.N, cfg.v) == (n, v)
+
     def test_cap_fallback_reports_nonconverged(self):
-        point = EvalPoint(t=10.0)
-        cfg = default_em_config(point, tol=1e-300, for_derivative=True)
-        assert (cfg.N, cfg.v) == (80, 15)
-        assert not zeta_prime_em(point, cfg).converged
+        # no N up to the cap meets tol at v = 15, so the walk takes no order;
+        # at t = 1e5 an evaluation of 800,000 terms is left out
+        for t, cap in ((10.0, 80), (1e3, 8_000), (1e5, 800_000)):
+            point = EvalPoint(t)
+            cfg = default_em_config(point, tol=1e-300, for_derivative=True)
+            assert (cfg.N, cfg.v) == (cap, 15), t
+            if t < 1e5:
+                assert not zeta_prime_em(point, cfg).converged, t
+
+    def test_domain_edge_falls_back_to_the_cap(self):
+        # at sigma = -28.999, p = 0.001 at v = 15: the estimate of log N
+        # is far past log(DBL_MAX), so the walk stops before exp overflows
+        for t, cap in ((50.0, 400), (1e5, 800_000)):
+            cfg = default_em_config(EvalPoint(t, -28.999), for_derivative=True)
+            assert (cfg.N, cfg.v) == (cap, 15), t
+
+    def test_huge_tol_takes_the_floor(self):
+        # the estimate of log N falls below 0; 64 terms meet tol
+        for t in (50.0, 1e5):
+            cfg = default_em_config(EvalPoint(t), tol=1e300, for_derivative=True)
+            assert (cfg.N, cfg.v) == (64, 15), t
 
 
 class TestCorrections:
