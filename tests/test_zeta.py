@@ -71,6 +71,11 @@ class TestZetaEm:
             with pytest.raises(ValueError, match="tol must be finite and positive"):
                 EMConfig(N=10, v=2, tol=tol)
 
+    def test_v0_path(self):
+        # the evaluators take only configs of order v >= 1
+        with pytest.raises(ValueError):
+            EMConfig(N=10, v=0)
+
 
 class TestRemainderBound:
     def test_worked_value(self):
@@ -86,12 +91,12 @@ class TestRemainderBound:
             b2 = em_remainder_bound(s, N=200, v=v)
             assert b1 / b2 >= 2.0 ** (0.5 + 2 * v - 1) * (1.0 - 1e-12)
 
-    def test_order_zero_is_rejected(self):
-        # every bound and evaluation uses a Bernoulli kernel of order v >= 1
-        with pytest.raises(ValueError):
-            EMConfig(N=10, v=0)
-        with pytest.raises(ValueError):
-            em_remainder_bound(S2, 10, 0)
+    def test_v0_worked_value(self):
+        # every bound uses a Bernoulli kernel of order v >= 1: v = 0 has no
+        # value or derivative bound
+        for derivative in (False, True):
+            with pytest.raises(ValueError):
+                em_remainder_bound(S2, 10, 0, derivative=derivative)
 
     def test_domain_is_where_the_closed_form_holds(self):
         # sigma + 2v > 0 but p = sigma + 2v - 1 <= 0: the closed form would
