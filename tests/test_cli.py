@@ -265,6 +265,7 @@ OVERFLOW_SOME = ["optimize", "--objective", "weighted", "--weights",
 
 # The message of an input error, where a test pins it.
 ERROR_MESSAGES = {
+    "bound --t 1e4 --k 1e200": "C1 is not finite",
     "optimize --objective bound-at-t --t 5": "the objective's t must be >= e^6, got 5.0",
     " ".join(OVERFLOW_ALL): "the objective is not finite at any point the scan evaluated",
     "verify --theorem 1 --t-min 2e4": "need 0 < t_min <= t_max",

@@ -33,6 +33,13 @@ CASES = {
         "optimize", "--objective", "bound-at-t", "--t", "1e4", "--budget", "600",
         "--crossover",
     ],
+    "optimize_q1_crossover": [
+        "optimize", "--objective", "q1", "--budget", "600", "--crossover",
+    ],
+    "optimize_weighted": [
+        "optimize", "--objective", "weighted", "--weights", "0.3,0.5,0.2,0.9,0.1,0.4",
+        "--budget", "600",
+    ],
     "scan_theorem2": ["scan", "--theorem", "2", "--t-min", "500", "--t-max", "1e4",
                       "--samples", "12"],
     "verify_theorem2": ["verify", "--theorem", "2", "--t-min", "500", "--t-max", "1e4",
