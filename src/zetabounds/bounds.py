@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -147,6 +148,8 @@ class BoundCoefficients:
     assembled six-shape coefficients.  ``fold23_const``, ``absorb13`` and
     ``absorb23`` are the constant paddings that make the six-shape
     polynomial dominate the branchy per-part bounds on all of t >= e^6.
+    ``contributions`` holds each (Q index, source, value, shape, note)
+    added to Q, in order; ``derivation_trace`` is built from it when read.
     """
 
     params: BoundParams
@@ -156,11 +159,14 @@ class BoundCoefficients:
     fold23_const: float
     absorb13: float
     absorb23: float
-    derivation_trace: tuple[TraceEntry, ...] = field(repr=False)
+    contributions: tuple[tuple, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.C) != 11 or len(self.c) != 6 or len(self.Q) != 6:
             raise ValueError("coefficient vectors must have lengths 11, 6, 6")
+        coefficients = self.C + self.c + self.Q
+        if all(map(math.isfinite, coefficients)) and min(coefficients) >= 0.0:
+            return  # valid; the walk below only names the first fault
         for name, vec in (("C", self.C), ("c", self.c), ("Q", self.Q)):
             for i, x in enumerate(vec):
                 if not math.isfinite(x):
@@ -170,6 +176,11 @@ class BoundCoefficients:
                         f"{name}{i + 1} = {x} negative; parameters outside the "
                         "regime where the six-shape assembly is meaningful"
                     )
+
+    @cached_property
+    def derivation_trace(self) -> tuple[TraceEntry, ...]:
+        return tuple(TraceEntry(Q_TARGETS[i], source, shape or Q_NAMES[i], value, note)
+                     for i, source, value, shape, note in self.contributions)
 
     def trace_report(self) -> str:
         lines = [
@@ -397,9 +408,9 @@ class BlockTable:
     source: str  # derivation-trace stage name
     alpha3: int
     upper3: int
-    ratio: str  # the BoundParams field that is the block ratio
+    reads: tuple[str, ...]  # the BoundParams fields ``factors`` takes, block ratio first
     cutoff: str  # the BoundParams field below which the crude bound applies
-    factors: Callable[[BoundParams], Any]
+    factors: Callable[..., Any]
     shapes: tuple[tuple[int, int], ...]
     terms: tuple[BlockTerm, ...]
     plan: tuple = field(init=False, repr=False)
@@ -418,19 +429,23 @@ class BlockTable:
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "routes", routes)
 
-    def geom(self, p: BoundParams) -> GeomSumBounds:
-        return geom_sum_bounds(self.alpha3 / 3.0, self.upper3 / 3.0, getattr(p, self.ratio))
+    def key(self, p: BoundParams) -> tuple[float, ...]:
+        return tuple(getattr(p, name) for name in self.reads)
+
+    def coefficients(self, *values: float) -> tuple[float, ...]:
+        """``collect`` at these values of the fields in ``reads``."""
+        f = self.factors(*values)
+        w = [term.weight(f) for term in self.terms]
+        v = geom_sum_bounds(self.alpha3 / 3.0, self.upper3 / 3.0, values[0]).values()
+        out = [0.0] * len(self.shapes)
+        for i, s, j in self.plan:
+            out[s] += w[i] * v[j]
+        return tuple(out)
 
 
 def collect(table: BlockTable, p: BoundParams) -> tuple[float, ...]:
     """The range's closed-form bound collected into ``table.shapes``."""
-    f = table.factors(p)
-    w = [term.weight(f) for term in table.terms]
-    v = table.geom(p).values()
-    out = [0.0] * len(table.shapes)
-    for i, s, j in table.plan:
-        out[s] += w[i] * v[j]
-    return tuple(out)
+    return table.coefficients(*table.key(p))
 
 
 def crude_bound(table: BlockTable, p: BoundParams) -> float:
@@ -457,8 +472,8 @@ def block_bound(table: BlockTable, t: float, p: BoundParams) -> float:
 # the derivation with the 1/5 folded in.  No term has the shape t^{-1/6}
 # of C5, so C5 = 0.
 BLOCK_23 = BlockTable(
-    source="curvature-block-sum", alpha3=2, upper3=3, ratio="k", cutoff="t1",
-    factors=lambda p: p.k, shapes=C_SHAPES,
+    source="curvature-block-sum", alpha3=2, upper3=3, reads=("k",), cutoff="t1",
+    factors=lambda k: k, shapes=C_SHAPES,
     terms=(
         BlockTerm(3, "M2(1)", lambda k: 0.2 * (2.0**2.5 * k * (k - 1.0) / _SQRT_PI)),
         BlockTerm(3, "M2(3)", lambda k: 0.2 * (2.0**2.5 * k / _SQRT_PI)),
@@ -470,12 +485,12 @@ BLOCK_23 = BlockTable(
 )
 
 
-def _differencing_factors(p: BoundParams) -> SimpleNamespace:
-    t2_13 = p.t2 ** (-1.0 / 3.0)
+def _differencing_factors(tau: float, q: float, t2: float) -> SimpleNamespace:
+    t2_13 = t2 ** (-1.0 / 3.0)
     return SimpleNamespace(
-        tau=p.tau, q=p.q, tp34=(p.tau + 1.0) ** 0.75,
-        a1=p.tau - 1.0 + (p.q + 1.0) * t2_13, a2=p.tau - 1.0 + t2_13,
-        lam=math.sqrt(2.0 * (p.tau + t2_13) / (5.0 * p.q)),
+        tau=tau, q=q, tp34=(tau + 1.0) ** 0.75,
+        a1=tau - 1.0 + (q + 1.0) * t2_13, a2=tau - 1.0 + t2_13,
+        lam=math.sqrt(2.0 * (tau + t2_13) / (5.0 * q)),
     )
 
 
@@ -483,7 +498,7 @@ def _differencing_factors(p: BoundParams) -> SimpleNamespace:
 # curvature bound and triangular weight sums per block.  The weights are
 # w_ab, w_c, .., w_g of the derivation.
 BLOCK_13 = BlockTable(
-    source="weyl-block-sum", alpha3=1, upper3=2, ratio="tau", cutoff="t2",
+    source="weyl-block-sum", alpha3=1, upper3=2, reads=("tau", "q", "t2"), cutoff="t2",
     factors=_differencing_factors, shapes=Q_SHAPES,
     terms=(
         BlockTerm(1, "M0", lambda f: math.sqrt(f.a1 * f.a2 / f.q) + f.lam * (
@@ -511,13 +526,16 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     the crude branches contribute through constant paddings (their maxima
     over [e^6, infinity)), each recorded in the derivation trace.
     """
-    C = collect(BLOCK_23, p)
-    c = collect(BLOCK_13, p)
-    trace: list[TraceEntry] = []
+    return assemble(p, collect(BLOCK_23, p), collect(BLOCK_13, p))
+
+
+def assemble(p: BoundParams, C: tuple[float, ...], c: tuple[float, ...]) -> BoundCoefficients:
+    """``theorem2_coeffs(p)`` from C = collect(BLOCK_23, p), c = collect(BLOCK_13, p)."""
+    contributions: list[tuple] = []
     Q = [0.0] * 6
 
     def put(i: int, source: str, value: float, shape: str = "", note: str = "") -> None:
-        trace.append(TraceEntry(Q_TARGETS[i], source, shape or Q_NAMES[i], value, note))
+        contributions.append((i, source, value, shape, note))
         Q[i] += value
 
     # head sum over n <= t^{1/3}: integral_bound(t, 1/3) = 2 t^{1/6}((1/3) log t - 2)
@@ -565,7 +583,7 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     return BoundCoefficients(
         params=p, C=C, c=c, Q=tuple(Q),
         fold23_const=fold23, absorb13=absorb13, absorb23=absorb23,
-        derivation_trace=tuple(trace),
+        contributions=tuple(contributions),
     )
 
 

@@ -130,12 +130,15 @@ def _t_values(args) -> list[float]:
 
 def _bound_params(args) -> BoundParams:
     """The default theorem-2 parameters, overridden by the flags given; a flag
-    is an error where the run prints no theorem-2 figure (`bound --theorem 1`
-    without --trace, `verify` or `scan` without --theorem 2)."""
+    is an error where the run prints no theorem-2 figure (`verify` or `scan`
+    without --theorem 2, `bound` without --trace and with no theorem-2 row)."""
     given = {name: getattr(args, name) for name in PARAM_ORDER}
     given = {name: value for name, value in given.items() if value is not None}
     used = args.theorem == 2 or (
-        args.command == "bound" and (args.theorem is None or args.trace)
+        args.command == "bound" and (
+            args.trace
+            or (args.theorem is None and any(in_theorem_domain(t, 2) for t in _t_values(args)))
+        )
     )
     if given and not used:
         raise ValueError(f"--{next(iter(given))} applies only to theorem 2")

@@ -9,15 +9,21 @@ part definitions as every other caller of the two theorems.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from .bounds import (
+    BLOCK_13,
+    BLOCK_23,
     DEFAULT_PARAMS,
     E3,
     E6,
+    BoundCoefficients,
     BoundParams,
+    assemble,
     in_theorem_domain,
     theorem1_bound,
     theorem2_bound,
@@ -79,8 +85,11 @@ class Objective:
         return Objective(weights=tuple(weights))
 
     def evaluate(self, p: BoundParams) -> float:
+        return self._evaluate(p, theorem2_coeffs)
+
+    def _evaluate(self, p: BoundParams, coeffs_of: Callable[..., BoundCoefficients]) -> float:
         try:
-            coeffs = theorem2_coeffs(p)
+            coeffs = coeffs_of(p)
         except ValueError:
             return math.inf  # parameter corner outside the assembly's regime
         if self.t is not None:
@@ -99,8 +108,15 @@ class OptResult:
     evaluations: int = 0
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return min(max(x, lo), hi)
+def _coeffs_for_one_search() -> Callable[[BoundParams], BoundCoefficients]:
+    """``theorem2_coeffs`` for the points of one search, collecting each block
+    range once per value of the fields it reads (``BlockTable.reads``)."""
+    upper, lower = (functools.cache(table.coefficients) for table in (BLOCK_23, BLOCK_13))
+
+    def coeffs_of(p: BoundParams) -> BoundCoefficients:
+        return assemble(p, upper(*BLOCK_23.key(p)), lower(*BLOCK_13.key(p)))
+
+    return coeffs_of
 
 
 def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
@@ -122,19 +138,16 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
     trace: list[tuple[BoundParams, float]] = []
     best_p: BoundParams | None = None
     best_v = math.inf
-
-    def spend(vals: dict[str, float]) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return obj.evaluate(BoundParams(**vals))
+    coeffs_of = _coeffs_for_one_search()
 
     def consider(vals: dict[str, float]) -> bool:
-        nonlocal best_p, best_v
-        value = spend(vals)
+        nonlocal evaluations, best_p, best_v
+        evaluations += 1
+        p = BoundParams(**vals)
+        value = obj._evaluate(p, coeffs_of)
         if value < best_v:
-            best_v = value
-            best_p = BoundParams(**vals)
-            trace.append((best_p, value))
+            best_v, best_p = value, p
+            trace.append((p, value))
             return True
         return False
 
@@ -158,17 +171,12 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
     while step >= 1e-3 and evaluations < budget:
         improved_cycle = False
         for name in PARAM_ORDER:
-            if evaluations >= budget:
-                break
             lo, hi = DEFAULT_RANGES[name]
             for factor in (1.0 + step, 1.0 / (1.0 + step)):
                 if evaluations >= budget:
                     break
-                candidate = dict(current)
-                candidate[name] = _clamp(current[name] * factor, lo, hi)
-                if candidate[name] == current[name]:
-                    continue
-                if consider(candidate):
+                candidate = {**current, name: min(max(current[name] * factor, lo), hi)}
+                if candidate[name] != current[name] and consider(candidate):
                     current = candidate
                     improved_cycle = True
         if not improved_cycle:

@@ -21,6 +21,7 @@ from zetabounds.bounds import (
     BoundParams,
     GeomSumBounds,
     _require_t,
+    geom_sum_bounds,
 )
 
 __all__ = [
@@ -136,8 +137,8 @@ def m2_at(g: GeomSumBounds, delta: int, t: float) -> float:
 def resummed(table: BlockTable, t: float, p: BoundParams) -> float:
     """The same bound summed term by term at t, without collecting shapes;
     must agree with the collected polynomial to floating precision."""
-    f = table.factors(p)
-    g = table.geom(p)
+    f = table.factors(*table.key(p))
+    g = geom_sum_bounds(table.alpha3 / 3.0, table.upper3 / 3.0, getattr(p, table.reads[0]))
     sums = {"M0": m0_at(g, t), "M1": m1_at(g, t)}
     sums.update((f"M2({d})", m2_at(g, d, t)) for d in g.m2_lead)
     return math.fsum(

@@ -300,6 +300,8 @@ ERROR_MESSAGES = {
     "verify --theorem 1 --samples 2 --k 3": "--k applies only to theorem 2",
     "scan --theorem 1 --t 100 --k 3": "--k applies only to theorem 2",
     "bound --t 100 --theorem 1 --k 3": "--k applies only to theorem 2",
+    # no t of the grid reaches e^6, so no theorem-2 figure is printed
+    "bound --t 100 --k 3": "--k applies only to theorem 2",
 }
 
 
@@ -343,6 +345,7 @@ ERROR_MESSAGES = {
         ["verify", "--theorem", "1", "--samples", "2", "--k", "3"],
         ["scan", "--theorem", "1", "--t", "100", "--k", "3"],
         ["bound", "--t", "100", "--theorem", "1", "--k", "3"],
+        ["bound", "--t", "100", "--k", "3"],
     ],
 )
 def test_input_error_is_one_error_line(argv, tmp_path, capsys):

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import random
 import sys
 
 import pytest
 
+from zetabounds import bounds, optimize
 from zetabounds.bounds import BoundParams, theorem1_bound, theorem2_bound
 from zetabounds.optimize import (
     DEFAULT_RANGES,
+    PARAM_ORDER,
     Objective,
     crossover_scan,
     optimize_params,
@@ -88,6 +91,82 @@ class TestOptimizeParams:
     def test_overflowing_weighted_sum_is_infinite(self):
         obj = Objective.minimize_weighted_q((1.5e307, 0, 1.5e307, 0, 0, 0))
         assert obj.evaluate(P0) == math.inf
+
+
+OBJECTIVES = {
+    "bound-at-t": Objective.minimize_bound_at_t(1e4),
+    "q1": Objective.minimize_q1(),
+    "weighted": Objective.minimize_weighted_q((0.3, 0.5, 0.2, 0.9, 0.1, 0.4)),
+}
+
+
+def _outcome(f, p):
+    try:
+        return f(p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestOneSearchCoefficients:
+    """optimize_params assembles each point from block-range coefficients
+    collected once per search; that must not move a single bit."""
+
+    def test_assembly_equals_theorem2_coeffs(self):
+        # four values per axis, so that most of the 200 points share a
+        # block range's fields with an earlier one and are served by the memo
+        rng = random.Random(17)
+        axes = {
+            name: [math.exp(rng.uniform(*map(math.log, DEFAULT_RANGES[name]))) for _ in range(4)]
+            for name in PARAM_ORDER
+        }
+        coeffs_of = optimize._coeffs_for_one_search()
+        for _ in range(200):
+            p = BoundParams(**{name: rng.choice(axes[name]) for name in PARAM_ORDER})
+            got, want = _outcome(coeffs_of, p), _outcome(theorem2_coeffs, p)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            for f in dataclasses.fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), (p, f.name)
+            assert got.trace_report() == want.trace_report()
+
+    @pytest.mark.parametrize("budget", [10, 50, 600])
+    @pytest.mark.parametrize("kind", sorted(OBJECTIVES))
+    def test_search_equals_reference(self, kind, budget, monkeypatch):
+        got = optimize_params(OBJECTIVES[kind], budget=budget)
+        # the reference search assembles every point from scratch
+        monkeypatch.setattr(optimize, "_coeffs_for_one_search", lambda: theorem2_coeffs)
+        want = optimize_params(OBJECTIVES[kind], budget=budget)
+        assert got.best == want.best
+        assert got.objective_value == want.objective_value
+        assert got.trace == want.trace
+        assert got.evaluations == want.evaluations
+
+    def test_search_builds_no_trace_entry(self, monkeypatch):
+        def no_entry(*args):
+            raise AssertionError("a TraceEntry was built")
+
+        monkeypatch.setattr(bounds, "TraceEntry", no_entry)
+        with pytest.raises(AssertionError, match="a TraceEntry was built"):
+            theorem2_coeffs(P0).trace_report()  # the patch reaches the trace
+        for obj in OBJECTIVES.values():
+            optimize_params(obj, budget=50)
+
+    def test_nothing_memoised_across_searches(self, monkeypatch):
+        calls = []
+        coefficients = bounds.BlockTable.coefficients
+
+        def counted(table, *values):
+            calls.append(table.source)
+            return coefficients(table, *values)
+
+        monkeypatch.setattr(bounds.BlockTable, "coefficients", counted)
+        obj = OBJECTIVES["q1"]
+        optimize_params(obj, budget=200)
+        first = len(calls)
+        optimize_params(obj, budget=200)
+        assert 0 < first < 2 * 200  # shared ranges were reused within the search
+        assert len(calls) == 2 * first  # but nothing carried over to the next
 
 
 class TestCrossoverScan:
