@@ -11,7 +11,11 @@ primitives, so each one carries an explicit error contract:
   as ``math.fsum`` (``docs/exact_summation.md``)
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
 * ``integrate_adaptive`` -- |value - integral| <= error_estimate <= tol
-  whenever the subdivision cap was not hit.
+  whenever the subdivision cap was not hit.  The integrand is an array
+  function (1-D float64 nodes in, values of the same shape out), called
+  once per batch of panels; each panel's Kronrod and Gauss sums are
+  formed elementwise in a fixed order, never through BLAS, so a panel's
+  value and error depend only on its node values, not on its batch.
 """
 
 from __future__ import annotations
@@ -173,32 +177,51 @@ _G_WEIGHTS = (
 )
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel: (kronrod value, error estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fk = []
-    for x in _GK_NODES[:-1]:
-        fk.append(f(mid - half * x))
-        fk.append(f(mid + half * x))
-    fc = f(mid)
-    kron = _GK_WEIGHTS[-1] * fc
-    gauss = _G_WEIGHTS[-1] * fc
-    for i, x in enumerate(_GK_NODES[:-1]):
-        pair = fk[2 * i] + fk[2 * i + 1]
-        kron += _GK_WEIGHTS[i] * pair
-        if i % 2 == 1:
-            gauss += _G_WEIGHTS[i // 2] * pair
-    kron *= half
-    gauss *= half
-    # Standard QUADPACK-style rescaling of the raw difference.
-    diff = abs(kron - gauss)
-    err = diff if diff == 0.0 else min(diff, diff * math.sqrt(diff / max(abs(kron), 1e-300)) + diff)
-    return kron, max(err, abs(kron) * 50.0 * EPS)
+ArrayFunction = Callable[[np.ndarray], np.ndarray]
+
+# Each panel's 15 nodes as offsets from its midpoint in half-widths: the
+# pairs -x, +x of the scalar rule's order, then the centre.
+_GK_OFFSETS = np.array([s * x for x in _GK_NODES[:-1] for s in (-1.0, 1.0)] + [0.0])[:, None]
+# Weights of the rows (centre value, pair 0, ..., pair 6) in the order the
+# scalar rule adds them: the Kronrod sum takes every row, the Gauss sum the
+# centre and the odd pairs.
+_KRONROD_ROWS = np.array(_GK_WEIGHTS[-1:] + _GK_WEIGHTS[:-1])[:, None]
+_GAUSS_ROWS = np.array(_G_WEIGHTS[-1:] + _G_WEIGHTS[:-1])[:, None]
+
+
+def _gk15(f: ArrayFunction, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod 7-15 on the panels [x0[j], x1[j]]: (kronrod values,
+    error estimates), with ``f`` called once on all their nodes.  Each sum
+    is a sequential ``np.add.accumulate`` over rows in the one-panel
+    rule's order (no BLAS, no pairwise reduction)."""
+    half = 0.5 * (x1 - x0)
+    mid = 0.5 * (x0 + x1)
+    nodes = mid + half * _GK_OFFSETS  # row k holds node k of every panel
+    fx = np.asarray(f(nodes.ravel()), dtype=np.float64)
+    if fx.shape != (nodes.size,):
+        raise ValueError("integrand must map a 1-D node array to an array of its shape")
+    fx = fx.reshape(nodes.shape)
+    # a non-finite integrand may give inf - inf here; the caller reports it
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = np.empty((8, fx.shape[1]))
+        rows[0] = fx[14]
+        np.add(fx[0:14:2], fx[1:14:2], out=rows[1:])
+        kron = np.add.accumulate(rows * _KRONROD_ROWS)[-1] * half
+        gauss = np.add.accumulate(rows[::2] * _GAUSS_ROWS)[-1] * half
+        # |kron - gauss|, floored at 50 EPS |kron|
+        err = np.maximum(np.abs(kron - gauss), np.abs(kron) * 50.0 * EPS)
+    return kron, err
+
+
+def _require_finite(values: list[float], x0: list[float], x1: list[float]) -> None:
+    """Raise for the leftmost panel whose value is not finite."""
+    if not all(map(math.isfinite, values)):
+        j = next(j for j, v in enumerate(values) if not math.isfinite(v))
+        raise ValueError(f"integrand not finite on [{x0[j]}, {x1[j]}]")
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
+    f: ArrayFunction,
     a: float,
     b: float,
     tol: float,
@@ -208,14 +231,21 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of ``f`` over [a, b].
 
-    ``min_wavelength`` caps the width of the *initial* panels; callers
-    integrating sin/cos phases must pass the shortest oscillation period
-    so that no starting panel straddles many cycles (blind bisection can
-    otherwise accept a spuriously converged panel).  Panels are then
-    bisected worst-first until the summed error estimate falls below
-    ``tol`` or the subdivision cap is hit, in which case the result is
-    flagged ``converged=False`` and must not be used as an oracle.
+    ``f`` maps a 1-D float64 array of nodes to an array of the same shape;
+    it is called once for all the initial panels and once per bisection.
+    ``min_wavelength`` caps the width of the *initial* panels (at most
+    2000 of them); callers integrating sin/cos phases must pass the
+    shortest oscillation period so that no starting panel straddles many
+    cycles (blind bisection can otherwise accept a spuriously converged
+    panel).  Panels are then bisected worst-first (ties to the older
+    panel) until the summed error estimate falls below ``tol`` or the
+    subdivision cap is hit, in which case the result is flagged
+    ``converged=False`` and must not be used as an oracle.  Raises
+    ValueError on a non-finite or empty [a, b], a non-positive ``tol``, or
+    an integrand not finite on a panel (naming the leftmost of its batch).
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integrate_adaptive requires finite a and b, got [{a}, {b}]")
     if not (a < b):
         raise ValueError(f"integrate_adaptive requires a < b, got [{a}, {b}]")
     if not (tol > 0.0):
@@ -227,44 +257,45 @@ def integrate_adaptive(
     else:
         n_init = 1
 
-    # heap entries: (-panel_error, seq, x0, x1, value, error)
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    seq = 0
-    subdivisions = 0
-    for i in range(n_init):
-        x0 = a + width * i / n_init
-        x1 = a + width * (i + 1) / n_init if i + 1 < n_init else b
-        val, err = _gk15(f, x0, x1)
-        if not math.isfinite(val):
-            raise ValueError(f"integrand not finite on [{x0}, {x1}]")
-        heapq.heappush(heap, (-err, seq, x0, x1, val, err))
-        seq += 1
+    # panel i is [a + width i / n_init, a + width (i + 1) / n_init], the last
+    # one ending at b
+    edges = a + width * np.arange(n_init + 1, dtype=np.float64) / n_init
+    edges[-1] = b
+    vals, errs = _gk15(f, edges[:-1], edges[1:])
+    vals, errs, edges = vals.tolist(), errs.tolist(), edges.tolist()
+    _require_finite(vals, edges[:-1], edges[1:])
 
-    # Running totals are tracked incrementally while refining; the final
-    # reported value and error are recomputed with compensated summation
-    # over the surviving panels in left-to-right order (deterministic).
-    total_err = math.fsum(entry[5] for entry in heap)
+    # heap entries: (-panel_error, seq, x0, x1, value, error)
+    heap = list(zip([-e for e in errs], range(n_init), edges[:-1], edges[1:], vals, errs))
+    heapq.heapify(heap)
+    seq = n_init
+    subdivisions = 0
+
+    # The running total is tracked incrementally while refining; the
+    # reported value and error are correctly rounded sums over the
+    # surviving panels, which no order of the panels can change.
+    total_err = math.fsum(errs)
     while total_err > tol and subdivisions < max_subdivisions:
         _, _, x0, x1, val, err = heapq.heappop(heap)
         xm = 0.5 * (x0 + x1)
         if xm <= x0 or xm >= x1:
             # Panel at float resolution: keep it but stop refining it.
             heapq.heappush(heap, (0.0, seq, x0, x1, val, err))
-            seq += 1
             break
         total_err -= err
-        for lo, hi in ((x0, xm), (xm, x1)):
-            v, e = _gk15(f, lo, hi)
-            if not math.isfinite(v):
-                raise ValueError(f"integrand not finite on [{lo}, {hi}]")
-            heapq.heappush(heap, (-e, seq, lo, hi, v, e))
-            seq += 1
-            total_err += e
+        vals, errs = _gk15(f, np.array([x0, xm]), np.array([xm, x1]))
+        vals = vals.tolist()
+        _require_finite(vals, [x0, xm], [xm, x1])
+        (v0, v1), (e0, e1) = vals, errs.tolist()
+        heapq.heappush(heap, (-e0, seq, x0, xm, v0, e0))
+        heapq.heappush(heap, (-e1, seq + 1, xm, x1, v1, e1))
+        seq += 2
+        total_err += e0
+        total_err += e1
         subdivisions += 1
 
-    panels = sorted((entry[2], entry[4], entry[5]) for entry in heap)
-    total_val = compensated_sum(v for _, v, _ in panels)
-    total_err = compensated_sum(e for _, _, e in panels)
+    total_val = compensated_sum(entry[4] for entry in heap)
+    total_err = compensated_sum(entry[5] for entry in heap)
     return QuadratureResult(
         value=total_val,
         error_estimate=total_err,

@@ -148,11 +148,11 @@ def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
         w = float(rng.uniform(0.5, 20.0))
         phi = float(rng.uniform(0.0, TWO_PI))
 
-        def f(x: float) -> float:
+        def f(x):  # a float at the bound's a, an array at the quadrature nodes
             return c * (x + d) ** (-pw)
 
-        def g_prime(x: float) -> float:
-            return amp * w * math.cos(w * x + phi)
+        def g_prime(x: np.ndarray) -> np.ndarray:
+            return amp * w * np.cos(w * x + phi)
 
         # exact max of |A sin(w x + phi)| on [a, b]
         if w * (b - a) >= TWO_PI:
@@ -177,12 +177,13 @@ def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
     return sweep.report()
 
 
-# Check 2.2's integrands: kernel(t log x, 2 pi v x, sign) log x / x^{1+sigma}.
-_OSC_KERNELS: dict[str, Callable[[float, float, float], float]] = {
-    "2.2a": lambda tl, w, sign: math.sin(tl + sign * w),
-    "2.2b": lambda tl, w, sign: math.sin(tl + w) + sign * math.sin(tl - w),
-    "2.2c": lambda tl, w, sign: math.sin(tl) * math.sin(w),
-    "2.2d": lambda tl, w, sign: math.cos(tl) * math.sin(w),
+# Check 2.2's integrands: kernel(t log x, 2 pi v x, sign) log x / x^{1+sigma},
+# on arrays of quadrature nodes.
+_OSC_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = {
+    "2.2a": lambda tl, w, sign: np.sin(tl + sign * w),
+    "2.2b": lambda tl, w, sign: np.sin(tl + w) + sign * np.sin(tl - w),
+    "2.2c": lambda tl, w, sign: np.sin(tl) * np.sin(w),
+    "2.2d": lambda tl, w, sign: np.cos(tl) * np.sin(w),
 }
 _OSC_VARIANTS = tuple(_OSC_KERNELS)
 
@@ -217,8 +218,8 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
             sigma = float(rng.uniform(0.0, 1.5))
             sign = 1.0 if rng.integers(0, 2) else -1.0
 
-            def integrand(x: float, kernel=_OSC_KERNELS[variant]) -> float:
-                log_x = math.log(x)
+            def integrand(x: np.ndarray, kernel=_OSC_KERNELS[variant]) -> np.ndarray:
+                log_x = np.log(x)
                 return kernel(t * log_x, TWO_PI * v * x, sign) * log_x / x ** (1.0 + sigma)
 
             if variant == "2.2a":

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -224,18 +225,18 @@ class TestBernoulli:
 
 class TestQuadrature:
     def test_constant(self):
-        r = integrate_adaptive(lambda x: 1.0, 0.0, 1.0, 1e-12)
+        r = integrate_adaptive(np.ones_like, 0.0, 1.0, 1e-12)
         assert r.converged
         assert r.value == pytest.approx(1.0, abs=1e-13)
 
     def test_sine_half_period(self):
-        r = integrate_adaptive(math.sin, 0.0, math.pi, 1e-12)
+        r = integrate_adaptive(np.sin, 0.0, math.pi, 1e-12)
         assert r.converged
         assert r.value == pytest.approx(2.0, abs=1e-12)
 
     def test_oscillatory_self_consistency_under_refinement(self):
         def f(x):
-            return math.sin(10 * math.log(x) + 2 * math.pi * x) / x**1.5 * math.log(x)
+            return np.sin(10 * np.log(x) + 2 * math.pi * x) / x**1.5 * np.log(x)
 
         r1 = integrate_adaptive(f, 3.0, 10.0, 1e-10, min_wavelength=0.5)
         r2 = integrate_adaptive(f, 3.0, 10.0, 1e-10, min_wavelength=0.25)
@@ -245,13 +246,13 @@ class TestQuadrature:
     def test_error_estimate_is_honest_on_known_integral(self):
         # integral of x^3 e^{-x} over [0, 4] has a closed form
         truth = 6.0 - 142.0 * math.exp(-4.0)
-        r = integrate_adaptive(lambda x: x**3 * math.exp(-x), 0.0, 4.0, 1e-9)
+        r = integrate_adaptive(lambda x: x**3 * np.exp(-x), 0.0, 4.0, 1e-9)
         assert r.converged
         assert abs(r.value - truth) <= r.error_estimate + 1e-15
 
     def test_tightening_tol_shrinks_error(self):
         def f(x):
-            return math.sin(40.0 * x) * math.exp(-x)
+            return np.sin(40.0 * x) * np.exp(-x)
 
         errs = []
         for tol in (1e-4, 1e-7, 1e-10):
@@ -267,9 +268,9 @@ class TestQuadrature:
 
         def f(x):
             return (
-                math.sin(t * math.log(x))
-                * math.sin(2 * math.pi * v * x)
-                * math.log(x)
+                np.sin(t * np.log(x))
+                * np.sin(2 * math.pi * v * x)
+                * np.log(x)
                 / x ** (1 + sigma)
             )
 
@@ -284,16 +285,52 @@ class TestQuadrature:
 
     def test_cap_flags_nonconvergence(self):
         def nasty(x):
-            return math.sin(1.0 / (x + 1e-9)) / math.sqrt(x + 1e-9)
+            return np.sin(1.0 / (x + 1e-9)) / np.sqrt(x + 1e-9)
 
         r = integrate_adaptive(nasty, 0.0, 1.0, 1e-14, max_subdivisions=5)
         assert not r.converged
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            integrate_adaptive(math.sin, 1.0, 0.0, 1e-6)
+            integrate_adaptive(np.sin, 1.0, 0.0, 1e-6)
         with pytest.raises(ValueError):
-            integrate_adaptive(math.sin, 0.0, 1.0, -1e-6)
+            integrate_adaptive(np.sin, 0.0, 1.0, -1e-6)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("min_wavelength", [None, 1.0])
+    def test_non_finite_endpoints_rejected_before_any_evaluation(self, a, b, min_wavelength):
+        def never_called(x):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(ValueError, match="requires finite a and b"):
+            integrate_adaptive(never_called, a, b, 1e-6, min_wavelength=min_wavelength)
+
+    @pytest.mark.parametrize("poles, min_wavelength, panel", [
+        ((0.5,), None, "[0.0, 1.0]"),
+        # panels [0, .25], [.25, .5], [.5, .75], [.75, 1]; poles at the
+        # midpoints of the second and fourth
+        ((0.375, 0.875), 0.25, "[0.25, 0.5]"),
+    ], ids=["one_panel", "four_panels"])
+    def test_non_finite_integrand_names_leftmost_initial_panel(self, poles, min_wavelength, panel):
+        def f(x):
+            return np.where(np.isin(x, poles), np.inf, x)
+
+        message = re.escape(f"integrand not finite on {panel}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate_adaptive(f, 0.0, 1.0, 1e-6, min_wavelength=min_wavelength)
+
+    def test_non_finite_integrand_names_leftmost_bisection_child(self):
+        # one initial panel, which does not converge; both children of its
+        # bisection have a pole at their midpoint
+        def f(x):
+            return np.where((x == 0.25) | (x == 0.75), np.inf, np.sqrt(x))
+
+        with pytest.raises(ValueError, match=r"^integrand not finite on \[0\.0, 0\.5\]$"):
+            integrate_adaptive(f, 0.0, 1.0, 1e-14)
+
+    def test_integrand_must_return_node_shape(self):
+        with pytest.raises(ValueError, match="array of its shape"):
+            integrate_adaptive(lambda x: 1.0, 0.0, 1.0, 1e-6)
 
     def test_result_invariants(self):
         r = integrate_adaptive(lambda x: x * x, 0.0, 2.0, 1e-10)
