@@ -18,7 +18,6 @@ from .bounds import (
 from .expsums import (
     VdCParams,
     exp_sum_exact,
-    log_dirichlet_sum,
     shifted_diff_maxima,
     vdc_params_for_log_block,
     vdc_second_derivative_bound,
@@ -79,7 +78,6 @@ __all__ = [
     "geometric_grid",
     "head_sum_bound",
     "integrate_adaptive",
-    "log_dirichlet_sum",
     "mid_tail_sum_bound",
     "optimize_params",
     "shifted_diff_maxima",

@@ -86,25 +86,6 @@ def exp_sum_exact(f: Phase, N: int, L: int) -> complex:
     return compensated_complex_sum(np.cos(phase) + 1j * np.sin(phase))
 
 
-def log_dirichlet_sum(t: float, a: float, b: float) -> complex:
-    """Exact sum of log(n) * n^{-1/2 - it} over integers a < n <= b."""
-    if not (0 < a < b or (0 < a and a == b)):
-        raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
-    if b - a > RANGE_GUARD:
-        raise ValueError(
-            "range too long for direct summation; use sampled verification"
-        )
-    lo = math.floor(a) + 1
-    hi = math.floor(b)
-    if hi < lo:
-        return 0.0 + 0.0j
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    logn = np.log(n)
-    # log n * n^{-1/2} * e^{-i t log n}
-    amp = logn / np.sqrt(n)
-    return compensated_complex_sum(amp * np.exp(-1j * t * logn))
-
-
 def shifted_diff_maxima(f: Phase, N: int, L: int, M: int) -> list[float]:
     """Exact max_{K <= L} |sum_{n=N+1}^{N+K} e^{2 pi i (f(n+m) - f(n))}|
     for m = 1 .. M-1, scanning every prefix K."""

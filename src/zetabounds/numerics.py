@@ -213,6 +213,11 @@ def _gk15(f: ArrayFunction, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray,
     return kron, err
 
 
+def _above_floor(value: float, err: float) -> bool:
+    """Whether a panel's error is above its 50 EPS |value| floor (``_gk15``)."""
+    return err > abs(value) * 50.0 * EPS
+
+
 def _require_finite(values: list[float], x0: list[float], x1: list[float]) -> None:
     """Raise for the leftmost panel whose value is not finite."""
     if not all(map(math.isfinite, values)):
@@ -238,11 +243,13 @@ def integrate_adaptive(
     shortest oscillation period so that no starting panel straddles many
     cycles (blind bisection can otherwise accept a spuriously converged
     panel).  Panels are then bisected worst-first (ties to the older
-    panel) until the summed error estimate falls below ``tol`` or the
-    subdivision cap is hit, in which case the result is flagged
-    ``converged=False`` and must not be used as an oracle.  Raises
-    ValueError on a non-finite or empty [a, b], a non-positive ``tol``, or
-    an integrand not finite on a panel (naming the leftmost of its batch).
+    panel) until the summed error estimate falls below ``tol``, the
+    subdivision cap is hit, or every panel's error sits at its 50 EPS
+    |value| floor, which no bisection lowers.  In the last two cases the
+    result is flagged ``converged=False`` and must not be used as an
+    oracle.  Raises ValueError on a non-finite or empty [a, b], a
+    non-positive ``tol``, or an integrand not finite on a panel (naming
+    the leftmost of its batch).
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integrate_adaptive requires finite a and b, got [{a}, {b}]")
@@ -275,7 +282,10 @@ def integrate_adaptive(
     # reported value and error are correctly rounded sums over the
     # surviving panels, which no order of the panels can change.
     total_err = math.fsum(errs)
-    while total_err > tol and subdivisions < max_subdivisions:
+    # panels whose error is above its 50 EPS |value| floor; once none is,
+    # no bisection can bring the sum of the floors below tol
+    above = sum(map(_above_floor, vals, errs))
+    while total_err > tol and above and subdivisions < max_subdivisions:
         _, _, x0, x1, val, err = heapq.heappop(heap)
         xm = 0.5 * (x0 + x1)
         if xm <= x0 or xm >= x1:
@@ -283,6 +293,7 @@ def integrate_adaptive(
             heapq.heappush(heap, (0.0, seq, x0, x1, val, err))
             break
         total_err -= err
+        above -= _above_floor(val, err)
         vals, errs = _gk15(f, np.array([x0, xm]), np.array([xm, x1]))
         vals = vals.tolist()
         _require_finite(vals, [x0, xm], [xm, x1])
@@ -292,6 +303,7 @@ def integrate_adaptive(
         seq += 2
         total_err += e0
         total_err += e1
+        above += _above_floor(v0, e0) + _above_floor(v1, e1)
         subdivisions += 1
 
     total_val = compensated_sum(entry[4] for entry in heap)

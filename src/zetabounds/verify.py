@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -31,7 +32,6 @@ from .expsums import (
     RANGE_GUARD,
     TWO_PI,
     exp_sum_exact,
-    log_dirichlet_sum,
     log_phase,
     quadratic_phase,
     shifted_diff_maxima,
@@ -42,7 +42,14 @@ from .expsums import (
     weyl_differencing_rhs,
 )
 from .numerics import EPS, geometric_grid, integrate_adaptive
-from .zeta import T_CEILING, CertifiedComplex, EvalPoint, default_em_config, zeta_prime_em
+from .zeta import (
+    T_CEILING,
+    CertifiedComplex,
+    EvalPoint,
+    default_em_config,
+    em_range_sum,
+    zeta_prime_em,
+)
 
 
 @dataclass(frozen=True)
@@ -248,20 +255,22 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
 
 
 def _check_mid_tail(spec: SampleSpec) -> VerificationReport:
-    """Direct |sum over (t, t^2]| against 2 log t + 1.944.
+    """|sum over (t, t^2]| against 2 log t + 1.944, t log-uniform in
+    [e^2, 1e8].
 
-    t is capped at 300 so the direct sum stays below ~9e4 terms while the
-    t-dependence of the bound is fully exercised.
+    The sum runs over a <= n < b with a = floor(t) + 1 and b = floor(t^2)
+    + 1, from exact arithmetic on the double t, and comes from
+    ``em_range_sum`` at a cost that does not grow with t; its radius is
+    the sample's budget.
     """
     rng = np.random.default_rng(spec.seed)
     sweep = _Sweep("2.4")
     for _ in range(spec.samples):
-        t = math.exp(float(rng.uniform(math.log(E2), math.log(300.0))))
-        value = abs(log_dirichlet_sum(t, t, t * t))
-        bound = mid_tail_sum_bound(t)
-        n_terms = t * t - t
-        budget = 8.0 * EPS * 2.0 * math.sqrt(t) * math.log(t) * math.sqrt(n_terms) + 1e-12
-        sweep.add(value, bound, budget, {"t": t})
+        t = math.exp(float(rng.uniform(math.log(E2), math.log(1e8))))
+        a = math.floor(t) + 1
+        b = math.floor(Fraction(t) ** 2) + 1
+        mid_tail = em_range_sum(EvalPoint(t), a, b)
+        sweep.add(abs(mid_tail.value), mid_tail_sum_bound(t), mid_tail.error_bound, {"t": t})
     return sweep.report()
 
 

@@ -259,7 +259,7 @@ def em_remainder_bound(
 
 
 def _corrections(
-    s: complex, N: int, n_pow: complex, v: int, derivative: bool
+    s: complex, N: int, n_pow: complex, v: int, derivative: bool, pow_err: float
 ) -> tuple[complex, float]:
     """The sum of the order-1..v corrections of ``zeta_em`` (of their
     s-derivatives, with ``derivative``) and a bound on its rounding error.
@@ -273,13 +273,14 @@ def _corrections(
     base_j is off by at most 7 j eps relative and the derivative term by
     16 j eps |base_j| (H_j + log N), H_j = sum_{i<2j-1} 1/|s+i|; summing
     v terms adds v eps times each modulus (docs/remainder_bounds.md).
-    ``n_pow`` = N^{-s} is taken as given.
+    ``n_pow`` = N^{-s} is taken as off by at most ``pow_err`` relative,
+    an error every term inherits.
     """
     logN = math.log(N)
     n2 = float(N * N)
     base = N * n_pow
     total = harm = 0j
-    habs = rounding = 0.0
+    habs = rounding = moduli = 0.0
     for j in range(1, v + 1):
         a = s + (2 * j - 2)
         step = _correction_ratio(j) / n2
@@ -305,35 +306,94 @@ def _corrections(
             raise OverflowError("correction-term overflow; reduce v")
         total += term
         rounding += (16 * j + v) * mag
-    return total, EPS * rounding
+        moduli += mag
+    return total, EPS * rounding + pow_err * moduli
+
+
+def _em_tail(
+    point: EvalPoint, N: int, v: int, derivative: bool, start: complex = 0j
+) -> tuple[complex, float]:
+    """start + T(N) and a bound on its rounding, where T(N), the boundary
+    terms plus the order-1..v corrections, is the Euler-Maclaurin tail of
+    zeta (of zeta', with ``derivative``) at N: sum_{n>=N} n^{-s} (minus
+    sum_{n>=N} log n n^{-s}) up to the remainder bound at N.
+
+    The terms are added to ``start`` in the order ``_truncated`` always
+    used.  The bound covers the rounding of N^{-s} = exp(-s log N),
+    ``pow_err`` relative, which every term inherits; the boundary terms'
+    operations; the corrections' rounding; and the three additions
+    (docs/remainder_bounds.md, "The tail and its rounding").
+    """
+    s = point.s
+    logN = math.log(N)
+    n_pow = cmath.exp(-s * logN)  # N^{-s}
+    pow_err = EPS * (2.0 * (abs(point.t) + abs(point.sigma)) * logN + 4.0)
+    m = N * abs(n_pow) / abs(s - 1)
+    if derivative:
+        first = -logN * N * n_pow / (s - 1) - N * n_pow / (s - 1) ** 2
+        second = -0.5 * logN * n_pow
+        moduli = m * logN + m / abs(s - 1) + 0.5 * logN * abs(n_pow)
+    else:
+        first = N * n_pow / (s - 1)
+        second = 0.5 * n_pow
+        moduli = m + 0.5 * abs(n_pow)
+    value = start + first
+    value += second
+    corrections, rounding = _corrections(s, N, n_pow, v, derivative, pow_err)
+    value += corrections
+    rounding += (pow_err + 8.0 * EPS) * moduli
+    rounding += 2.0 * EPS * (abs(start) + moduli + abs(corrections))
+    return value, rounding
 
 
 def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedComplex:
-    """The corrected truncation of zeta(s), or its term-wise s-derivative.
+    """The corrected truncation of zeta(s), or its term-wise s-derivative:
+    the power sum below N plus ``_em_tail`` at N.
 
     The error bound is the truncation remainder, plus the phase-rounding
-    budget of the power sum (``_phase_rounding_budget``), plus the rounding
-    bound of the corrections (``_corrections``); the summation itself is
-    correctly rounded, so its error (half an ulp per part) is left out.
+    budget of the power sum (``_phase_rounding_budget``), plus the tail's
+    rounding bound; the summation itself is correctly rounded, so its
+    error (half an ulp per part) is left out.
     """
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
     trunc = em_remainder_bound(point, cfg.N, cfg.v, derivative)  # rejects s + i = 0
-    s = point.s
-    N = cfg.N
-    logN = math.log(N)
-    head, rss = _power_sums(s, N, log_weighted=derivative)
-    n_pow = cmath.exp(-s * logN)  # N^{-s}
-    if derivative:
-        value = -head
-        value += -logN * N * n_pow / (s - 1) - N * n_pow / (s - 1) ** 2
-        value += -0.5 * logN * n_pow
-    else:
-        value = head + N * n_pow / (s - 1) + 0.5 * n_pow
-    corrections, rounding = _corrections(s, N, n_pow, cfg.v, derivative)
-    value += corrections
-    err = trunc + _phase_rounding_budget(point.t, N, rss) + rounding
+    head, rss = _power_sums(point.s, cfg.N, log_weighted=derivative)
+    value, rounding = _em_tail(point, cfg.N, cfg.v, derivative, -head if derivative else head)
+    err = trunc + _phase_rounding_budget(point.t, cfg.N, rss) + rounding
     return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
+
+
+def _double_end(N: int, sigma: float) -> tuple[int, float]:
+    """The integer nearest N that is a double, and a bound on the sum of
+    log n n^{-s} over the integers between the two."""
+    near = int(float(N))
+    lo, hi = min(N, near), max(N, near)
+    return near, (hi - lo) * math.log(hi) * max(lo ** -sigma, hi ** -sigma)
+
+
+def em_range_sum(point: EvalPoint, a: int, b: int) -> CertifiedComplex:
+    """sum_{a<=n<b} log n n^{-s} for integers 1 <= a <= b as T(b) - T(a),
+    T the ``_em_tail`` of zeta' at order _START_V, at a cost that does not
+    grow with b - a.
+
+    The radius is both remainder bounds, both tails' rounding, the terms
+    between a or b and the double it rounds to, and the subtraction
+    (docs/remainder_bounds.md, "Range sums").  Far below N = |t| / 2 pi it
+    is huge but honest; where it is not finite, ValueError.
+    """
+    if not 1 <= a <= b:
+        raise ValueError(f"em_range_sum needs integers 1 <= a <= b, got a={a}, b={b}")
+    _check_domain(point, _START_V, derivative=True)
+    sums = next(islice(_pochhammer_sums(point.s), _START_V - 1, None))
+    remainder = _bound_in_n(point.sigma, _START_V, *sums, derivative=True)
+    a, a_err = _double_end(a, point.sigma)
+    b, b_err = _double_end(b, point.sigma)
+    tail_a, round_a = _em_tail(point, a, _START_V, derivative=True)
+    tail_b, round_b = _em_tail(point, b, _START_V, derivative=True)
+    value = tail_b - tail_a
+    err = remainder(a) + remainder(b) + round_a + round_b + a_err + b_err + EPS * abs(value)
+    return CertifiedComplex(value=value, error_bound=err)
 
 
 def zeta_em(point: EvalPoint, cfg: EMConfig) -> CertifiedComplex:

@@ -95,8 +95,12 @@ def integrate_adaptive_scalar(
         heapq.heappush(heap, (-err, seq, x0, x1, val, err))
         seq += 1
 
+    def above_floor(val: float, err: float) -> bool:
+        return err > abs(val) * 50.0 * EPS
+
     total_err = math.fsum(entry[5] for entry in heap)
-    while total_err > tol and subdivisions < max_subdivisions:
+    above = sum(above_floor(entry[4], entry[5]) for entry in heap)
+    while total_err > tol and above and subdivisions < max_subdivisions:
         _, _, x0, x1, val, err = heapq.heappop(heap)
         xm = 0.5 * (x0 + x1)
         if xm <= x0 or xm >= x1:
@@ -105,6 +109,7 @@ def integrate_adaptive_scalar(
             seq += 1
             break
         total_err -= err
+        above -= above_floor(val, err)
         for lo, hi in ((x0, xm), (xm, x1)):
             v, e = _gk15_scalar(f, lo, hi)
             if not math.isfinite(v):
@@ -112,6 +117,7 @@ def integrate_adaptive_scalar(
             heapq.heappush(heap, (-e, seq, lo, hi, v, e))
             seq += 1
             total_err += e
+            above += above_floor(v, e)
         subdivisions += 1
 
     panels = sorted((entry[2], entry[4], entry[5]) for entry in heap)

@@ -97,7 +97,8 @@ def test_criterion_06_mid_tail_envelope():
     report = verify_lemma("2.4", SampleSpec(samples=50, seed=11))
     assert report.samples == 50
     assert report.violations == 0
-    _pass(6, f"50 direct sums, 0 violations, min slack {report.min_slack:.3f}")
+    _pass(6, f"50 Euler-Maclaurin range sums over t in [e^2, 1e8], 0 violations, "
+             f"min slack {report.min_slack:.3f}")
 
 
 def test_criterion_07_curvature_envelope():

@@ -25,7 +25,6 @@ from zetabounds.bounds import (
     theorem2_coeffs,
     theorem2_parts_exact,
 )
-from zetabounds.expsums import log_dirichlet_sum
 
 from reference_blocks import (
     block13_per_block_bound,
@@ -37,6 +36,7 @@ from reference_blocks import (
     m2_at,
     resummed,
 )
+from reference_sums import log_dirichlet_sum
 
 P0 = BoundParams()
 

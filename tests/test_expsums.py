@@ -11,7 +11,6 @@ from zetabounds.expsums import (
     RANGE_GUARD,
     VdCParams,
     exp_sum_exact,
-    log_dirichlet_sum,
     log_phase,
     quadratic_phase,
     shifted_diff_maxima,
@@ -23,6 +22,7 @@ from zetabounds.expsums import (
 )
 
 from reference_blocks import BlockScheme, block_scheme
+from reference_sums import log_dirichlet_sum
 
 
 class TestPhaseFunction:

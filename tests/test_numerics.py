@@ -290,6 +290,20 @@ class TestQuadrature:
         r = integrate_adaptive(nasty, 0.0, 1.0, 1e-14, max_subdivisions=5)
         assert not r.converged
 
+    def test_stops_once_every_panel_sits_at_its_error_floor(self):
+        # the sum of the 50 EPS |value| floors is 1.08e-12: below tol 1.2e-12
+        # the run converges after 31 subdivisions, and at 1e-12 it stops
+        # there too instead of spending all 4,000 on panels no bisection helps
+        def peak(x):
+            return 1.0 / (1e-3 + x * x)
+
+        loose = integrate_adaptive(peak, -1.0, 1.0, 1.2e-12)
+        tight = integrate_adaptive(peak, -1.0, 1.0, 1e-12)
+        assert loose.converged and loose.subdivisions == 31
+        assert not tight.converged and tight.subdivisions == 31
+        assert tight.value == loose.value
+        assert tight.error_estimate == loose.error_estimate == 1.0807637998423788e-12
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             integrate_adaptive(np.sin, 1.0, 0.0, 1e-6)

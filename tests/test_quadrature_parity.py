@@ -24,6 +24,8 @@ from zetabounds.verify import SampleSpec, verify_lemma
 # arithmetic only, so numpy and Python give the same node values
 ARITHMETIC_CASES = {
     "peak_refines": (lambda x: 1.0 / (1e-3 + x * x), -1.0, 1.0, 1e-9, None),
+    # tol below the sum of the panels' error floors: both stop at the floor
+    "peak_at_floor": (lambda x: 1.0 / (1e-3 + x * x), -1.0, 1.0, 1e-12, None),
     "cubic_many_panels": (lambda x: x * x * x - 2.0 * x, 0.0, 3.0, 1e-12, 0.1),
     "offset_peak_panels": (lambda x: 1.0 / (1e-4 + (x - 0.3) * (x - 0.3)), 0.0, 1.0, 1e-8, 0.05),
     "rational_tail": (lambda x: 1.0 / (x * x * x + 1.0), 0.5, 40.0, 1e-11, 7.0),

@@ -68,6 +68,21 @@ class TestLemmaSweeps:
         assert r.violations == 0
         assert r.min_slack > r.error_budget_used
 
+    def test_mid_tail_samples_the_whole_range(self, monkeypatch):
+        # check 2.4 reaches far past the t <= 300 of direct summation
+        ts = []
+        range_sum = verify.em_range_sum
+
+        def recording(point, a, b):
+            ts.append(point.t)
+            return range_sum(point, a, b)
+
+        monkeypatch.setattr(verify, "em_range_sum", recording)
+        r = verify_lemma("2.4", SampleSpec(samples=50, seed=11))
+        assert r.samples == len(ts) == 50
+        assert E2 <= min(ts) and max(ts) <= 1e8
+        assert max(ts) > 1e6
+
     def test_vertex_clean(self):
         r = verify_lemma("2.5", SampleSpec(samples=1500, seed=5))
         assert r.violations == 0

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from zetabounds.zeta import (
     EMConfig,
     EvalPoint,
     default_em_config,
+    em_range_sum,
     em_remainder_bound,
     zeta_em,
     zeta_prime_em,
 )
 
 from reference_oracle import default_eta_terms, eta_oracle, zeta_prime_oracle
+from reference_sums import direct_sum_budget, log_dirichlet_sum
 
 ZETA2 = math.pi**2 / 6.0
 # zeta'(2) frozen from the direct-summation oracle (see test below, which
@@ -289,10 +292,13 @@ class TestCorrections:
             point = EvalPoint(t)
             s = point.s
             r = zeta_prime_em(point, EMConfig(N=N, v=v))
-            _, rss = zeta._power_sums(s, N, log_weighted=True)
+            head, rss = zeta._power_sums(s, N, log_weighted=True)
             n_pow = cmath.exp(-s * math.log(N))
-            _, rounding = zeta._corrections(s, N, n_pow, v, derivative=True)
-            assert rounding > 0
+            _, corrections = zeta._corrections(s, N, n_pow, v, True, 0.0)
+            value, rounding = zeta._em_tail(point, N, v, True, -head)
+            assert value == r.value
+            # the tail's bound holds the corrections' and the rounding of N^{-s}
+            assert rounding > corrections > 0
             trunc = em_remainder_bound(point, N, v, derivative=True)
             assert r.error_bound == trunc + zeta._phase_rounding_budget(t, N, rss) + rounding
 
@@ -308,7 +314,7 @@ class TestCorrections:
         mpmath = pytest.importorskip("mpmath")
         s = complex(sigma, t)
         n_pow = cmath.exp(-s * math.log(N))
-        total, rounding = zeta._corrections(s, N, n_pow, v, derivative)
+        total, rounding = zeta._corrections(s, N, n_pow, v, derivative, 0.0)
         with mpmath.workdps(50):
             sm, logn = mpmath.mpc(s), mpmath.log(N)
             exact, poch, harm = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpc(0)
@@ -321,6 +327,72 @@ class TestCorrections:
                 exact += term * (harm - logn) if derivative else term
             err = float(abs(mpmath.mpc(total) - exact))
         assert err <= rounding, (err, rounding)
+
+
+def mid_tail_ends(t):
+    """a = floor(t) + 1 and b = floor(t^2) + 1: a <= n < b is t < n <= t^2."""
+    return math.floor(t) + 1, math.floor(Fraction(t) ** 2) + 1
+
+
+# 20 seeded t, log-uniform in [e^2, 300], where direct sums stay short
+DIRECT_TS = np.exp(np.random.default_rng(2024).uniform(2.0, math.log(300.0), 20)).tolist()
+
+
+class TestEmRangeSum:
+    @pytest.mark.parametrize("t", DIRECT_TS)
+    def test_within_radius_of_direct_sums(self, t):
+        # (t, t^2] and [floor(t) + 1, 4 floor(t)), against direct summation
+        # allowed its own worst-case rounding
+        for a, b in (mid_tail_ends(t), (math.floor(t) + 1, 4 * math.floor(t))):
+            r = em_range_sum(EvalPoint(t), a, b)
+            direct = log_dirichlet_sum(t, a - 1, b - 1)
+            budget = r.error_bound + direct_sum_budget(t, a - 1, b - 1)
+            assert abs(r.value - direct) <= budget, (a, b)
+
+    @pytest.mark.parametrize("t", [1e4, 1e6, 1e8])
+    def test_within_radius_of_hurwitz_zeta(self, t):
+        # zeta'(s, b) - zeta'(s, a) = sum_{a<=n<b} log n n^{-s}; at t = 1e8,
+        # b = 1e16 + 1 is not a double, so the rounding of b is in play
+        mpmath = pytest.importorskip("mpmath")
+        a, b = mid_tail_ends(t)
+        r = em_range_sum(EvalPoint(t), a, b)
+        with mpmath.workdps(30):
+            s = mpmath.mpc(0.5, t)
+            exact = mpmath.zeta(s, b, 1) - mpmath.zeta(s, a, 1)
+            err = float(abs(mpmath.mpc(r.value) - exact))
+        assert err <= r.error_bound, (err, r.error_bound)
+
+    def test_honest_radius_where_euler_maclaurin_diverges(self):
+        # at t = 1e4 the corrections at N = 10, far below t / 2 pi, grow
+        # with the order: the value is far off and the radius says so
+        t = 1e4
+        r = em_range_sum(EvalPoint(t), 10, 1000)
+        distance = abs(r.value - log_dirichlet_sum(t, 9, 999))
+        assert math.isfinite(r.error_bound)
+        assert r.error_bound >= distance > 1e6
+
+    def test_phase_rounding_is_in_the_tail_bound(self):
+        # at t = 1e8, N = 1e16 the phase t log N ~ 3.7e9 of N^{-s} carries
+        # almost all of the tail's error; the corrections' bound alone
+        # would miss it by orders of magnitude
+        mpmath = pytest.importorskip("mpmath")
+        point, N, v = EvalPoint(1e8), 10**16, 15
+        value, rounding = zeta._em_tail(point, N, v, True)
+        s = point.s
+        _, corrections = zeta._corrections(s, N, cmath.exp(-s * math.log(N)), v, True, 0.0)
+        with mpmath.workdps(40):
+            sm = mpmath.mpc(0.5, 1e8)
+            err = float(abs(mpmath.mpc(value) - mpmath.zeta(sm, N, 1)))
+        remainder = em_remainder_bound(point, N, v, derivative=True)
+        assert err <= rounding + remainder
+        assert err > 1e3 * (corrections + remainder)
+
+    def test_empty_and_invalid_ranges(self):
+        point = EvalPoint(50.0)
+        assert em_range_sum(point, 7, 7).value == 0
+        for a, b in ((0, 5), (6, 5)):
+            with pytest.raises(ValueError, match="1 <= a <= b"):
+                em_range_sum(point, a, b)
 
 
 # mpmath at 30 digits is independent of both routes; its own error is far
