@@ -195,6 +195,16 @@ _OSC_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, float], np.ndarray]] =
 _OSC_VARIANTS = tuple(_OSC_KERNELS)
 
 
+def _decreasing_from(a: float, t: float, v: int, sigma: float, sign: float) -> bool:
+    """Whether g/phi' = log x / (x^sigma (2 pi v x + sign t)), half check
+    2.2a's bound at x = a, decreases on [a, inf): its log-derivative is
+    (1/log x - sigma - 2 pi v x / (2 pi v x + sign t)) / x.  For sign = -1
+    and x > e the fraction exceeds 1 > 1/log x; for sign = +1, 1/log x
+    falls and the fraction rises in x, so x = a decides."""
+    w = TWO_PI * v * a
+    return sign < 0 or t <= w * (math.log(a) - 1.0) + sigma * math.log(a) * (w + t)
+
+
 def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> VerificationReport:
     """Oscillatory log-weighted integral envelopes.
 
@@ -205,7 +215,8 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
                8 pi v a log a / (a^sigma (4 pi^2 v^2 a^2 - t^2)).
 
     Samples respect a >= (t / 2 pi)(1 + margin) with margin >= 0.1, away
-    from the singular denominator.  The i-th of several variants draws
+    from the singular denominator; variant a scales a and b by 1.05 until
+    ``_decreasing_from`` holds.  The i-th of several variants draws
     samples // len(variants) samples from seed + i into the one "2.2"
     report, whose notes give each variant's violation count.
     """
@@ -224,6 +235,8 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
             v = int(rng.integers(1, 5))
             sigma = float(rng.uniform(0.0, 1.5))
             sign = 1.0 if rng.integers(0, 2) else -1.0
+            while variant == "2.2a" and not _decreasing_from(a, t, v, sigma, sign):
+                a, b = 1.05 * a, 1.05 * b
 
             def integrand(x: np.ndarray, kernel=_OSC_KERNELS[variant]) -> np.ndarray:
                 log_x = np.log(x)

@@ -32,6 +32,7 @@ _START_V = 15  # default_em_config's first order; see its docstring
 # The time of one more correction order in power-sum terms (measured, see
 # docs/remainder_bounds.md); default_em_config raises v while it saves more.
 _COST_PER_ORDER = 32
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,12 @@ def default_em_config(
         estimate = max(64, math.ceil(math.exp(y)))
         if estimate > hi:
             break
-        N, taken = estimate, (v, log_pi, habs)
+        N, taken = estimate, (v, log_k, p, shift)
         hi, steps = N - _COST_PER_ORDER - 1, 2
     if taken is None:  # even the cap misses tol at v = 15
         return EMConfig(N=cap, v=_START_V, tol=tol)
-    v, log_pi, habs = taken
-    bound = _bound_in_n(point.sigma, v, log_pi, habs, for_derivative)
+    v, *constants = taken
+    bound = _bound_in_n(*constants, for_derivative)
     while N < cap and bound(N) > tol:  # settle with the bound _truncated uses
         N += 1
     while N > 64 and bound(N - 1) <= tol:
@@ -139,10 +140,7 @@ def default_em_config(
 def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
     """sum_{n<N} n^{-s} (or sum_{n<N} log n * n^{-s} when ``log_weighted``),
     each part correctly rounded by ``compensated_complex_sum``
-    (docs/exact_summation.md), plus the root-sum-square of the term moduli
-    that feeds the rounding budget."""
-    if N <= 1:
-        return 0.0 + 0.0j, 0.0
+    (docs/exact_summation.md), and the sum of the term moduli."""
     n = np.arange(1, N, dtype=np.float64)
     logn = np.log(n)
     moduli = n ** (-s.real)
@@ -150,19 +148,13 @@ def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]
     if log_weighted:
         terms = logn * terms
         moduli = logn * moduli
-    return compensated_complex_sum(terms), math.sqrt(float(np.sum(moduli**2)))
+    return compensated_complex_sum(terms), float(np.sum(moduli))
 
 
-def _phase_rounding_budget(t: float, N: int, rss: float) -> float:
-    """Rounding budget for sums of n^{-s}-type terms.
-
-    Each term's phase t log n is computed in doubles, so it carries an
-    absolute rounding error of order eps * |t| log n; the resulting term
-    errors inherit quasi-uniform phases and accumulate like a root-sum-
-    square.  The 8x safety factor is validated empirically by the
-    cross-oracle agreement tests, which fail if this budget under-covers.
-    """
-    return 8.0 * EPS * (abs(t) * math.log(max(N, 2)) + 4.0) * rss
+def _pow_err(point: EvalPoint, log_n: float) -> float:
+    """The relative rounding of N^{-s} in ``_em_tail`` and of n^{-s} in
+    ``_power_sums`` when log n <= ``log_n`` (docs/remainder_bounds.md)."""
+    return EPS * (2.0 * (abs(point.t) + abs(point.sigma)) * log_n + 4.0)
 
 
 @lru_cache(maxsize=None)
@@ -206,40 +198,14 @@ def _check_domain(point: EvalPoint, v: int, derivative: bool) -> None:
         raise ValueError(f"the derivative bound needs s + i != 0 for i < 2v (s={point.s})")
 
 
-def _bound_constants(
-    sigma: float, v: int, log_pi: float, habs: float
-) -> tuple[float, float, float]:
+def _bound_constants(sigma: float, v: int, log_pi: float, habs: float) -> tuple[float, ...]:
     """log K, p and H + 1/p of the order-v bound, from
     log_pi = sum_{i<2v} log|s+i| and habs = H."""
     p = sigma + 2 * v - 1
     return log_pi + _log_bernoulli_factor(v), p, habs + 1.0 / p
 
 
-def _bound_in_n(
-    sigma: float, v: int, log_pi: float, habs: float, derivative: bool
-) -> Callable[[int], float]:
-    """``em_remainder_bound`` as a function of N, from log_pi =
-    sum_{i<2v} log|s+i| and habs = H, at one exp and one log per probe.
-    K N^{-p} is formed as exp(log K - p log N), since K alone overflows at
-    high order (|s|^119 ~ 1e595 at t = 1e5, v = 60); inf where K N^{-p} does."""
-    log_k, p, shift = _bound_constants(sigma, v, log_pi, habs)
-
-    def bound(N: int) -> float:
-        log_n = math.log(N)
-        x = log_k - p * log_n
-        if x >= _LOG_MAX:
-            return math.inf
-        return math.exp(x) / p * (shift + log_n) if derivative else math.exp(x) / p
-
-    return bound
-
-
-_LOG_MAX = math.log(sys.float_info.max)
-
-
-def em_remainder_bound(
-    point: EvalPoint, N: int, v: int, derivative: bool = False
-) -> float:
+def em_remainder_bound(point: EvalPoint, N: int, v: int, derivative: bool = False) -> float:
     """Closed-form bound for the order-v truncation remainder of ``zeta_em``
     (or, with ``derivative``, of ``zeta_prime_em``).
 
@@ -253,9 +219,29 @@ def em_remainder_bound(
     """
     if N < 1 or v < 1:
         raise ValueError(f"em_remainder_bound needs N, v >= 1, got N={N}, v={v}")
+    return _remainder_in_n(point, v, derivative)(N)
+
+
+def _remainder_in_n(point: EvalPoint, v: int, derivative: bool) -> Callable[[int], float]:
+    """``em_remainder_bound`` at order v as a function of N, after ``_check_domain``."""
     _check_domain(point, v, derivative)
     sums = next(islice(_pochhammer_sums(point.s), v - 1, None))
-    return _bound_in_n(point.sigma, v, *sums, derivative)(N)
+    return _bound_in_n(*_bound_constants(point.sigma, v, *sums), derivative)
+
+
+def _bound_in_n(log_k: float, p: float, shift: float, derivative: bool) -> Callable[[int], float]:
+    """The bound of constants log K, p and H + 1/p as a function of N.  K N^{-p}
+    is formed as exp(log K - p log N), since K alone overflows at high order
+    (|s|^119 ~ 1e595 at t = 1e5, v = 60); inf where K N^{-p} does."""
+
+    def bound(N: int) -> float:
+        log_n = math.log(N)
+        x = log_k - p * log_n
+        if x >= _LOG_MAX:
+            return math.inf
+        return math.exp(x) / p * (shift + log_n) if derivative else math.exp(x) / p
+
+    return bound
 
 
 def _corrections(
@@ -322,12 +308,12 @@ def _em_tail(
     used.  The bound covers the rounding of N^{-s} = exp(-s log N),
     ``pow_err`` relative, which every term inherits; the boundary terms'
     operations; the corrections' rounding; and the three additions
-    (docs/remainder_bounds.md, "The tail and its rounding").
+    (docs/remainder_bounds.md, "Rounding").
     """
     s = point.s
     logN = math.log(N)
     n_pow = cmath.exp(-s * logN)  # N^{-s}
-    pow_err = EPS * (2.0 * (abs(point.t) + abs(point.sigma)) * logN + 4.0)
+    pow_err = _pow_err(point, logN)
     m = N * abs(n_pow) / abs(s - 1)
     if derivative:
         first = -logN * N * n_pow / (s - 1) - N * n_pow / (s - 1) ** 2
@@ -350,17 +336,19 @@ def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedCo
     """The corrected truncation of zeta(s), or its term-wise s-derivative:
     the power sum below N plus ``_em_tail`` at N.
 
-    The error bound is the truncation remainder, plus the phase-rounding
-    budget of the power sum (``_phase_rounding_budget``), plus the tail's
-    rounding bound; the summation itself is correctly rounded, so its
-    error (half an ulp per part) is left out.
+    The error bound is the truncation remainder, plus the rounding of the
+    power-sum terms, ``_pow_err`` at N (and 2 eps for the log weight of
+    the derivative) times the sum of their moduli, plus the tail's
+    rounding bound, which also covers the half ulp per part of the
+    correctly rounded summation (docs/remainder_bounds.md, "Rounding").
     """
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
     trunc = em_remainder_bound(point, cfg.N, cfg.v, derivative)  # rejects s + i = 0
-    head, rss = _power_sums(point.s, cfg.N, log_weighted=derivative)
+    head, moduli = _power_sums(point.s, cfg.N, log_weighted=derivative)
     value, rounding = _em_tail(point, cfg.N, cfg.v, derivative, -head if derivative else head)
-    err = trunc + _phase_rounding_budget(point.t, cfg.N, rss) + rounding
+    term_err = _pow_err(point, math.log(cfg.N)) + (2.0 * EPS if derivative else 0.0)
+    err = trunc + term_err * moduli + rounding
     return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
 
 
@@ -384,9 +372,7 @@ def em_range_sum(point: EvalPoint, a: int, b: int) -> CertifiedComplex:
     """
     if not 1 <= a <= b:
         raise ValueError(f"em_range_sum needs integers 1 <= a <= b, got a={a}, b={b}")
-    _check_domain(point, _START_V, derivative=True)
-    sums = next(islice(_pochhammer_sums(point.s), _START_V - 1, None))
-    remainder = _bound_in_n(point.sigma, _START_V, *sums, derivative=True)
+    remainder = _remainder_in_n(point, _START_V, derivative=True)
     a, a_err = _double_end(a, point.sigma)
     b, b_err = _double_end(b, point.sigma)
     tail_a, round_a = _em_tail(point, a, _START_V, derivative=True)

@@ -26,6 +26,7 @@ from zetabounds.numerics import (
     QuadratureResult,
     compensated_sum,
 )
+from zetabounds.verify import _decreasing_from
 
 __all__ = [
     "SCALAR_OSC_KERNELS",
@@ -179,6 +180,8 @@ def oscillatory_tail_draws(seed: int, samples: int, variants: tuple[str, ...]) -
             v = int(rng.integers(1, 5))
             sigma = float(rng.uniform(0.0, 1.5))
             sign = 1.0 if rng.integers(0, 2) else -1.0
+            while variant == "2.2a" and not _decreasing_from(a, t, v, sigma, sign):
+                a, b = 1.05 * a, 1.05 * b
 
             def integrand(x: float, kernel=SCALAR_OSC_KERNELS[variant],
                           t=t, v=v, sigma=sigma, sign=sign) -> float:

@@ -10,6 +10,7 @@ explain the diff.  Regenerate with
 import contextlib
 import io
 import itertools
+import json
 import pathlib
 
 import pytest
@@ -61,6 +62,47 @@ def _path(name, stream):
     return GOLDEN_DIR / f"{name}.{stream}"
 
 
+def table_fields(text):
+    """Each value of a CSV table (a '# ' header, then one row a line) or of
+    JSON lines, keyed by (row key, column).  The row key is a row's first
+    column, or a record's check_id or t.  None for any other text, or for
+    a table whose row keys repeat."""
+    lines = text.splitlines()
+    fields = {}
+    try:
+        if lines and lines[0].startswith("# ") and "," in lines[0]:
+            columns = lines[0][2:].split(",")
+            for line in lines[1:]:
+                values = line.split(",", len(columns) - 1)
+                if len(values) != len(columns):
+                    return None
+                fields.update({(values[0], col): v for col, v in zip(columns, values)})
+            rows = len(lines) - 1
+        else:
+            for line in lines:
+                record = json.loads(line)
+                key = record.get("check_id", record.get("t"))
+                fields.update({(key, col): json.dumps(v) for col, v in record.items()})
+            rows = len(lines)
+    except (ValueError, AttributeError):
+        return None
+    return fields if len({key for key, _ in fields}) == rows else None
+
+
+def moved_fields(expected, got):
+    """Each field that differs, as 'row key, column: old -> new'; for texts
+    that are not tables, their first differing line."""
+    old, new = table_fields(expected), table_fields(got)
+    if old is None or new is None:
+        return [first_difference(expected, got)]
+    moved = [
+        f"{key}, {col}: {old.get((key, col), '<absent>')} -> {new.get((key, col), '<absent>')}"
+        for key, col in dict.fromkeys([*old, *new])
+        if old.get((key, col)) != new.get((key, col))
+    ]
+    return moved or [first_difference(expected, got)]
+
+
 def first_difference(expected, got):
     """Where two texts first differ, golden line next to the new one."""
     pairs = itertools.zip_longest(
@@ -74,13 +116,13 @@ def first_difference(expected, got):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    got = run(CASES[name])
-    for stream, text in got.items():
+    changes = []
+    for stream, text in run(CASES[name]).items():
         expected = _path(name, stream).read_text(encoding="utf-8")
-        assert text == expected, (
-            f"{name}.{stream} differs from its golden file at "
-            + first_difference(expected, text)
-        )
+        if text != expected:
+            changes += [f"{name}.{stream} {change}" for change in moved_fields(expected, text)]
+    if changes:
+        pytest.fail("differs from the golden files:\n" + "\n".join(changes), pytrace=False)
 
 
 if __name__ == "__main__":

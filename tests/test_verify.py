@@ -2,10 +2,12 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from zetabounds import verify
 from zetabounds.bounds import BoundParams, E2, E6, theorem1_bound
+from zetabounds.expsums import TWO_PI
 from zetabounds.verify import (
     SampleSpec,
     SUPPORTED_CHECKS,
@@ -28,6 +30,23 @@ class TestLemmaSweeps:
         r = verify_lemma(variant, SampleSpec(samples=10, seed=2))
         assert r.violations == 0
         assert r.min_slack > 0
+
+    def test_oscillatory_tail_moves_a_into_the_bound_hypothesis(self):
+        # this draw has a = 2.834 for t = 16.09, v = 1, sigma = 0.00086,
+        # sign = +1, where g/phi' rises at a and the bound fails; the check
+        # moves a up and still reports every sample it was asked for
+        t, a, b = 16.090558596991528, 2.8340380998035295, 6.989569784496702
+        sigma = 0.0008596295071204296
+        assert not verify._decreasing_from(a, t, 1, sigma, 1.0)
+        quad = verify.integrate_adaptive(
+            lambda x: np.sin(t * np.log(x) + TWO_PI * x) * np.log(x) / x ** (1.0 + sigma),
+            a, b, tol=1e-9, min_wavelength=TWO_PI / (t / a + TWO_PI),
+        )
+        bound = 2.0 * math.log(a) / (a**sigma * (TWO_PI * a + t))
+        assert (round(abs(quad.value), 4), round(bound, 4)) == (0.0624, 0.0614)
+        assert abs(quad.value) > bound + 1e-3 + quad.error_estimate
+        r = verify_lemma("2.2a", SampleSpec(samples=10, seed=2101258441))
+        assert (r.samples, r.violations) == (10, 0)
 
     def test_vacuous_sweep_rejected(self):
         # a sweep that would check nothing raises instead of passing clean

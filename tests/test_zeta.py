@@ -292,7 +292,7 @@ class TestCorrections:
             point = EvalPoint(t)
             s = point.s
             r = zeta_prime_em(point, EMConfig(N=N, v=v))
-            head, rss = zeta._power_sums(s, N, log_weighted=True)
+            head, moduli = zeta._power_sums(s, N, log_weighted=True)
             n_pow = cmath.exp(-s * math.log(N))
             _, corrections = zeta._corrections(s, N, n_pow, v, True, 0.0)
             value, rounding = zeta._em_tail(point, N, v, True, -head)
@@ -300,7 +300,19 @@ class TestCorrections:
             # the tail's bound holds the corrections' and the rounding of N^{-s}
             assert rounding > corrections > 0
             trunc = em_remainder_bound(point, N, v, derivative=True)
-            assert r.error_bound == trunc + zeta._phase_rounding_budget(t, N, rss) + rounding
+            term_err = zeta._pow_err(point, math.log(N)) + 2.0 * numerics.EPS
+            assert r.error_bound == trunc + term_err * moduli + rounding
+
+    @pytest.mark.parametrize("t", [1e4, 1e5])
+    def test_radius_covers_the_power_sum_worst_case(self, t):
+        # first order of the documented model: term n is off by at most
+        # eps (1.5 |t| log n + 2.5) of its modulus |log n n^{-s}|
+        point = EvalPoint(t)
+        cfg = default_em_config(point, for_derivative=True)
+        n = np.arange(1, cfg.N, dtype=np.float64)
+        logn = np.log(n)
+        worst = numerics.EPS * float(np.sum(logn * n**-0.5 * (1.5 * t * logn + 2.5)))
+        assert zeta_prime_em(point, cfg).error_bound >= worst
 
     @pytest.mark.parametrize("derivative", [False, True])
     @pytest.mark.parametrize(
@@ -393,6 +405,47 @@ class TestEmRangeSum:
         for a, b in ((0, 5), (6, 5)):
             with pytest.raises(ValueError, match="1 <= a <= b"):
                 em_range_sum(point, a, b)
+
+
+def _ulp_samples(mp) -> dict:
+    """(computed, exact) pairs for each function that the rounding model of
+    docs/remainder_bounds.md ("Rounding") takes to err by at most one ulp,
+    at the arguments the evaluators pass it up to the certified ceiling."""
+    rng = np.random.default_rng(0)
+    n = np.concatenate([np.arange(2.0, 1000.0), rng.integers(1000, 800_000, 1000).astype(float)])
+    phi = rng.uniform(0.0, 1.4e6, 2000)  # t log n, below 1e5 log 8e5
+    big_n = [float(x) for x in rng.integers(64, 800_000, 200)]
+    x = rng.uniform(-10.0, 10.0, 200)  # -sigma log N
+    z = np.exp(-1j * phi)
+    return {
+        "np.log": zip(np.log(n), map(mp.log, n)),
+        "np.power": zip(
+            np.concatenate([n ** -0.5, n ** -1.3]),
+            [mp.mpf(m) ** e for e in (-0.5, -1.3) for m in n],
+        ),
+        "np.exp": zip(
+            np.concatenate([z.real, z.imag]),
+            [*map(mp.cos, phi), *(-mp.sin(f) for f in phi)],
+        ),
+        "math.log": zip(map(math.log, big_n), map(mp.log, big_n)),
+        "cmath.exp": zip(
+            [cmath.exp(complex(0.0, -f)).real for f in phi[:200]]
+            + [cmath.exp(complex(0.0, -f)).imag for f in phi[:200]]
+            + [cmath.exp(complex(e, 0.0)).real for e in x],
+            [*map(mp.cos, phi[:200]), *(-mp.sin(f) for f in phi[:200]), *map(mp.exp, x)],
+        ),
+    }
+
+
+def test_one_ulp_model_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        worst = {
+            name: max(float(abs(mpmath.mpf(float(got)) - exact)) / math.ulp(float(exact))
+                      for got, exact in pairs)
+            for name, pairs in _ulp_samples(mpmath).items()
+        }
+    assert max(worst.values()) <= 1.0, f"ulps beyond the model: {worst}"
 
 
 # mpmath at 30 digits is independent of both routes; its own error is far
