@@ -25,11 +25,9 @@ from .expsums import (
     weyl_differencing_rhs,
 )
 from .numerics import (
-    QuadratureResult,
     bernoulli_number,
     compensated_sum,
     geometric_grid,
-    integrate_adaptive,
 )
 from .optimize import (
     Objective,
@@ -65,7 +63,6 @@ __all__ = [
     "EvalPoint",
     "Objective",
     "OptResult",
-    "QuadratureResult",
     "SampleSpec",
     "SUPPORTED_CHECKS",
     "VdCParams",
@@ -77,7 +74,6 @@ __all__ = [
     "exp_sum_exact",
     "geometric_grid",
     "head_sum_bound",
-    "integrate_adaptive",
     "mid_tail_sum_bound",
     "optimize_params",
     "shifted_diff_maxima",

@@ -7,10 +7,12 @@ round-trip bit-exactly; re-running a command with the same inputs and
 seed produces byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 verification violation,
-3 numerical non-convergence.  Any ValueError raised while handling an
-input, by the library or by this module's own rules, is a usage error:
-`main` alone prints its message on one `error:` line and returns 1, so
-no command wraps the calls it makes.
+3 numerical non-convergence, 141 (128 + SIGPIPE) when the reader of
+stdout closes it early, as `| head` does; that ends quietly, with
+nothing on stderr.  Any ValueError raised while handling an input, by
+the library or by this module's own rules, is a usage error: `main`
+alone prints its message on one `error:` line and returns 1, so no
+command wraps the calls it makes.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_NONCONVERGED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -352,7 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="certified zeta' values")
     add_common(p_eval)
-    p_eval.add_argument("--tol", type=float, default=1e-9)
+    p_eval.add_argument("--tol", type=float, default=1e-9,
+                        help="target for the truncation remainder only; the printed "
+                        "error_bound also holds the rounding bound, which can exceed it")
     p_eval.add_argument("--theorem", type=int, choices=(1, 2), default=None,
                         help="additionally require t inside this theorem's range")
     p_eval.set_defaults(func=_cmd_eval)
@@ -409,7 +414,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; stdout at devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except ValueError as exc:  # a rejected input, wherever the rule lives

@@ -1,29 +1,24 @@
 """Deterministic floating-point building blocks.
 
-Compensated summation, Bernoulli numbers, and an adaptive quadrature
-oracle able to cope with rapidly oscillating integrands.  Everything in
-here is pure: same inputs, same bits, on any platform with IEEE-754
-doubles.  All higher-level bound checks in this package lean on these
-primitives, so each one carries an explicit error contract:
+Compensated summation, Bernoulli numbers, and a certified Gauss-Legendre
+rule for the analytic, rapidly oscillating integrands of the lemma
+checks.  Each returns the same bits for the same inputs (the quadrature,
+for the same integrand values) and carries an explicit error contract:
 
 * ``compensated_sum``  -- correctly rounded (``math.fsum``)
 * ``compensated_complex_sum`` -- correctly rounded per part; the same bits
   as ``math.fsum`` (``docs/exact_summation.md``)
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
-* ``integrate_adaptive`` -- |value - integral| <= error_estimate <= tol
-  whenever the subdivision cap was not hit.  The integrand is an array
-  function (1-D float64 nodes in, values of the same shape out), called
-  once per batch of panels; each panel's Kronrod and Gauss sums are
-  formed elementwise in a fixed order, never through BLAS, so a panel's
-  value and error depend only on its node values, not on its batch.
+* ``integrate_gauss_legendre`` -- |value - integral| <= radius, given a
+  bound on |f| over each panel's Bernstein ellipse and one on the error of
+  each integrand value (``docs/oscillatory_tails.md``, "Certified
+  quadrature")
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -140,180 +135,114 @@ def bernoulli_number(m: int) -> float:
     return float(_bernoulli_exact(m))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float  # absolute
-    subdivisions: int
-    converged: bool = True
-
-
-# Gauss-Kronrod 7-15 nodes/weights on [-1, 1] (abscissae symmetric).
-_GK_NODES = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-)
-_GK_WEIGHTS = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_G_WEIGHTS = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
-
 ArrayFunction = Callable[[np.ndarray], np.ndarray]
+# (panel midpoints, real and imaginary semi-axes with a row per rho) -> M_rho
+EllipseBound = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-# Each panel's 15 nodes as offsets from its midpoint in half-widths: the
-# pairs -x, +x of the scalar rule's order, then the centre.
-_GK_OFFSETS = np.array([s * x for x in _GK_NODES[:-1] for s in (-1.0, 1.0)] + [0.0])[:, None]
-# Weights of the rows (centre value, pair 0, ..., pair 6) in the order the
-# scalar rule adds them: the Kronrod sum takes every row, the Gauss sum the
-# centre and the odd pairs.
-_KRONROD_ROWS = np.array(_GK_WEIGHTS[-1:] + _GK_WEIGHTS[:-1])[:, None]
-_GAUSS_ROWS = np.array(_G_WEIGHTS[-1:] + _G_WEIGHTS[:-1])[:, None]
+RHO_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0)  # Bernstein ellipse parameters tried
+MAX_GL_NODES = 64  # nodes per panel; the node and weight errors are pinned up to here
+GL_WEIGHT_ERR = 2e-13  # relative error of the computed weights (measured: 1.3e-13)
+_ROUND_UP = 1.0 + 1e-12  # covers the rounding of the truncation bound's few operations
 
 
-def _gk15(f: ArrayFunction, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod 7-15 on the panels [x0[j], x1[j]]: (kronrod values,
-    error estimates), with ``f`` called once on all their nodes.  Each sum
-    is a sequential ``np.add.accumulate`` over rows in the one-panel
-    rule's order (no BLAS, no pairwise reduction)."""
-    half = 0.5 * (x1 - x0)
-    mid = 0.5 * (x0 + x1)
-    nodes = mid + half * _GK_OFFSETS  # row k holds node k of every panel
-    fx = np.asarray(f(nodes.ravel()), dtype=np.float64)
-    if fx.shape != (nodes.size,):
-        raise ValueError("integrand must map a 1-D node array to an array of its shape")
-    fx = fx.reshape(nodes.shape)
-    # a non-finite integrand may give inf - inf here; the caller reports it
-    with np.errstate(invalid="ignore", over="ignore"):
-        rows = np.empty((8, fx.shape[1]))
-        rows[0] = fx[14]
-        np.add(fx[0:14:2], fx[1:14:2], out=rows[1:])
-        kron = np.add.accumulate(rows * _KRONROD_ROWS)[-1] * half
-        gauss = np.add.accumulate(rows[::2] * _GAUSS_ROWS)[-1] * half
-        # |kron - gauss|, floored at 50 EPS |kron|
-        err = np.maximum(np.abs(kron - gauss), np.abs(kron) * 50.0 * EPS)
-    return kron, err
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
-def _above_floor(value: float, err: float) -> bool:
-    """Whether a panel's error is above its 50 EPS |value| floor (``_gk15``)."""
-    return err > abs(value) * 50.0 * EPS
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending, symmetric) and weights of the n-point
+    Gauss-Legendre rule on [-1, 1] for even n, read-only and cached: the
+    positive roots by Newton's method on the Legendre recurrence, each
+    weight 2 / ((1 - x^2) P_n'(x)^2) at its final root."""
+    if n < 2 or n % 2:
+        raise ValueError(f"gauss_legendre needs an even n >= 2, got {n}")
+    x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))  # descending
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= EPS:
+            break
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x, w = np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def _require_finite(values: list[float], x0: list[float], x1: list[float]) -> None:
-    """Raise for the leftmost panel whose value is not finite."""
-    if not all(map(math.isfinite, values)):
-        j = next(j for j, v in enumerate(values) if not math.isfinite(v))
-        raise ValueError(f"integrand not finite on [{x0[j]}, {x1[j]}]")
-
-
-def integrate_adaptive(
+def integrate_gauss_legendre(
     f: ArrayFunction,
     a: float,
     b: float,
     tol: float,
-    *,
-    min_wavelength: float | None = None,
-    max_subdivisions: int = 4000,
-) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of ``f`` over [a, b].
+    ellipse_bound: EllipseBound,
+    wavelength: float,
+    node_err: float,
+) -> tuple[float, float]:
+    """Integral of ``f`` over [a, b] by a fixed Gauss-Legendre rule, with a
+    certified radius: (value, radius).
 
-    ``f`` maps a 1-D float64 array of nodes to an array of the same shape;
-    it is called once for all the initial panels and once per bisection.
-    ``min_wavelength`` caps the width of the *initial* panels (at most
-    2000 of them); callers integrating sin/cos phases must pass the
-    shortest oscillation period so that no starting panel straddles many
-    cycles (blind bisection can otherwise accept a spuriously converged
-    panel).  Panels are then bisected worst-first (ties to the older
-    panel) until the summed error estimate falls below ``tol``, the
-    subdivision cap is hit, or every panel's error sits at its 50 EPS
-    |value| floor, which no bisection lowers.  In the last two cases the
-    result is flagged ``converged=False`` and must not be used as an
-    oracle.  Raises ValueError on a non-finite or empty [a, b], a
-    non-positive ``tol``, or an integrand not finite on a panel (naming
-    the leftmost of its batch).
+    [a, b] is cut into ceil((b - a) / (8 wavelength)) equal panels,
+    ``wavelength`` being the shortest period of f's oscillation on [a, b].
+    Each panel gets the n-point rule, n the smallest multiple of 4 up to
+    MAX_GL_NODES whose truncation bound, the sum over panels of (64/15) h
+    M_rho rho^(2 - 2n) / (rho^2 - 1), meets ``tol`` for some rho in
+    RHO_GRID; h is a panel's half-length and M_rho bounds |f| over its
+    Bernstein ellipse.  ``ellipse_bound`` returns M_rho
+    per panel from the midpoints and the ellipse's semi-axes h (rho +
+    1/rho) / 2 and h (rho - 1/rho) / 2, rounded up; a non-finite M_rho
+    means the ellipse leaves f's domain.  ``f`` maps a 1-D float64 node
+    array to an array of its shape and is called once.  The radius adds
+    the rounding of the weights, the products and the sum, and (b - a)
+    ``node_err``, where ``node_err`` bounds the error of each computed f
+    value (docs/oscillatory_tails.md, "Certified quadrature").
+
+    Raises ValueError on a non-finite or empty [a, b], a non-positive
+    ``tol``, or an f not finite at a node (naming the leftmost such
+    panel), and ArithmeticError when no rho gives a finite bound or
+    ``tol`` needs more than MAX_GL_NODES nodes.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integrate_adaptive requires finite a and b, got [{a}, {b}]")
-    if not (a < b):
-        raise ValueError(f"integrate_adaptive requires a < b, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"integrate_gauss_legendre requires finite a < b, got [{a}, {b}]")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-
-    width = b - a
-    if min_wavelength is not None and min_wavelength > 0:
-        n_init = max(1, min(2000, math.ceil(width / min_wavelength)))
-    else:
-        n_init = 1
-
-    # panel i is [a + width i / n_init, a + width (i + 1) / n_init], the last
-    # one ending at b
-    edges = a + width * np.arange(n_init + 1, dtype=np.float64) / n_init
+    panels = math.ceil((b - a) / (8.0 * wavelength))
+    edges = a + (b - a) * np.arange(panels + 1, dtype=np.float64) / panels
     edges[-1] = b
-    vals, errs = _gk15(f, edges[:-1], edges[1:])
-    vals, errs, edges = vals.tolist(), errs.tolist(), edges.tolist()
-    _require_finite(vals, edges[:-1], edges[1:])
-
-    # heap entries: (-panel_error, seq, x0, x1, value, error)
-    heap = list(zip([-e for e in errs], range(n_init), edges[:-1], edges[1:], vals, errs))
-    heapq.heapify(heap)
-    seq = n_init
-    subdivisions = 0
-
-    # The running total is tracked incrementally while refining; the
-    # reported value and error are correctly rounded sums over the
-    # surviving panels, which no order of the panels can change.
-    total_err = math.fsum(errs)
-    # panels whose error is above its 50 EPS |value| floor; once none is,
-    # no bisection can bring the sum of the floors below tol
-    above = sum(map(_above_floor, vals, errs))
-    while total_err > tol and above and subdivisions < max_subdivisions:
-        _, _, x0, x1, val, err = heapq.heappop(heap)
-        xm = 0.5 * (x0 + x1)
-        if xm <= x0 or xm >= x1:
-            # Panel at float resolution: keep it but stop refining it.
-            heapq.heappush(heap, (0.0, seq, x0, x1, val, err))
-            break
-        total_err -= err
-        above -= _above_floor(val, err)
-        vals, errs = _gk15(f, np.array([x0, xm]), np.array([xm, x1]))
-        vals = vals.tolist()
-        _require_finite(vals, [x0, xm], [xm, x1])
-        (v0, v1), (e0, e1) = vals, errs.tolist()
-        heapq.heappush(heap, (-e0, seq, x0, xm, v0, e0))
-        heapq.heappush(heap, (-e1, seq + 1, xm, x1, v1, e1))
-        seq += 2
-        total_err += e0
-        total_err += e1
-        above += _above_floor(v0, e0) + _above_floor(v1, e1)
-        subdivisions += 1
-
-    total_val = compensated_sum(entry[4] for entry in heap)
-    total_err = compensated_sum(entry[5] for entry in heap)
-    return QuadratureResult(
-        value=total_val,
-        error_estimate=total_err,
-        subdivisions=subdivisions,
-        converged=total_err <= tol,
-    )
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    rho = np.array(RHO_GRID)[:, None]  # one row per rho, one column per panel
+    up = half * (1.0 + 4.0 * EPS)
+    with np.errstate(all="ignore"):  # cosh overflows, logs of negatives
+        m_rho = ellipse_bound(mid, up * (0.5 * (rho + 1.0 / rho)), up * (0.5 * (rho - 1.0 / rho)))
+    sums = np.array([math.fsum(row) for row in (half * m_rho).tolist()])  # sum of h M_rho
+    ok = np.isfinite(sums)
+    if not ok.any():
+        raise ArithmeticError(f"no Bernstein ellipse gives a finite bound on [{a}, {b}]")
+    ns, rho = np.arange(4, MAX_GL_NODES + 1, 4), rho[ok]
+    bounds = 64.0 / 15.0 * sums[ok, None] * rho ** (2 - 2 * ns) / (rho * rho - 1.0)
+    bounds = _ROUND_UP * bounds.min(axis=0)  # for each n, over rho
+    if not bounds[-1] <= tol:
+        raise ArithmeticError(f"tol {tol:g} needs more than {MAX_GL_NODES} nodes on [{a}, {b}]")
+    k = int(np.argmax(bounds <= tol))  # the fewest nodes that meet tol
+    n, truncation = int(ns[k]), float(bounds[k])
+    x, w = gauss_legendre(n)
+    fx = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()), dtype=np.float64)
+    if fx.shape != (panels * n,):
+        raise ValueError("integrand must map a 1-D node array to an array of its shape")
+    if not np.isfinite(fx).all():
+        j = int(np.argmin(np.isfinite(fx))) // n  # the first non-finite value's panel
+        raise ValueError(f"integrand not finite on [{edges[j]}, {edges[j + 1]}]")
+    terms = (half[:, None] * w).ravel() * fx
+    # weights, two products and the sum: (2 eps + GL_WEIGHT_ERR) sum |w h f|,
+    # that sum rounded up by its recursive-summation bound
+    scale = float(np.abs(terms).sum()) * (1.0 + terms.size * EPS)
+    rounding = (2.0 * EPS + GL_WEIGHT_ERR) * scale + (b - a) * node_err
+    return math.fsum(terms.tolist()), truncation + rounding
 
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:

@@ -41,7 +41,7 @@ from .expsums import (
     weight_sum_rows,
     weyl_differencing_rhs,
 )
-from .numerics import EPS, geometric_grid, integrate_adaptive
+from .numerics import EPS, geometric_grid, integrate_gauss_legendre
 from .zeta import (
     T_CEILING,
     CertifiedComplex,
@@ -158,9 +158,6 @@ def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
         def f(x):  # a float at the bound's a, an array at the quadrature nodes
             return c * (x + d) ** (-pw)
 
-        def g_prime(x: np.ndarray) -> np.ndarray:
-            return amp * w * np.cos(w * x + phi)
-
         # exact max of |A sin(w x + phi)| on [a, b]
         if w * (b - a) >= TWO_PI:
             gmax = amp
@@ -170,17 +167,21 @@ def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
             k_hi = math.floor((w * b + phi) / math.pi - 0.5)
             if k_hi >= k_lo:
                 gmax = amp
-        quad = integrate_adaptive(
-            lambda x: f(x) * g_prime(x), a, b, tol=1e-10,
-            min_wavelength=TWO_PI / w,
+
+        def ellipse_bound(mid, re_axis, im_axis):
+            # |(z + d)^-p| <= (Re z + d)^-p and |cos(w z + phi)| <= cosh(w Im z)
+            low = mid - re_axis + d - 4.0 * EPS * (mid + re_axis + d)  # rounded down
+            return np.where(low > 0.0, c * amp * w * low ** -pw * np.cosh(w * im_axis), np.inf)
+
+        # a node value's error (docs/oscillatory_tails.md, "Certified quadrature")
+        node_err = EPS * f(a) * amp * w * (4.0 * (w * b + phi) + 3.0 * pw * b / (a + d) + 8.0)
+        value, radius = integrate_gauss_legendre(
+            lambda x: f(x) * (amp * w * np.cos(w * x + phi)), a, b, 1e-10, ellipse_bound,
+            TWO_PI / w, node_err,
         )
-        if not quad.converged:
-            sweep.skip()
-            continue
-        oracle = abs(quad.value)
         bound = 2.0 * f(a) * gmax
-        budget = quad.error_estimate + 1e-12 * (1.0 + bound)
-        sweep.add(oracle, bound, budget, {"a": a, "b": b, "w": w, "p": pw})
+        sweep.add(abs(value), bound, radius + 1e-12 * (1.0 + bound),
+                  {"a": a, "b": b, "w": w, "p": pw})
     return sweep.report()
 
 
@@ -191,6 +192,14 @@ _OSC_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, float], np.ndarray]] =
     "2.2b": lambda tl, w, sign: np.sin(tl + w) + sign * np.sin(tl - w),
     "2.2c": lambda tl, w, sign: np.sin(tl) * np.sin(w),
     "2.2d": lambda tl, w, sign: np.cos(tl) * np.sin(w),
+}
+# A bound on |kernel| over a Bernstein ellipse in the right half-plane,
+# given t |arg z| and 2 pi v |Im z| at most tt and vv.
+_OSC_KERNEL_BOUNDS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "2.2a": lambda tt, vv: np.cosh(tt + vv),
+    "2.2b": lambda tt, vv: 2.0 * np.cosh(tt + vv),
+    "2.2c": lambda tt, vv: np.cosh(tt) * np.cosh(vv),
+    "2.2d": lambda tt, vv: np.cosh(tt) * np.cosh(vv),
 }
 _OSC_VARIANTS = tuple(_OSC_KERNELS)
 
@@ -250,17 +259,27 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
                     8.0 * math.pi * v * a * math.log(a)
                     / (a**sigma * (4.0 * math.pi**2 * v**2 * a**2 - t * t))
                 )
-            wavelength = TWO_PI / (t / a + TWO_PI * v)
-            quad = integrate_adaptive(
-                integrand, a, b, tol=1e-9, min_wavelength=wavelength
+
+            def ellipse_bound(mid, re_axis, im_axis, kernel_bound=_OSC_KERNEL_BOUNDS[variant]):
+                # r <= Re z, |z| <= r_max and |arg z| <= theta on the ellipse
+                r = mid - re_axis - 4.0 * EPS * (mid + re_axis)  # rounded down
+                r_max = np.hypot(mid + re_axis, im_axis) * (1.0 + 4.0 * EPS)
+                theta = np.arctan(im_axis / r)
+                log_max = np.maximum(np.abs(np.log(r)), np.abs(np.log(r_max))) + theta
+                kernel = kernel_bound(t * theta, TWO_PI * v * im_axis)
+                return np.where(r > 0.0, log_max * r ** (-1.0 - sigma) * kernel, np.inf)
+
+            # a node value's error (docs/oscillatory_tails.md, "Certified quadrature")
+            log_a, log_b = math.log(a), math.log(b)
+            envelope = (2.0 if variant == "2.2b" else 1.0) * log_a / a ** (1.0 + sigma)
+            phase = t * log_b + TWO_PI * v * b
+            drift = t / a + TWO_PI * v + (1.0 + 2.5 * log_b) / (a * log_a)
+            node_err = EPS * envelope * (3.0 * phase + 3.0 * b * drift + 2.0 * log_b + 8.0)
+            value, radius = integrate_gauss_legendre(
+                integrand, a, b, 1e-9, ellipse_bound, TWO_PI / (t / a + TWO_PI * v), node_err
             )
-            if not quad.converged:
-                sweep.skip()
-                continue
-            oracle = abs(quad.value)
-            budget = quad.error_estimate + 1e-12 * (1.0 + bound)
             sweep.add(
-                oracle, bound, budget,
+                abs(value), bound, radius + 1e-12 * (1.0 + bound),
                 {"t": t, "a": a, "b": b, "v": v, "sigma": sigma, "sign": sign},
             )
         per_variant.append(f"{variant}: {sweep.violations - violations_before} violations")
@@ -412,9 +431,9 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
 
     "2.2" sweeps the four oscillatory-tail variants into one report,
     splitting the sample budget evenly; its notes give each variant's
-    violations and any excluded samples.  A sweep that would
-    check nothing raises ValueError: fewer than one sample (four for
-    "2.2"), or for "4.3" and "4.6" an "M" range outside 1 <= min <= max <= 1e8.
+    violations.  A sweep that would check nothing raises ValueError: fewer
+    than one sample (four for "2.2"), or for "4.3" and "4.6" an "M" range
+    outside 1 <= min <= max <= 1e8.
     So does a negative seed, and any range but the "M" of 4.3 and 4.6.
     """
     spec = spec or SampleSpec()

@@ -74,6 +74,10 @@ def _check_tol(tol: float) -> None:
 
 @dataclass(frozen=True)
 class CertifiedComplex:
+    """A value and an absolute error radius.  ``converged`` says only that
+    the truncation remainder met the config's ``tol``; ``error_bound`` also
+    holds every rounding and may exceed ``tol`` (README, "Numerical policy")."""
+
     value: complex
     error_bound: float  # absolute
     converged: bool = True
@@ -95,7 +99,9 @@ def default_em_config(
     dearer than the v = 15 one, and settles the last N taken exactly.  The
     bound is the derivative's when the config will feed zeta_prime_em.  If
     no N up to the cap meets ``tol`` at v = 15 the config is (cap, 15) and
-    the evaluation reports itself non-converged.
+    the evaluation reports itself non-converged.  ``tol`` bounds the
+    truncation remainder only: the evaluation's radius adds the rounding
+    bound, which above t ~ 1.7e3 can exceed it.
     """
     if abs(point.t) > T_CEILING:
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")

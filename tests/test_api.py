@@ -8,10 +8,9 @@ import zetabounds
 PUBLIC_NAMES = {
     "BoundCoefficients", "BoundCurve", "BoundParams", "CertifiedComplex",
     "DEFAULT_PARAMS", "EMConfig", "EvalPoint", "Objective", "OptResult",
-    "QuadratureResult", "SampleSpec", "SUPPORTED_CHECKS", "VdCParams",
-    "VerificationReport", "bernoulli_number", "compensated_sum",
-    "crossover_scan", "default_em_config", "exp_sum_exact", "geometric_grid",
-    "head_sum_bound", "integrate_adaptive",
+    "SampleSpec", "SUPPORTED_CHECKS", "VdCParams", "VerificationReport",
+    "bernoulli_number", "compensated_sum", "crossover_scan",
+    "default_em_config", "exp_sum_exact", "geometric_grid", "head_sum_bound",
     "mid_tail_sum_bound", "optimize_params", "shifted_diff_maxima",
     "tail_error_bound", "theorem1_bound", "theorem2_bound", "theorem2_coeffs",
     "theorem2_parts_exact", "vdc_params_for_log_block",
@@ -36,7 +35,7 @@ def test_star_import_runs():
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 36
     assert set(zetabounds.__all__) == PUBLIC_NAMES
 
 

@@ -220,13 +220,17 @@ def test_library_value_error_is_one_error_line(command, monkeypatch, capsys):
     assert captured.err == "error: boom\n"
 
 
-def _run_module(*argv):
+def _module_env():
     env = dict(os.environ)
     src = str(pathlib.Path(zetabounds.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "zetabounds.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
 
 
@@ -245,6 +249,21 @@ def test_module_entry_point_usage_error():
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_closed_pipe_ends_quietly():
+    # `| head -1`: the reader leaves after one line, long before the rows
+    # (about 320 kB) are written
+    argv = ["bound", "--t-min", "500", "--t-max", "1e5", "--samples", "1000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zetabounds.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    assert proc.stdout.readline().startswith(b"# t,")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_overflowing_weighted_sums_are_infeasible_points():

@@ -13,14 +13,16 @@ from zetabounds.numerics import (
     _EXACT_MIN_TERMS,
     BERNOULLI_MAX_M,
     EPS,
-    QuadratureResult,
+    GL_WEIGHT_ERR,
+    MAX_GL_NODES,
     bernoulli_number,
     compensated_complex_sum,
     compensated_sum,
+    gauss_legendre,
     geometric_grid,
-    integrate_adaptive,
+    integrate_gauss_legendre,
 )
-from zetabounds import numerics, zeta
+from zetabounds import numerics, verify, zeta
 from zetabounds.zeta import _MAX_V
 
 
@@ -223,134 +225,193 @@ class TestBernoulli:
                 bernoulli_number(bad)
 
 
+def _box_bound(f_bound):
+    """An ellipse bound from a bound on |f| over the box |Re z| <= x,
+    |Im z| <= y around each ellipse, f_bound(x, y), for integrands whose
+    modulus grows with |Re z| and |Im z|."""
+    return lambda mid, re_axis, im_axis: f_bound(np.abs(mid) + re_axis, im_axis)
+
+
+def _damped_sine(k):
+    """sin(k x) e^-x and its ellipse bound cosh(k Im z) e^{-Re z}."""
+    def bound(mid, re_axis, im_axis):
+        return np.cosh(k * im_axis) * np.exp(re_axis - mid)
+
+    return (lambda x: np.sin(k * x) * np.exp(-x)), bound
+
+
+def _legendre_reference(mp, n, x):
+    """The root of P_n next to the float x and its weight, by Newton's
+    method at the working precision."""
+    x = mp.mpf(x)
+    for _ in range(4):
+        p0, p1 = mp.mpf(1), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x -= p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
 class TestQuadrature:
+    def test_nodes_and_weights_against_mpmath(self):
+        # every rule integrate_gauss_legendre can pick; the rounding bound
+        # charges 2 eps per node and GL_WEIGHT_ERR per weight
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in range(4, MAX_GL_NODES + 1, 4):
+                x, w = gauss_legendre(n)
+                assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+                for xi, wi in zip(x[n // 2:], w[n // 2:]):
+                    root, weight = _legendre_reference(mp, n, xi)
+                    assert abs(xi - root) <= 2 * EPS * root, (n, xi)
+                    assert abs(wi - weight) <= GL_WEIGHT_ERR * weight, (n, wi)
+
+    def test_truncation_exponent_is_two_minus_two_n(self, monkeypatch):
+        # the n-point rule's bound carries rho^(2 - 2n): at rho = 40 the
+        # 4-point rule on cos(x / 2) errs by 1.1e-9, within 7.2e-9, while
+        # rho^(-2n) would claim 4.5e-12
+        monkeypatch.setattr(numerics, "RHO_GRID", (40.0,))
+        k = 0.5
+        value, radius = integrate_gauss_legendre(
+            lambda x: np.cos(k * x), -1.0, 1.0, 1e-8, _box_bound(lambda x, y: np.cosh(k * y)),
+            2 * math.pi / k, 4 * EPS,
+        )
+        err = abs(value - 2.0 * math.sin(k) / k)
+        assert 1e-9 < err <= radius < 1e-8
+        assert err > radius / 40.0**2
+
     def test_constant(self):
-        r = integrate_adaptive(np.ones_like, 0.0, 1.0, 1e-12)
-        assert r.converged
-        assert r.value == pytest.approx(1.0, abs=1e-13)
+        value, radius = integrate_gauss_legendre(
+            np.ones_like, 0.0, 1.0, 1e-12, _box_bound(lambda x, y: np.ones_like(x)), 1.0, 0.0
+        )
+        assert abs(value - 1.0) <= radius <= 1e-12
 
     def test_sine_half_period(self):
-        r = integrate_adaptive(np.sin, 0.0, math.pi, 1e-12)
-        assert r.converged
-        assert r.value == pytest.approx(2.0, abs=1e-12)
+        # |sin z| <= cosh(Im z)
+        value, radius = integrate_gauss_legendre(
+            np.sin, 0.0, math.pi, 1e-12, _box_bound(lambda x, y: np.cosh(y)), 2 * math.pi, 16 * EPS
+        )
+        assert abs(value - 2.0) <= radius <= 2e-12
 
     def test_oscillatory_self_consistency_under_refinement(self):
-        def f(x):
-            return np.sin(10 * np.log(x) + 2 * math.pi * x) / x**1.5 * np.log(x)
-
-        r1 = integrate_adaptive(f, 3.0, 10.0, 1e-10, min_wavelength=0.5)
-        r2 = integrate_adaptive(f, 3.0, 10.0, 1e-10, min_wavelength=0.25)
-        assert r1.converged and r2.converged
-        assert abs(r1.value - r2.value) < 1e-9
+        # half the wavelength, twice the panels: both values hold their
+        # radii; each node value is off by under 1e3 eps (phase 40 x <= 200)
+        f, bound = _damped_sine(40.0)
+        v1, r1 = integrate_gauss_legendre(f, 0.0, 5.0, 1e-10, bound, 2 * math.pi / 40, 1e3 * EPS)
+        v2, r2 = integrate_gauss_legendre(f, 0.0, 5.0, 1e-10, bound, math.pi / 40, 1e3 * EPS)
+        assert abs(v1 - v2) <= r1 + r2
 
     def test_error_estimate_is_honest_on_known_integral(self):
-        # integral of x^3 e^{-x} over [0, 4] has a closed form
+        # integral of x^3 e^{-x} over [0, 4] has a closed form; on the
+        # ellipse |z^3 e^-z| <= (|mid| + A + B)^3 e^{A - mid}
         truth = 6.0 - 142.0 * math.exp(-4.0)
-        r = integrate_adaptive(lambda x: x**3 * np.exp(-x), 0.0, 4.0, 1e-9)
-        assert r.converged
-        assert abs(r.value - truth) <= r.error_estimate + 1e-15
+
+        def bound(mid, re_axis, im_axis):
+            return (np.abs(mid) + re_axis + im_axis) ** 3 * np.exp(re_axis - mid)
+
+        for tol in (1e-6, 1e-9, 1e-12):
+            value, radius = integrate_gauss_legendre(
+                lambda x: x**3 * np.exp(-x), 0.0, 4.0, tol, bound, 4.0, 1e2 * EPS
+            )
+            assert abs(value - truth) <= radius <= tol + 1e-12
 
     def test_tightening_tol_shrinks_error(self):
-        def f(x):
-            return np.sin(40.0 * x) * np.exp(-x)
-
-        errs = []
+        f, bound = _damped_sine(40.0)
+        truth = (40.0 - math.exp(-5.0) * (math.sin(200.0) + 40.0 * math.cos(200.0))) / 1601.0
+        radii = []
         for tol in (1e-4, 1e-7, 1e-10):
-            r = integrate_adaptive(f, 0.0, 5.0, tol, min_wavelength=2 * math.pi / 40)
-            assert r.converged
-            errs.append(r.error_estimate)
-        assert errs[0] >= errs[1] >= errs[2]
-
-    def test_tightening_on_log_weighted_oscillatory_family(self):
-        # the integrand family the verification sweeps feed through here:
-        # products of sin(t log x) / sin(2 pi v x) with a log weight
-        t, v, sigma, a, b = 30.0, 2, 0.5, 7.0, 21.0
-
-        def f(x):
-            return (
-                np.sin(t * np.log(x))
-                * np.sin(2 * math.pi * v * x)
-                * np.log(x)
-                / x ** (1 + sigma)
+            value, radius = integrate_gauss_legendre(
+                f, 0.0, 5.0, tol, bound, 2 * math.pi / 40, 1e3 * EPS
             )
+            assert abs(value - truth) <= radius <= tol + 2e-12
+            radii.append(radius)
+        assert radii[0] >= radii[1] >= radii[2]
 
-        wavelength = 2 * math.pi / (t / a + 2 * math.pi * v)
-        errs = []
-        for tol in (1e-6, 1e-9, 1e-12):
-            r = integrate_adaptive(f, a, b, tol, min_wavelength=wavelength)
-            assert r.converged
-            errs.append(r.error_estimate)
-        assert errs[0] >= errs[1] >= errs[2]
-        assert errs[2] <= 1e-12
+    def test_tightening_on_log_weighted_oscillatory_family(self, monkeypatch):
+        # the integrand and ellipse bound of a check 2.2c sample, at
+        # tightening tolerances
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return integrate_gauss_legendre(*args)
+
+        monkeypatch.setattr(verify, "integrate_gauss_legendre", recording)
+        verify.verify_lemma("2.2c", verify.SampleSpec(samples=1, seed=5))
+        f, a, b, _, bound, wavelength, node_err = calls[0]
+        results = [
+            integrate_gauss_legendre(f, a, b, tol, bound, wavelength, node_err)
+            for tol in (1e-6, 1e-9, 1e-12)
+        ]
+        radii = [radius for _, radius in results]
+        assert radii[0] >= radii[1] >= radii[2]
+        assert radii[2] <= 1e-12 + (b - a) * node_err + 1e-12
+        (v0, r0), (v2, r2) = results[0], results[2]
+        assert abs(v0 - v2) <= r0 + r2
 
     def test_cap_flags_nonconvergence(self):
-        def nasty(x):
-            return np.sin(1.0 / (x + 1e-9)) / np.sqrt(x + 1e-9)
-
-        r = integrate_adaptive(nasty, 0.0, 1.0, 1e-14, max_subdivisions=5)
-        assert not r.converged
-
-    def test_stops_once_every_panel_sits_at_its_error_floor(self):
-        # the sum of the 50 EPS |value| floors is 1.08e-12: below tol 1.2e-12
-        # the run converges after 31 subdivisions, and at 1e-12 it stops
-        # there too instead of spending all 4,000 on panels no bisection helps
-        def peak(x):
-            return 1.0 / (1e-3 + x * x)
-
-        loose = integrate_adaptive(peak, -1.0, 1.0, 1.2e-12)
-        tight = integrate_adaptive(peak, -1.0, 1.0, 1e-12)
-        assert loose.converged and loose.subdivisions == 31
-        assert not tight.converged and tight.subdivisions == 31
-        assert tight.value == loose.value
-        assert tight.error_estimate == loose.error_estimate == 1.0807637998423788e-12
+        # a finite bound that MAX_GL_NODES nodes cannot bring below tol, and
+        # no finite bound at all, both raise rather than return a value
+        huge, infinite = _box_bound(lambda x, y: 1e300 + 0 * x), _box_bound(lambda x, y: np.inf + x)
+        with pytest.raises(ArithmeticError, match="needs more than 64 nodes on"):
+            integrate_gauss_legendre(np.sin, 0.0, 1.0, 1e-14, huge, 1.0, 0.0)
+        with pytest.raises(ArithmeticError, match="no Bernstein ellipse"):
+            integrate_gauss_legendre(np.sin, 0.0, 1.0, 1e-6, infinite, 1.0, 0.0)
 
     def test_invalid_inputs(self):
+        bound = _box_bound(lambda x, y: np.cosh(y))
         with pytest.raises(ValueError):
-            integrate_adaptive(np.sin, 1.0, 0.0, 1e-6)
+            integrate_gauss_legendre(np.sin, 1.0, 0.0, 1e-6, bound, 1.0, 0.0)
         with pytest.raises(ValueError):
-            integrate_adaptive(np.sin, 0.0, 1.0, -1e-6)
+            integrate_gauss_legendre(np.sin, 0.0, 1.0, -1e-6, bound, 1.0, 0.0)
 
     @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
-    @pytest.mark.parametrize("min_wavelength", [None, 1.0])
-    def test_non_finite_endpoints_rejected_before_any_evaluation(self, a, b, min_wavelength):
-        def never_called(x):
-            raise AssertionError("integrand evaluated")
+    @pytest.mark.parametrize("wavelength", [None, 1.0])
+    def test_non_finite_endpoints_rejected_before_any_evaluation(self, a, b, wavelength):
+        # the ends are checked first: not even the wavelength is read
+        def never_called(*args):
+            raise AssertionError("integrand or bound evaluated")
 
-        with pytest.raises(ValueError, match="requires finite a and b"):
-            integrate_adaptive(never_called, a, b, 1e-6, min_wavelength=min_wavelength)
+        with pytest.raises(ValueError, match="requires finite a < b"):
+            integrate_gauss_legendre(never_called, a, b, 1e-6, never_called, wavelength, 0.0)
 
-    @pytest.mark.parametrize("poles, min_wavelength, panel", [
-        ((0.5,), None, "[0.0, 1.0]"),
-        # panels [0, .25], [.25, .5], [.5, .75], [.75, 1]; poles at the
-        # midpoints of the second and fourth
-        ((0.375, 0.875), 0.25, "[0.25, 0.5]"),
+    @pytest.mark.parametrize("bad, wavelength, panel", [
+        ([(0.5, 1.0)], 1.0, "[0.0, 1.0]"),
+        # wavelength 1/32: panels [0, .25], [.25, .5], [.5, .75], [.75, 1];
+        # bad stretches in the second and the fourth
+        ([(0.3, 0.5), (0.8, 1.0)], 1 / 32, "[0.25, 0.5]"),
     ], ids=["one_panel", "four_panels"])
-    def test_non_finite_integrand_names_leftmost_initial_panel(self, poles, min_wavelength, panel):
+    def test_non_finite_integrand_names_leftmost_initial_panel(self, bad, wavelength, panel):
         def f(x):
-            return np.where(np.isin(x, poles), np.inf, x)
+            inside = np.zeros(x.shape, dtype=bool)
+            for lo, hi in bad:
+                inside |= (lo < x) & (x < hi)
+            return np.where(inside, np.inf, x)
 
         message = re.escape(f"integrand not finite on {panel}")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            integrate_adaptive(f, 0.0, 1.0, 1e-6, min_wavelength=min_wavelength)
-
-    def test_non_finite_integrand_names_leftmost_bisection_child(self):
-        # one initial panel, which does not converge; both children of its
-        # bisection have a pole at their midpoint
-        def f(x):
-            return np.where((x == 0.25) | (x == 0.75), np.inf, np.sqrt(x))
-
-        with pytest.raises(ValueError, match=r"^integrand not finite on \[0\.0, 0\.5\]$"):
-            integrate_adaptive(f, 0.0, 1.0, 1e-14)
+            integrate_gauss_legendre(f, 0.0, 1.0, 1e-6, _box_bound(np.add), wavelength, 0.0)
 
     def test_integrand_must_return_node_shape(self):
         with pytest.raises(ValueError, match="array of its shape"):
-            integrate_adaptive(lambda x: 1.0, 0.0, 1.0, 1e-6)
+            integrate_gauss_legendre(lambda x: 1.0, 0.0, 1.0, 1e-6, _box_bound(np.add), 1.0, 0.0)
 
     def test_result_invariants(self):
-        r = integrate_adaptive(lambda x: x * x, 0.0, 2.0, 1e-10)
-        assert isinstance(r, QuadratureResult)
-        assert r.error_estimate >= 0
-        assert r.value == pytest.approx(8.0 / 3.0, rel=1e-12)
+        # one integrand call over ceil((b - a) / (8 wavelength)) equal panels
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return x * x
+
+        value, radius = integrate_gauss_legendre(
+            f, 0.0, 2.0, 1e-10, _box_bound(lambda x, y: x * x + y * y), 2.0 / 24, 0.0
+        )
+        assert len(calls) == 1 and calls[0] % 3 == 0 and calls[0] // 3 % 4 == 0
+        assert isinstance(value, float) and isinstance(radius, float)
+        assert 0 < radius <= 1e-10 + 1e-12
+        assert abs(value - 8.0 / 3.0) <= radius
 
 
 def test_geometric_grid_endpoints_and_monotone():

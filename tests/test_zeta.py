@@ -410,13 +410,17 @@ class TestEmRangeSum:
 def _ulp_samples(mp) -> dict:
     """(computed, exact) pairs for each function that the rounding model of
     docs/remainder_bounds.md ("Rounding") takes to err by at most one ulp,
-    at the arguments the evaluators pass it up to the certified ceiling."""
+    at the arguments the evaluators pass it up to the certified ceiling and
+    the lemma quadratures pass it."""
     rng = np.random.default_rng(0)
     n = np.concatenate([np.arange(2.0, 1000.0), rng.integers(1000, 800_000, 1000).astype(float)])
     phi = rng.uniform(0.0, 1.4e6, 2000)  # t log n, below 1e5 log 8e5
     big_n = [float(x) for x in rng.integers(64, 800_000, 200)]
     x = rng.uniform(-10.0, 10.0, 200)  # -sigma log N
     z = np.exp(-1j * phi)
+    # the quadrature of checks 2.1 and 2.2 takes sin and cos of phases below
+    # t log b + 2 pi v b <= 3.3e3
+    quad_phase = rng.uniform(0.0, 3.3e3, 2000)
     return {
         "np.log": zip(np.log(n), map(mp.log, n)),
         "np.power": zip(
@@ -434,6 +438,8 @@ def _ulp_samples(mp) -> dict:
             + [cmath.exp(complex(e, 0.0)).real for e in x],
             [*map(mp.cos, phi[:200]), *(-mp.sin(f) for f in phi[:200]), *map(mp.exp, x)],
         ),
+        "np.sin": zip(np.sin(quad_phase), map(mp.sin, quad_phase)),
+        "np.cos": zip(np.cos(quad_phase), map(mp.cos, quad_phase)),
     }
 
 
