@@ -238,21 +238,27 @@ def _cmd_verify(args) -> int:
         raise ValueError("--max-m applies only to check 4.6")
     if args.seed is not None and args.lemma is None:
         raise ValueError("--seed applies only with --lemma")
+    # check 4.6 is exhaustive and deterministic: it takes no sample count or seed
+    if args.samples is not None and targets == ["4.6"] and args.theorem is None:
+        raise ValueError("--samples does not apply to check 4.6, which checks every M")
+    if args.seed is not None and targets == ["4.6"]:
+        raise ValueError("--seed does not apply to check 4.6, which checks every M")
     if (args.t_min is not None or args.t_max is not None) and args.theorem is None:
         raise ValueError("--t-min and --t-max apply only with --theorem")
     params = _bound_params(args)
     max_m = args.max_m if args.max_m is not None else 10000
     seed = args.seed if args.seed is not None else 0
+    samples = args.samples if args.samples is not None else 50
     reports = []
     for check_id in targets:
         ranges = {"M": (1, max_m)} if check_id == "4.6" else {}
-        spec = SampleSpec(samples=args.samples, seed=seed, ranges=ranges)
+        spec = SampleSpec(samples=samples, seed=seed, ranges=ranges)
         reports.append(verify_lemma(check_id, spec))
     if args.theorem is not None:
         lo = args.t_min if args.t_min is not None else THRESHOLD[args.theorem]
         hi = args.t_max if args.t_max is not None else 1e4
         reports.append(
-            verify_theorem_envelope(args.theorem, (lo, hi), args.samples, params)
+            verify_theorem_envelope(args.theorem, (lo, hi), samples, params)
         )
     rows = [r.to_record() for r in reports]
     _write_rows(rows, _VERIFY_COLUMNS, "verify", args.format, args.out)
@@ -381,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-m", type=positive, default=None,
                           help="top of the exhaustive M range for check 4.6 "
                           "(default 10000, at most 1e8)")
-    p_verify.set_defaults(func=_cmd_verify, samples=50)
+    p_verify.set_defaults(func=_cmd_verify, samples=None)  # 50 where a check uses it
 
     p_opt = sub.add_parser("optimize", help="tune the free parameters")
     add_common(p_opt, t_help="target t for --objective bound-at-t", with_range=False)

@@ -155,69 +155,76 @@ def vertex_max_bound(amps: Sequence[float], phases: Sequence[float]) -> float:
     return float(amps[-1]) * max(1.0, best)
 
 
-@dataclass(frozen=True)
-class WeightSums:
-    """Triangular weight sums over m = 1..M-1 next to their bounds.
-
-    Order: sum (1-m/M) m^{1/2}, m^{-1/2}, m, 1 with bounds
-    (4/15) M^{3/2}, (4/3) M^{1/2}, M^2/6, M/2.  ``exact`` means within the
-    rounding bound of docs/weight_sums.md: its first two values carry at
-    most 2.7e-15 of their bound; the third and fourth are (M^2-1)/6 and
-    (M-1)/2 correctly rounded, strictly below their quoted bounds for
-    M >= 2.
-    """
-
-    M: int
-    exact: tuple[float, float, float, float]
-    bound: tuple[float, float, float, float]
+WEIGHT_BLOCK = 2**14  # rows per block of weight_sum_blocks
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _sum2_prefix(s: float, e: float, terms: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Sum2's running value fl(s + e) before each term, from the pair
+    (s, e), and the pair after the last term.  Each term goes through
+    TwoSum into s, its error into e; np.cumsum (np.add.accumulate) adds
+    in order, so every value has the bits of a scalar loop."""
+    s_run = np.cumsum(np.concatenate(([s], terms)))
+    before, after = s_run[:-1], s_run[1:]
+    bb = after - before
+    e_run = np.cumsum(np.concatenate(([e], (before - (after - bb)) + (terms - bb))))
+    return before + e_run[:-1], float(s_run[-1]), float(e_run[-1])
 
 
-def weight_sum_rows(max_m: int) -> Iterator[WeightSums]:
-    """``WeightSums`` for M = 1, 2, ..., max_m in one pass with O(1) state.
+def _int_prefix(n: int, terms: np.ndarray) -> np.ndarray:
+    """Exact running sums of the Python ints ``terms`` from n, before each
+    term and after the last (object dtype: int64 would overflow)."""
+    run = np.empty(terms.size + 1, dtype=object)
+    run[0] = n
+    run[1:] = terms
+    return np.cumsum(run)
 
-    sum_{m<M} (1 - m/M) f(m) = S0 - S1/M with S0 = sum_{m<M} f(m) and
-    S1 = sum_{m<M} m f(m).  Relations 1 and 2 need running sums of
-    m^{-1/2}, m^{1/2} and m^{3/2}, carried compensated (TwoSum with the
-    errors summed apart); relations 3 and 4 need sums of m and m^2,
-    carried as integers and divided once.  docs/weight_sums.md bounds
-    the rounding error.
+
+def weight_sum_blocks(max_m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Triangular weight sums of M = 1, 2, ..., max_m next to their
+    bounds, in blocks of at most ``WEIGHT_BLOCK`` rows: (M, exact, bound)
+    with M an int array and exact, bound of shape (rows, 4).
+
+    Column order: sum_{m<M} (1 - m/M) f(m) for f = m^{1/2}, m^{-1/2}, m, 1,
+    with bounds (4/15) M^{3/2}, (4/3) M^{1/2}, M^2/6, M/2.  The sum is
+    S0 - S1/M with S0 = sum_{m<M} f(m) and S1 = sum_{m<M} m f(m).
+    Relations 1 and 2 need running sums of m^{-1/2}, m^{1/2} and m^{3/2},
+    carried compensated (Sum2) from block to block; relations 3 and 4
+    need sums of m and m^2, carried as Python ints and divided once, so
+    they are (M^2-1)/6 and (M-1)/2 correctly rounded.
+    docs/weight_sums.md bounds the rounding error.
     """
     if max_m < 1:
         raise ValueError("M must be >= 1")
-    # sums of m^{-1/2}, m^{1/2}, m^{3/2} over m < M and their rounding errors
-    s_inv = s_root = s_root3 = 0.0
-    e_inv = e_root = e_root3 = 0.0
+    # Sum2 pairs of m^{-1/2}, m^{1/2}, m^{3/2} over m < M
+    pairs = [(0.0, 0.0)] * 3
     n_lin = n_sq = 0  # sums of m and m^2 over m < M
-    for M in range(1, max_m + 1):
-        root = s_root + e_root
-        exact = (
-            root - (s_root3 + e_root3) / M,
-            (s_inv + e_inv) - root / M,
-            (M * n_lin - n_sq) / M,
-            (M * (M - 1) - n_lin) / M,
-        )
-        bound = (
-            4.0 / 15.0 * M**1.5,
-            4.0 / 3.0 * math.sqrt(M),
-            M**2 / 6.0,
-            M / 2.0,
-        )
-        yield WeightSums(M=M, exact=exact, bound=bound)
-        # the m = M terms enter the rows of every larger M
-        r = math.sqrt(M)
-        s_inv, e = _two_sum(s_inv, 1.0 / r)
-        e_inv += e
-        s_root, e = _two_sum(s_root, r)
-        e_root += e
-        s_root3, e = _two_sum(s_root3, M * r)
-        e_root3 += e
-        n_lin += M
-        n_sq += M * M
-
+    for first in range(1, max_m + 1, WEIGHT_BLOCK):
+        ms = np.arange(first, min(first + WEIGHT_BLOCK, max_m + 1))
+        m = ms.astype(np.float64)
+        r = np.sqrt(m)
+        runs = []
+        for i, terms in enumerate((1.0 / r, r, m * r)):
+            run, s, e = _sum2_prefix(*pairs[i], terms)
+            pairs[i] = (s, e)
+            runs.append(run)
+        inv, root, root3 = runs
+        mo = ms.astype(object)
+        lin = _int_prefix(n_lin, mo)
+        sq = _int_prefix(n_sq, mo * mo)
+        n_lin, n_sq = lin[-1], sq[-1]
+        lin, sq = lin[:-1], sq[:-1]
+        exact = np.column_stack((
+            root - root3 / m,
+            inv - root / m,
+            ((mo * lin - sq) / mo).astype(np.float64),
+            ((mo * (mo - 1) - lin) / mo).astype(np.float64),
+        ))
+        # Python's ** on each M: numpy's power can differ from libm's pow
+        # in the last bit
+        bound = np.column_stack((
+            4.0 / 15.0 * np.array([k**1.5 for k in range(first, first + ms.size)]),
+            4.0 / 3.0 * r,
+            m * m / 6.0,
+            m / 2.0,
+        ))
+        yield ms, exact, bound

@@ -38,7 +38,7 @@ from .expsums import (
     vdc_params_for_log_block,
     vdc_second_derivative_bound,
     vertex_max_bound,
-    weight_sum_rows,
+    weight_sum_blocks,
     weyl_differencing_rhs,
 )
 from .numerics import EPS, geometric_grid, integrate_gauss_legendre
@@ -88,6 +88,13 @@ class VerificationReport:
         return rec
 
 
+def _stream_max(current: float, values: np.ndarray) -> float:
+    """``max(current, v)`` folded over ``values`` in order: NaNs are passed
+    over, and of equal maxima (0.0 and -0.0) the first is kept."""
+    top = np.fmax.reduce(values)
+    return float(values[np.argmax(values == top)]) if top > current else current
+
+
 class _Sweep:
     """Accumulates (oracle, bound, budget, inputs) triples into a report."""
 
@@ -111,6 +118,26 @@ class _Sweep:
             self.min_slack_inputs = inputs
         if oracle > bound + budget:
             self.violations += 1
+
+    def add_many(
+        self, oracle: np.ndarray, bound: np.ndarray, budget: np.ndarray,
+        inputs_at: Callable[[int], dict],
+    ) -> None:
+        """``add`` on each entry in order, by array reductions: the first
+        minimum slack wins and NaNs pass as they do there.  ``inputs_at(i)``
+        gives entry i's inputs and runs only for a new minimum."""
+        if not oracle.size:
+            return
+        self.samples += oracle.size
+        self.max_oracle = _stream_max(self.max_oracle, oracle)
+        self.budget_used = _stream_max(self.budget_used, budget)
+        slack = bound - oracle
+        least = np.fmin.reduce(slack)
+        if least < self.min_slack:
+            i = int(np.argmax(slack == least))
+            self.min_slack = float(slack[i])
+            self.min_slack_inputs = inputs_at(i)
+        self.violations += int(np.count_nonzero(oracle > bound + budget))
 
     def skip(self) -> None:
         self.skipped += 1
@@ -386,25 +413,30 @@ def _check_differencing(spec: SampleSpec) -> VerificationReport:
 
 def _check_weight_sums(spec: SampleSpec) -> VerificationReport:
     """Exhaustive exact-vs-bound comparison of the triangular weight sums
-    at every M of the "M" range; the running sums start at M = 1."""
+    at every M of the "M" range; the running sums start at M = 1.
+    Relations 3 and 4 must equal (M^2-1)/6 and (M-1)/2 correctly rounded,
+    and lie strictly below their bounds for M >= 2."""
     m_lo, max_m = _m_range(spec, "4.6", 10**4)
     sweep = _Sweep("4.6")
     strict_34 = True
-    for ws in weight_sum_rows(max_m):
-        m_val = ws.M
-        if m_val < m_lo:
+    for ms, exact, bound in weight_sum_blocks(max_m):
+        below = m_lo - int(ms[0])
+        if below >= ms.size:
             continue
-        closed3 = (m_val**2 - 1) / 6.0
-        closed4 = (m_val - 1) / 2.0
-        if abs(ws.exact[2] - closed3) > 1e-9 * (1.0 + closed3):
+        if below > 0:
+            ms, exact, bound = ms[below:], exact[below:], bound[below:]
+        mo = ms.astype(object)
+        past_1 = int(ms[0] == 1)  # strict from M = 2 on
+        if not (
+            np.array_equal(exact[:, 2], ((mo * mo - 1) / 6).astype(np.float64))
+            and np.array_equal(exact[:, 3], (ms - 1) / 2)  # exact below 2^53
+            and (exact[past_1:, 2:] < bound[past_1:, 2:]).all()
+        ):
             strict_34 = False
-        if abs(ws.exact[3] - closed4) > 1e-9 * (1.0 + closed4):
-            strict_34 = False
-        if m_val >= 2 and not (ws.exact[2] < ws.bound[2] and ws.exact[3] < ws.bound[3]):
-            strict_34 = False
-        for exact, bound in zip(ws.exact, ws.bound):
-            budget = 1e-12 * (1.0 + bound)
-            sweep.add(exact, bound, budget, {"M": m_val})
+        sweep.add_many(
+            exact.ravel(), bound.ravel(), 1e-12 * (1.0 + bound.ravel()),
+            lambda i, ms=ms: {"M": int(ms[i // 4])},
+        )
     notes = (
         "relations 3 and 4 hold with strict inequality for M >= 2; "
         "exact values are (M^2-1)/6 and (M-1)/2"

@@ -1,21 +1,26 @@
-"""Direct summation of log-weighted Dirichlet sums (test-only).
+"""Test-only reference sums.
 
 ``log_dirichlet_sum`` adds log n * n^{-1/2-it} term by term.  It is the
 reference for ``zetabounds.zeta.em_range_sum``, which gives the same sums
 from two Euler-Maclaurin tails, and for the block and mid-tail bounds of
-``zetabounds.bounds``.  Nothing in ``zetabounds`` calls this module.
+``zetabounds.bounds``.  ``weight_sum_rows`` is the scalar one-pass loop
+that ``zetabounds.expsums.weight_sum_blocks`` runs in numpy blocks; the
+blocks must reproduce its every bit.  Nothing in ``zetabounds`` calls
+this module.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from zetabounds.expsums import RANGE_GUARD
 from zetabounds.numerics import EPS, compensated_complex_sum
 
-__all__ = ["direct_sum_budget", "log_dirichlet_sum"]
+__all__ = ["WeightSums", "direct_sum_budget", "log_dirichlet_sum", "weight_sum_rows"]
 
 
 def log_dirichlet_sum(t: float, a: float, b: float) -> complex:
@@ -47,3 +52,56 @@ def direct_sum_budget(t: float, a: float, b: float) -> float:
     moduli = logn / np.sqrt(n)
     worst = math.fsum((moduli * (2.0 * abs(t) * logn + 4.0)).tolist())
     return EPS * (worst + 2.0 * math.fsum(moduli.tolist()))
+
+
+@dataclass(frozen=True)
+class WeightSums:
+    """Triangular weight sums over m = 1..M-1 next to their bounds, in the
+    column order of ``weight_sum_blocks``."""
+
+    M: int
+    exact: tuple[float, float, float, float]
+    bound: tuple[float, float, float, float]
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def weight_sum_rows(max_m: int) -> Iterator[WeightSums]:
+    """``WeightSums`` for M = 1, 2, ..., max_m in one pass with O(1) state:
+    the running sums of docs/weight_sums.md, one M at a time."""
+    if max_m < 1:
+        raise ValueError("M must be >= 1")
+    # sums of m^{-1/2}, m^{1/2}, m^{3/2} over m < M and their rounding errors
+    s_inv = s_root = s_root3 = 0.0
+    e_inv = e_root = e_root3 = 0.0
+    n_lin = n_sq = 0  # sums of m and m^2 over m < M
+    for M in range(1, max_m + 1):
+        root = s_root + e_root
+        exact = (
+            root - (s_root3 + e_root3) / M,
+            (s_inv + e_inv) - root / M,
+            (M * n_lin - n_sq) / M,
+            (M * (M - 1) - n_lin) / M,
+        )
+        bound = (
+            4.0 / 15.0 * M**1.5,
+            4.0 / 3.0 * math.sqrt(M),
+            M**2 / 6.0,
+            M / 2.0,
+        )
+        yield WeightSums(M=M, exact=exact, bound=bound)
+        # the m = M terms enter the rows of every larger M
+        r = math.sqrt(M)
+        s_inv, e = _two_sum(s_inv, 1.0 / r)
+        e_inv += e
+        s_root, e = _two_sum(s_root, r)
+        e_root += e
+        s_root3, e = _two_sum(s_root3, M * r)
+        e_root3 += e
+        n_lin += M
+        n_sq += M * M

@@ -125,6 +125,16 @@ class TestVerifyCommand:
         assert row[0] == "4.6"
         assert int(row[2]) == 0
 
+    def test_weight_sum_check_beside_a_sampled_envelope(self, tmp_path):
+        # --samples sizes the envelope grid; check 4.6 still checks every M
+        argv = ["verify", "--lemma", "4.6", "--max-m", "100"]
+        envelope = ["--theorem", "1", "--t-max", "100", "--samples", "3"]
+        code, text = run_cli(argv + envelope, tmp_path)
+        assert code == 0
+        _, lemma_only = run_cli(argv, tmp_path)
+        _, envelope_only = run_cli(["verify", *envelope], tmp_path)
+        assert text.splitlines()[1:] == lemma_only.splitlines()[1:] + envelope_only.splitlines()[1:]
+
     def test_vertex_check(self, tmp_path):
         code, text = run_cli(
             ["verify", "--lemma", "2.5", "--samples", "500", "--seed", "3"],
@@ -315,6 +325,13 @@ ERROR_MESSAGES = {
     "verify --lemma 2.1 --samples 2 --t-min 100":
         "--t-min and --t-max apply only with --theorem",
     "verify --theorem 1 --samples 2 --seed 5": "--seed applies only with --lemma",
+    # check 4.6 checks every M of its range, so it takes no count or seed
+    "verify --lemma 4.6 --max-m 10 --samples 5":
+        "--samples does not apply to check 4.6, which checks every M",
+    "verify --lemma 4.6 --max-m 10 --seed 3":
+        "--seed does not apply to check 4.6, which checks every M",
+    "verify --lemma 4.6 --max-m 10 --theorem 1 --samples 2 --seed 3":
+        "--seed does not apply to check 4.6, which checks every M",
     "verify --lemma 2.1 --samples 2 --k 3": "--k applies only to theorem 2",
     "verify --theorem 1 --samples 2 --k 3": "--k applies only to theorem 2",
     "scan --theorem 1 --t 100 --k 3": "--k applies only to theorem 2",
@@ -360,6 +377,10 @@ ERROR_MESSAGES = {
         ["verify", "--lemma", "4.3", "--samples", "2", "--max-m", "5"],
         ["verify", "--lemma", "2.1", "--samples", "2", "--t-min", "100"],
         ["verify", "--theorem", "1", "--samples", "2", "--seed", "5"],
+        ["verify", "--lemma", "4.6", "--max-m", "10", "--samples", "5"],
+        ["verify", "--lemma", "4.6", "--max-m", "10", "--seed", "3"],
+        ["verify", "--lemma", "4.6", "--max-m", "10", "--theorem", "1", "--samples", "2",
+         "--seed", "3"],
         ["verify", "--lemma", "2.1", "--samples", "2", "--k", "3"],
         ["verify", "--theorem", "1", "--samples", "2", "--k", "3"],
         ["scan", "--theorem", "1", "--t", "100", "--k", "3"],

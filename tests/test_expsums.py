@@ -17,12 +17,13 @@ from zetabounds.expsums import (
     vdc_params_for_log_block,
     vdc_second_derivative_bound,
     vertex_max_bound,
-    weight_sum_rows,
+    weight_sum_blocks,
     weyl_differencing_rhs,
 )
+from zetabounds import expsums
 
 from reference_blocks import BlockScheme, block_scheme
-from reference_sums import log_dirichlet_sum
+from reference_sums import WeightSums, log_dirichlet_sum, weight_sum_rows
 
 
 class TestPhaseFunction:
@@ -203,7 +204,7 @@ def gamma(k):
 def reference_weight_sums(M):
     """The weight sums at one M by the per-M route: every weight 1 - m/M
     formed and each sum taken with math.fsum, O(M) work per M.  It shares
-    nothing with the running sums of ``weight_sum_rows``."""
+    nothing with the running sums of ``weight_sum_blocks``."""
     if M == 1:
         return (0.0, 0.0, 0.0, 0.0)
     m = np.arange(1, M, dtype=np.float64)
@@ -214,6 +215,13 @@ def reference_weight_sums(M):
         math.fsum(w * m),
         math.fsum(w),
     )
+
+
+def block_rows(max_m):
+    """The rows of ``weight_sum_blocks``, one ``WeightSums`` per M."""
+    for ms, exact, bound in weight_sum_blocks(max_m):
+        for m_val, e, b in zip(ms.tolist(), exact.tolist(), bound.tolist()):
+            yield WeightSums(M=m_val, exact=tuple(e), bound=tuple(b))
 
 
 # docs/weight_sums.md: for relations 1 and 2, |computed - exact| <= K P,
@@ -232,7 +240,7 @@ def running_sum_k(M):
 
 def rows_at(ms):
     wanted = set(ms)
-    return [ws for ws in weight_sum_rows(max(ms)) if ws.M in wanted]
+    return [ws for ws in block_rows(max(ms)) if ws.M in wanted]
 
 
 class TestWeightSums:
@@ -249,7 +257,7 @@ class TestWeightSums:
         assert ws.bound[3] == pytest.approx(1.5)
 
     def test_closed_forms_and_bounds_sweep(self):
-        for ws in weight_sum_rows(10**4):
+        for ws in block_rows(10**4):
             m_val = ws.M
             assert ws.exact[2] == float(Fraction(m_val * m_val - 1, 6))
             assert ws.exact[3] == float(Fraction(m_val - 1, 2))
@@ -286,11 +294,13 @@ class TestWeightSums:
             assert SCALE[i] * running_sum_k(RANGE_GUARD) < 1e-14
 
     def test_rows_stream(self):
-        first = next(weight_sum_rows(10**9))
-        assert first.M == 1
-        assert first.exact == (0.0, 0.0, 0.0, 0.0)
+        # the first block comes at once, however large max_m is
+        ms, exact, bound = next(weight_sum_blocks(10**9))
+        assert ms.tolist() == list(range(1, expsums.WEIGHT_BLOCK + 1))
+        assert exact.shape == bound.shape == (expsums.WEIGHT_BLOCK, 4)
+        assert exact[0].tolist() == [0.0, 0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
-            next(weight_sum_rows(0))
+            next(weight_sum_blocks(0))
 
     def test_bounds_asymptotically_tight(self):
         small, ws = rows_at([100, 10**4])
@@ -301,6 +311,49 @@ class TestWeightSums:
         assert ratios[3] > 0.999
         smaller = [e / b for e, b in zip(small.exact, small.bound)]
         assert all(r_big >= r_small for r_big, r_small in zip(ratios, smaller))
+
+
+def reference_bits(max_m):
+    """M, exact and bound of the scalar reference rows, with the floats
+    read as their IEEE bit patterns."""
+    rows = list(weight_sum_rows(max_m))
+    exact = np.array([ws.exact for ws in rows])
+    bound = np.array([ws.bound for ws in rows])
+    return [ws.M for ws in rows], exact.view(np.uint64), bound.view(np.uint64)
+
+
+def block_bits(max_m):
+    """The same from ``weight_sum_blocks``, and each block's row count."""
+    blocks = list(weight_sum_blocks(max_m))
+    ms, exact, bound = (np.concatenate(parts) for parts in zip(*blocks))
+    sizes = [block[0].size for block in blocks]
+    return (ms.tolist(), exact.view(np.uint64), bound.view(np.uint64)), sizes
+
+
+class TestWeightSumBlocks:
+    @pytest.mark.parametrize("block, max_m", [(1, 40), (7, 1000), (64, 64), (64, 65), (100, 2345)])
+    def test_small_blocks_keep_the_reference_bits(self, monkeypatch, block, max_m):
+        monkeypatch.setattr(expsums, "WEIGHT_BLOCK", block)
+        got, sizes = block_bits(max_m)
+        want = reference_bits(max_m)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        assert sizes == [block] * (max_m // block) + ([max_m % block] if max_m % block else [])
+
+    def test_real_blocks_keep_the_reference_bits(self):
+        # four blocks: the Sum2 pairs and integer sums cross three boundaries
+        max_m = 3 * expsums.WEIGHT_BLOCK + 321
+        got, sizes = block_bits(max_m)
+        want = reference_bits(max_m)
+        assert sizes == [expsums.WEIGHT_BLOCK] * 3 + [321]
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    def test_bound_keeps_python_power(self):
+        # numpy's power can round M^1.5 differently from the libm pow
+        # behind Python's **; the bound must not depend on which
+        ms, _, bound = next(weight_sum_blocks(2000))
+        assert bound[:, 0].tolist() == [4.0 / 15.0 * m**1.5 for m in ms.tolist()]
 
 
 def count_limit(scheme: BlockScheme) -> int:

@@ -1,9 +1,10 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
-from zetabounds import verify
+from zetabounds import expsums, verify
 from zetabounds.bounds import BoundParams, E2, E6, theorem1_bound
 from zetabounds.verify import (
     SampleSpec,
@@ -13,6 +14,8 @@ from zetabounds.verify import (
     verify_theorem_envelope,
 )
 from zetabounds.zeta import EvalPoint, default_em_config, zeta_prime_em
+
+from reference_sums import weight_sum_rows
 
 
 class TestLemmaSweeps:
@@ -110,6 +113,42 @@ class TestLemmaSweeps:
         assert r.violations == 0
         assert 500 <= r.min_slack_inputs["M"] <= 600
 
+    @pytest.mark.parametrize("block, m_range", [(64, (300, 400)), (None, (2**14 + 5, 2**14 + 40))])
+    def test_weight_sums_start_inside_a_later_block(self, monkeypatch, block, m_range):
+        # the M range starts in the fifth block of 64 rows, or in the second
+        # real block; the report equals one ``add`` per row and relation
+        if block is not None:
+            monkeypatch.setattr(expsums, "WEIGHT_BLOCK", block)
+        m_lo, m_hi = m_range
+        assert m_lo > expsums.WEIGHT_BLOCK
+        reference = verify._Sweep("4.6")
+        for ws in weight_sum_rows(m_hi):
+            if ws.M >= m_lo:
+                for exact, bound in zip(ws.exact, ws.bound):
+                    reference.add(exact, bound, 1e-12 * (1.0 + bound), {"M": ws.M})
+        r = verify_lemma("4.6", SampleSpec(ranges={"M": m_range}))
+        assert "strict inequality" in r.notes
+        assert dataclasses.replace(r, notes="") == reference.report()
+        assert r.samples == 4 * (m_hi - m_lo + 1)
+
+    @pytest.mark.parametrize("relation", [3, 4])
+    def test_weight_sums_note_fails_one_ulp_off(self, monkeypatch, relation):
+        # relations 3 and 4 must equal their correctly rounded closed forms;
+        # one ulp at M = 100 is 1.5e-13 of relation 3's 1666.5
+        blocks = verify.weight_sum_blocks
+
+        def one_ulp_off(max_m):
+            for ms, exact, bound in blocks(max_m):
+                exact = exact.copy()
+                at = ms == 100
+                exact[at, relation - 1] = np.nextafter(exact[at, relation - 1], np.inf)
+                yield ms, exact, bound
+
+        monkeypatch.setattr(verify, "weight_sum_blocks", one_ulp_off)
+        r = verify_lemma("4.6", SampleSpec(ranges={"M": (1, 200)}))
+        assert r.notes == "closed-form check for relations 3 and 4 FAILED"
+        assert r.violations == 0
+
     def test_differencing_honours_low_end_of_m_range(self):
         r = verify_lemma("4.3", SampleSpec(samples=30, ranges={"M": (20, 20)}))
         assert r.violations == 0
@@ -159,6 +198,50 @@ class TestLemmaSweeps:
         assert rec["check_id"] == "2.5"
         assert rec["violations"] == 0
         assert isinstance(rec["min_slack"], float)
+
+
+def sweep_state(sweep):
+    # repr tells -0.0 from 0.0 and shows NaN
+    return (sweep.samples, sweep.violations, repr(sweep.min_slack), repr(sweep.max_oracle),
+            repr(sweep.budget_used), sweep.min_slack_inputs)
+
+
+class TestSweepAddMany:
+    def test_equals_add_in_order(self):
+        # few distinct values: tied slacks, equal maxima of both signs of
+        # zero, NaNs and violations, in chunks of 0 to 12 entries
+        rng = np.random.default_rng(4606)
+        for _ in range(300):
+            one, many = verify._Sweep("x"), verify._Sweep("x")
+            if rng.integers(0, 2):  # some state carried in
+                for sweep in (one, many):
+                    sweep.add(1.0, 2.0, 0.25, {"i": -1})
+            start = 0
+            for _ in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(0, 13))
+                oracle = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.5, np.nan], size=n)
+                bound = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.0], size=n)
+                budget = rng.choice([0.0, 0.5, 1e-12, np.nan], size=n)
+                for i in range(n):
+                    one.add(float(oracle[i]), float(bound[i]), float(budget[i]),
+                            {"i": start + i})
+                many.add_many(oracle, bound, budget, lambda i, start=start: {"i": start + i})
+                start += n
+                assert sweep_state(many) == sweep_state(one)
+            assert many.report() == one.report()
+
+    def test_inputs_only_for_a_new_minimum(self):
+        sweep, asked = verify._Sweep("x"), []
+
+        def inputs_at(i):
+            asked.append(i)
+            return {"i": i}
+
+        sweep.add_many(np.array([1.0, 3.0, 3.0]), np.array([2.0, 3.0, 3.0]),
+                       np.zeros(3), inputs_at)
+        sweep.add_many(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.zeros(2), inputs_at)
+        assert asked == [1]  # the first of the tied zero slacks
+        assert (sweep.min_slack, sweep.min_slack_inputs) == (0.0, {"i": 1})
 
 
 class TestTheoremEnvelopes:
