@@ -9,14 +9,15 @@ for the same integrand values) and carries an explicit error contract:
 * ``compensated_complex_sum`` -- correctly rounded per part; the same bits
   as ``math.fsum`` (``docs/exact_summation.md``)
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
-* ``integrate_gauss_legendre`` -- |value - integral| <= radius, given a
-  bound on |f| over each panel's Bernstein ellipse and one on the error of
-  each integrand value (``docs/oscillatory_tails.md``, "Certified
-  quadrature")
+* ``integrate_gauss_legendre`` -- |value - integral| <= radius for each
+  integral of a batch, given a bound on |f| over each panel's Bernstein
+  ellipse and one on the error of each integrand value
+  (``docs/oscillatory_tails.md``, "Certified quadrature")
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -135,14 +136,18 @@ def bernoulli_number(m: int) -> float:
     return float(_bernoulli_exact(m))
 
 
-ArrayFunction = Callable[[np.ndarray], np.ndarray]
-# (panel midpoints, real and imaginary semi-axes with a row per rho) -> M_rho
-EllipseBound = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# (nodes, owner) -> f at the nodes, where owner[i] is the batch index of
+# the integral that node i belongs to
+BatchFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# (panel midpoints, real and imaginary semi-axes with a row per rho, owner
+# of each panel) -> M_rho
+EllipseBound = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 RHO_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0)  # Bernstein ellipse parameters tried
 MAX_GL_NODES = 64  # nodes per panel; the node and weight errors are pinned up to here
 GL_WEIGHT_ERR = 2e-13  # relative error of the computed weights (measured: 1.3e-13)
 _ROUND_UP = 1.0 + 1e-12  # covers the rounding of the truncation bound's few operations
+_GL_SIZES = np.arange(4, MAX_GL_NODES + 1, 4)  # the rule sizes tried, fewest nodes first
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,73 +181,135 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_gauss_legendre(
-    f: ArrayFunction,
-    a: float,
-    b: float,
+    f: BatchFunction,
+    a: np.ndarray,
+    b: np.ndarray,
     tol: float,
     ellipse_bound: EllipseBound,
-    wavelength: float,
-    node_err: float,
-) -> tuple[float, float]:
-    """Integral of ``f`` over [a, b] by a fixed Gauss-Legendre rule, with a
-    certified radius: (value, radius).
+    wavelength: np.ndarray,
+    node_err: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of ``f`` over each [a[i], b[i]] by a fixed Gauss-Legendre
+    rule, with certified radii: (values, radii), one entry per integral.
 
+    ``a``, ``b``, ``wavelength`` and ``node_err`` are 1-D arrays with one
+    entry per integral of the batch; ``tol`` holds for each.  Integral i's
     [a, b] is cut into ceil((b - a) / (8 wavelength)) equal panels,
     ``wavelength`` being the shortest period of f's oscillation on [a, b].
-    Each panel gets the n-point rule, n the smallest multiple of 4 up to
-    MAX_GL_NODES whose truncation bound, the sum over panels of (64/15) h
-    M_rho rho^(2 - 2n) / (rho^2 - 1), meets ``tol`` for some rho in
-    RHO_GRID; h is a panel's half-length and M_rho bounds |f| over its
-    Bernstein ellipse.  ``ellipse_bound`` returns M_rho
-    per panel from the midpoints and the ellipse's semi-axes h (rho +
-    1/rho) / 2 and h (rho - 1/rho) / 2, rounded up; a non-finite M_rho
-    means the ellipse leaves f's domain.  ``f`` maps a 1-D float64 node
-    array to an array of its shape and is called once.  The radius adds
+    Each of its panels gets the n-point rule, n the smallest multiple of 4
+    up to MAX_GL_NODES whose truncation bound, the sum over its panels of
+    (64/15) h M_rho rho^(2 - 2n) / (rho^2 - 1), meets ``tol`` for some rho
+    in RHO_GRID; h is a panel's half-length and M_rho bounds |f| over its
+    Bernstein ellipse.  ``ellipse_bound`` returns M_rho per panel from the
+    midpoints, the ellipse's semi-axes h (rho + 1/rho) / 2 and h (rho -
+    1/rho) / 2 rounded up, and the batch index of each panel's integral; a
+    non-finite M_rho means the ellipse leaves f's domain.  ``f`` maps a
+    1-D float64 node array and the batch index of each node's integral to
+    an array of its shape, and is called once per batch.  Panels and nodes
+    come integral by integral in batch order, so the nodes of an integral,
+    or of a run of integrals, form one contiguous slice.  The radius adds
     the rounding of the weights, the products and the sum, and (b - a)
     ``node_err``, where ``node_err`` bounds the error of each computed f
     value (docs/oscillatory_tails.md, "Certified quadrature").
 
-    Raises ValueError on a non-finite or empty [a, b], a non-positive
-    ``tol``, or an f not finite at a node (naming the leftmost such
-    panel), and ArithmeticError when no rho gives a finite bound or
-    ``tol`` needs more than MAX_GL_NODES nodes.
+    Every step that decides bits is elementwise or per integral, so an
+    integral gets the same value and radius in any batch.  Raises
+    ValueError on a non-finite or empty [a, b], a non-positive ``tol``, or
+    a wavelength not positive and finite, before anything is evaluated.
+    Then, for the first integral in batch order that fails:
+    ArithmeticError when no rho gives a finite bound or ``tol`` needs more
+    than MAX_GL_NODES nodes, and ValueError on an f not finite at a node
+    (naming its leftmost such panel).
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"integrate_gauss_legendre requires finite a < b, got [{a}, {b}]")
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("integrate_gauss_legendre takes a and b as 1-D arrays of one shape")
+    width = b - a
+    valid = (a < b) & np.isfinite(width)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ValueError(
+            f"integrate_gauss_legendre requires finite a < b, got [{float(a[i])}, {float(b[i])}]"
+        )
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    panels = math.ceil((b - a) / (8.0 * wavelength))
-    edges = a + (b - a) * np.arange(panels + 1, dtype=np.float64) / panels
-    edges[-1] = b
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    rho = np.array(RHO_GRID)[:, None]  # one row per rho, one column per panel
+    wavelength = np.asarray(wavelength, dtype=np.float64)
+    if not ((wavelength > 0.0) & np.isfinite(wavelength)).all():
+        raise ValueError("wavelength must be positive and finite")
+    count = a.size
+    if not count:
+        return np.empty(0), np.empty(0)
+
+    # panels, integral by integral: edges a + ((b - a) j) / P, the last one b
+    per_integral = np.ceil(width / (8.0 * wavelength))
+    panels = per_integral.astype(np.intp)
+    ends = panels.cumsum()
+    starts = ends - panels
+    owner = np.arange(count).repeat(panels)
+    j = np.arange(ends[-1], dtype=np.float64) - starts.astype(np.float64).repeat(panels)
+    left = a[owner] + width[owner] * j / per_integral[owner]
+    right = np.empty_like(left)
+    right[:-1] = left[1:]
+    right[ends - 1] = b
+    mid, half = 0.5 * (left + right), 0.5 * (right - left)
+
+    # each integral's fewest nodes that meet tol, from its own fsum of h M_rho
+    rho = np.array(RHO_GRID)[:, None]  # one row per rho
     up = half * (1.0 + 4.0 * EPS)
     with np.errstate(all="ignore"):  # cosh overflows, logs of negatives
-        m_rho = ellipse_bound(mid, up * (0.5 * (rho + 1.0 / rho)), up * (0.5 * (rho - 1.0 / rho)))
-    sums = np.array([math.fsum(row) for row in (half * m_rho).tolist()])  # sum of h M_rho
+        m_rho = ellipse_bound(
+            mid, up * (0.5 * (rho + 1.0 / rho)), up * (0.5 * (rho - 1.0 / rho)), owner
+        )
+    rows, cuts = (half * m_rho).tolist(), ends.tolist()
+    sums = np.array([[math.fsum(row[s:e]) for row in rows] for s, e in zip([0, *cuts], cuts)])
     ok = np.isfinite(sums)
-    if not ok.any():
-        raise ArithmeticError(f"no Bernstein ellipse gives a finite bound on [{a}, {b}]")
-    ns, rho = np.arange(4, MAX_GL_NODES + 1, 4), rho[ok]
-    bounds = 64.0 / 15.0 * sums[ok, None] * rho ** (2 - 2 * ns) / (rho * rho - 1.0)
-    bounds = _ROUND_UP * bounds.min(axis=0)  # for each n, over rho
-    if not bounds[-1] <= tol:
-        raise ArithmeticError(f"tol {tol:g} needs more than {MAX_GL_NODES} nodes on [{a}, {b}]")
-    k = int(np.argmax(bounds <= tol))  # the fewest nodes that meet tol
-    n, truncation = int(ns[k]), float(bounds[k])
-    x, w = gauss_legendre(n)
-    fx = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()), dtype=np.float64)
-    if fx.shape != (panels * n,):
-        raise ValueError("integrand must map a 1-D node array to an array of its shape")
-    if not np.isfinite(fx).all():
-        j = int(np.argmin(np.isfinite(fx))) // n  # the first non-finite value's panel
-        raise ValueError(f"integrand not finite on [{edges[j]}, {edges[j + 1]}]")
-    terms = (half[:, None] * w).ravel() * fx
+    sums[~ok] = np.inf  # rho whose ellipse leaves f's domain
+    bounds = (64.0 / 15.0 * sums)[:, :, None] * rho ** (2 - 2 * _GL_SIZES) / (rho * rho - 1.0)
+    bounds = _ROUND_UP * bounds.min(axis=1)  # for each integral and n, over rho
+    fits = bounds <= tol
+    pick = fits.argmax(axis=1)
+    live = count if fits[:, -1].all() else int(fits[:, -1].argmin())  # before the first failure
+    nodes = _GL_SIZES[pick]
+    nodes[live:] = 0
+
+    # each panel's rule: nodes mid + h x, weights h w
+    terms = np.empty(0)
+    if live:
+        per = nodes[owner]
+        sizes = sorted(set(nodes[:live].tolist()))
+        rules = [gauss_legendre(n) for n in sizes]
+        offset = np.zeros(MAX_GL_NODES + 1, dtype=np.intp)
+        offset[sizes] = list(itertools.accumulate([0, *sizes[:-1]]))
+        node_ends = per.cumsum()
+        index = np.arange(node_ends[-1]) + (offset[per] - (node_ends - per)).repeat(per)
+        node_half = half.repeat(per)
+        x = mid.repeat(per) + node_half * np.concatenate([r[0] for r in rules])[index]
+        fx = np.asarray(f(x, owner.repeat(per)), dtype=np.float64)
+        if fx.shape != x.shape:
+            raise ValueError("integrand must map a 1-D node array to an array of its shape")
+        finite = np.isfinite(fx)
+        if not finite.all():
+            p = int(np.searchsorted(node_ends, finite.argmin(), side="right"))
+            raise ValueError(f"integrand not finite on [{float(left[p])}, {float(right[p])}]")
+        terms = node_half * np.concatenate([r[1] for r in rules])[index] * fx
+    if live < count:
+        where = f"[{float(a[live])}, {float(b[live])}]"
+        if not ok[live].any():
+            raise ArithmeticError(f"no Bernstein ellipse gives a finite bound on {where}")
+        raise ArithmeticError(f"tol {tol:g} needs more than {MAX_GL_NODES} nodes on {where}")
+
+    # per integral: the correctly rounded sum of its terms, and sum |terms|
+    # over its own slice
+    size = panels * nodes
+    cuts = size.cumsum().tolist()
+    magnitudes, slices = np.abs(terms), list(zip([0, *cuts], cuts))
+    values = np.array([math.fsum(terms[s:e].tolist()) for s, e in slices])
+    scale = np.array([np.add.reduce(magnitudes[s:e]) for s, e in slices])
     # weights, two products and the sum: (2 eps + GL_WEIGHT_ERR) sum |w h f|,
     # that sum rounded up by its recursive-summation bound
-    scale = float(np.abs(terms).sum()) * (1.0 + terms.size * EPS)
-    rounding = (2.0 * EPS + GL_WEIGHT_ERR) * scale + (b - a) * node_err
-    return math.fsum(terms.tolist()), truncation + rounding
+    scale *= 1.0 + size * EPS
+    rounding = (2.0 * EPS + GL_WEIGHT_ERR) * scale + width * np.asarray(node_err, dtype=np.float64)
+    return values, bounds[np.arange(count), pick] + rounding
 
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:

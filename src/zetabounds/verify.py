@@ -10,6 +10,7 @@ downstream gates can require slack > budget.  Identical
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,18 +117,21 @@ class _Sweep:
         if slack < self.min_slack:
             self.min_slack = slack
             self.min_slack_inputs = inputs
-        if oracle > bound + budget:
+        if not oracle <= bound + budget:  # a NaN on either side is a violation
             self.violations += 1
 
     def add_many(
         self, oracle: np.ndarray, bound: np.ndarray, budget: np.ndarray,
         inputs_at: Callable[[int], dict],
-    ) -> None:
+    ) -> np.ndarray:
         """``add`` on each entry in order, by array reductions: the first
-        minimum slack wins and NaNs pass as they do there.  ``inputs_at(i)``
-        gives entry i's inputs and runs only for a new minimum."""
+        minimum slack wins, NaNs pass the maxima and the slack as they do
+        there and count as violations.  ``inputs_at(i)`` gives entry i's
+        inputs and runs only for a new minimum.  Returns which entries are
+        violations."""
+        violated = ~(oracle <= bound + budget)
         if not oracle.size:
-            return
+            return violated
         self.samples += oracle.size
         self.max_oracle = _stream_max(self.max_oracle, oracle)
         self.budget_used = _stream_max(self.budget_used, budget)
@@ -137,7 +141,8 @@ class _Sweep:
             i = int(np.argmax(slack == least))
             self.min_slack = float(slack[i])
             self.min_slack_inputs = inputs_at(i)
-        self.violations += int(np.count_nonzero(oracle > bound + budget))
+        self.violations += int(np.count_nonzero(violated))
+        return violated
 
     def skip(self) -> None:
         self.skipped += 1
@@ -163,15 +168,19 @@ class _Sweep:
 # ---------------------------------------------------------------------------
 
 
-def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
-    """|integral f g'| <= 2 |f(a)| max|g| for positive decreasing f.
+QUAD_BLOCK = 32  # samples per quadrature call of checks 2.1 and 2.2; bounds the node arrays
 
-    f(x) = c (x+d)^{-p} and g(x) = A sin(w x + phi), whose maximum modulus
-    on [a, b] is known exactly, keep both sides computable to quadrature
-    accuracy.  The source statement is read as an upper bound.
-    """
+
+def _blocks(draws: Iterator[tuple]) -> Iterator[np.ndarray]:
+    """``draws`` QUAD_BLOCK at a time, as one contiguous float row per field."""
+    while block := list(itertools.islice(draws, QUAD_BLOCK)):
+        yield np.ascontiguousarray(np.array(block, dtype=np.float64).T)
+
+
+def _partial_integration_draws(spec: SampleSpec) -> Iterator[tuple[float, ...]]:
+    """Check 2.1's samples in stream order: (a, b, c, d, p, A, w, phi,
+    bound, node error), the bound side in Python floats."""
     rng = np.random.default_rng(spec.seed)
-    sweep = _Sweep("2.1")
     for _ in range(spec.samples):
         a = float(rng.uniform(0.5, 5.0))
         b = a + float(rng.uniform(0.5, 8.0))
@@ -181,9 +190,7 @@ def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
         amp = float(rng.uniform(0.1, 2.0))
         w = float(rng.uniform(0.5, 20.0))
         phi = float(rng.uniform(0.0, TWO_PI))
-
-        def f(x):  # a float at the bound's a, an array at the quadrature nodes
-            return c * (x + d) ** (-pw)
+        f_a = c * (a + d) ** (-pw)
 
         # exact max of |A sin(w x + phi)| on [a, b]
         if w * (b - a) >= TWO_PI:
@@ -195,26 +202,47 @@ def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
             if k_hi >= k_lo:
                 gmax = amp
 
-        def ellipse_bound(mid, re_axis, im_axis):
-            # |(z + d)^-p| <= (Re z + d)^-p and |cos(w z + phi)| <= cosh(w Im z)
-            low = mid - re_axis + d - 4.0 * EPS * (mid + re_axis + d)  # rounded down
-            return np.where(low > 0.0, c * amp * w * low ** -pw * np.cosh(w * im_axis), np.inf)
-
         # a node value's error (docs/oscillatory_tails.md, "Certified quadrature")
-        node_err = EPS * f(a) * amp * w * (4.0 * (w * b + phi) + 3.0 * pw * b / (a + d) + 8.0)
-        value, radius = integrate_gauss_legendre(
-            lambda x: f(x) * (amp * w * np.cos(w * x + phi)), a, b, 1e-10, ellipse_bound,
-            TWO_PI / w, node_err,
+        node_err = EPS * f_a * amp * w * (4.0 * (w * b + phi) + 3.0 * pw * b / (a + d) + 8.0)
+        yield a, b, c, d, pw, amp, w, phi, 2.0 * f_a * gmax, node_err
+
+
+def _partial_integration_quadrature(a, b, c, d, pw, amp, w, phi, node_err):
+    """The integrals of f g' over a block of check 2.1's samples."""
+
+    def integrand(x, i):
+        return c[i] * (x + d[i]) ** -pw[i] * ((amp * w)[i] * np.cos(w[i] * x + phi[i]))
+
+    def ellipse_bound(mid, re_axis, im_axis, i):
+        # |(z + d)^-p| <= (Re z + d)^-p and |cos(w z + phi)| <= cosh(w Im z)
+        low = mid - re_axis + d[i] - 4.0 * EPS * (mid + re_axis + d[i])  # rounded down
+        bound = (c * amp * w)[i] * low ** -pw[i] * np.cosh(w[i] * im_axis)
+        return np.where(low > 0.0, bound, np.inf)
+
+    return integrate_gauss_legendre(integrand, a, b, 1e-10, ellipse_bound, TWO_PI / w, node_err)
+
+
+def _check_partial_integration(spec: SampleSpec) -> VerificationReport:
+    """|integral f g'| <= 2 |f(a)| max|g| for positive decreasing f.
+
+    f(x) = c (x+d)^{-p} and g(x) = A sin(w x + phi), whose maximum modulus
+    on [a, b] is known exactly, keep both sides computable to quadrature
+    accuracy.  The source statement is read as an upper bound.  The
+    integrals run QUAD_BLOCK samples per quadrature call.
+    """
+    sweep = _Sweep("2.1")
+    for a, b, c, d, pw, amp, w, phi, bound, node_err in _blocks(_partial_integration_draws(spec)):
+        values, radii = _partial_integration_quadrature(a, b, c, d, pw, amp, w, phi, node_err)
+        sweep.add_many(
+            np.abs(values), bound, radii + 1e-12 * (1.0 + bound),
+            lambda i: {"a": float(a[i]), "b": float(b[i]), "w": float(w[i]), "p": float(pw[i])},
         )
-        bound = 2.0 * f(a) * gmax
-        sweep.add(abs(value), bound, radius + 1e-12 * (1.0 + bound),
-                  {"a": a, "b": b, "w": w, "p": pw})
     return sweep.report()
 
 
 # Check 2.2's integrands: kernel(t log x, 2 pi v x, sign) log x / x^{1+sigma},
 # on arrays of quadrature nodes.
-_OSC_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = {
+_OSC_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = {
     "2.2a": lambda tl, w, sign: np.sin(tl + sign * w),
     "2.2b": lambda tl, w, sign: np.sin(tl + w) + sign * np.sin(tl - w),
     "2.2c": lambda tl, w, sign: np.sin(tl) * np.sin(w),
@@ -241,26 +269,14 @@ def _decreasing_from(a: float, t: float, v: int, sigma: float, sign: float) -> b
     return sign < 0 or t <= w * (math.log(a) - 1.0) + sigma * math.log(a) * (w + t)
 
 
-def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> VerificationReport:
-    """Oscillatory log-weighted integral envelopes.
-
-    variant a: integrand sin(t log x +/- 2 pi v x) log x / x^{1+sigma},
-               bound 2 log a / (a^sigma (2 pi v a +/- t));
-    variants b, c, d: the sine-combination / product kernels of
-               _OSC_KERNELS in place of the sine, bound
-               8 pi v a log a / (a^sigma (4 pi^2 v^2 a^2 - t^2)).
-
-    Samples respect a >= (t / 2 pi)(1 + margin) with margin >= 0.1, away
-    from the singular denominator; variant a scales a and b by 1.05 until
-    ``_decreasing_from`` holds.  The i-th of several variants draws
-    samples // len(variants) samples from seed + i into the one "2.2"
-    report, whose notes give each variant's violation count.
-    """
-    sweep = _Sweep(variants[0] if len(variants) == 1 else "2.2")
-    per_variant = []
-    for i, variant in enumerate(variants):
-        rng = np.random.default_rng(spec.seed + i)
-        violations_before = sweep.violations
+def _oscillatory_tail_draws(
+    spec: SampleSpec, variants: tuple[str, ...],
+) -> Iterator[tuple[float, ...]]:
+    """Check 2.2's samples in stream order, variant by variant: (index into
+    ``variants``, t, a, b, v, sigma, sign, bound, node error), the bound
+    side in Python floats."""
+    for k, variant in enumerate(variants):
+        rng = np.random.default_rng(spec.seed + k)
         for _ in range(spec.samples // len(variants)):
             t = float(rng.uniform(5.0, 60.0))
             margin = float(rng.uniform(0.1, 2.0))
@@ -274,10 +290,6 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
             while variant == "2.2a" and not _decreasing_from(a, t, v, sigma, sign):
                 a, b = 1.05 * a, 1.05 * b
 
-            def integrand(x: np.ndarray, kernel=_OSC_KERNELS[variant]) -> np.ndarray:
-                log_x = np.log(x)
-                return kernel(t * log_x, TWO_PI * v * x, sign) * log_x / x ** (1.0 + sigma)
-
             if variant == "2.2a":
                 denom = TWO_PI * v * a + sign * t
                 bound = 2.0 * math.log(a) / (a**sigma * denom)
@@ -287,30 +299,89 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
                     / (a**sigma * (4.0 * math.pi**2 * v**2 * a**2 - t * t))
                 )
 
-            def ellipse_bound(mid, re_axis, im_axis, kernel_bound=_OSC_KERNEL_BOUNDS[variant]):
-                # r <= Re z, |z| <= r_max and |arg z| <= theta on the ellipse
-                r = mid - re_axis - 4.0 * EPS * (mid + re_axis)  # rounded down
-                r_max = np.hypot(mid + re_axis, im_axis) * (1.0 + 4.0 * EPS)
-                theta = np.arctan(im_axis / r)
-                log_max = np.maximum(np.abs(np.log(r)), np.abs(np.log(r_max))) + theta
-                kernel = kernel_bound(t * theta, TWO_PI * v * im_axis)
-                return np.where(r > 0.0, log_max * r ** (-1.0 - sigma) * kernel, np.inf)
-
             # a node value's error (docs/oscillatory_tails.md, "Certified quadrature")
             log_a, log_b = math.log(a), math.log(b)
             envelope = (2.0 if variant == "2.2b" else 1.0) * log_a / a ** (1.0 + sigma)
             phase = t * log_b + TWO_PI * v * b
             drift = t / a + TWO_PI * v + (1.0 + 2.5 * log_b) / (a * log_a)
             node_err = EPS * envelope * (3.0 * phase + 3.0 * b * drift + 2.0 * log_b + 8.0)
-            value, radius = integrate_gauss_legendre(
-                integrand, a, b, 1e-9, ellipse_bound, TWO_PI / (t / a + TWO_PI * v), node_err
-            )
-            sweep.add(
-                abs(value), bound, radius + 1e-12 * (1.0 + bound),
-                {"t": t, "a": a, "b": b, "v": v, "sigma": sigma, "sign": sign},
-            )
-        per_variant.append(f"{variant}: {sweep.violations - violations_before} violations")
-    return sweep.report("; ".join(per_variant) if len(variants) > 1 else "")
+            yield k, t, a, b, v, sigma, sign, bound, node_err
+
+
+def _runs(kinds: np.ndarray) -> list[tuple[int, int, int]]:
+    """(kind, start, stop) of each run of equal entries of ``kinds``."""
+    cuts = (np.flatnonzero(np.diff(kinds)) + 1).tolist()
+    starts, stops = [0, *cuts], [*cuts, kinds.size]
+    return [(int(kinds[lo]), lo, hi) for lo, hi in zip(starts, stops)]
+
+
+def _oscillatory_tail_quadrature(variants, kinds, t, a, b, v, sigma, sign, node_err):
+    """The integrals over a block of check 2.2's samples, sample i of
+    variant ``variants[kinds[i]]``; each variant's kernel and kernel bound
+    run on its own contiguous slice of the nodes and panels."""
+    runs = _runs(kinds)
+    two_pi_v = TWO_PI * v
+
+    def by_variant(table, owner, *args):
+        out = np.empty_like(args[0])
+        for kind, lo, hi in runs:
+            s, e = np.searchsorted(owner, (lo, hi))
+            out[..., s:e] = table[variants[kind]](*(arg[..., s:e] for arg in args))
+        return out
+
+    def integrand(x, i):
+        log_x = np.log(x)
+        kernel = by_variant(_OSC_KERNELS, i, t[i] * log_x, two_pi_v[i] * x, sign[i])
+        return kernel * log_x / x ** (1.0 + sigma)[i]
+
+    def ellipse_bound(mid, re_axis, im_axis, i):
+        # r <= Re z, |z| <= r_max and |arg z| <= theta on the ellipse
+        r = mid - re_axis - 4.0 * EPS * (mid + re_axis)  # rounded down
+        r_max = np.hypot(mid + re_axis, im_axis) * (1.0 + 4.0 * EPS)
+        theta = np.arctan(im_axis / r)
+        log_max = np.maximum(np.abs(np.log(r)), np.abs(np.log(r_max))) + theta
+        kernel = by_variant(_OSC_KERNEL_BOUNDS, i, t[i] * theta, two_pi_v[i] * im_axis)
+        return np.where(r > 0.0, log_max * r ** (-1.0 - sigma)[i] * kernel, np.inf)
+
+    wavelength = TWO_PI / (t / a + two_pi_v)
+    return integrate_gauss_legendre(integrand, a, b, 1e-9, ellipse_bound, wavelength, node_err)
+
+
+def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> VerificationReport:
+    """Oscillatory log-weighted integral envelopes.
+
+    variant a: integrand sin(t log x +/- 2 pi v x) log x / x^{1+sigma},
+               bound 2 log a / (a^sigma (2 pi v a +/- t));
+    variants b, c, d: the sine-combination / product kernels of
+               _OSC_KERNELS in place of the sine, bound
+               8 pi v a log a / (a^sigma (4 pi^2 v^2 a^2 - t^2)).
+
+    Samples respect a >= (t / 2 pi)(1 + margin) with margin >= 0.1, away
+    from the singular denominator; variant a scales a and b by 1.05 until
+    ``_decreasing_from`` holds.  The i-th of several variants draws
+    samples // len(variants) samples from seed + i into the one "2.2"
+    report, whose notes give each variant's violation count.  The
+    integrals run QUAD_BLOCK samples per quadrature call, across variants.
+    """
+    sweep = _Sweep(variants[0] if len(variants) == 1 else "2.2")
+    violations = np.zeros(len(variants), dtype=np.intp)
+    for block in _blocks(_oscillatory_tail_draws(spec, variants)):
+        kinds, t, a, b, v, sigma, sign, bound, node_err = block
+        values, radii = _oscillatory_tail_quadrature(
+            variants, kinds, t, a, b, v, sigma, sign, node_err
+        )
+        violated = sweep.add_many(
+            np.abs(values), bound, radii + 1e-12 * (1.0 + bound),
+            lambda i: {
+                "t": float(t[i]), "a": float(a[i]), "b": float(b[i]), "v": int(v[i]),
+                "sigma": float(sigma[i]), "sign": float(sign[i]),
+            },
+        )
+        violations += np.bincount(kinds[violated].astype(np.intp), minlength=len(variants))
+    notes = "; ".join(
+        f"{variant}: {count} violations" for variant, count in zip(variants, violations.tolist())
+    )
+    return sweep.report(notes if len(variants) > 1 else "")
 
 
 def _check_mid_tail(spec: SampleSpec) -> VerificationReport:

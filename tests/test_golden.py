@@ -48,6 +48,9 @@ CASES = {
     "verify_lemma_all": ["verify", "--lemma", "all", "--samples", "20", "--max-m", "500",
                          "--format", "json-lines"],
     "verify_lemma_46": ["verify", "--lemma", "4.6", "--max-m", "10000"],
+    # enough samples that the quadrature checks integrate several blocks
+    "verify_lemma_21_blocks": ["verify", "--lemma", "2.1", "--samples", "1100", "--seed", "3"],
+    "verify_lemma_22_blocks": ["verify", "--lemma", "2.2", "--samples", "2000", "--seed", "3"],
 }
 
 

@@ -225,6 +225,17 @@ class TestBernoulli:
                 bernoulli_number(bad)
 
 
+def integrate_one(f, a, b, tol, ellipse_bound, wavelength, node_err):
+    """One integral as a batch of one, f and its ellipse bound taking no
+    owner: (value, radius) as floats."""
+    values, radii = integrate_gauss_legendre(
+        lambda x, owner: f(x), np.array([a]), np.array([b]), tol,
+        lambda mid, re_axis, im_axis, owner: ellipse_bound(mid, re_axis, im_axis),
+        np.array([wavelength]), np.array([node_err]),
+    )
+    return float(values[0]), float(radii[0])
+
+
 def _box_bound(f_bound):
     """An ellipse bound from a bound on |f| over the box |Re z| <= x,
     |Im z| <= y around each ellipse, f_bound(x, y), for integrands whose
@@ -273,7 +284,7 @@ class TestQuadrature:
         # rho^(-2n) would claim 4.5e-12
         monkeypatch.setattr(numerics, "RHO_GRID", (40.0,))
         k = 0.5
-        value, radius = integrate_gauss_legendre(
+        value, radius = integrate_one(
             lambda x: np.cos(k * x), -1.0, 1.0, 1e-8, _box_bound(lambda x, y: np.cosh(k * y)),
             2 * math.pi / k, 4 * EPS,
         )
@@ -282,14 +293,14 @@ class TestQuadrature:
         assert err > radius / 40.0**2
 
     def test_constant(self):
-        value, radius = integrate_gauss_legendre(
+        value, radius = integrate_one(
             np.ones_like, 0.0, 1.0, 1e-12, _box_bound(lambda x, y: np.ones_like(x)), 1.0, 0.0
         )
         assert abs(value - 1.0) <= radius <= 1e-12
 
     def test_sine_half_period(self):
         # |sin z| <= cosh(Im z)
-        value, radius = integrate_gauss_legendre(
+        value, radius = integrate_one(
             np.sin, 0.0, math.pi, 1e-12, _box_bound(lambda x, y: np.cosh(y)), 2 * math.pi, 16 * EPS
         )
         assert abs(value - 2.0) <= radius <= 2e-12
@@ -298,8 +309,8 @@ class TestQuadrature:
         # half the wavelength, twice the panels: both values hold their
         # radii; each node value is off by under 1e3 eps (phase 40 x <= 200)
         f, bound = _damped_sine(40.0)
-        v1, r1 = integrate_gauss_legendre(f, 0.0, 5.0, 1e-10, bound, 2 * math.pi / 40, 1e3 * EPS)
-        v2, r2 = integrate_gauss_legendre(f, 0.0, 5.0, 1e-10, bound, math.pi / 40, 1e3 * EPS)
+        v1, r1 = integrate_one(f, 0.0, 5.0, 1e-10, bound, 2 * math.pi / 40, 1e3 * EPS)
+        v2, r2 = integrate_one(f, 0.0, 5.0, 1e-10, bound, math.pi / 40, 1e3 * EPS)
         assert abs(v1 - v2) <= r1 + r2
 
     def test_error_estimate_is_honest_on_known_integral(self):
@@ -311,7 +322,7 @@ class TestQuadrature:
             return (np.abs(mid) + re_axis + im_axis) ** 3 * np.exp(re_axis - mid)
 
         for tol in (1e-6, 1e-9, 1e-12):
-            value, radius = integrate_gauss_legendre(
+            value, radius = integrate_one(
                 lambda x: x**3 * np.exp(-x), 0.0, 4.0, tol, bound, 4.0, 1e2 * EPS
             )
             assert abs(value - truth) <= radius <= tol + 1e-12
@@ -321,7 +332,7 @@ class TestQuadrature:
         truth = (40.0 - math.exp(-5.0) * (math.sin(200.0) + 40.0 * math.cos(200.0))) / 1601.0
         radii = []
         for tol in (1e-4, 1e-7, 1e-10):
-            value, radius = integrate_gauss_legendre(
+            value, radius = integrate_one(
                 f, 0.0, 5.0, tol, bound, 2 * math.pi / 40, 1e3 * EPS
             )
             assert abs(value - truth) <= radius <= tol + 2e-12
@@ -340,31 +351,42 @@ class TestQuadrature:
         monkeypatch.setattr(verify, "integrate_gauss_legendre", recording)
         verify.verify_lemma("2.2c", verify.SampleSpec(samples=1, seed=5))
         f, a, b, _, bound, wavelength, node_err = calls[0]
-        results = [
-            integrate_gauss_legendre(f, a, b, tol, bound, wavelength, node_err)
-            for tol in (1e-6, 1e-9, 1e-12)
-        ]
-        radii = [radius for _, radius in results]
-        assert radii[0] >= radii[1] >= radii[2]
-        assert radii[2] <= 1e-12 + (b - a) * node_err + 1e-12
-        (v0, r0), (v2, r2) = results[0], results[2]
-        assert abs(v0 - v2) <= r0 + r2
+        for i in range(a.size):  # each integral of the batch on its own
+            one = slice(i, i + 1)
+            results = [
+                integrate_gauss_legendre(
+                    lambda x, owner: f(x, owner + i), a[one], b[one], tol,
+                    lambda mid, re_axis, im_axis, owner: bound(mid, re_axis, im_axis, owner + i),
+                    wavelength[one], node_err[one],
+                )
+                for tol in (1e-6, 1e-9, 1e-12)
+            ]
+            radii = [float(radius[0]) for _, radius in results]
+            assert radii[0] >= radii[1] >= radii[2]
+            assert radii[2] <= 1e-12 + (b[i] - a[i]) * node_err[i] + 1e-12
+            (v0, r0), (v2, r2) = results[0], results[2]
+            assert abs(v0[0] - v2[0]) <= r0[0] + r2[0]
 
     def test_cap_flags_nonconvergence(self):
         # a finite bound that MAX_GL_NODES nodes cannot bring below tol, and
         # no finite bound at all, both raise rather than return a value
         huge, infinite = _box_bound(lambda x, y: 1e300 + 0 * x), _box_bound(lambda x, y: np.inf + x)
         with pytest.raises(ArithmeticError, match="needs more than 64 nodes on"):
-            integrate_gauss_legendre(np.sin, 0.0, 1.0, 1e-14, huge, 1.0, 0.0)
+            integrate_one(np.sin, 0.0, 1.0, 1e-14, huge, 1.0, 0.0)
         with pytest.raises(ArithmeticError, match="no Bernstein ellipse"):
-            integrate_gauss_legendre(np.sin, 0.0, 1.0, 1e-6, infinite, 1.0, 0.0)
+            integrate_one(np.sin, 0.0, 1.0, 1e-6, infinite, 1.0, 0.0)
 
     def test_invalid_inputs(self):
         bound = _box_bound(lambda x, y: np.cosh(y))
         with pytest.raises(ValueError):
-            integrate_gauss_legendre(np.sin, 1.0, 0.0, 1e-6, bound, 1.0, 0.0)
+            integrate_one(np.sin, 1.0, 0.0, 1e-6, bound, 1.0, 0.0)
         with pytest.raises(ValueError):
-            integrate_gauss_legendre(np.sin, 0.0, 1.0, -1e-6, bound, 1.0, 0.0)
+            integrate_one(np.sin, 0.0, 1.0, -1e-6, bound, 1.0, 0.0)
+        for wavelength in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+                integrate_one(np.sin, 0.0, 1.0, 1e-6, bound, wavelength, 0.0)
+        with pytest.raises(ValueError, match="1-D arrays of one shape"):
+            integrate_gauss_legendre(np.sin, 0.0, 1.0, 1e-6, bound, 1.0, 0.0)
 
     @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
     @pytest.mark.parametrize("wavelength", [None, 1.0])
@@ -374,7 +396,10 @@ class TestQuadrature:
             raise AssertionError("integrand or bound evaluated")
 
         with pytest.raises(ValueError, match="requires finite a < b"):
-            integrate_gauss_legendre(never_called, a, b, 1e-6, never_called, wavelength, 0.0)
+            integrate_gauss_legendre(
+                never_called, np.array([1.0, a]), np.array([2.0, b]), 1e-6, never_called,
+                wavelength, 0.0,
+            )
 
     @pytest.mark.parametrize("bad, wavelength, panel", [
         ([(0.5, 1.0)], 1.0, "[0.0, 1.0]"),
@@ -391,27 +416,40 @@ class TestQuadrature:
 
         message = re.escape(f"integrand not finite on {panel}")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            integrate_gauss_legendre(f, 0.0, 1.0, 1e-6, _box_bound(np.add), wavelength, 0.0)
+            integrate_one(f, 0.0, 1.0, 1e-6, _box_bound(np.add), wavelength, 0.0)
 
     def test_integrand_must_return_node_shape(self):
         with pytest.raises(ValueError, match="array of its shape"):
-            integrate_gauss_legendre(lambda x: 1.0, 0.0, 1.0, 1e-6, _box_bound(np.add), 1.0, 0.0)
+            integrate_one(lambda x: 1.0, 0.0, 1.0, 1e-6, _box_bound(np.add), 1.0, 0.0)
 
     def test_result_invariants(self):
         # one integrand call over ceil((b - a) / (8 wavelength)) equal panels
         calls = []
 
-        def f(x):
+        def f(x, owner):
             calls.append(x.size)
             return x * x
 
-        value, radius = integrate_gauss_legendre(
-            f, 0.0, 2.0, 1e-10, _box_bound(lambda x, y: x * x + y * y), 2.0 / 24, 0.0
+        bound = _box_bound(lambda x, y: x * x + y * y)
+        values, radii = integrate_gauss_legendre(
+            f, np.array([0.0]), np.array([2.0]), 1e-10,
+            lambda mid, re_axis, im_axis, owner: bound(mid, re_axis, im_axis),
+            np.array([2.0 / 24]), np.array([0.0]),
         )
         assert len(calls) == 1 and calls[0] % 3 == 0 and calls[0] // 3 % 4 == 0
-        assert isinstance(value, float) and isinstance(radius, float)
-        assert 0 < radius <= 1e-10 + 1e-12
-        assert abs(value - 8.0 / 3.0) <= radius
+        assert values.shape == radii.shape == (1,) and values.dtype == radii.dtype == np.float64
+        assert 0 < radii[0] <= 1e-10 + 1e-12
+        assert abs(values[0] - 8.0 / 3.0) <= radii[0]
+
+    def test_empty_batch(self):
+        def never_called(*args):
+            raise AssertionError("integrand or bound evaluated")
+
+        empty = np.empty(0)
+        values, radii = integrate_gauss_legendre(
+            never_called, empty, empty, 1e-6, never_called, empty, empty
+        )
+        assert values.shape == radii.shape == (0,)
 
 
 def test_geometric_grid_endpoints_and_monotone():

@@ -1,8 +1,10 @@
 """The batched Gauss-Legendre rule against a scalar reference and mpmath.
 
-``integrate_gauss_legendre`` evaluates every node of every panel in one
-integrand call; the scalar rule of ``reference_quadrature`` evaluates one
-node per call.  Given the same node values they must agree bit for bit.
+``integrate_gauss_legendre`` evaluates every node of every panel of a
+batch of integrals in one integrand call; the scalar rule of
+``reference_quadrature`` evaluates one node per call.  Given the same node
+values they must agree bit for bit, and each integral of a batch must keep
+the bits it has alone.
 The lemma integrands of checks 2.1 and 2.2 use numpy's log, sin, cos and
 power, which may differ from math's by an ulp, so there the batched value
 must lie within its radius of the scalar one, of the same rule at a
@@ -10,6 +12,7 @@ thousandth of the tolerance, and of mpmath at 20 digits.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,8 +38,27 @@ ARITHMETIC_CASES = {
 }
 
 
-def _unit_bound(mid, re_axis, im_axis):
+def _unit_bound(mid, re_axis, im_axis, owner):
     return np.ones_like(re_axis)
+
+
+def _one(f, a, b, wavelength, node_err=0.0):
+    """Batch arguments for one integral of an owner-free integrand f."""
+    one = (np.array([v]) for v in (a, b, wavelength, node_err))
+    return (lambda x, owner: f(x), *one)
+
+
+def _alone(args, i):
+    """Integral i of a batch's arguments (f, a, b, tol, ellipse_bound,
+    wavelength, node_err) as a batch of one; f and the bound still see
+    owner i."""
+    f, a, b, tol, ellipse_bound, wavelength, node_err = args
+    one = slice(i, i + 1)
+    return (
+        lambda x, owner: f(x, owner + i), a[one], b[one], tol,
+        lambda mid, re_axis, im_axis, owner: ellipse_bound(mid, re_axis, im_axis, owner + i),
+        wavelength[one], node_err[one],
+    )
 
 
 def _spy_nodes(monkeypatch):
@@ -59,45 +81,149 @@ def test_bit_identical_to_scalar_driver(monkeypatch, name, panels):
     f, a, b, tol = ARITHMETIC_CASES[name]
     wavelength = (b - a) / (8 * panels)
     picked = _spy_nodes(monkeypatch)
-    got, _ = numerics.integrate_gauss_legendre(f, a, b, tol, _unit_bound, wavelength, 0.0)
+    g, a_, b_, wavelength_, node_err = _one(f, a, b, wavelength)
+    got, _ = numerics.integrate_gauss_legendre(g, a_, b_, tol, _unit_bound, wavelength_, node_err)
     want = integrate_gauss_legendre_scalar(f, a, b, picked[-1], wavelength)
-    assert got.hex() == want.hex()
+    assert float(got[0]).hex() == want.hex()
+
+
+def _peak_bound(c, shift=0.0):
+    """On a Bernstein ellipse |c + (z - shift)^2| >= c + min (Re z -
+    shift)^2 - B^2, B its imaginary semi-axis; c and shift scalars or one
+    per integral."""
+    c, shift = np.asarray(c), np.asarray(shift)
+
+    def bound(mid, re_axis, im_axis, owner):
+        c_, shift_ = (c[owner], shift[owner]) if c.ndim else (c, shift)
+        near = np.maximum(np.abs(mid - shift_) - re_axis, 0.0)
+        gap = c_ + near * near - im_axis * im_axis
+        return np.where(gap > 0.0, 1.0 / gap, np.inf)
+
+    return bound
 
 
 def test_parity_cases_refine():
     # 1 / (1e-3 + z^2) has poles at +-0.0316i: no Bernstein ellipse of one
     # panel over [-1, 1] misses them, while panels 0.08 wide certify the
     # integral.  On an ellipse |1e-3 + z^2| >= 1e-3 + min (Re z)^2 - B^2.
-    def bound(mid, re_axis, im_axis):
-        near = np.maximum(np.abs(mid) - re_axis, 0.0)
-        gap = 1e-3 + near * near - im_axis * im_axis
-        return np.where(gap > 0.0, 1.0 / gap, np.inf)
-
     f, a, b, tol = ARITHMETIC_CASES["peak_refines"]
+    g, a_, b_, wavelength, node_err = _one(f, a, b, b - a)
     with pytest.raises(ArithmeticError, match="no Bernstein ellipse"):
-        numerics.integrate_gauss_legendre(f, a, b, tol, bound, b - a, 0.0)
+        numerics.integrate_gauss_legendre(g, a_, b_, tol, _peak_bound(1e-3), wavelength, node_err)
     # each node value: three roundings of a value at most 1e3
-    value, radius = numerics.integrate_gauss_legendre(f, a, b, tol, bound, 0.01, 3e3 * EPS)
+    g, a_, b_, wavelength, node_err = _one(f, a, b, 0.01, 3e3 * EPS)
+    value, radius = numerics.integrate_gauss_legendre(
+        g, a_, b_, tol, _peak_bound(1e-3), wavelength, node_err
+    )
     root = math.sqrt(1e-3)
-    assert abs(value - 2.0 * math.atan(1.0 / root) / root) <= radius <= 1e-9 + 1e-11
+    assert abs(value[0] - 2.0 * math.atan(1.0 / root) / root) <= radius[0] <= 1e-9 + 1e-11
+
+
+# a batch of peaks 1 / (c + (x - shift)^2) over [-1, 1]: several rule sizes
+# and panel counts, one to forty panels
+BATCH_C = np.array([1e-1, 1e-3, 1e-2, 1.0, 1e-3, 1e-1, 1e-2])
+BATCH_SHIFT = np.array([0.0, 0.3, -0.5, 0.1, 0.0, 0.9, 0.25])
+BATCH_PANELS = np.array([1, 40, 5, 1, 25, 3, 8])
+
+
+def _peak_batch(c=BATCH_C, shift=BATCH_SHIFT, panels=BATCH_PANELS):
+    """Batch arguments (f, a, b, tol, ellipse_bound, wavelength, node_err)
+    of the peaks; each node value is three roundings of a value at most
+    1 / c."""
+    def f(x, owner):
+        d = x - shift[owner]
+        return 1.0 / (c[owner] + d * d)
+
+    ones = np.ones(c.size)
+    return (f, -ones, ones, 1e-9, _peak_bound(c, shift), 2.0 / (8 * panels), 3 * EPS / c)
+
+
+def test_batch_equals_one_integral_batches(monkeypatch):
+    # every bit of each value and radius, whatever else shares the batch
+    picked = _spy_nodes(monkeypatch)
+    args = _peak_batch()
+    values, radii = numerics.integrate_gauss_legendre(*args)
+    assert len(picked) >= 3  # several rule sizes in the one batch
+    for i in range(BATCH_C.size):
+        value, radius = numerics.integrate_gauss_legendre(*_alone(args, i))
+        assert (float(values[i]).hex(), float(radii[i]).hex()) == \
+            (float(value[0]).hex(), float(radius[0]).hex()), i
+        root = math.sqrt(BATCH_C[i])
+        truth = (math.atan((1.0 - BATCH_SHIFT[i]) / root)
+                 + math.atan((1.0 + BATCH_SHIFT[i]) / root)) / root
+        assert abs(values[i] - truth) <= radii[i] <= 1e-9 + 1e-11
+
+
+def test_check_blocks_equal_one_sample_blocks():
+    # check 2.2's block, all four variants in one call, against each sample
+    # integrated alone: the kernel slices keep every bit
+    spec = SampleSpec(samples=24, seed=7)
+    block = next(verify._blocks(verify._oscillatory_tail_draws(spec, verify._OSC_VARIANTS)))
+    assert sorted(set(block[0].tolist())) == [0.0, 1.0, 2.0, 3.0]
+    fields = np.delete(block, 7, axis=0)  # every field but the bound
+    values, radii = verify._oscillatory_tail_quadrature(verify._OSC_VARIANTS, *fields)
+    for i in range(fields.shape[1]):
+        one = fields[:, i:i + 1]
+        value, radius = verify._oscillatory_tail_quadrature(verify._OSC_VARIANTS, *one)
+        assert (float(values[i]).hex(), float(radii[i]).hex()) == \
+            (float(value[0]).hex(), float(radius[0]).hex()), i
+
+
+def _failing_batch(kinds):
+    """Integrals of x over [0, 1 + i / 4] in ten panels each, integral i
+    being "ok", "node" (f not finite on (0.3, 0.5)), "ellipse" (no finite
+    ellipse bound) or "tol" (a bound no rule brings below tol)."""
+    kinds = np.array(kinds)
+
+    def f(x, owner):
+        return np.where((kinds[owner] == "node") & (0.3 < x) & (x < 0.5), np.inf, x)
+
+    def bound(mid, re_axis, im_axis, owner):
+        m_rho = np.abs(mid) + re_axis + im_axis
+        m_rho = np.where(kinds[owner] == "tol", 1e300, m_rho)
+        return np.where(kinds[owner] == "ellipse", np.inf, m_rho)
+
+    b = 1.0 + np.arange(kinds.size) / 4
+    return f, np.zeros(kinds.size), b, 1e-6, bound, b / 80, np.zeros(kinds.size)
+
+
+@pytest.mark.parametrize("kinds, error, message", [
+    (["ok", "node", "ellipse"], ValueError, "integrand not finite on [0.25, 0.375]"),
+    (["ok", "node", "node"], ValueError, "integrand not finite on [0.25, 0.375]"),
+    (["ok", "ellipse", "node"], ArithmeticError,
+     "no Bernstein ellipse gives a finite bound on [0.0, 1.25]"),
+    (["ok", "tol", "ellipse"], ArithmeticError, "tol 1e-06 needs more than 64 nodes on [0.0, 1.25]"),
+])
+def test_batch_raises_for_its_first_failing_integral(kinds, error, message):
+    # whatever fails later in the batch, and at whichever step
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        numerics.integrate_gauss_legendre(*_failing_batch(kinds))
+    # the same integral alone fails the same way
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        numerics.integrate_gauss_legendre(*_alone(_failing_batch(kinds), 1))
+    numerics.integrate_gauss_legendre(*_failing_batch(kinds[:1]))
 
 
 def _replay_with_reference(monkeypatch, check_id, spec, draws):
-    """Run a check with every quadrature answered by the scalar reference
-    on the scalar integrand; returns its report and (batched value,
-    radius, reference value) per call."""
+    """Run a check with every integral answered by the scalar reference on
+    the scalar integrand; returns its report and (batched value, radius,
+    reference value) per integral."""
     pending = iter(draws)
     picked = _spy_nodes(monkeypatch)
     triples = []
 
-    def integrate(f, a, b, tol, ellipse_bound, wavelength, node_err):
-        g, ra, rb, rtol, rwavelength, _ = next(pending)
-        assert (a, b, tol, wavelength) == (ra, rb, rtol, rwavelength)
-        args = (a, b, tol, ellipse_bound, wavelength, node_err)
-        got, radius = numerics.integrate_gauss_legendre(f, *args)
-        want = integrate_gauss_legendre_scalar(g, a, b, picked[-1], wavelength)
-        triples.append((got, radius, want))
-        return want, radius
+    def integrate(*args):
+        _, a, b, tol, _, wavelength, _ = args
+        wants, radii = [], []
+        for i in range(a.size):
+            g, ra, rb, rtol, rwavelength, _ = next(pending)
+            assert (a[i], b[i], tol, wavelength[i]) == (ra, rb, rtol, rwavelength)
+            got, radius = numerics.integrate_gauss_legendre(*_alone(args, i))
+            want = integrate_gauss_legendre_scalar(g, ra, rb, picked[-1], rwavelength)
+            triples.append((float(got[0]), float(radius[0]), want))
+            wants.append(want)
+            radii.append(float(radius[0]))
+        return np.array(wants), np.array(radii)
 
     monkeypatch.setattr(verify, "integrate_gauss_legendre", integrate)
     report = verify_lemma(check_id, spec)
@@ -122,15 +248,17 @@ def test_lemma_reports_hold_against_scalar_reference(monkeypatch, check_id, seed
 
 
 def _recorded_quadratures(monkeypatch, check_id, spec):
-    """Run a check and return, per quadrature call, (value, radius, value
-    of the same integral at a thousandth of its tol)."""
+    """Run a check and return, per integral, (value, radius, value of the
+    same integral at a thousandth of its tol)."""
     calls = []
 
-    def recording(f, a, b, tol, *args):
-        value, radius = numerics.integrate_gauss_legendre(f, a, b, tol, *args)
-        fine, _ = numerics.integrate_gauss_legendre(f, a, b, tol / 1000, *args)
-        calls.append((value, radius, fine))
-        return value, radius
+    def recording(*args):
+        values, radii = numerics.integrate_gauss_legendre(*args)
+        for i in range(values.size):
+            f, a, b, tol, *rest = _alone(args, i)
+            fine, _ = numerics.integrate_gauss_legendre(f, a, b, tol / 1000, *rest)
+            calls.append((float(values[i]), float(radii[i]), float(fine[0])))
+        return values, radii
 
     monkeypatch.setattr(verify, "integrate_gauss_legendre", recording)
     verify_lemma(check_id, spec)

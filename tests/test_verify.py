@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -66,6 +67,28 @@ class TestLemmaSweeps:
         assert r.violations == 0
         for variant in ("2.2a", "2.2b", "2.2c", "2.2d"):
             assert variant in r.notes
+
+    @pytest.mark.parametrize("check_id", ["2.1", "2.2", "2.2a"])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_quadrature_blocks_keep_the_report(self, monkeypatch, check_id, block):
+        # every field, to the bit, whatever the block size; 42 samples span
+        # two default blocks, and "2.2"'s blocks cross variants
+        spec = SampleSpec(samples=42, seed=2301)
+        want = verify_lemma(check_id, spec)
+        monkeypatch.setattr(verify, "QUAD_BLOCK", block)
+        assert repr(verify_lemma(check_id, spec)) == repr(want)
+
+    @pytest.mark.parametrize("block", [7, 32])
+    def test_fanout_counts_violations_per_variant(self, monkeypatch, block):
+        # a kernel 1000 times too large breaks every 2.2c sample and no
+        # other, in blocks that mix variants
+        monkeypatch.setattr(verify, "QUAD_BLOCK", block)
+        monkeypatch.setitem(verify._OSC_KERNELS, "2.2c",
+                            lambda tl, w, sign: 1e3 * np.sin(tl) * np.sin(w))
+        r = verify_lemma("2.2", SampleSpec(samples=40, seed=3))
+        assert r.violations == 10
+        assert r.notes == ("2.2a: 0 violations; 2.2b: 0 violations; "
+                           "2.2c: 10 violations; 2.2d: 0 violations")
 
     def test_mid_tail_clean(self):
         r = verify_lemma("2.4", SampleSpec(samples=10, seed=4))
@@ -209,7 +232,8 @@ def sweep_state(sweep):
 class TestSweepAddMany:
     def test_equals_add_in_order(self):
         # few distinct values: tied slacks, equal maxima of both signs of
-        # zero, NaNs and violations, in chunks of 0 to 12 entries
+        # zero, NaNs (violations in both) and violations, in chunks of 0 to
+        # 12 entries
         rng = np.random.default_rng(4606)
         for _ in range(300):
             one, many = verify._Sweep("x"), verify._Sweep("x")
@@ -229,6 +253,18 @@ class TestSweepAddMany:
                 start += n
                 assert sweep_state(many) == sweep_state(one)
             assert many.report() == one.report()
+
+    @pytest.mark.parametrize("side", ["oracle", "bound", "budget"])
+    def test_nan_is_a_violation(self, side):
+        # a NaN oracle, bound or budget cannot show the bound holds
+        sample = {"oracle": 1.0, "bound": 2.0, "budget": 0.5, side: math.nan}
+        one, many = verify._Sweep("x"), verify._Sweep("x")
+        one.add(sample["oracle"], sample["bound"], sample["budget"], {})
+        violated = many.add_many(*(np.array([sample[k]]) for k in ("oracle", "bound", "budget")),
+                                 lambda i: {})
+        assert one.violations == many.violations == 1
+        assert violated.tolist() == [True]
+        assert one.report().violations == 1
 
     def test_inputs_only_for_a_new_minimum(self):
         sweep, asked = verify._Sweep("x"), []
