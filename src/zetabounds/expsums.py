@@ -86,20 +86,38 @@ def exp_sum_exact(f: Phase, N: int, L: int) -> complex:
     return compensated_complex_sum(np.cos(phase) + 1j * np.sin(phase))
 
 
+SHIFT_BLOCK = 2**15  # terms per array pass of shifted_diff_maxima; bounds its arrays
+
+
 def shifted_diff_maxima(f: Phase, N: int, L: int, M: int) -> list[float]:
     """Exact max_{K <= L} |sum_{n=N+1}^{N+K} e^{2 pi i (f(n+m) - f(n))}|
-    for m = 1 .. M-1, scanning every prefix K."""
+    for m = 1 .. M-1, scanning every prefix K.
+
+    ``f`` must be elementwise: each output double depends only on the
+    input double at its place, as for ``log_phase`` and
+    ``quadratic_phase``.  Then one evaluation on N+1 .. N+L+M-1 gives
+    every f(n+m), and the shifts run in array passes of at most
+    ``SHIFT_BLOCK`` terms (one row of L terms if L is longer) with the
+    bits of one cumulative sum per m.  More than ``RANGE_GUARD`` terms
+    in all, (M-1) L, are refused before ``f`` is evaluated.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
     if L < 1:
         raise ValueError("L must be >= 1")
-    n = np.arange(N + 1, N + L + 1, dtype=np.float64)
-    fn = f(n)
+    if (M - 1) * L > RANGE_GUARD:
+        raise ValueError("range too long for direct summation")
+    values = f(np.arange(N + 1, N + L + M, dtype=np.float64))
+    fn = values[:L]
+    # row m-1 is the view values[m : m+L], f(n+m)
+    shifted = np.lib.stride_tricks.as_strided(
+        values[1:], (M - 1, L), values.strides * 2, writeable=False
+    )
+    rows = max(1, SHIFT_BLOCK // L)
     out: list[float] = []
-    for m in range(1, M):
-        fm = f(n + m)
-        terms = np.exp(TWO_PI * 1j * (fm - fn))
-        out.append(float(np.max(np.abs(np.cumsum(terms)))))
+    for first in range(0, M - 1, rows):
+        terms = np.exp(TWO_PI * 1j * (shifted[first:first + rows] - fn))
+        out += np.abs(np.cumsum(terms, axis=1)).max(axis=1).tolist()
     return out
 
 

@@ -177,34 +177,37 @@ def _blocks(draws: Iterator[tuple]) -> Iterator[np.ndarray]:
         yield np.ascontiguousarray(np.array(block, dtype=np.float64).T)
 
 
+# check 2.1's uniform draws, in stream order: a, b - a, c, d, p, A, w, phi
+_PARTIAL_INTEGRATION_LOW = np.array([0.5, 0.5, 0.1, 0.0, 0.2, 0.1, 0.5, 0.0])
+_PARTIAL_INTEGRATION_HIGH = np.array([5.0, 8.0, 3.0, 2.0, 3.0, 2.0, 20.0, TWO_PI])
+
+
 def _partial_integration_draws(spec: SampleSpec) -> Iterator[tuple[float, ...]]:
     """Check 2.1's samples in stream order: (a, b, c, d, p, A, w, phi,
-    bound, node error), the bound side in Python floats."""
+    bound, node error), the bound side in Python floats.  The uniforms
+    come QUAD_BLOCK samples per call, each formed low + (high - low) u as
+    ``rng.uniform`` forms it, so they have its bits."""
     rng = np.random.default_rng(spec.seed)
-    for _ in range(spec.samples):
-        a = float(rng.uniform(0.5, 5.0))
-        b = a + float(rng.uniform(0.5, 8.0))
-        c = float(rng.uniform(0.1, 3.0))
-        d = float(rng.uniform(0.0, 2.0))
-        pw = float(rng.uniform(0.2, 3.0))
-        amp = float(rng.uniform(0.1, 2.0))
-        w = float(rng.uniform(0.5, 20.0))
-        phi = float(rng.uniform(0.0, TWO_PI))
-        f_a = c * (a + d) ** (-pw)
+    low, width = _PARTIAL_INTEGRATION_LOW, _PARTIAL_INTEGRATION_HIGH - _PARTIAL_INTEGRATION_LOW
+    for first in range(0, spec.samples, QUAD_BLOCK):
+        draws = low + width * rng.random((min(QUAD_BLOCK, spec.samples - first), low.size))
+        for a, b, c, d, pw, amp, w, phi in draws.tolist():
+            b += a
+            f_a = c * (a + d) ** (-pw)
 
-        # exact max of |A sin(w x + phi)| on [a, b]
-        if w * (b - a) >= TWO_PI:
-            gmax = amp
-        else:
-            gmax = max(abs(amp * math.sin(w * a + phi)), abs(amp * math.sin(w * b + phi)))
-            k_lo = math.ceil((w * a + phi) / math.pi - 0.5)
-            k_hi = math.floor((w * b + phi) / math.pi - 0.5)
-            if k_hi >= k_lo:
+            # exact max of |A sin(w x + phi)| on [a, b]
+            if w * (b - a) >= TWO_PI:
                 gmax = amp
+            else:
+                gmax = max(abs(amp * math.sin(w * a + phi)), abs(amp * math.sin(w * b + phi)))
+                k_lo = math.ceil((w * a + phi) / math.pi - 0.5)
+                k_hi = math.floor((w * b + phi) / math.pi - 0.5)
+                if k_hi >= k_lo:
+                    gmax = amp
 
-        # a node value's error (docs/oscillatory_tails.md, "Certified quadrature")
-        node_err = EPS * f_a * amp * w * (4.0 * (w * b + phi) + 3.0 * pw * b / (a + d) + 8.0)
-        yield a, b, c, d, pw, amp, w, phi, 2.0 * f_a * gmax, node_err
+            # a node value's error (docs/oscillatory_tails.md, "Certified quadrature")
+            node_err = EPS * f_a * amp * w * (4.0 * (w * b + phi) + 3.0 * pw * b / (a + d) + 8.0)
+            yield a, b, c, d, pw, amp, w, phi, 2.0 * f_a * gmax, node_err
 
 
 def _partial_integration_quadrature(a, b, c, d, pw, amp, w, phi, node_err):
@@ -470,8 +473,8 @@ def _check_differencing(spec: SampleSpec) -> VerificationReport:
         n_start = int(rng.integers(1, 500))
         length = int(rng.integers(1, 200))
         m_val = int(rng.integers(m_lo, m_hi + 1))
+        diffmax = shifted_diff_maxima(f, n_start, length, m_val)  # refuses too many terms first
         s_val = abs(exp_sum_exact(f, n_start, length)) ** 2
-        diffmax = shifted_diff_maxima(f, n_start, length, m_val)
         rhs = weyl_differencing_rhs(length, m_val, diffmax)
         budget = 2.0 * math.sqrt(s_val) * 8.0 * EPS * length + 1e-10 * (1.0 + rhs)
         sweep.add(

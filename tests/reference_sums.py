@@ -4,9 +4,11 @@
 reference for ``zetabounds.zeta.em_range_sum``, which gives the same sums
 from two Euler-Maclaurin tails, and for the block and mid-tail bounds of
 ``zetabounds.bounds``.  ``weight_sum_rows`` is the scalar one-pass loop
-that ``zetabounds.expsums.weight_sum_blocks`` runs in numpy blocks; the
-blocks must reproduce its every bit.  Nothing in ``zetabounds`` calls
-this module.
+that ``zetabounds.expsums.weight_sum_blocks`` runs in numpy blocks, and
+``shifted_diff_rows`` the one-shift-at-a-time loop that
+``zetabounds.expsums.shifted_diff_maxima`` runs in array passes; both
+must be reproduced to the bit.  Nothing in ``zetabounds`` calls this
+module.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from typing import Iterator
 
 import numpy as np
 
-from zetabounds.expsums import RANGE_GUARD
+from zetabounds.expsums import RANGE_GUARD, TWO_PI, Phase
 from zetabounds.numerics import EPS, compensated_complex_sum
 
-__all__ = ["WeightSums", "direct_sum_budget", "log_dirichlet_sum", "weight_sum_rows"]
+__all__ = [
+    "WeightSums", "direct_sum_budget", "log_dirichlet_sum", "shifted_diff_rows",
+    "weight_sum_rows",
+]
 
 
 def log_dirichlet_sum(t: float, a: float, b: float) -> complex:
@@ -52,6 +57,19 @@ def direct_sum_budget(t: float, a: float, b: float) -> float:
     moduli = logn / np.sqrt(n)
     worst = math.fsum((moduli * (2.0 * abs(t) * logn + 4.0)).tolist())
     return EPS * (worst + 2.0 * math.fsum(moduli.tolist()))
+
+
+def shifted_diff_rows(f: Phase, N: int, L: int, M: int) -> list[float]:
+    """max_{K <= L} |sum_{n=N+1}^{N+K} e^{2 pi i (f(n+m) - f(n))}| for
+    m = 1 .. M-1, one shift at a time: f evaluated afresh on n + m, and
+    one cumulative sum per m."""
+    n = np.arange(N + 1, N + L + 1, dtype=np.float64)
+    fn = f(n)
+    out: list[float] = []
+    for m in range(1, M):
+        terms = np.exp(TWO_PI * 1j * (f(n + m) - fn))
+        out.append(float(np.max(np.abs(np.cumsum(terms)))))
+    return out
 
 
 @dataclass(frozen=True)

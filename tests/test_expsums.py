@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,7 @@ from zetabounds.expsums import (
 from zetabounds import expsums
 
 from reference_blocks import BlockScheme, block_scheme
-from reference_sums import WeightSums, log_dirichlet_sum, weight_sum_rows
+from reference_sums import WeightSums, log_dirichlet_sum, shifted_diff_rows, weight_sum_rows
 
 
 class TestPhaseFunction:
@@ -150,6 +152,59 @@ class TestWeylDifferencing:
         dm = shifted_diff_maxima(f, n_start, L, M)
         rhs = weyl_differencing_rhs(L, M, dm)
         assert s2 <= rhs + 1e-9 * (1.0 + rhs)
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+class TestShiftedDiffMaxima:
+    """The array passes against the one-shift-at-a-time loop, bit for bit."""
+
+    PHASES = {
+        "zero": quadratic_phase(0.0, 0.0),
+        "quadratic": quadratic_phase(0.137, -0.61),
+        "log": log_phase(2718.3),
+    }
+
+    @pytest.mark.parametrize("phase", sorted(PHASES))
+    def test_bits_of_the_shift_loop(self, monkeypatch, phase):
+        f = self.PHASES[phase]
+        for L, M in itertools.product((1, 2, 199, 5000), (1, 2, 20, 300)):
+            want = _hexes(shifted_diff_rows(f, 37, L, M))
+            assert len(want) == M - 1
+            # 1 and 7 split the rows over many passes
+            for block in (1, 7, expsums.SHIFT_BLOCK):
+                monkeypatch.setattr(expsums, "SHIFT_BLOCK", block)
+                assert _hexes(shifted_diff_maxima(f, 37, L, M)) == want, (L, M, block)
+
+    def test_bits_on_check_like_samples(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            a, b = rng.uniform(-0.2, 0.2), rng.uniform(-1.0, 1.0)
+            f = log_phase(rng.uniform(10.0, 1e4)) if rng.random() < 0.5 else quadratic_phase(a, b)
+            N, L, M = int(rng.integers(1, 500)), int(rng.integers(1, 200)), int(rng.integers(1, 21))
+            assert _hexes(shifted_diff_maxima(f, N, L, M)) == _hexes(shifted_diff_rows(f, N, L, M))
+
+    def test_memory_flat_in_m(self):
+        f = log_phase(5000.0)
+        tracemalloc.start()
+        try:
+            out = shifted_diff_maxima(f, 300, 199, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 19_999
+        # all rows at once would take 64 MB of complex terms
+        assert peak < 4 * 2**20
+
+    def test_refuses_too_many_terms_before_evaluating_f(self):
+        def f(x):
+            raise AssertionError("f evaluated")
+
+        for L, M in ((199, 10**8), (2, RANGE_GUARD // 2 + 2), (RANGE_GUARD + 1, 2)):
+            with pytest.raises(ValueError, match="range too long for direct summation"):
+                shifted_diff_maxima(f, 0, L, M)
 
 
 class TestVertexMaxBound:

@@ -51,6 +51,8 @@ CASES = {
     # enough samples that the quadrature checks integrate several blocks
     "verify_lemma_21_blocks": ["verify", "--lemma", "2.1", "--samples", "1100", "--seed", "3"],
     "verify_lemma_22_blocks": ["verify", "--lemma", "2.2", "--samples", "2000", "--seed", "3"],
+    # every phase kind at M up to 20, so the shifted sums run many rows
+    "verify_lemma_43_rows": ["verify", "--lemma", "4.3", "--samples", "600", "--seed", "3"],
 }
 
 

@@ -247,6 +247,16 @@ def test_lemma_reports_hold_against_scalar_reference(monkeypatch, check_id, seed
         assert abs(new - ref) <= radius
 
 
+def test_partial_integration_block_draws_have_the_scalar_bits():
+    # 40 samples: one full block of QUAD_BLOCK and a part block
+    for seed in range(300):
+        got = verify._partial_integration_draws(SampleSpec(samples=40, seed=seed))
+        want = partial_integration_draws(seed, 40)
+        for drawn, (_, a, b, _, _, params) in zip(got, want, strict=True):
+            scalar = (a, b, *(params[k] for k in ("c", "d", "p", "amp", "w", "phi")))
+            assert [x.hex() for x in drawn[:8]] == [x.hex() for x in scalar], seed
+
+
 def _recorded_quadratures(monkeypatch, check_id, spec):
     """Run a check and return, per integral, (value, radius, value of the
     same integral at a thousandth of its tol)."""

@@ -183,6 +183,17 @@ class TestLemmaSweeps:
         with pytest.raises(ValueError, match="needs 1 <= max M <= 100000000 and 1 <= min M <= max M"):
             verify_lemma(check_id, SampleSpec(samples=3, ranges={"M": m_range}))
 
+    def test_differencing_refuses_too_many_terms_before_any_phase(self, monkeypatch):
+        def phase(*args):
+            def f(x):
+                raise AssertionError("phase evaluated")
+            return f
+
+        monkeypatch.setattr(verify, "quadratic_phase", phase)
+        monkeypatch.setattr(verify, "log_phase", phase)
+        with pytest.raises(ValueError, match="range too long for direct summation"):
+            verify_lemma("4.3", SampleSpec(samples=1, ranges={"M": (10**8, 10**8)}))
+
     @pytest.mark.parametrize(
         "check_id, ranges, name",
         [
