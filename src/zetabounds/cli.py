@@ -246,12 +246,11 @@ def _cmd_verify(args) -> int:
     if (args.t_min is not None or args.t_max is not None) and args.theorem is None:
         raise ValueError("--t-min and --t-max apply only with --theorem")
     params = _bound_params(args)
-    max_m = args.max_m if args.max_m is not None else 10000
     seed = args.seed if args.seed is not None else 0
     samples = args.samples if args.samples is not None else 50
     reports = []
     for check_id in targets:
-        ranges = {"M": (1, max_m)} if check_id == "4.6" else {}
+        ranges = {"M": (1, args.max_m)} if check_id == "4.6" and args.max_m is not None else {}
         spec = SampleSpec(samples=samples, seed=seed, ranges=ranges)
         reports.append(verify_lemma(check_id, spec))
     if args.theorem is not None:

@@ -313,9 +313,11 @@ def integrate_gauss_legendre(
 
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n geometrically spaced points from lo to hi inclusive (n >= 1)."""
+    """n >= 1 geometrically spaced points from lo to hi inclusive, both finite and positive."""
     if n < 1:
         raise ValueError("need at least one grid point")
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ValueError(f"grid ends must be finite and positive, got {lo!r} and {hi!r}")
     if n == 1:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (n - 1))

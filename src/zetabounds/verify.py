@@ -1,18 +1,20 @@
 """Machine-checkable sweeps: every supported inequality gets an oracle,
 a sample stream, and a structured report.
 
-A report counts a violation only when the oracle exceeds the bound by
-more than the explicit numerical error budget of that sample; raw slack
-(bound - oracle) and the worst budget used are reported separately so
-downstream gates can require slack > budget.  Identical
-(check id, sample spec) pairs reproduce identical reports.
+A report counts a violation when the oracle exceeds the bound by more
+than the sample's explicit numerical error budget, or when any of the
+three is NaN; raw slack (bound - oracle) and the worst budget used are
+reported separately so downstream gates can require slack > budget.
+Samples are folded in blocks of up to QUAD_BLOCK, by array reductions
+that give the bits of an in-order fold.  Identical (check id, sample
+spec) pairs reproduce identical reports.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -55,12 +57,12 @@ from .zeta import (
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sample count, seed, and the optional "M" range (min M, max M) of
-    checks 4.3 and 4.6, the only range a sweep takes."""
+    """Sample count, seed, and the optional integer "M" range (min M, max
+    M) of checks 4.3 and 4.6, the only range a sweep takes."""
 
     samples: int = 100
     seed: int = 0
-    ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
+    ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -75,92 +77,75 @@ class VerificationReport:
     min_slack_inputs: dict | None = None
 
     def to_record(self) -> dict:
-        rec = {
-            "check_id": self.check_id,
-            "samples": self.samples,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "max_oracle": self.max_oracle,
-            "error_budget_used": self.error_budget_used,
-            "notes": self.notes,
-        }
-        if self.min_slack_inputs is not None:
-            rec["min_slack_inputs"] = dict(self.min_slack_inputs)
-        return rec
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _stream_max(current: float, values: np.ndarray) -> float:
     """``max(current, v)`` folded over ``values`` in order: NaNs are passed
     over, and of equal maxima (0.0 and -0.0) the first is kept."""
     top = np.fmax.reduce(values)
-    return float(values[np.argmax(values == top)]) if top > current else current
+    return float(values[(values == top).argmax()]) if top > current else current
 
 
+@dataclass
 class _Sweep:
-    """Accumulates (oracle, bound, budget, inputs) triples into a report."""
+    """Folds (oracle, bound, budget, inputs) samples into the report's fields
+    in one place, ``add_many``: ``add`` queues samples for it, QUAD_BLOCK at
+    a time, and ``add_many`` and ``report`` fold the queue first, in order."""
 
-    def __init__(self, check_id: str) -> None:
-        self.check_id = check_id
-        self.samples = 0
-        self.violations = 0
-        self.min_slack = math.inf
-        self.max_oracle = -math.inf
-        self.budget_used = 0.0
-        self.min_slack_inputs: dict | None = None
-        self.skipped = 0
+    check_id: str
+    samples: int = 0
+    violations: int = 0
+    min_slack: float = math.inf
+    max_oracle: float = -math.inf
+    error_budget_used: float = 0.0
+    min_slack_inputs: dict | None = None
+    skipped: int = 0
+    pending: list[tuple[float, float, float, dict]] = field(default_factory=list)
 
     def add(self, oracle: float, bound: float, budget: float, inputs: dict) -> None:
-        self.samples += 1
-        self.max_oracle = max(self.max_oracle, oracle)
-        self.budget_used = max(self.budget_used, budget)
-        slack = bound - oracle
-        if slack < self.min_slack:
-            self.min_slack = slack
-            self.min_slack_inputs = inputs
-        if not oracle <= bound + budget:  # a NaN on either side is a violation
-            self.violations += 1
+        self.pending.append((oracle, bound, budget, inputs))
+        if len(self.pending) >= QUAD_BLOCK:
+            self._fold_pending()
+
+    def _fold_pending(self) -> None:
+        if self.pending:
+            *sides, inputs = zip(*self.pending)
+            self.pending = []
+            self.add_many(*(np.array(side, dtype=np.float64) for side in sides), inputs.__getitem__)
 
     def add_many(
         self, oracle: np.ndarray, bound: np.ndarray, budget: np.ndarray,
         inputs_at: Callable[[int], dict],
     ) -> np.ndarray:
-        """``add`` on each entry in order, by array reductions: the first
-        minimum slack wins, NaNs pass the maxima and the slack as they do
-        there and count as violations.  ``inputs_at(i)`` gives entry i's
-        inputs and runs only for a new minimum.  Returns which entries are
-        violations."""
+        """Fold each entry in order, by array reductions: the first minimum
+        slack wins, NaNs pass the maxima and the slack over and count as
+        violations.  ``inputs_at(i)`` gives entry i's inputs and runs only
+        for a new minimum.  Returns which entries are violations."""
+        self._fold_pending()
         violated = ~(oracle <= bound + budget)
         if not oracle.size:
             return violated
         self.samples += oracle.size
         self.max_oracle = _stream_max(self.max_oracle, oracle)
-        self.budget_used = _stream_max(self.budget_used, budget)
+        self.error_budget_used = _stream_max(self.error_budget_used, budget)
         slack = bound - oracle
         least = np.fmin.reduce(slack)
         if least < self.min_slack:
-            i = int(np.argmax(slack == least))
+            i = int((slack == least).argmax())
             self.min_slack = float(slack[i])
             self.min_slack_inputs = inputs_at(i)
         self.violations += int(np.count_nonzero(violated))
         return violated
 
-    def skip(self) -> None:
-        self.skipped += 1
-
     def report(self, notes: str = "") -> VerificationReport:
+        self._fold_pending()
         if self.skipped:
             skip_note = f"{self.skipped} samples excluded (oracle did not converge)"
             notes = f"{notes}; {skip_note}" if notes else skip_note
-        return VerificationReport(
-            check_id=self.check_id,
-            samples=self.samples,
-            violations=self.violations,
-            min_slack=self.min_slack if self.samples else math.inf,
-            max_oracle=self.max_oracle if self.samples else -math.inf,
-            error_budget_used=self.budget_used,
-            notes=notes,
-            min_slack_inputs=self.min_slack_inputs,
-        )
+        return VerificationReport(notes=notes, **{
+            f.name: getattr(self, f.name) for f in fields(VerificationReport) if f.name != "notes"
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +153,7 @@ class _Sweep:
 # ---------------------------------------------------------------------------
 
 
-QUAD_BLOCK = 32  # samples per quadrature call of checks 2.1 and 2.2; bounds the node arrays
+QUAD_BLOCK = 32  # samples per quadrature call of 2.1 and 2.2 and per fold of _Sweep.add
 
 
 def _blocks(draws: Iterator[tuple]) -> Iterator[np.ndarray]:
@@ -446,7 +431,10 @@ def _check_curvature_estimate(spec: SampleSpec) -> VerificationReport:
 
 def _m_range(spec: SampleSpec, check_id: str, hi: int) -> tuple[int, int]:
     """The integer "M" range of a check, (1, hi) unless the spec sets one."""
-    m_lo, m_hi = (int(m) for m in spec.ranges.get("M", (1, hi)))
+    m_range = spec.ranges.get("M", (1, hi))
+    if not all(isinstance(m, (int, np.integer)) for m in m_range):
+        raise ValueError(f"check {check_id} needs integer M bounds, got {m_range}")
+    m_lo, m_hi = m_range
     if not 1 <= m_lo <= m_hi <= RANGE_GUARD:
         raise ValueError(
             f"check {check_id} needs 1 <= max M <= {RANGE_GUARD} and 1 <= min M <= max M, "
@@ -609,9 +597,8 @@ def verify_theorem_envelope(
     sweep = _Sweep(f"theorem-{which}")
     grid = geometric_grid(lo, hi, n_samples)
     for t, bound, zp in envelope_points(which, grid, p or DEFAULT_PARAMS):
-        if not zp.converged:
-            sweep.skip()
-            continue
-        budget = zp.error_bound + 1e-9 * bound
-        sweep.add(abs(zp.value), bound, budget, {"t": t})
+        if zp.converged:
+            sweep.add(abs(zp.value), bound, zp.error_bound + 1e-9 * bound, {"t": t})
+        else:
+            sweep.skipped += 1
     return sweep.report()

@@ -60,11 +60,20 @@ class EMConfig:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        # a float N would end the power sum and start the tail apart
+        object.__setattr__(self, "N", _integer("N", self.N))
+        object.__setattr__(self, "v", _integer("v", self.v))
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
         if not (1 <= self.v <= _MAX_V):
             raise ValueError(f"v must lie in [1, {_MAX_V}], got {self.v}")
         _check_tol(self.tol)
+
+
+def _integer(name: str, value: int) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_tol(tol: float) -> None:
@@ -376,6 +385,7 @@ def em_range_sum(point: EvalPoint, a: int, b: int) -> CertifiedComplex:
     (docs/remainder_bounds.md, "Range sums").  Far below N = |t| / 2 pi it
     is huge but honest; where it is not finite, ValueError.
     """
+    a, b = _integer("a", a), _integer("b", b)
     if not 1 <= a <= b:
         raise ValueError(f"em_range_sum needs integers 1 <= a <= b, got a={a}, b={b}")
     remainder = _remainder_in_n(point, _START_V, derivative=True)

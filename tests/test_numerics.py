@@ -457,3 +457,13 @@ def test_geometric_grid_endpoints_and_monotone():
     assert g[0] == 2.0 and g[-1] == 512.0
     assert all(b > a for a, b in zip(g, g[1:]))
     assert geometric_grid(5.0, 10.0, 1) == [5.0]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (math.nan, 2.0), (1.0, math.nan), (-math.inf, 1.0),
+])
+@pytest.mark.parametrize("n", [1, 3])
+def test_geometric_grid_rejects_ends_it_cannot_space(lo, hi, n):
+    # these gave ZeroDivisionError, complex points, [1.0, inf, inf] or NaNs
+    with pytest.raises(ValueError, match="grid ends must be finite and positive"):
+        geometric_grid(lo, hi, n)

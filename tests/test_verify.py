@@ -16,6 +16,7 @@ from zetabounds.verify import (
 )
 from zetabounds.zeta import EvalPoint, default_em_config, zeta_prime_em
 
+from reference_fold import ReferenceSweep
 from reference_sums import weight_sum_rows
 
 
@@ -139,12 +140,13 @@ class TestLemmaSweeps:
     @pytest.mark.parametrize("block, m_range", [(64, (300, 400)), (None, (2**14 + 5, 2**14 + 40))])
     def test_weight_sums_start_inside_a_later_block(self, monkeypatch, block, m_range):
         # the M range starts in the fifth block of 64 rows, or in the second
-        # real block; the report equals one ``add`` per row and relation
+        # real block; the report equals the in-order fold of every row and
+        # relation
         if block is not None:
             monkeypatch.setattr(expsums, "WEIGHT_BLOCK", block)
         m_lo, m_hi = m_range
         assert m_lo > expsums.WEIGHT_BLOCK
-        reference = verify._Sweep("4.6")
+        reference = ReferenceSweep("4.6")
         for ws in weight_sum_rows(m_hi):
             if ws.M >= m_lo:
                 for exact, bound in zip(ws.exact, ws.bound):
@@ -171,6 +173,17 @@ class TestLemmaSweeps:
         r = verify_lemma("4.6", SampleSpec(ranges={"M": (1, 200)}))
         assert r.notes == "closed-form check for relations 3 and 4 FAILED"
         assert r.violations == 0
+
+    @pytest.mark.parametrize("check_id", ["4.3", "4.6"])
+    @pytest.mark.parametrize("m_range", [(1.5, 3.9), (1, 500.0), (np.float64(2.0), 9)])
+    def test_non_integer_m_range_rejected(self, check_id, m_range):
+        # (1.5, 3.9) used to run check 4.3 on M in (1, 3) without a word
+        with pytest.raises(ValueError, match=f"check {check_id} needs integer M bounds"):
+            verify_lemma(check_id, SampleSpec(samples=3, ranges={"M": m_range}))
+
+    def test_numpy_integer_m_range(self):
+        spec = SampleSpec(samples=6, seed=7, ranges={"M": (np.int64(2), np.int32(9))})
+        assert verify_lemma("4.3", spec) == verify_lemma("4.3", SampleSpec(6, 7, {"M": (2, 9)}))
 
     def test_differencing_honours_low_end_of_m_range(self):
         r = verify_lemma("4.3", SampleSpec(samples=30, ranges={"M": (20, 20)}))
@@ -234,20 +247,21 @@ class TestLemmaSweeps:
         assert isinstance(rec["min_slack"], float)
 
 
-def sweep_state(sweep):
+def fold_state(sweep):
     # repr tells -0.0 from 0.0 and shows NaN
-    return (sweep.samples, sweep.violations, repr(sweep.min_slack), repr(sweep.max_oracle),
-            repr(sweep.budget_used), sweep.min_slack_inputs)
+    return repr(sweep.report())
 
 
 class TestSweepAddMany:
-    def test_equals_add_in_order(self):
+    def test_equals_add_in_order(self, monkeypatch):
         # few distinct values: tied slacks, equal maxima of both signs of
         # zero, NaNs (violations in both) and violations, in chunks of 0 to
-        # 12 entries
-        rng = np.random.default_rng(4606)
+        # 12 entries, each given to the one fold whole or one sample at a
+        # time through ``add``'s queue of QUAD_BLOCK
+        rng, route = np.random.default_rng(4606), np.random.default_rng(4607)
         for _ in range(300):
-            one, many = verify._Sweep("x"), verify._Sweep("x")
+            monkeypatch.setattr(verify, "QUAD_BLOCK", int(route.choice([1, 2, 3, 5, 32])))
+            one, many = ReferenceSweep("x"), verify._Sweep("x")
             if rng.integers(0, 2):  # some state carried in
                 for sweep in (one, many):
                     sweep.add(1.0, 2.0, 0.25, {"i": -1})
@@ -260,22 +274,30 @@ class TestSweepAddMany:
                 for i in range(n):
                     one.add(float(oracle[i]), float(bound[i]), float(budget[i]),
                             {"i": start + i})
-                many.add_many(oracle, bound, budget, lambda i, start=start: {"i": start + i})
+                if route.integers(0, 2):
+                    many.add_many(oracle, bound, budget, lambda i, start=start: {"i": start + i})
+                else:
+                    for i in range(n):
+                        many.add(float(oracle[i]), float(bound[i]), float(budget[i]),
+                                 {"i": start + i})
                 start += n
-                assert sweep_state(many) == sweep_state(one)
-            assert many.report() == one.report()
+                if route.integers(0, 2):  # report mid-stream, or let the queue fill
+                    assert fold_state(many) == fold_state(one)
+            assert fold_state(many) == fold_state(one)
 
     @pytest.mark.parametrize("side", ["oracle", "bound", "budget"])
     def test_nan_is_a_violation(self, side):
-        # a NaN oracle, bound or budget cannot show the bound holds
+        # a NaN oracle, bound or budget cannot show the bound holds, whether
+        # it comes whole or through add's queue
         sample = {"oracle": 1.0, "bound": 2.0, "budget": 0.5, side: math.nan}
-        one, many = verify._Sweep("x"), verify._Sweep("x")
+        one, many, queued = ReferenceSweep("x"), verify._Sweep("x"), verify._Sweep("x")
         one.add(sample["oracle"], sample["bound"], sample["budget"], {})
         violated = many.add_many(*(np.array([sample[k]]) for k in ("oracle", "bound", "budget")),
                                  lambda i: {})
+        queued.add(sample["oracle"], sample["bound"], sample["budget"], {})
         assert one.violations == many.violations == 1
         assert violated.tolist() == [True]
-        assert one.report().violations == 1
+        assert one.report().violations == queued.report().violations == 1
 
     def test_inputs_only_for_a_new_minimum(self):
         sweep, asked = verify._Sweep("x"), []
@@ -289,6 +311,39 @@ class TestSweepAddMany:
         sweep.add_many(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.zeros(2), inputs_at)
         assert asked == [1]  # the first of the tied zero slacks
         assert (sweep.min_slack, sweep.min_slack_inputs) == (0.0, {"i": 1})
+
+    @pytest.mark.parametrize("block", [1, 7, 32])
+    @pytest.mark.parametrize("run", [
+        lambda: verify_lemma("2.4", SampleSpec(samples=40, seed=25)),
+        lambda: verify_lemma("2.5", SampleSpec(samples=70, seed=25)),
+        lambda: verify_lemma("4.1", SampleSpec(samples=40, seed=25)),
+        lambda: verify_lemma("4.3", SampleSpec(samples=40, seed=25, ranges={"M": (1, 9)})),
+        lambda: verify_lemma("2.2", SampleSpec(samples=40, seed=25)),
+        lambda: verify_lemma("4.6", SampleSpec(ranges={"M": (1, 100)})),
+        lambda: verify_theorem_envelope(1, (E2, 2e3), 40),
+        lambda: verify_theorem_envelope(2, (E6, 5e3), 33),
+    ], ids=["2.4", "2.5", "4.1", "4.3", "2.2", "4.6", "theorem-1", "theorem-2"])
+    def test_checks_report_the_in_order_fold(self, monkeypatch, block, run):
+        # every field of every check's report, to the bit, equals the fold
+        # one sample at a time, whatever the block; ``add``'s queue runs
+        # with 1, 7 and 32 samples
+        monkeypatch.setattr(verify, "_Sweep", ReferenceSweep)
+        want = run()
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "QUAD_BLOCK", block)
+        assert repr(run()) == repr(want)
+
+    def test_report_keeps_skip_note_and_the_empty_fold(self):
+        sweep = verify._Sweep("x")
+        sweep.skipped += 2
+        assert sweep.report("a") == VerificationReport(
+            "x", 0, 0, math.inf, -math.inf, 0.0, "a; 2 samples excluded (oracle did not converge)"
+        )
+        assert sweep.report().to_record() == {
+            "check_id": "x", "samples": 0, "violations": 0, "min_slack": math.inf,
+            "max_oracle": -math.inf, "error_budget_used": 0.0,
+            "notes": "2 samples excluded (oracle did not converge)",
+        }
 
 
 class TestTheoremEnvelopes:
