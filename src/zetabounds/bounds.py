@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -148,8 +149,7 @@ class BoundCoefficients:
     assembled six-shape coefficients.  ``fold23_const``, ``absorb13`` and
     ``absorb23`` are the constant paddings that make the six-shape
     polynomial dominate the branchy per-part bounds on all of t >= e^6.
-    ``contributions`` holds each (Q index, source, value, shape, note)
-    added to Q, in order; ``derivation_trace`` is built from it when read.
+    ``contributions`` and ``derivation_trace`` are built when read.
     """
 
     params: BoundParams
@@ -159,7 +159,6 @@ class BoundCoefficients:
     fold23_const: float
     absorb13: float
     absorb23: float
-    contributions: tuple[tuple, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.C) != 11 or len(self.c) != 6 or len(self.Q) != 6:
@@ -176,6 +175,13 @@ class BoundCoefficients:
                         f"{name}{i + 1} = {x} negative; parameters outside the "
                         "regime where the six-shape assembly is meaningful"
                     )
+
+    @cached_property
+    def contributions(self) -> tuple[tuple, ...]:
+        """(Q index, source, value, shape, note) of each ASSEMBLY_PLAN row, less zero folds and paddings."""
+        values = _plan_values(routed(BLOCK_13, self.c), routed(BLOCK_23, self.C), self.absorb13, self.absorb23)
+        return tuple((i, source, value, shape, note) for (i, source, shape, note, kept), value
+                     in zip(ASSEMBLY_PLAN, values) if kept or value)
 
     @cached_property
     def derivation_trace(self) -> tuple[TraceEntry, ...]:
@@ -415,6 +421,7 @@ class BlockTable:
     terms: tuple[BlockTerm, ...]
     plan: tuple = field(init=False, repr=False)
     routes: tuple = field(init=False, repr=False)
+    key: Callable[[BoundParams], tuple] = field(init=False, repr=False, compare=False)  # p's ``reads``
 
     def __post_init__(self) -> None:
         plan = tuple(
@@ -426,11 +433,10 @@ class BlockTable:
             (Q_SHAPES.index(s) if s in Q_SHAPES else None, shape_name(*s), _shape_value(E6, *s))
             for s in self.shapes
         )
+        get = attrgetter(*self.reads)  # a tuple for two or more fields
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "routes", routes)
-
-    def key(self, p: BoundParams) -> tuple[float, ...]:
-        return tuple(getattr(p, name) for name in self.reads)
+        object.__setattr__(self, "key", get if len(self.reads) > 1 else lambda p: (get(p),))
 
     def coefficients(self, *values: float) -> tuple[float, ...]:
         """``collect`` at these values of the fields in ``reads``."""
@@ -518,6 +524,56 @@ BLOCK_13 = BlockTable(
 # ---------------------------------------------------------------------------
 
 
+def routed(table: BlockTable, coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """The range's coefficients as they add into Q: that of a decaying shape
+    (route None) at its maximum over [e^6, inf), its value at t = e^6."""
+    return tuple(v if i is not None else v * at_e6 for (i, _, at_e6), v in zip(table.routes, coeffs))
+
+
+# Each addition to Q1..Q6 in summation order: (Q index, source, trace shape
+# ("" for the Q's own), note, whether the row stays in the trace when its
+# value is zero).  ``_plan_values`` lists the values of a point alike.
+ASSEMBLY_PLAN = (
+    (1, "head-integral", "", "", True),  # integral_bound(t, 1/3) = 2 t^{1/6}((1/3) log t - 2)
+    (2, "head-integral", "", "", True),
+    # block ranges: a Q's shape adds to it, a decaying shape folds into Q6
+    *((i, table.source, "", "", True) if i is not None else (5, table.source, name, "folded at t = e^6", False)
+      for table in (BLOCK_13, BLOCK_23) for i, name, _ in table.routes),
+    (4, "mid-tail-sum", "", "", True),  # the sum over (t, t^2]
+    (5, "mid-tail-sum", "", "", True),
+    (4, "tail-remainder", "", "", True),  # the constant-factored form for t >= e^6
+    (5, "tail-remainder", "", "", True),
+    # the polynomial must also dominate the flat crude bounds below t2 and t1
+    (5, BLOCK_13.source, "", "crude-branch padding on [e^6, t2]", False),
+    (5, BLOCK_23.source, "", "crude-branch padding on [e^6, t1]", False),
+)
+_PLAN_TARGETS = tuple(row[0] for row in ASSEMBLY_PLAN)
+
+
+def _plan_values(routed13, routed23, absorb13: float, absorb23: float) -> tuple[float, ...]:
+    return (2.0 / 3.0, -4.0, *routed13, *routed23, *MID_TAIL, *TAIL_REMAINDER[2], absorb13, absorb23)
+
+
+def upper_pieces(p: BoundParams) -> tuple:
+    """The upper range's share of the assembly, a function of k alone: C, its
+    ``routed`` values, their folded sum and the terms of its polynomial at e^6."""
+    C = collect(BLOCK_23, p)
+    fold23, at_e6 = 0.0, []
+    for (i, _, at), v in zip(BLOCK_23.routes, C):
+        if i is None:
+            fold23 += v * at
+        else:
+            at_e6.append(v * at)
+    return C, routed(BLOCK_23, C), fold23, (*at_e6, fold23)
+
+
+def lower_pieces(p: BoundParams) -> tuple:
+    """The lower range's share of the assembly, a function of (tau, q, t2)
+    alone: c, its ``routed`` values and the padding ``absorb13``."""
+    c = collect(BLOCK_13, p)
+    return c, routed(BLOCK_13, c), max(0.0, crude_bound(BLOCK_13, p) - q_polynomial(E6, c))
+
+
 def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     """Assemble Q1..Q6 from the per-part bounds so that the six-shape
     polynomial dominates the exact five-part sum at every t >= e^6.
@@ -526,65 +582,20 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     the crude branches contribute through constant paddings (their maxima
     over [e^6, infinity)), each recorded in the derivation trace.
     """
-    return assemble(p, collect(BLOCK_23, p), collect(BLOCK_13, p))
+    return assemble(p, upper_pieces(p), lower_pieces(p))
 
 
-def assemble(p: BoundParams, C: tuple[float, ...], c: tuple[float, ...]) -> BoundCoefficients:
-    """``theorem2_coeffs(p)`` from C = collect(BLOCK_23, p), c = collect(BLOCK_13, p)."""
-    contributions: list[tuple] = []
+def assemble(p: BoundParams, upper: tuple, lower: tuple) -> BoundCoefficients:
+    """``theorem2_coeffs(p)`` from upper_pieces(p) and lower_pieces(p): the
+    padding on [e^6, t1], then Q1..Q6 summed in ASSEMBLY_PLAN order."""
+    C, routed23, fold23, at_e6 = upper
+    c, routed13, absorb13 = lower
+    absorb23 = max(0.0, crude_bound(BLOCK_23, p) - math.fsum(at_e6)) if p.t1 > E6 else 0.0
     Q = [0.0] * 6
-
-    def put(i: int, source: str, value: float, shape: str = "", note: str = "") -> None:
-        contributions.append((i, source, value, shape, note))
+    for i, value in zip(_PLAN_TARGETS, _plan_values(routed13, routed23, absorb13, absorb23)):
         Q[i] += value
-
-    # head sum over n <= t^{1/3}: integral_bound(t, 1/3) = 2 t^{1/6}((1/3) log t - 2)
-    put(1, "head-integral", 2.0 / 3.0)
-    put(2, "head-integral", -4.0)
-
-    # block ranges: a shape that matches a Q adds to it; the decaying
-    # (upper-range) shapes fold into Q6 at their maximum over [e^6, inf).
-    fold23 = 0.0
-    for table, coeffs in ((BLOCK_13, c), (BLOCK_23, C)):
-        for (i, name, at_e6), value in zip(table.routes, coeffs):
-            if i is not None:
-                put(i, table.source, value)
-                continue
-            contrib = value * at_e6
-            fold23 += contrib
-            if value:
-                put(5, table.source, contrib, name, "folded at t = e^6")
-
-    # mid-tail sum over (t, t^2]
-    put(4, "mid-tail-sum", MID_TAIL.log_coef)
-    put(5, "mid-tail-sum", MID_TAIL.const)
-
-    # tail remainder, constant-factored form for t >= e^6
-    put(4, "tail-remainder", TAIL_REMAINDER[2].log_coef)
-    put(5, "tail-remainder", TAIL_REMAINDER[2].const)
-
-    # crude-branch paddings: the six-shape polynomial must also dominate
-    # the flat crude bounds on [e^6, t2] and (when t1 > e^6) on [e^6, t1].
-    absorb13 = max(0.0, crude_bound(BLOCK_13, p) - q_polynomial(E6, c))
-    if absorb13:
-        put(5, BLOCK_13.source, absorb13, note="crude-branch padding on [e^6, t2]")
-    absorb23 = 0.0
-    if p.t1 > E6:
-        poly23_at_e6 = math.fsum(
-            [v * at_e6 for (i, _, at_e6), v in zip(BLOCK_23.routes, C) if i is not None]
-            + [fold23]
-        )
-        absorb23 = max(0.0, crude_bound(BLOCK_23, p) - poly23_at_e6)
-        if absorb23:
-            put(5, BLOCK_23.source, absorb23, note="crude-branch padding on [e^6, t1]")
-
-    # Q4 carries no k- or q-dependent contribution: only the lower-range
-    # (log t)^2 shape feeds it, a function of (tau, t2) alone.
-    return BoundCoefficients(
-        params=p, C=C, c=c, Q=tuple(Q),
-        fold23_const=fold23, absorb13=absorb13, absorb23=absorb23,
-        contributions=tuple(contributions),
-    )
+    # Q4 has no k- or q-dependent part: only c4, a function of (tau, t2), feeds it.
+    return BoundCoefficients(p, C, c, tuple(Q), fold23, absorb13, absorb23)
 
 
 def theorem2_bound(
@@ -601,7 +612,7 @@ def theorem2_bound(
     _require_t(t, THRESHOLD[2], "theorem2_bound")
     if coeffs is None:
         coeffs = theorem2_coeffs(p)
-    elif coeffs.params != p:
+    elif coeffs.params is not p and coeffs.params != p:
         raise ValueError("coeffs were assembled for different parameters")
     C, c = coeffs.C, coeffs.c
     logt = math.log(t)

@@ -9,7 +9,6 @@ part definitions as every other caller of the two theorems.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -25,9 +24,11 @@ from .bounds import (
     BoundParams,
     assemble,
     in_theorem_domain,
+    lower_pieces,
     theorem1_bound,
     theorem2_bound,
     theorem2_coeffs,
+    upper_pieces,
 )
 from .numerics import geometric_grid
 
@@ -109,12 +110,17 @@ class OptResult:
 
 
 def _coeffs_for_one_search() -> Callable[[BoundParams], BoundCoefficients]:
-    """``theorem2_coeffs`` for the points of one search, collecting each block
-    range once per value of the fields it reads (``BlockTable.reads``)."""
-    upper, lower = (functools.cache(table.coefficients) for table in (BLOCK_23, BLOCK_13))
+    """``theorem2_coeffs`` for the points of one search, building each block
+    range's pieces once per value of the fields it reads (``BlockTable.reads``)."""
+    upper, lower = {}, {}
 
     def coeffs_of(p: BoundParams) -> BoundCoefficients:
-        return assemble(p, upper(*BLOCK_23.key(p)), lower(*BLOCK_13.key(p)))
+        k, key = BLOCK_23.key(p), BLOCK_13.key(p)
+        if k not in upper:
+            upper[k] = upper_pieces(p)
+        if key not in lower:
+            lower[key] = lower_pieces(p)
+        return assemble(p, upper[k], lower[key])
 
     return coeffs_of
 

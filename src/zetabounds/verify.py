@@ -432,6 +432,8 @@ def _check_curvature_estimate(spec: SampleSpec) -> VerificationReport:
 def _m_range(spec: SampleSpec, check_id: str, hi: int) -> tuple[int, int]:
     """The integer "M" range of a check, (1, hi) unless the spec sets one."""
     m_range = spec.ranges.get("M", (1, hi))
+    if len(m_range) != 2:
+        raise ValueError(f"check {check_id} needs an \"M\" range (min M, max M), got {m_range}")
     if not all(isinstance(m, (int, np.integer)) for m in m_range):
         raise ValueError(f"check {check_id} needs integer M bounds, got {m_range}")
     m_lo, m_hi = m_range

@@ -232,6 +232,7 @@ def em_remainder_bound(point: EvalPoint, N: int, v: int, derivative: bool = Fals
 
     It raises ValueError outside the domain of ``_check_domain``.
     """
+    N, v = _integer("N", N), _integer("v", v)
     if N < 1 or v < 1:
         raise ValueError(f"em_remainder_bound needs N, v >= 1, got N={N}, v={v}")
     return _remainder_in_n(point, v, derivative)(N)

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +28,9 @@ from zetabounds.bounds import (
     theorem2_coeffs,
     theorem2_parts_exact,
 )
+from zetabounds.optimize import DEFAULT_RANGES, PARAM_ORDER
 
+from reference_assembly import theorem2_coeffs_by_puts
 from reference_blocks import (
     block13_per_block_bound,
     block23_per_block_bound,
@@ -365,12 +370,9 @@ class TestTheorem2Assembly:
         for i in range(1, 7):
             assert f"Q{i}" in report
         assert "crude-branch padding" in report
-        # trace totals reproduce the Q vector exactly
-        acc = {f"Q{i}": 0.0 for i in range(1, 7)}
-        for entry in coeffs.derivation_trace:
-            acc[entry.target] += entry.value
-        for i in range(1, 7):
-            assert acc[f"Q{i}"] == pytest.approx(coeffs.Q[i - 1], rel=1e-15)
+        # the trace's in-order sums are the Q vector, bit for bit
+        assert_trace_sums_to_q(coeffs)
+        assert_trace_sums_to_q(theorem2_coeffs(P0))
 
     def test_envelope_against_derivative_oracle_spot(self):
         from reference_oracle import zeta_prime_oracle
@@ -392,6 +394,61 @@ class TestTheorem2Assembly:
         coeffs = theorem2_coeffs(P0)
         with pytest.raises(ValueError):
             theorem2_bound(1e4, BoundParams(k=3.0), coeffs)
+
+
+def assert_trace_sums_to_q(coeffs):
+    acc = {f"Q{i}": 0.0 for i in range(1, 7)}
+    for entry in coeffs.derivation_trace:
+        acc[entry.target] += entry.value
+    assert [acc[f"Q{i}"].hex() for i in range(1, 7)] == [q.hex() for q in coeffs.Q]
+
+
+def _parity_points(n, seed):
+    """The 32 corners of DEFAULT_RANGES, points with t1 at e^6 and just
+    above it, points outside the box where the assembly raises, then n
+    points log-uniform in the box, where t1 falls on both sides of e^6."""
+    yield from (BoundParams(**dict(zip(PARAM_ORDER, corner)))
+                for corner in itertools.product(*(DEFAULT_RANGES[name] for name in PARAM_ORDER)))
+    for t1 in (E6, math.nextafter(E6, math.inf)):
+        yield BoundParams(t1=t1)
+        yield BoundParams(k=7.9, tau=1.1, q=8.0, t1=t1, t2=E6)
+    for k in (6e153, 1e200):
+        yield BoundParams(k=k)
+        yield BoundParams(k=k, t1=math.exp(7.0))
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield BoundParams(**{
+            name: math.exp(rng.uniform(*map(math.log, DEFAULT_RANGES[name])))
+            for name in PARAM_ORDER
+        })
+
+
+def _outcome(f, p):
+    try:
+        return f(p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestAssemblyPlan:
+    """``assemble`` adds into Q in ASSEMBLY_PLAN order and ``contributions``
+    is read off the same plan; both must match the put walk bit for bit."""
+
+    def test_parity_with_put_walk(self):
+        raised = t1_sides = 0
+        for p in _parity_points(2000, seed=26):
+            got, want = _outcome(theorem2_coeffs, p), _outcome(theorem2_coeffs_by_puts, p)
+            if isinstance(want, str):
+                assert got == want, p
+                raised += 1
+                continue
+            t1_sides |= 1 << (p.t1 > E6)
+            for f in dataclasses.fields(want):
+                assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), (p, f.name)
+            assert repr(got.contributions) == repr(want.contributions), p
+            assert got.trace_report() == want.trace_report(), p
+            assert_trace_sums_to_q(got)
+        assert raised == 4 and t1_sides == 3
 
 
 class TestOneDefinitionPerPart:

@@ -146,9 +146,15 @@ class TestOneSearchCoefficients:
         def no_entry(*args):
             raise AssertionError("a TraceEntry was built")
 
+        def no_contributions(coeffs):
+            raise AssertionError("a contributions tuple was built")
+
         monkeypatch.setattr(bounds, "TraceEntry", no_entry)
         with pytest.raises(AssertionError, match="a TraceEntry was built"):
             theorem2_coeffs(P0).trace_report()  # the patch reaches the trace
+        monkeypatch.setattr(bounds.BoundCoefficients, "contributions", property(no_contributions))
+        with pytest.raises(AssertionError, match="a contributions tuple was built"):
+            theorem2_coeffs(P0).trace_report()
         for obj in OBJECTIVES.values():
             optimize_params(obj, budget=50)
 
@@ -160,6 +166,13 @@ class TestOneSearchCoefficients:
             calls.append(table.source)
             return coefficients(table, *values)
 
+        pieces = []
+        for name in ("upper_pieces", "lower_pieces"):
+            def build(p, name=name, pieces_of=getattr(optimize, name)):
+                pieces.append(name)
+                return pieces_of(p)
+
+            monkeypatch.setattr(optimize, name, build)
         monkeypatch.setattr(bounds.BlockTable, "coefficients", counted)
         obj = OBJECTIVES["q1"]
         optimize_params(obj, budget=200)
@@ -167,6 +180,10 @@ class TestOneSearchCoefficients:
         optimize_params(obj, budget=200)
         assert 0 < first < 2 * 200  # shared ranges were reused within the search
         assert len(calls) == 2 * first  # but nothing carried over to the next
+        # each range is collected only to build its pieces, once per key
+        assert [calls.count(table.source) for table in (bounds.BLOCK_23, bounds.BLOCK_13)] == [
+            pieces.count("upper_pieces"), pieces.count("lower_pieces")
+        ]
 
 
 class TestCrossoverScan:

@@ -181,6 +181,13 @@ class TestLemmaSweeps:
         with pytest.raises(ValueError, match=f"check {check_id} needs integer M bounds"):
             verify_lemma(check_id, SampleSpec(samples=3, ranges={"M": m_range}))
 
+    @pytest.mark.parametrize("check_id", ["4.3", "4.6"])
+    @pytest.mark.parametrize("m_range", [(5,), (5, 6, 7)])
+    def test_m_range_of_wrong_length_rejected(self, check_id, m_range):
+        # used to end in "not enough/too many values to unpack"
+        with pytest.raises(ValueError, match=f'check {check_id} needs an "M" range'):
+            verify_lemma(check_id, SampleSpec(samples=3, ranges={"M": m_range}))
+
     def test_numpy_integer_m_range(self):
         spec = SampleSpec(samples=6, seed=7, ranges={"M": (np.int64(2), np.int32(9))})
         assert verify_lemma("4.3", spec) == verify_lemma("4.3", SampleSpec(6, 7, {"M": (2, 9)}))

@@ -106,6 +106,21 @@ class TestRemainderBound:
             b2 = em_remainder_bound(s, N=200, v=v)
             assert b1 / b2 >= 2.0 ** (0.5 + 2 * v - 1) * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("N, v", [(40.5, 6), (40, 6.0), (40.0, 6)])
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_non_integer_n_or_v_rejected(self, N, v, derivative):
+        # N = 40.5 used to return a bound below the one at N = 40, and
+        # v = 6.0 to fail inside islice
+        with pytest.raises(ValueError, match="must be an integer"):
+            em_remainder_bound(EvalPoint(10.0), N, v, derivative=derivative)
+
+    def test_numpy_integer_n_and_v(self):
+        point = EvalPoint(10.0)
+        for derivative in (False, True):
+            assert em_remainder_bound(point, np.int64(40), np.int32(6), derivative) == (
+                em_remainder_bound(point, 40, 6, derivative)
+            )
+
     def test_v0_worked_value(self):
         # every bound uses a Bernoulli kernel of order v >= 1: v = 0 has no
         # value or derivative bound
