@@ -11,12 +11,12 @@ Two bound families are provided:
       + Q4 (log t)^2 + Q5 log t + Q6                      (t >= e^6)
   whose six coefficients are explicit functions of the free parameters
   (k, tau, q, t1, t2).  One term table per block range (BLOCK_23,
-  BLOCK_13) is the single source of the collected coefficients and the
-  derivation trace, which routes every intermediate constant so each
-  absorption is auditable; the closed-form geometric-sum bounds it relies
-  on are derived in docs/block_assembly.md.  The exact block grids and
-  the unfactored resummation they are checked against live with the
-  tests (tests/reference_blocks.py).
+  BLOCK_13) is the single source of the collected coefficients, and one
+  ASSEMBLY_PLAN orders both the sum into Q and the derivation trace, which
+  routes every intermediate constant so each absorption is auditable; the
+  closed-form geometric-sum bounds it relies on are derived in
+  docs/block_assembly.md.  The exact block grids and the unfactored
+  resummation live with the tests (tests/reference_blocks.py).
 
 Each part of both bounds has one definition, which docs/block_assembly.md
 lists.  Every bound function checks its own t-hypothesis, with a relative
@@ -114,18 +114,17 @@ DEFAULT_PARAMS = BoundParams()
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """A bound value at one t with its named per-part breakdown."""
+    """A bound value at one t: its named parts, and ``total``, their correctly rounded sum."""
 
     t: float
-    total: float
+    total: float = field(init=False)
     per_term: dict[str, float]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.total) or self.total < 0:
+        total = math.fsum(self.per_term.values())
+        if not math.isfinite(total) or total < 0:
             raise ValueError("bound total must be finite and non-negative")
-        residual = abs(self.total - math.fsum(self.per_term.values()))
-        if residual > 1e-9 * max(1.0, abs(self.total)):
-            raise ValueError("per-term breakdown does not sum to the total")
+        object.__setattr__(self, "total", total)
 
 
 class TraceEntry(NamedTuple):
@@ -149,7 +148,7 @@ class BoundCoefficients:
     assembled six-shape coefficients.  ``fold23_const``, ``absorb13`` and
     ``absorb23`` are the constant paddings that make the six-shape
     polynomial dominate the branchy per-part bounds on all of t >= e^6.
-    ``contributions`` and ``derivation_trace`` are built when read.
+    ``derivation_trace`` is built when read, from the ASSEMBLY_PLAN rows.
     """
 
     params: BoundParams
@@ -177,16 +176,11 @@ class BoundCoefficients:
                     )
 
     @cached_property
-    def contributions(self) -> tuple[tuple, ...]:
-        """(Q index, source, value, shape, note) of each ASSEMBLY_PLAN row, less zero folds and paddings."""
-        values = _plan_values(routed(BLOCK_13, self.c), routed(BLOCK_23, self.C), self.absorb13, self.absorb23)
-        return tuple((i, source, value, shape, note) for (i, source, shape, note, kept), value
-                     in zip(ASSEMBLY_PLAN, values) if kept or value)
-
-    @cached_property
     def derivation_trace(self) -> tuple[TraceEntry, ...]:
+        """One entry per ASSEMBLY_PLAN row, less zero folds and paddings."""
+        values = _plan_values(routed(BLOCK_13, self.c), routed(BLOCK_23, self.C), self.absorb13, self.absorb23)
         return tuple(TraceEntry(Q_TARGETS[i], source, shape or Q_NAMES[i], value, note)
-                     for i, source, value, shape, note in self.contributions)
+                     for (i, source, shape, note, kept), value in zip(ASSEMBLY_PLAN, values) if kept or value)
 
     def trace_report(self) -> str:
         lines = [
@@ -265,7 +259,7 @@ def theorem1_bound(t: float) -> BoundCurve:
         "mid_tail": MID_TAIL.at(t),
         "tail_error": TAIL_REMAINDER[1].at(t),
     }
-    return BoundCurve(t=t, total=math.fsum(per.values()), per_term=per)
+    return BoundCurve(t, per)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +600,7 @@ def theorem2_bound(
 
     The per-part breakdown reproduces the five pieces of the range
     decomposition exactly as they are represented inside the Q
-    polynomial, so the parts sum to the total bit-for-bit while each part
+    polynomial, and BoundCurve sums them into the total, while each part
     still dominates its own branchy bound.
     """
     _require_t(t, THRESHOLD[2], "theorem2_bound")
@@ -632,7 +626,7 @@ def theorem2_bound(
         "mid_tail": MID_TAIL.at(t),
         "tail_error": TAIL_REMAINDER[2].at(t),
     }
-    return BoundCurve(t=t, total=math.fsum(per.values()), per_term=per)
+    return BoundCurve(t, per)
 
 
 def theorem2_parts_exact(t: float, p: BoundParams = DEFAULT_PARAMS) -> dict[str, float]:

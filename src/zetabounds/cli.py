@@ -194,25 +194,19 @@ _BOUND_COLUMNS = [
 def _cmd_bound(args) -> int:
     ts = _t_values(args)
     params = _bound_params(args)
-    want = {1, 2} if args.theorem is None else {args.theorem}
     if args.theorem is not None:
         _check_theorem_domain(ts, args.theorem)
     coeffs = theorem2_coeffs(params)
+    bound_of = {1: theorem1_bound, 2: lambda t: theorem2_bound(t, params, coeffs)}
+    extra = {1: {}, 2: {f"Q{i + 1}": q for i, q in enumerate(coeffs.Q)}}  # columns beside the bound's
     rows = []
     for t in sorted(ts):
         row: dict = {"t": t}
-        if 1 in want and in_theorem_domain(t, 1):
-            curve = theorem1_bound(t)
-            row["thm1_total"] = curve.total
-            for name, val in curve.per_term.items():
-                row[f"thm1_{name}"] = val
-        if 2 in want and in_theorem_domain(t, 2):
-            curve = theorem2_bound(t, params, coeffs)
-            row["thm2_total"] = curve.total
-            for name, val in curve.per_term.items():
-                row[f"thm2_{name}"] = val
-            for i, q in enumerate(coeffs.Q):
-                row[f"Q{i + 1}"] = q
+        for which in (1, 2) if args.theorem is None else (args.theorem,):
+            if in_theorem_domain(t, which):
+                curve = bound_of[which](t)
+                row[f"thm{which}_total"] = curve.total
+                row.update({f"thm{which}_{name}": v for name, v in curve.per_term.items()}, **extra[which])
         rows.append(row)
     _write_rows(rows, _BOUND_COLUMNS, "bound", args.format, args.out)
     if args.trace:

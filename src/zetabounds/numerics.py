@@ -30,6 +30,12 @@ EPS = math.ulp(1.0)  # 2^-52
 BERNOULLI_MAX_M = 120  # largest index bernoulli_number accepts
 
 
+def _integer(name: str, value: int) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def compensated_sum(terms: Iterable[float]) -> float:
     """Correctly rounded sum of ``terms`` (``math.fsum``).
 
@@ -314,6 +320,7 @@ def integrate_gauss_legendre(
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
     """n >= 1 geometrically spaced points from lo to hi inclusive, both finite and positive."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("need at least one grid point")
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):

@@ -30,7 +30,7 @@ from .bounds import (
     theorem2_coeffs,
     upper_pieces,
 )
-from .numerics import geometric_grid
+from .numerics import _integer, geometric_grid
 
 PARAM_ORDER = tuple(f.name for f in fields(BoundParams))
 
@@ -137,6 +137,7 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
     stopping below 1e-3 relative step or when the budget runs out.
     Raises ValueError if no point the scan evaluates has a finite objective.
     """
+    budget = _integer("budget", budget)
     if budget < 10:
         raise ValueError("budget must be at least 10 evaluations")
 

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -44,7 +45,7 @@ from .expsums import (
     weight_sum_blocks,
     weyl_differencing_rhs,
 )
-from .numerics import EPS, geometric_grid, integrate_gauss_legendre
+from .numerics import EPS, _integer, geometric_grid, integrate_gauss_legendre
 from .zeta import (
     T_CEILING,
     CertifiedComplex,
@@ -63,6 +64,10 @@ class SampleSpec:
     samples: int = 100
     seed: int = 0
     ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "samples", _integer("samples", self.samples))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -512,14 +517,16 @@ def _check_weight_sums(spec: SampleSpec) -> VerificationReport:
 
 _CHECKS: dict[str, Callable[[SampleSpec], VerificationReport]] = {
     "2.1": _check_partial_integration,
+    **{variant: partial(_check_oscillatory_tail, variants=(variant,)) for variant in _OSC_VARIANTS},
     "2.4": _check_mid_tail,
     "2.5": _check_vertex_bound,
     "4.1": _check_curvature_estimate,
     "4.3": _check_differencing,
     "4.6": _check_weight_sums,
+    "2.2": partial(_check_oscillatory_tail, variants=_OSC_VARIANTS),
 }
 
-SUPPORTED_CHECKS = tuple(sorted([*_CHECKS, *_OSC_VARIANTS]) + ["2.2"])
+SUPPORTED_CHECKS = tuple(_CHECKS)
 
 
 def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationReport:
@@ -548,10 +555,6 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
         raise ValueError("check 2.2 splits its samples over 4 variants; need at least 4")
     if check_id != "4.6" and spec.samples < 1:
         raise ValueError(f"check {check_id} needs at least one sample")
-    if check_id.startswith("2.2"):
-        return _check_oscillatory_tail(
-            spec, _OSC_VARIANTS if check_id == "2.2" else (check_id,)
-        )
     return _CHECKS[check_id](spec)
 
 
@@ -585,6 +588,7 @@ def verify_theorem_envelope(
     theorem's domain and satisfy t_min <= t_max <= T_CEILING; it is checked
     before anything is evaluated.
     """
+    which, n_samples = _integer("which", which), _integer("n_samples", n_samples)
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     if n_samples < 1:

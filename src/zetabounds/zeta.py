@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import BERNOULLI_MAX_M, EPS, bernoulli_number, compensated_complex_sum
+from .numerics import BERNOULLI_MAX_M, EPS, _integer, bernoulli_number, compensated_complex_sum
 
 # Certified-evaluation ceiling; the truncation index never exceeds 8|t| <= 8e5
 # terms, and at the default tol it falls from about 0.34|t| at t = 1e3 to
@@ -68,12 +68,6 @@ class EMConfig:
         if not (1 <= self.v <= _MAX_V):
             raise ValueError(f"v must lie in [1, {_MAX_V}], got {self.v}")
         _check_tol(self.tol)
-
-
-def _integer(name: str, value: int) -> int:
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_tol(tol: float) -> None:

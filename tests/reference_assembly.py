@@ -11,9 +11,12 @@ from zetabounds.bounds import (
     BLOCK_23,
     E6,
     MID_TAIL,
+    Q_NAMES,
+    Q_TARGETS,
     TAIL_REMAINDER,
     BoundCoefficients,
     BoundParams,
+    TraceEntry,
     collect,
     crude_bound,
     q_polynomial,
@@ -22,12 +25,12 @@ from zetabounds.bounds import (
 
 def assemble_by_puts(p: BoundParams, C: tuple[float, ...], c: tuple[float, ...]) -> BoundCoefficients:
     """``theorem2_coeffs(p)`` from C = collect(BLOCK_23, p), c = collect(BLOCK_13, p),
-    with ``contributions`` set to the walk's own record of its additions."""
-    contributions: list[tuple] = []
+    with ``derivation_trace`` set to the walk's own record of its additions."""
+    trace: list[TraceEntry] = []
     Q = [0.0] * 6
 
     def put(i: int, source: str, value: float, shape: str = "", note: str = "") -> None:
-        contributions.append((i, source, value, shape, note))
+        trace.append(TraceEntry(Q_TARGETS[i], source, shape or Q_NAMES[i], value, note))
         Q[i] += value
 
     # head sum over n <= t^{1/3}: integral_bound(t, 1/3) = 2 t^{1/6}((1/3) log t - 2)
@@ -74,7 +77,7 @@ def assemble_by_puts(p: BoundParams, C: tuple[float, ...], c: tuple[float, ...])
         params=p, C=C, c=c, Q=tuple(Q),
         fold23_const=fold23, absorb13=absorb13, absorb23=absorb23,
     )
-    coeffs.__dict__["contributions"] = tuple(contributions)  # read by the trace
+    coeffs.__dict__["derivation_trace"] = tuple(trace)  # read by trace_report
     return coeffs
 
 

@@ -1,9 +1,15 @@
-"""The package's public names: ``__all__`` is exactly what ``import *`` gives."""
+"""The package's public names: ``__all__`` is exactly what ``import *`` gives;
+and every command and the library example of the README run."""
 
+import contextlib
+import io
 import pathlib
 import re
 
+import pytest
+
 import zetabounds
+from zetabounds import cli
 
 PUBLIC_NAMES = {
     "BoundCoefficients", "BoundCurve", "BoundParams", "CertifiedComplex",
@@ -45,3 +51,27 @@ def test_readme_library_example_uses_public_names():
     names = {n.strip() for n in block.group(1).split(",") if n.strip()}
     assert names
     assert names <= set(zetabounds.__all__), names - set(zetabounds.__all__)
+
+
+def test_readme_runs(tmp_path, monkeypatch, capsys):
+    """Every `zetabounds ...` command line of the README exits 0 and writes
+    output, relative --out paths under $ZETABOUNDS_OUT; then the library
+    example runs and prints the crossover it quotes."""
+    text = README.read_text(encoding="utf-8")
+    commands = [line.split("#")[0].split()[1:] for line in text.splitlines()
+                if line.startswith("    zetabounds ")]
+    assert len(commands) == 10
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if "--out" in argv:
+            out = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+        assert out.startswith("# ") and out.count("\n") >= 2, argv
+
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", text, re.S)
+    assert example is not None, "README has no library example"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(example.group(1), {})
+    assert float(printed.getvalue().split()[-1]) == pytest.approx(19291.5, rel=1e-5)

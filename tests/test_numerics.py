@@ -292,6 +292,24 @@ class TestQuadrature:
         assert 1e-9 < err <= radius < 1e-8
         assert err > radius / 40.0**2
 
+    @pytest.mark.parametrize("m, h, rho", [(1.0, 1.0, 2.0), (3.5, 0.25, 4.0), (0.2, 2.0, 1.5)])
+    def test_radius_is_its_documented_formula(self, monkeypatch, m, h, rho):
+        # f = 1 on one panel of half-length h, |f| <= m on the ellipse of the
+        # one rho tried, and a tol that the 4-point rule meets: the radius is
+        # the truncation bound (64/15) h m rho^(2 - 2n) / (rho^2 - 1), rounded
+        # up, plus the rounding of the weights, products and sum, charged on
+        # sum |w h f| = 2h, itself rounded up by 1 + 4 eps
+        monkeypatch.setattr(numerics, "RHO_GRID", (rho,))
+        truncation = 64.0 / 15.0 * h * m * rho ** (2 - 8) / (rho * rho - 1.0)
+        value, radius = integrate_one(
+            np.ones_like, 0.0, 2.0 * h, 10.0 * truncation,
+            lambda mid, re_axis, im_axis: np.full(np.broadcast(mid, re_axis).shape, m),
+            2.0 * h, 0.0,
+        )
+        rounding = (2.0 * EPS + GL_WEIGHT_ERR) * 2.0 * h * (1.0 + 4.0 * EPS)
+        assert radius == pytest.approx(numerics._ROUND_UP * truncation + rounding, rel=1e-13, abs=0.0)
+        assert abs(value - 2.0 * h) <= radius
+
     def test_constant(self):
         value, radius = integrate_one(
             np.ones_like, 0.0, 1.0, 1e-12, _box_bound(lambda x, y: np.ones_like(x)), 1.0, 0.0
@@ -457,6 +475,13 @@ def test_geometric_grid_endpoints_and_monotone():
     assert g[0] == 2.0 and g[-1] == 512.0
     assert all(b > a for a, b in zip(g, g[1:]))
     assert geometric_grid(5.0, 10.0, 1) == [5.0]
+
+
+def test_geometric_grid_needs_an_integer_count():
+    # n = 2.5 used to fail in range() with a TypeError
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        geometric_grid(1.0, 2.0, 2.5)
+    assert geometric_grid(1.0, 4.0, np.int64(3)) == geometric_grid(1.0, 4.0, 3)
 
 
 @pytest.mark.parametrize("lo, hi", [

@@ -246,6 +246,28 @@ class TestLemmaSweeps:
     def test_supported_listing(self):
         assert "4.6" in SUPPORTED_CHECKS and "2.2" in SUPPORTED_CHECKS
 
+    def test_supported_checks_pinned(self):
+        assert SUPPORTED_CHECKS == (
+            "2.1", "2.2a", "2.2b", "2.2c", "2.2d", "2.4", "2.5", "4.1", "4.3", "4.6", "2.2",
+        )
+
+    @pytest.mark.parametrize("check_id, samples", [("2.5", 2.5), ("2.2", 8.0)])
+    def test_non_integer_sample_count_rejected(self, check_id, samples):
+        # used to fail deep in the sweep with "'float' object cannot be
+        # interpreted as an integer"
+        with pytest.raises(ValueError, match=f"samples must be an integer, got {samples}"):
+            verify_lemma(check_id, SampleSpec(samples=samples))
+
+    def test_non_integer_seed_rejected(self):
+        # used to fail in numpy's SeedSequence
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            SampleSpec(samples=3, seed=1.5)
+
+    def test_numpy_integer_samples_and_seed(self):
+        spec = SampleSpec(samples=np.int64(6), seed=np.int32(3))
+        assert type(spec.samples) is int and type(spec.seed) is int
+        assert verify_lemma("2.5", spec) == verify_lemma("2.5", SampleSpec(6, 3))
+
     def test_record_roundtrip(self):
         r = verify_lemma("2.5", SampleSpec(samples=5, seed=1))
         rec = r.to_record()
@@ -381,6 +403,18 @@ class TestTheoremEnvelopes:
             verify_theorem_envelope(2, (E2, 1e4), 5)  # starts below e^6
         with pytest.raises(ValueError):
             verify_theorem_envelope(1, (E2, 100.0), 0)
+
+    def test_non_integer_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="n_samples must be an integer, got 2.5"):
+            verify_theorem_envelope(1, (10.0, 100.0), 2.5)
+
+    def test_which_is_read_as_an_integer(self):
+        # True is the integer 1; the report used to be named "theorem-True"
+        assert verify_theorem_envelope(True, (10.0, 100.0), 2).check_id == "theorem-1"
+        with pytest.raises(ValueError, match="which must be an integer, got 1.0"):
+            verify_theorem_envelope(1.0, (10.0, 100.0), 2)
+        r = verify_theorem_envelope(np.int64(2), (E6, 1e3), np.int32(2))
+        assert r == verify_theorem_envelope(2, (E6, 1e3), 2)
 
     def test_bad_range_rejected_before_any_evaluation(self, monkeypatch):
         def no_evaluation(point, cfg):
