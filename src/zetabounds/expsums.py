@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .numerics import compensated_complex_sum, compensated_sum
+from .numerics import compensated_sum, exact_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,7 +83,7 @@ def exp_sum_exact(f: Phase, N: int, L: int) -> complex:
         raise ValueError("range too long for direct summation")
     n = np.arange(N + 1, N + L + 1, dtype=np.float64)
     phase = TWO_PI * f(n)
-    return compensated_complex_sum(np.cos(phase) + 1j * np.sin(phase))
+    return complex(exact_sum(np.cos(phase)), exact_sum(np.sin(phase)))
 
 
 SHIFT_BLOCK = 2**15  # terms per array pass of shifted_diff_maxima; bounds its arrays

@@ -6,8 +6,9 @@ checks.  Each returns the same bits for the same inputs (the quadrature,
 for the same integrand values) and carries an explicit error contract:
 
 * ``compensated_sum``  -- correctly rounded (``math.fsum``)
-* ``compensated_complex_sum`` -- correctly rounded per part; the same bits
-  as ``math.fsum`` (``docs/exact_summation.md``)
+* ``exact_sum`` -- correctly rounded, the bits of ``math.fsum``, by
+  error-free extraction on long arrays (``docs/exact_summation.md``)
+* ``compensated_complex_sum`` -- ``exact_sum`` of each part
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
 * ``integrate_gauss_legendre`` -- |value - integral| <= radius for each
   integral of a batch, given a bound on |f| over each panel's Bernstein
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -47,69 +47,68 @@ def compensated_sum(terms: Iterable[float]) -> float:
     return math.fsum(values)
 
 
-# Exact summation of long arrays; docs/exact_summation.md proves each step.
-# m * 2^53 (np.frexp's m) is an integer, split as hi * 2^27 + lo with
-# |hi| < 2^26 and |lo| < 2^27; float64 bins per exponent sum the halves.
-_EXACT_MIN_TERMS = 768  # below this, math.fsum is the faster of the two
-_CHUNK = 4096  # complex terms per bincount pass; bounds the temporaries
-_FLUSH_TERMS = 2**26  # 2^26 * (2^27 - 1) < 2^53: every bin sum stays exact
-_EXP_MIN = -1073  # np.frexp(5e-324) = (0.5, -1073)
-_EXP_BINS = 1024 - _EXP_MIN + 1
-_SCALE = 1 << (53 - _EXP_MIN)  # every double is an integer multiple of 1/_SCALE
-# bincount index of the interleaved (re, im) doubles: exponent bins of the
-# real part, then those of the imaginary part
-_BIN_INDEX = np.tile(np.array([-_EXP_MIN, _EXP_BINS - _EXP_MIN], dtype=np.intp), _CHUNK)
-# the bit position (in units of 1/_SCALE) of each bin of one part: hi halves
-# sit 27 bits above the lo halves of the same exponent
-_BIN_SHIFT = np.concatenate([np.arange(_EXP_BINS) + 27, np.arange(_EXP_BINS)])
+# Exact summation by error-free extraction (docs/exact_summation.md): for
+# n <= 2^m - 2 terms with |r| <= 2^-m sigma, q = fl(sigma + r) - sigma sums
+# exactly in any order, and r - q is exact with |r - q| <= 2^-53 sigma.
+_EXACT_MIN_TERMS = 512  # below this, math.fsum is the faster of the two
+_BLOCK = 2**16  # terms per extraction pass; bounds the temporaries
+_ROUNDS = 2  # extraction rounds per block; the residual left goes to fsum
+_TOP_MAX = 2.0**1005  # with 2^m <= 2^17, sigma <= 2^1022 below this max|x|
 
 
-def _bin_sums(flat: np.ndarray) -> np.ndarray:
-    """Exact per-exponent sums of the halves of at most _FLUSH_TERMS
-    complex terms, given as their interleaved doubles; shape (part, half,
-    exponent) with part 0 real, 1 imaginary and half 0 hi, 1 lo."""
-    bins = np.zeros((2, 2, _EXP_BINS))
-    for start in range(0, flat.size, 2 * _CHUNK):
-        m, e = np.frexp(flat[start:start + 2 * _CHUNK])
-        m *= 2.0**26
-        hi = np.trunc(m)
-        lo = np.subtract(m, hi, out=m)
-        lo *= 2.0**27
-        index = np.add(e, _BIN_INDEX[: e.size])
-        for half, weights in enumerate((hi, lo)):
-            counts = np.bincount(index, weights=weights, minlength=2 * _EXP_BINS)
-            bins[:, half] += counts.reshape(2, _EXP_BINS)
-    return bins
+def _extract(block: np.ndarray, top: float) -> list[float]:
+    """Doubles whose exact sum is the sum of ``block``, |block| <= ``top``:
+    the sum of each round's extracted parts, then the nonzero residual."""
+    m = (block.size + 1).bit_length()  # 2^m >= size + 2
+    sigma = math.ldexp(1.0, m + math.frexp(top)[1])  # 2^-m sigma > top
+    q = np.empty_like(block)
+    r, parts = block, []
+    for _ in range(_ROUNDS):
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r = np.subtract(r, q, out=None if r is block else r)  # block is the caller's
+        parts.append(float(q.sum()))
+        sigma = math.ldexp(sigma, m - 53)  # 2^-m of it bounds the residual
+    return parts + r[r != 0].tolist()
 
 
-def _exact_complex_sum(arr: np.ndarray) -> complex:
-    """Correctly rounded sum of each part of a finite 1-D complex array."""
-    flat = arr.view(np.float64)
-    totals = [0, 0]  # each part's exact sum times _SCALE
-    for start in range(0, flat.size, 2 * _FLUSH_TERMS):
-        for part, bins in enumerate(_bin_sums(flat[start:start + 2 * _FLUSH_TERMS])):
-            used = np.flatnonzero(bins != 0)
-            values = map(int, bins.ravel()[used].tolist())
-            totals[part] += sum(map(operator.lshift, values, _BIN_SHIFT[used].tolist()))
-    # int / int is correctly rounded, half to even; an exact zero gives +0.0
-    return complex(totals[0] / _SCALE, totals[1] / _SCALE)
+def exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-D float64 array, the bits of
+    ``math.fsum``: ``math.fsum`` itself below _EXACT_MIN_TERMS terms, else
+    error-free extraction in blocks of _BLOCK terms, rounded once.
+    OverflowError only when the sum itself overflows; ValueError on
+    non-finite or non-1-D input."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("exact_sum takes a 1-D array")
+    top = float(max(arr.max(initial=0.0), -arr.min(initial=0.0)))  # nan if any term is
+    if not math.isfinite(top):
+        raise ValueError("non-finite term in compensated sum")
+    if top >= _TOP_MAX:
+        return _integer_sum(arr)
+    if arr.size < _EXACT_MIN_TERMS:  # n max|x| < 2^1014: no partial sum overflows
+        return math.fsum(arr.tolist())
+    parts: list[float] = []
+    for start in range(0, arr.size, _BLOCK):
+        parts += _extract(arr[start:start + _BLOCK], top)
+    try:
+        return math.fsum(parts)
+    except OverflowError:  # a partial sum overflowed, which the sum may not
+        return _integer_sum(arr)
+
+
+def _integer_sum(arr: np.ndarray) -> float:
+    """The sum in whole multiples of 2^-1074, rounded once by int / int,
+    half to even; OverflowError when the sum itself overflows."""
+    ratios = map(float.as_integer_ratio, arr.tolist())
+    return sum(p * ((1 << 1074) // q) for p, q in ratios) / (1 << 1074)
 
 
 def compensated_complex_sum(values: np.ndarray) -> complex:
-    """Correctly rounded sum of a complex array, each part on its own.
-
-    The result has the same bits as ``math.fsum`` of the real parts and of
-    the imaginary parts.  Below _EXACT_MIN_TERMS terms it is ``math.fsum``;
-    longer arrays go through an exact binned accumulator that rounds once,
-    with temporaries bounded by _CHUNK terms (``docs/exact_summation.md``).
-    Raises ValueError on non-finite input.
-    """
+    """Correctly rounded sum of a 1-D complex array: ``exact_sum`` of the
+    real parts and of the imaginary parts."""
     arr = np.ascontiguousarray(values, dtype=np.complex128)
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError("non-finite term in compensated sum")
-    if arr.size < _EXACT_MIN_TERMS:
-        return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
-    return _exact_complex_sum(arr)
+    return complex(exact_sum(arr.real), exact_sum(arr.imag))
 
 
 @lru_cache(maxsize=None)

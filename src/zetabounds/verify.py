@@ -353,8 +353,9 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
     from the singular denominator; variant a scales a and b by 1.05 until
     ``_decreasing_from`` holds.  The i-th of several variants draws
     samples // len(variants) samples from seed + i into the one "2.2"
-    report, whose notes give each variant's violation count.  The
-    integrals run QUAD_BLOCK samples per quadrature call, across variants.
+    report, whose notes give each variant's violations and the samples
+    left undrawn.  The integrals run QUAD_BLOCK samples per quadrature
+    call, across variants.
     """
     sweep = _Sweep(variants[0] if len(variants) == 1 else "2.2")
     violations = np.zeros(len(variants), dtype=np.intp)
@@ -371,10 +372,11 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
             },
         )
         violations += np.bincount(kinds[violated].astype(np.intp), minlength=len(variants))
-    notes = "; ".join(
-        f"{variant}: {count} violations" for variant, count in zip(variants, violations.tolist())
-    )
-    return sweep.report(notes if len(variants) > 1 else "")
+    notes = [f"{variant}: {count} violations" for variant, count in zip(variants, violations.tolist())]
+    per, rest = divmod(spec.samples, len(variants))
+    if rest:
+        notes.append(f"{rest} of {spec.samples} samples not drawn ({per} per variant)")
+    return sweep.report("; ".join(notes) if len(variants) > 1 else "")
 
 
 def _check_mid_tail(spec: SampleSpec) -> VerificationReport:
@@ -534,9 +536,9 @@ def verify_lemma(check_id: str, spec: SampleSpec | None = None) -> VerificationR
 
     "2.2" sweeps the four oscillatory-tail variants into one report,
     splitting the sample budget evenly; its notes give each variant's
-    violations.  A sweep that would check nothing raises ValueError: fewer
-    than one sample (four for "2.2"), or for "4.3" and "4.6" an "M" range
-    outside 1 <= min <= max <= 1e8.
+    violations and any samples left undrawn.  A sweep that would check
+    nothing raises ValueError: fewer than one sample (four for "2.2"), or
+    for "4.3" and "4.6" an "M" range outside 1 <= min <= max <= 1e8.
     So does a negative seed, and any range but the "M" of 4.3 and 4.6.
     """
     spec = spec or SampleSpec()
@@ -563,15 +565,15 @@ def envelope_points(
 ) -> Iterator[tuple[float, float, CertifiedComplex]]:
     """(t, theorem ``which``'s bound at t, certified zeta'(1/2+it)) along
     ts; zeta' comes from ``zeta_prime_em`` at its default derivative
-    config.  Each t must lie in the theorem's domain and below T_CEILING."""
+    config.  Each t must lie in the theorem's domain and below T_CEILING;
+    a ``which`` other than the integers 1 and 2 raises ValueError."""
+    if _integer("which", which) not in (1, 2):
+        raise ValueError("which must be 1 or 2")
     coeffs = theorem2_coeffs(p) if which == 2 else None
     for t in ts:
-        if which == 1:
-            bound = theorem1_bound(t).total
-        else:
-            bound = theorem2_bound(t, p, coeffs).total
+        bound = theorem1_bound(t) if which == 1 else theorem2_bound(t, p, coeffs)
         point = EvalPoint(t)
-        yield t, bound, zeta_prime_em(point, default_em_config(point, for_derivative=True))
+        yield t, bound.total, zeta_prime_em(point, default_em_config(point, for_derivative=True))
 
 
 def verify_theorem_envelope(

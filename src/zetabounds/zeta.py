@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import BERNOULLI_MAX_M, EPS, _integer, bernoulli_number, compensated_complex_sum
+from .numerics import BERNOULLI_MAX_M, EPS, _integer, bernoulli_number, exact_sum
 
 # Certified-evaluation ceiling; the truncation index never exceeds 8|t| <= 8e5
 # terms, and at the default tol it falls from about 0.34|t| at t = 1e3 to
@@ -148,16 +148,19 @@ def default_em_config(
 
 def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
     """sum_{n<N} n^{-s} (or sum_{n<N} log n * n^{-s} when ``log_weighted``),
-    each part correctly rounded by ``compensated_complex_sum``
+    each real part n^{-sigma} cos or sin(-t log n) summed by ``exact_sum``
     (docs/exact_summation.md), and the sum of the term moduli."""
     n = np.arange(1, N, dtype=np.float64)
     logn = np.log(n)
     moduli = n ** (-s.real)
-    terms = moduli * np.exp(-1j * s.imag * logn)
+    phase = (-s.imag) * logn
+    re, im = np.cos(phase), np.sin(phase, out=phase)
+    re *= moduli
+    im *= moduli
     if log_weighted:
-        terms = logn * terms
-        moduli = logn * moduli
-    return compensated_complex_sum(terms), float(np.sum(moduli))
+        for part in (re, im, moduli):
+            part *= logn
+    return complex(exact_sum(re), exact_sum(im)), float(np.sum(moduli))
 
 
 def _pow_err(point: EvalPoint, log_n: float) -> float:

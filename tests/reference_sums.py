@@ -7,13 +7,17 @@ from two Euler-Maclaurin tails, and for the block and mid-tail bounds of
 that ``zetabounds.expsums.weight_sum_blocks`` runs in numpy blocks, and
 ``shifted_diff_rows`` the one-shift-at-a-time loop that
 ``zetabounds.expsums.shifted_diff_maxima`` runs in array passes; both
-must be reproduced to the bit.  Nothing in ``zetabounds`` calls this
-module.
+must be reproduced to the bit.  ``binned_complex_sum`` is the exact
+per-exponent binned accumulator that ``zetabounds.numerics.exact_sum``
+replaced, and ``complex_power_sums`` the complex-exponential power sums
+that ``zetabounds.zeta._power_sums`` now forms in real parts; both are
+parity references.  Nothing in ``zetabounds`` calls this module.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,9 +27,73 @@ from zetabounds.expsums import RANGE_GUARD, TWO_PI, Phase
 from zetabounds.numerics import EPS, compensated_complex_sum
 
 __all__ = [
-    "WeightSums", "direct_sum_budget", "log_dirichlet_sum", "shifted_diff_rows",
-    "weight_sum_rows",
+    "WeightSums", "binned_complex_sum", "complex_power_sums", "direct_sum_budget",
+    "log_dirichlet_sum", "shifted_diff_rows", "weight_sum_rows",
 ]
+
+
+# Exact binned summation.  m * 2^53 (np.frexp's m) is an integer, split as
+# hi * 2^27 + lo with |hi| < 2^26 and |lo| < 2^27; float64 bins per
+# exponent sum the halves, exactly for up to _FLUSH_TERMS terms, and are
+# then flushed into one Python int per part.
+_CHUNK = 4096  # complex terms per bincount pass; bounds the temporaries
+_FLUSH_TERMS = 2**26  # 2^26 * (2^27 - 1) < 2^53: every bin sum stays exact
+_EXP_MIN = -1073  # np.frexp(5e-324) = (0.5, -1073)
+_EXP_BINS = 1024 - _EXP_MIN + 1
+_SCALE = 1 << (53 - _EXP_MIN)  # every double is an integer multiple of 1/_SCALE
+# bincount index of the interleaved (re, im) doubles: exponent bins of the
+# real part, then those of the imaginary part
+_BIN_INDEX = np.tile(np.array([-_EXP_MIN, _EXP_BINS - _EXP_MIN], dtype=np.intp), _CHUNK)
+# the bit position (in units of 1/_SCALE) of each bin of one part: hi halves
+# sit 27 bits above the lo halves of the same exponent
+_BIN_SHIFT = np.concatenate([np.arange(_EXP_BINS) + 27, np.arange(_EXP_BINS)])
+
+
+def _bin_sums(flat: np.ndarray) -> np.ndarray:
+    """Exact per-exponent sums of the halves of at most _FLUSH_TERMS
+    complex terms, given as their interleaved doubles; shape (part, half,
+    exponent) with part 0 real, 1 imaginary and half 0 hi, 1 lo."""
+    bins = np.zeros((2, 2, _EXP_BINS))
+    for start in range(0, flat.size, 2 * _CHUNK):
+        m, e = np.frexp(flat[start:start + 2 * _CHUNK])
+        m *= 2.0**26
+        hi = np.trunc(m)
+        lo = np.subtract(m, hi, out=m)
+        lo *= 2.0**27
+        index = np.add(e, _BIN_INDEX[: e.size])
+        for half, weights in enumerate((hi, lo)):
+            counts = np.bincount(index, weights=weights, minlength=2 * _EXP_BINS)
+            bins[:, half] += counts.reshape(2, _EXP_BINS)
+    return bins
+
+
+def binned_complex_sum(values: np.ndarray) -> complex:
+    """Correctly rounded sum of each part of a finite 1-D complex array,
+    by exponent bins and one int / int division per part."""
+    flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    totals = [0, 0]  # each part's exact sum times _SCALE
+    for start in range(0, flat.size, 2 * _FLUSH_TERMS):
+        for part, bins in enumerate(_bin_sums(flat[start:start + 2 * _FLUSH_TERMS])):
+            used = np.flatnonzero(bins != 0)
+            ints = map(int, bins.ravel()[used].tolist())
+            totals[part] += sum(map(operator.lshift, ints, _BIN_SHIFT[used].tolist()))
+    # int / int is correctly rounded, half to even; an exact zero gives +0.0
+    return complex(totals[0] / _SCALE, totals[1] / _SCALE)
+
+
+def complex_power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
+    """``zeta._power_sums`` through complex arrays: the terms n^{-sigma}
+    e^{-i t log n} (times log n), summed part by part with ``math.fsum``,
+    and the sum of the term moduli."""
+    n = np.arange(1, N, dtype=np.float64)
+    logn = np.log(n)
+    moduli = n ** (-s.real)
+    terms = moduli * np.exp(-1j * s.imag * logn)
+    if log_weighted:
+        terms = logn * terms
+        moduli = logn * moduli
+    parts = (math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return complex(*parts), float(np.sum(moduli))
 
 
 def log_dirichlet_sum(t: float, a: float, b: float) -> complex:

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zetabounds.numerics import (
-    _CHUNK,
+    _BLOCK,
     _EXACT_MIN_TERMS,
     BERNOULLI_MAX_M,
     EPS,
@@ -18,6 +19,7 @@ from zetabounds.numerics import (
     bernoulli_number,
     compensated_complex_sum,
     compensated_sum,
+    exact_sum,
     gauss_legendre,
     geometric_grid,
     integrate_gauss_legendre,
@@ -81,10 +83,12 @@ class TestCompensatedSum:
             assert got.imag == math.fsum(arr.imag)
 
 
-# Sizes around every boundary of compensated_complex_sum: the fsum threshold,
-# one bincount chunk, several chunks with a ragged tail, and a long array.
+# Sizes around every boundary of exact_sum: the fsum threshold, sizes of
+# the evaluator's sums, one extraction block, one block plus one, and 10^5
+# (one block and a ragged tail).
 EXACT_SIZES = [
-    0, 1, _EXACT_MIN_TERMS - 1, _EXACT_MIN_TERMS, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**5,
+    0, 1, _EXACT_MIN_TERMS - 1, _EXACT_MIN_TERMS, 767, 768, 4096, 4097, 3 * 4096 + 7,
+    _BLOCK, _BLOCK + 1, 10**5,
 ]
 
 
@@ -136,35 +140,39 @@ class TestExactComplexSum:
                 got = assert_fsum_bits(re, re[::-1])
                 assert got.real == got.imag == sign * rounded
 
-    @pytest.mark.parametrize("n", [_CHUNK, 3 * _CHUNK + 7, 10**5])
+    @pytest.mark.parametrize("n", [4096, 3 * 4096 + 7, _BLOCK + 1, 10**5])
     def test_maximal_mantissas(self, n):
-        # (2^53 - 1) 2^k fills both halves of every bin they land in
+        # (2^53 - 1) 2^k: every bit of the mantissa set, so every round
+        # extracts a part of each term until its residual is spent
         rng = np.random.default_rng(n + 2)
         k = rng.integers(-1000, 950, size=n)
-        k[: n // 2] = 3  # half of them in one bin
+        k[: n // 2] = 3  # half of them of one size
         re = np.ldexp(float(2**53 - 1), k) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
         got = assert_fsum_bits(re, np.ldexp(float(2**53 - 1), -k - 53))
         assert got.real == float(sum(map(Fraction, re.tolist())))
 
-    @pytest.mark.parametrize("flush_terms", [1000, _CHUNK])
-    def test_several_flushes(self, flush_terms, monkeypatch):
-        # a second block needs over 2^26 terms; smaller blocks run the same path
-        monkeypatch.setattr(numerics, "_FLUSH_TERMS", flush_terms)
-        rng = np.random.default_rng(flush_terms)
-        n = 3 * _CHUNK + 7
+    @pytest.mark.parametrize("block_terms", [1000, 4096])
+    def test_several_blocks(self, block_terms, monkeypatch):
+        # 10^5 terms make two blocks; smaller blocks run the same path
+        # with a ragged last block
+        monkeypatch.setattr(numerics, "_BLOCK", block_terms)
+        rng = np.random.default_rng(block_terms)
+        n = 3 * 4096 + 7
         assert_fsum_bits(wide_exponents(rng, n), wide_exponents(rng, n))
         k = rng.integers(-1000, 950, size=n)
         assert_fsum_bits(np.ldexp(float(2**53 - 1), k), -np.ldexp(float(2**53 - 1), k // 2))
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.integers(min_value=_EXACT_MIN_TERMS, max_value=3 * _CHUNK + 7).flatmap(
+        st.integers(min_value=_EXACT_MIN_TERMS, max_value=3 * 4096 + 7).flatmap(
             lambda n: st.tuples(*[arrays(np.float64, n, elements=FINITE, fill=FINITE)] * 2)
         )
     )
     def test_matches_fsum_property(self, parts):
-        # finite |x| <= 1e300, sizes above the fsum threshold
-        assert_fsum_bits(*parts)
+        # finite |x| <= 1e300, sizes above the fsum threshold, in blocks
+        # of 4096 terms so that most arrays take several
+        with patch.object(numerics, "_BLOCK", 4096):
+            assert_fsum_bits(*parts)
 
     @pytest.mark.parametrize("log_weighted", [False, True])
     def test_evaluator_power_sums(self, log_weighted, monkeypatch):
@@ -172,18 +180,17 @@ class TestExactComplexSum:
         seen = []
 
         def recording(values):
-            seen.append((np.array(values), compensated_complex_sum(values)))
+            seen.append((np.array(values), exact_sum(values)))
             return seen[-1][1]
 
-        monkeypatch.setattr(zeta, "compensated_complex_sum", recording)
+        monkeypatch.setattr(zeta, "exact_sum", recording)
         for t in geometric_grid(10.0, 1e5, 81):
             point = zeta.EvalPoint(t)
             N = zeta.default_em_config(point, for_derivative=log_weighted).N
             zeta._power_sums(point.s, N, log_weighted)
-        assert len(seen) == 81 and max(arr.size for arr, _ in seen) > 3 * _CHUNK
+        assert len(seen) == 2 * 81 and max(arr.size for arr, _ in seen) > 3 * 4096
         for arr, got in seen:
-            assert got.real.hex() == math.fsum(arr.real).hex()
-            assert got.imag.hex() == math.fsum(arr.imag).hex()
+            assert got.hex() == math.fsum(arr).hex()
 
     def test_rejects_non_finite(self):
         for n in (10, 10**4):
@@ -191,6 +198,73 @@ class TestExactComplexSum:
             arr[n // 2] = complex(0.0, math.nan)
             with pytest.raises(ValueError):
                 compensated_complex_sum(arr)
+            for bad in (math.inf, -math.inf, math.nan):
+                arr = np.ones(n)
+                arr[-1] = bad
+                with pytest.raises(ValueError):
+                    exact_sum(arr)
+
+
+class TestExactSumEdges:
+    def test_overflowing_partial_sums_give_the_finite_sum(self):
+        # math.fsum alone raises on the intermediate overflow
+        values = [1e308] * 400 + [-1e308] * 399 + [1.0] * 100
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        for order in (values, values[::-1], values[1::2] + values[::2]):
+            assert exact_sum(np.array(order)) == 1e308
+
+    def test_block_sums_that_overflow_fsum(self, monkeypatch):
+        # the round sums of 16 blocks of 2^1012 - ulp would overflow fsum's
+        # partials; 1024-term blocks keep sigma = 2^1023 finite up to 2^1012
+        monkeypatch.setattr(numerics, "_BLOCK", 1024)
+        monkeypatch.setattr(numerics, "_TOP_MAX", 2.0**1012)
+        big = 2.0**1012 * (1.0 - 2.0**-53)
+        values = np.array([big] * 8192 + [-big] * 8191 + [3.0] * 4)
+        assert exact_sum(values) == big
+
+    def test_extracted_parts_sum_exactly(self):
+        # 2^17 - 2 terms, the most for m = 17: 1.0 sets sigma = 2^18, whose
+        # ulp is 2^-34, and the others, just above half of it and with every
+        # mantissa bit in use, round up to it, leaving residuals of nearly
+        # the largest size, all negative, which the second round must sum
+        # exactly.  Every term and part is a whole multiple of 2^-100.
+        def exact(xs):
+            return sum(int(x * 2.0**100) for x in xs)
+
+        for seed in range(8):
+            values = np.random.default_rng(seed).uniform(1.01, 1.1, 2**17 - 2) * 2.0**-35
+            values[0] = 1.0
+            parts = numerics._extract(values, 1.0)
+            assert exact(parts) == exact(values.tolist()), seed
+
+    @pytest.mark.parametrize("n", [2, 1000, 4 * 4096])
+    def test_overflow_only_when_the_sum_overflows(self, n):
+        with pytest.raises(OverflowError):
+            exact_sum(np.full(n, 1e308))
+        values = np.full(n, 2.0**1023)
+        values[n // 2:] = -(2.0**1023)
+        assert exact_sum(values) == (2.0**1023 if n % 2 else 0.0)
+
+    @pytest.mark.parametrize("n", [1, 5, _EXACT_MIN_TERMS, _BLOCK + 3])
+    def test_exact_zero_is_positive(self, n):
+        for values in (np.full(n, -0.0), np.zeros(n)):
+            assert exact_sum(values).hex() == "0x0.0p+0"
+        assert exact_sum(np.empty(0)).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("n", [4, 2 * _EXACT_MIN_TERMS])
+    def test_two_dimensional_input_raises(self, n):
+        with pytest.raises(ValueError):
+            exact_sum(np.ones((2, n // 2)))
+        with pytest.raises(ValueError):
+            compensated_complex_sum(np.ones((2, n // 2), dtype=np.complex128))
+
+    @pytest.mark.parametrize("scale", [2**40, 16])
+    def test_subnormal_terms(self, scale):
+        # sigma = 2^-1022, then subnormal; and subnormal, then underflowed to 0
+        rng = np.random.default_rng(scale)
+        values = rng.integers(-scale, scale, size=3000) * 5e-324
+        assert exact_sum(values) == float(sum(map(Fraction, values.tolist())))
 
 
 class TestBernoulli:

@@ -1,0 +1,135 @@
+"""Bit parity of the exact sums with their references.
+
+``exact_sum`` must give the bits of ``math.fsum`` and of the binned
+accumulator it replaced (``reference_sums.binned_complex_sum``), and
+``zeta._power_sums``, which forms its terms in real parts, the bits of the
+complex-exponential route (``reference_sums.complex_power_sums``).  numpy
+picks its ``cos``, ``sin``, ``log`` and complex ``exp`` kernels by the
+host's SIMD level, so the second claim is checked at every level this
+host can switch off, each in a subprocess started with
+``NPY_DISABLE_CPU_FEATURES``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+
+from reference_sums import binned_complex_sum, complex_power_sums
+from zetabounds import zeta
+from zetabounds.numerics import exact_sum, geometric_grid
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def _seeded_arrays():
+    """1,000 seeded arrays: sizes log-uniform in [1, 20,000], each with
+    one of five value mixes."""
+    rng = np.random.default_rng(2028)
+    for i in range(1000):
+        n = int(np.exp(rng.uniform(0.0, math.log(20000.0))))
+        kind = i % 5
+        if kind == 0:  # the evaluator's terms: unit phasors times n^-1/2
+            yield np.cos(rng.uniform(-1e5, 1e5, n)) / np.sqrt(np.arange(1.0, n + 1))
+        elif kind == 1:  # wide exponents, mixed signs
+            yield rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-700.0, 690.0, n))
+        elif kind == 2:  # heavy cancellation
+            x = rng.normal(size=n // 2) * 10.0 ** rng.integers(-20, 20, n // 2)
+            yield rng.permutation(np.concatenate([x, -x, rng.normal(size=n % 2) * 1e-30]))
+        elif kind == 3:  # maximal mantissas
+            yield np.ldexp(float(2**53 - 1), rng.integers(-1000, 950, n)) * rng.choice([-1, 1], n)
+        else:  # subnormals among normals
+            x = rng.normal(size=n)
+            x[rng.random(n) < 0.3] = 5e-324 * rng.integers(-(2**30), 2**30)
+            yield x
+
+
+def _evaluator_arrays() -> list[np.ndarray]:
+    """The real and imaginary parts of every power sum ``zeta_em`` and
+    ``zeta_prime_em`` add up at their default config, on 81 points of t
+    log-spaced in [10, 1e5]."""
+    seen: list[np.ndarray] = []
+
+    def recording(values):
+        seen.append(np.array(values))
+        return exact_sum(values)
+
+    with patch.object(zeta, "exact_sum", recording):
+        for t in geometric_grid(10.0, 1e5, 81):
+            point = zeta.EvalPoint(t)
+            for log_weighted in (False, True):
+                N = zeta.default_em_config(point, for_derivative=log_weighted).N
+                zeta._power_sums(point.s, N, log_weighted)
+    return seen
+
+
+def test_exact_sum_matches_fsum_and_the_binned_reference():
+    count = 0
+    for values in (*_seeded_arrays(), *_evaluator_arrays()):
+        want = math.fsum(values.tolist()).hex()
+        assert exact_sum(values).hex() == want, values.size
+        assert binned_complex_sum(values).real.hex() == want, values.size
+        count += 1
+    assert count == 1000 + 4 * 81
+
+
+# Run in a subprocess at one SIMD level: _power_sums and the complex route
+# on every case, printing the cases whose bits differ.
+_PARITY_SCRIPT = """
+import json, sys
+from reference_sums import complex_power_sums
+from zetabounds.zeta import _power_sums
+bad = []
+for sigma, t, N, log_weighted in json.loads(sys.argv[1]):
+    s = complex(sigma, t)
+    got, want = _power_sums(s, N, log_weighted), complex_power_sums(s, N, log_weighted)
+    hexes = [x.hex() for x in (got[0].real, got[0].imag, got[1], want[0].real, want[0].imag, want[1])]
+    if hexes[:3] != hexes[3:]:
+        bad.append([sigma, t, N, log_weighted, hexes])
+print(json.dumps(bad))
+"""
+
+PARITY_CASES = [
+    [sigma, sign * t, N, log_weighted]
+    for sigma in (-0.5, 0.0, 0.5, 2.0)
+    for t in (10.0, 1234.5, 1e5)
+    for sign in (1.0, -1.0)
+    for N in (2, 3, 767, 768, 2345, 19416)
+    for log_weighted in (False, True)
+]
+
+
+def _dispatch_levels() -> list[str]:
+    """NPY_DISABLE_CPU_FEATURES values that step the SIMD dispatch down
+    one found level at a time: "" (everything on), then the top level
+    off, then the top two, and so on down to the baseline."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return [" ".join(found[i:]) for i in range(len(found) + 1)][::-1]
+
+
+@pytest.mark.parametrize(
+    "disabled", _dispatch_levels(), ids=lambda d: f"off-from-{d.split()[0]}" if d else "all-on"
+)
+def test_power_sums_match_the_complex_route(disabled):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PARITY_SCRIPT, json.dumps(PARITY_CASES)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
+

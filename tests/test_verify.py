@@ -11,6 +11,7 @@ from zetabounds.verify import (
     SampleSpec,
     SUPPORTED_CHECKS,
     VerificationReport,
+    envelope_points,
     verify_lemma,
     verify_theorem_envelope,
 )
@@ -68,6 +69,12 @@ class TestLemmaSweeps:
         assert r.violations == 0
         for variant in ("2.2a", "2.2b", "2.2c", "2.2d"):
             assert variant in r.notes
+        assert "not drawn" not in r.notes
+
+    def test_fanout_notes_the_samples_not_drawn(self):
+        r = verify_lemma("2.2", SampleSpec(samples=6, seed=3))
+        assert r.samples == 4
+        assert r.notes.endswith("; 2 of 6 samples not drawn (1 per variant)")
 
     @pytest.mark.parametrize("check_id", ["2.1", "2.2", "2.2a"])
     @pytest.mark.parametrize("block", [1, 7])
@@ -415,6 +422,13 @@ class TestTheoremEnvelopes:
             verify_theorem_envelope(1.0, (10.0, 100.0), 2)
         r = verify_theorem_envelope(np.int64(2), (E6, 1e3), np.int32(2))
         assert r == verify_theorem_envelope(2, (E6, 1e3), 2)
+
+    def test_envelope_points_take_only_theorems_1_and_2(self):
+        # which = 3 used to yield theorem 2's bound, and 1.0 theorem 1's
+        for which, message in ((3, "which must be 1 or 2"), (0, "which must be 1 or 2"),
+                               (1.0, "which must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                next(envelope_points(which, [1000.0], BoundParams()))
 
     def test_bad_range_rejected_before_any_evaluation(self, monkeypatch):
         def no_evaluation(point, cfg):

@@ -426,6 +426,18 @@ class TestEmRangeSum:
         assert err <= rounding + remainder
         assert err > 1e3 * (corrections + remainder)
 
+    def test_rounding_of_an_end_is_in_the_radius(self):
+        # b = 2^60 + 1 is not a double and rounds to 2^60: both calls take
+        # the same tails, and the radius grows by the one skipped term's
+        # bound, log(2^60 + 1) (2^60)^{-1/2} (docs/remainder_bounds.md)
+        point, a = EvalPoint(1e8), 2**53
+        near, off = em_range_sum(point, a, 2**60), em_range_sum(point, a, 2**60 + 1)
+        term = math.log(2**60 + 1) * 2.0**-30
+        assert term == pytest.approx(3.8733e-8, rel=1e-4)
+        assert off.value == near.value
+        grown = off.error_bound - near.error_bound
+        assert grown == pytest.approx(term, rel=0, abs=4 * math.ulp(off.error_bound))
+
     def test_empty_and_invalid_ranges(self):
         point = EvalPoint(50.0)
         assert em_range_sum(point, 7, 7).value == 0
