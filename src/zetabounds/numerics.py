@@ -8,7 +8,6 @@ for the same integrand values) and carries an explicit error contract:
 * ``compensated_sum``  -- correctly rounded (``math.fsum``)
 * ``exact_sum`` -- correctly rounded, the bits of ``math.fsum``, by
   error-free extraction on long arrays (``docs/exact_summation.md``)
-* ``compensated_complex_sum`` -- ``exact_sum`` of each part
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
 * ``integrate_gauss_legendre`` -- |value - integral| <= radius for each
   integral of a batch, given a bound on |f| over each panel's Bernstein
@@ -102,13 +101,6 @@ def _integer_sum(arr: np.ndarray) -> float:
     half to even; OverflowError when the sum itself overflows."""
     ratios = map(float.as_integer_ratio, arr.tolist())
     return sum(p * ((1 << 1074) // q) for p, q in ratios) / (1 << 1074)
-
-
-def compensated_complex_sum(values: np.ndarray) -> complex:
-    """Correctly rounded sum of a 1-D complex array: ``exact_sum`` of the
-    real parts and of the imaginary parts."""
-    arr = np.ascontiguousarray(values, dtype=np.complex128)
-    return complex(exact_sum(arr.real), exact_sum(arr.imag))
 
 
 @lru_cache(maxsize=None)

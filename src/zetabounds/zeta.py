@@ -146,20 +146,38 @@ def default_em_config(
     return EMConfig(N=N, v=v, tol=tol)
 
 
+_tables: tuple = (None,)  # (sigma, the tables of _term_tables for n < M)
+
+
+def _term_tables(sigma: float, N: int) -> list[np.ndarray]:
+    """log n, n^{-sigma} and log n n^{-sigma} for n < N: read-only prefix
+    views of tables built on first use, grown to the largest N asked and
+    rebuilt for a new sigma, with the bits of arrays for N alone."""
+    global _tables
+    key, *tables = _tables
+    if key != sigma or tables[0].size < N - 1:
+        n = np.arange(1, N, dtype=np.float64)
+        logn, moduli = np.log(n), n ** (-sigma)
+        tables = [logn, moduli, moduli * logn]
+        for table in tables:
+            table.flags.writeable = False
+        _tables = (sigma, *tables)
+    return [table[: N - 1] for table in tables]
+
+
 def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
     """sum_{n<N} n^{-s} (or sum_{n<N} log n * n^{-s} when ``log_weighted``),
     each real part n^{-sigma} cos or sin(-t log n) summed by ``exact_sum``
     (docs/exact_summation.md), and the sum of the term moduli."""
-    n = np.arange(1, N, dtype=np.float64)
-    logn = np.log(n)
-    moduli = n ** (-s.real)
+    logn, moduli, weighted = _term_tables(s.real, N)
     phase = (-s.imag) * logn
     re, im = np.cos(phase), np.sin(phase, out=phase)
     re *= moduli
     im *= moduli
     if log_weighted:
-        for part in (re, im, moduli):
+        for part in (re, im):
             part *= logn
+        moduli = weighted
     return complex(exact_sum(re), exact_sum(im)), float(np.sum(moduli))
 
 
@@ -184,17 +202,27 @@ def _log_bernoulli_factor(v: int) -> float:
     return math.log(abs(bernoulli_number(2 * v))) - math.log(math.factorial(2 * v))
 
 
+_walk: tuple = (None, [])  # (s, [(log_pi, habs) for v = 1, 2, ...]) of the last walk
+
+
 def _pochhammer_sums(s: complex) -> Iterator[tuple[float, float]]:
     """Yield sum_{i<2v} log|s+i| and sum_{i<2v} 1/|s+i| for v = 1, 2, ...
-    Once some s + i = 0 they are -inf (the product is 0) and inf."""
-    log_pi = habs = 0.0
-    for i in count(0, 2):
+    Once some s + i = 0 they are -inf (the product is 0) and inf.  Orders
+    the last walk of this s reached are read back from its list."""
+    global _walk
+    key, walked = _walk
+    pairs = list(walked) if key == s else []  # a copy: only this walk appends to it
+    yield from pairs
+    _walk = (s, pairs)
+    log_pi, habs = pairs[-1] if pairs else (0.0, 0.0)
+    for i in count(2 * len(pairs), 2):
         a, b = abs(s + i), abs(s + (i + 1))
         if a and b:
             log_pi += math.log(a * b)
             habs += 1.0 / a + 1.0 / b
         else:
             log_pi, habs = -math.inf, math.inf
+        pairs.append((log_pi, habs))
         yield log_pi, habs
 
 
@@ -301,11 +329,11 @@ def _corrections(
         else:
             term = base
             mag = abs(base)
-        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-            raise OverflowError("correction-term overflow; reduce v")
         total += term
         rounding += (16 * j + v) * mag
         moduli += mag
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise OverflowError("correction-term overflow; reduce v")
     return total, EPS * rounding + pow_err * moduli
 
 

@@ -11,7 +11,9 @@ must be reproduced to the bit.  ``binned_complex_sum`` is the exact
 per-exponent binned accumulator that ``zetabounds.numerics.exact_sum``
 replaced, and ``complex_power_sums`` the complex-exponential power sums
 that ``zetabounds.zeta._power_sums`` now forms in real parts; both are
-parity references.  Nothing in ``zetabounds`` calls this module.
+parity references.  ``compensated_complex_sum`` is ``exact_sum`` of each
+part of a complex array, which the references above sum through.
+Nothing in ``zetabounds`` calls this module.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from typing import Iterator
 import numpy as np
 
 from zetabounds.expsums import RANGE_GUARD, TWO_PI, Phase
-from zetabounds.numerics import EPS, compensated_complex_sum
+from zetabounds.numerics import EPS, exact_sum
 
 __all__ = [
-    "WeightSums", "binned_complex_sum", "complex_power_sums", "direct_sum_budget",
-    "log_dirichlet_sum", "shifted_diff_rows", "weight_sum_rows",
+    "WeightSums", "binned_complex_sum", "compensated_complex_sum", "complex_power_sums",
+    "direct_sum_budget", "log_dirichlet_sum", "shifted_diff_rows", "weight_sum_rows",
 ]
 
 
@@ -79,6 +81,13 @@ def binned_complex_sum(values: np.ndarray) -> complex:
             totals[part] += sum(map(operator.lshift, ints, _BIN_SHIFT[used].tolist()))
     # int / int is correctly rounded, half to even; an exact zero gives +0.0
     return complex(totals[0] / _SCALE, totals[1] / _SCALE)
+
+
+def compensated_complex_sum(values: np.ndarray) -> complex:
+    """Correctly rounded sum of a 1-D complex array: ``exact_sum`` of the
+    real parts and of the imaginary parts."""
+    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    return complex(exact_sum(arr.real), exact_sum(arr.imag))
 
 
 def complex_power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:

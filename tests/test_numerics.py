@@ -17,7 +17,6 @@ from zetabounds.numerics import (
     GL_WEIGHT_ERR,
     MAX_GL_NODES,
     bernoulli_number,
-    compensated_complex_sum,
     compensated_sum,
     exact_sum,
     gauss_legendre,
@@ -26,6 +25,8 @@ from zetabounds.numerics import (
 )
 from zetabounds import numerics, verify, zeta
 from zetabounds.zeta import _MAX_V
+
+from reference_sums import compensated_complex_sum
 
 
 class TestCompensatedSum:

@@ -2,12 +2,12 @@
 
 ``exact_sum`` must give the bits of ``math.fsum`` and of the binned
 accumulator it replaced (``reference_sums.binned_complex_sum``), and
-``zeta._power_sums``, which forms its terms in real parts, the bits of the
-complex-exponential route (``reference_sums.complex_power_sums``).  numpy
-picks its ``cos``, ``sin``, ``log`` and complex ``exp`` kernels by the
-host's SIMD level, so the second claim is checked at every level this
-host can switch off, each in a subprocess started with
-``NPY_DISABLE_CPU_FEATURES``.
+``zeta._power_sums``, which forms its terms in real parts from cached
+per-sigma tables, the bits of the complex-exponential route on fresh
+arrays (``reference_sums.complex_power_sums``).  numpy picks its ``cos``,
+``sin``, ``log``, ``power`` and complex ``exp`` kernels by the host's SIMD
+level, so the second claim is checked at every level this host can switch
+off, each in a subprocess started with ``NPY_DISABLE_CPU_FEATURES``.
 """
 
 from __future__ import annotations
@@ -83,19 +83,22 @@ def test_exact_sum_matches_fsum_and_the_binned_reference():
 
 
 # Run in a subprocess at one SIMD level: _power_sums and the complex route
-# on every case, printing the cases whose bits differ.
+# on every case, in order, printing the cases whose bits differ and how
+# many cases read a prefix of a table built for a larger N.
 _PARITY_SCRIPT = """
 import json, sys
 from reference_sums import complex_power_sums
-from zetabounds.zeta import _power_sums
-bad = []
+from zetabounds import zeta
+bad, prefix_reads = [], 0
 for sigma, t, N, log_weighted in json.loads(sys.argv[1]):
+    key, *tables = zeta._tables
+    prefix_reads += key == sigma and tables[0].size > N - 1
     s = complex(sigma, t)
-    got, want = _power_sums(s, N, log_weighted), complex_power_sums(s, N, log_weighted)
+    got, want = zeta._power_sums(s, N, log_weighted), complex_power_sums(s, N, log_weighted)
     hexes = [x.hex() for x in (got[0].real, got[0].imag, got[1], want[0].real, want[0].imag, want[1])]
     if hexes[:3] != hexes[3:]:
         bad.append([sigma, t, N, log_weighted, hexes])
-print(json.dumps(bad))
+print(json.dumps([bad, prefix_reads]))
 """
 
 PARITY_CASES = [
@@ -106,6 +109,25 @@ PARITY_CASES = [
     for N in (2, 3, 767, 768, 2345, 19416)
     for log_weighted in (False, True)
 ]
+
+
+def _table_cases() -> list[list]:
+    """Cases ordered so that the tables are grown, read through prefix
+    views and rebuilt: sigma 0.5, 2.0, then 0.5 again, each visiting N in
+    descending and then in shuffled order, at the fsum threshold (511,
+    512), one extraction block plus one (65,537) and the smallest N."""
+    rng = np.random.default_rng(2029)
+    sizes = [65_537, 19_417, 4_097, 512, 511, 64, 3, 2]
+    cases = []
+    for sigma in (0.5, 2.0, 0.5):
+        for order in (sizes, rng.permutation(sizes).tolist()):
+            for N in order:
+                t = float(rng.choice([14.13, -1234.5, 1e5]))
+                cases += [[sigma, t, N, False], [sigma, t, N, True]]
+    return cases
+
+
+TABLE_CASES = _table_cases()
 
 
 def _dispatch_levels() -> list[str]:
@@ -127,9 +149,29 @@ def test_power_sums_match_the_complex_route(disabled):
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     out = subprocess.run(
-        [sys.executable, "-c", _PARITY_SCRIPT, json.dumps(PARITY_CASES)],
+        [sys.executable, "-c", _PARITY_SCRIPT, json.dumps(PARITY_CASES + TABLE_CASES)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == []
+    bad, prefix_reads = json.loads(out.stdout)
+    assert bad == []
+    assert prefix_reads >= len(TABLE_CASES) // 2
+
+
+def test_table_views_are_read_only():
+    for N in (2, 512, 5_000):
+        for row in zeta._term_tables(0.5, N):
+            assert row.size == N - 1
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+
+
+def test_import_builds_no_table():
+    # neither the term tables nor the Pochhammer walk exist before first use
+    script = "from zetabounds import zeta; print(zeta._tables, zeta._walk)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "(None,) (None, [])"
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -257,16 +258,28 @@ class TestDefaultEmConfig:
         cfg = default_em_config(EvalPoint(1e5), for_derivative=True)
         assert (cfg.N, cfg.v) == (19_417, _MAX_V)
 
-    def test_low_t_reads_no_high_bernoulli_number(self):
+    def test_low_t_reads_no_high_bernoulli_number(self, monkeypatch):
         # only the orders the walk reaches cost a Bernoulli number: at
-        # t = 100 and e^6 (the benchmark warm-ups) nothing past B_32
+        # t = 100 and e^6 (the benchmark warm-ups) nothing past B_32, with
+        # the Pochhammer walk of each point cold and then already taken to
+        # order 60.  The exact recurrence caches B_0, B_1 and every even
+        # index up to the largest read, 18 entries for B_32.
+        read = []
+        monkeypatch.setattr(zeta, "bernoulli_number",
+                            lambda m: read.append(m) or numerics.bernoulli_number(m))
         caches = (numerics._bernoulli_exact, zeta._correction_ratio, zeta._log_bernoulli_factor)
-        for cache in caches:
-            cache.cache_clear()
-        for t in (100.0, math.exp(6.0)):
-            point = EvalPoint(t)
-            zeta_prime_em(point, default_em_config(point, for_derivative=True))
-        assert max(numerics._bernoulli_exact.cache_info().currsize - 1, 0) <= 32
+        for warm in (False, True):
+            for cache in caches:
+                cache.cache_clear()
+            read.clear()
+            for t in (100.0, math.exp(6.0)):
+                point = EvalPoint(t)
+                zeta._walk = (None, [])
+                if warm:
+                    assert len(list(islice(zeta._pochhammer_sums(point.s), _MAX_V))) == _MAX_V
+                zeta_prime_em(point, default_em_config(point, for_derivative=True))
+            assert read and max(read) <= 32, warm
+            assert numerics._bernoulli_exact.cache_info().currsize <= 2 + 32 // 2, warm
 
     @pytest.mark.parametrize(
         "t, n, v",
@@ -341,6 +354,13 @@ class TestCorrections:
         worst = numerics.EPS * float(np.sum(logn * n**-0.5 * (1.5 * t * logn + 2.5)))
         assert zeta_prime_em(point, cfg).error_bound >= worst
 
+    @pytest.mark.parametrize("evaluate", [zeta_em, zeta_prime_em])
+    def test_overflow_is_reported(self, evaluate):
+        # at N = 2 the ratio of successive corrections is about (|s| / 4 pi)^2,
+        # so by order 60 a correction term overflows
+        with pytest.raises(OverflowError, match="^correction-term overflow; reduce v$"):
+            evaluate(EvalPoint(1e5), EMConfig(N=2, v=60))
+
     @pytest.mark.parametrize("derivative", [False, True])
     @pytest.mark.parametrize(
         "t, sigma, N, v",
@@ -366,6 +386,62 @@ class TestCorrections:
                 exact += term * (harm - logn) if derivative else term
             err = float(abs(mpmath.mpc(total) - exact))
         assert err <= rounding, (err, rounding)
+
+
+class TestPochhammerWalk:
+    """The (log_pi, habs) pairs walked for the last s are read back; every
+    result has the bits of the same call with the memo cleared."""
+
+    @staticmethod
+    def cold(f, *args, **kwargs):
+        zeta._walk = (None, [])
+        return f(*args, **kwargs)
+
+    @staticmethod
+    def hexes(r):
+        if isinstance(r, CertifiedComplex):
+            return r.value.real.hex(), r.value.imag.hex(), r.error_bound.hex(), r.converged
+        return r.hex() if isinstance(r, float) else (r.N, r.v)
+
+    def same_as_cold(self, f, *args, **kwargs):
+        got = f(*args, **kwargs)
+        assert self.hexes(got) == self.hexes(self.cold(f, *args, **kwargs)), (f, args)
+        return got
+
+    def test_evaluation_reads_the_config_walk(self):
+        for t, sigma in ((1e5, 0.5), (3e3, 0.5), (1234.5, 2.0), (50.0, -3.2)):
+            point = EvalPoint(t, sigma)
+            cfg = self.cold(default_em_config, point, for_derivative=True)
+            walked = zeta._walk[1]
+            assert zeta._walk[0] == point.s and len(walked) >= cfg.v
+            got = zeta_prime_em(point, cfg)
+            assert zeta._walk[1] is walked  # read back, nothing walked again
+            assert self.hexes(got) == self.hexes(self.cold(zeta_prime_em, point, cfg))
+
+    def test_user_order_past_the_walk(self):
+        # at t = 100 default_em_config walks to order 16; v = 60 goes on from there
+        point, cfg = EvalPoint(100.0), EMConfig(N=64, v=60)
+        for evaluate in (zeta_prime_em, zeta_em):
+            self.cold(default_em_config, point, for_derivative=True)
+            short = list(zeta._walk[1])
+            got = evaluate(point, cfg)
+            assert len(short) == 16 and zeta._walk[1][:16] == short and len(zeta._walk[1]) == 60
+            assert self.hexes(got) == self.hexes(self.cold(evaluate, point, cfg))
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.5, -0.0])
+    def test_interleaved_with_other_points(self, sigma):
+        # range sums and remainder bounds between evaluations at other t,
+        # each with the memo the previous call left
+        rng = np.random.default_rng(29)
+        for t in (1e3, 1e4, 40.0, 1e3, 7.5e4, 1e4):
+            point = EvalPoint(t, sigma)
+            cfg = self.same_as_cold(default_em_config, point, for_derivative=True)
+            self.same_as_cold(em_remainder_bound, point, cfg.N, int(rng.integers(1, 61)), True)
+            self.same_as_cold(zeta_prime_em, point, cfg)
+            a = int(rng.integers(1, 100))
+            self.same_as_cold(em_range_sum, point, a, a + int(rng.integers(0, 10**6)))
+            self.same_as_cold(em_remainder_bound, point, cfg.N, cfg.v)
+            self.same_as_cold(zeta_em, point, EMConfig(N=cfg.N, v=int(rng.integers(15, 61))))
 
 
 def mid_tail_ends(t):
