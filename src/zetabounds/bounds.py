@@ -10,7 +10,7 @@ Two bound families are provided:
       Q1 t^{1/6} (log t)^2 + Q2 t^{1/6} log t + Q3 t^{1/6}
       + Q4 (log t)^2 + Q5 log t + Q6                      (t >= e^6)
   whose six coefficients are explicit functions of the free parameters
-  (k, tau, q, t1, t2).  One term table per block range (BLOCK_23,
+  (k, tau, q, t1, t2).  One terms function per block range (BLOCK_23,
   BLOCK_13) is the single source of the collected coefficients, and one
   ASSEMBLY_PLAN orders both the sum into Q and the derivation trace, which
   routes every intermediate constant so each absorption is auditable; the
@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 E2 = math.exp(2.0)
 E3 = math.exp(3.0)
@@ -268,36 +267,22 @@ def theorem1_bound(t: float) -> BoundCurve:
 
 
 M2_DELTAS = (1, 2, 3, 5)
+_M2_FAMILIES = tuple((d, f"M2({d})") for d in M2_DELTAS)
 
 
-@dataclass(frozen=True)
-class GeomSumBounds:
+def geom_sum_bounds(alpha3: int, upper3: int, ratio: float) -> dict[str, tuple[tuple[int, int, float], ...]]:
     """Closed-form dominants of the per-block log sums for a geometric
-    cover X_j = ratio^j t^alpha of (t^alpha, t^upper].
+    cover X_j = ratio^j t^alpha of (t^alpha, t^upper], alpha = alpha3/3 and
+    upper = upper3/3, for a finite ratio > 1 and 0 < alpha3 < upper3.
 
-    With J < span log t / log ratio + 1 (span = upper - alpha):
+    Each family ("M0", "M1", "M2(d)") maps to its pieces as (t-exponent in
+    sixths, log power, coefficient) rows.  With J < span log t / log ratio + 1
+    (span = upper - alpha):
 
       M0 = sum log X_{j-1}          <= m0_2 (log t)^2 + m0_1 log t + m0_0
       M1 = sum X_{j-1}^{1/2} log X  <= m1 * t^{upper/2} log t
       M2(d) = sum log X / X^{d/2}   <= m2_lead(d) t^{-d alpha/2} log t
                                        + m2_const(d) t^{-d alpha/2}
-    """
-
-    alpha: float
-    upper: float
-    ratio: float
-    m0: tuple[float, float, float]
-    m1: float
-    m2_lead: dict[int, float]
-    m2_const: dict[int, float]
-
-    def values(self) -> tuple[float, ...]:
-        """m0, m1, then m2_lead and m2_const in M2_DELTAS order."""
-        return (*self.m0, self.m1, *self.m2_lead.values(), *self.m2_const.values())
-
-
-def geom_sum_bounds(alpha: float, upper: float, ratio: float) -> GeomSumBounds:
-    """Derive the closed-form dominants for ratio > 1, 0 < alpha < upper.
 
     M0: the summand log X_{j-1} grows linearly in j, so the sum is below
         the integral of (alpha log t + u log ratio) du over [0, Jbar].
@@ -307,42 +292,35 @@ def geom_sum_bounds(alpha: float, upper: float, ratio: float) -> GeomSumBounds:
     M2: geometric decay, dominated by the bottom block X_0 = t^alpha, with
         sum j r^j = r/(1-r)^2 absorbing the linear log growth.
     """
-    if not (ratio > 1.0 and 0.0 < alpha < upper):
-        raise ValueError("need ratio > 1 and 0 < alpha < upper")
+    if not (math.isfinite(ratio) and ratio > 1.0 and 0 < alpha3 < upper3):
+        raise ValueError("need a finite ratio > 1 and 0 < alpha3 < upper3")
+    alpha, upper = alpha3 / 3.0, upper3 / 3.0
     span = upper - alpha
     logr = math.log(ratio)
-    m0 = (
-        span * (alpha + span / 2.0) / logr,
-        alpha + span,
-        logr / 2.0,
-    )
-    m1 = math.sqrt(ratio) / (math.sqrt(ratio) - 1.0) * upper
-    m2_lead: dict[int, float] = {}
-    m2_const: dict[int, float] = {}
-    for delta in M2_DELTAS:
+    rows = {
+        "M0": ((0, 2, span * (alpha + span / 2.0) / logr), (0, 1, alpha + span), (0, 0, logr / 2.0)),
+        "M1": ((upper3, 1, math.sqrt(ratio) / (math.sqrt(ratio) - 1.0) * upper),),
+    }
+    for delta, family in _M2_FAMILIES:
         r = ratio ** (-delta / 2.0)
         d = 1.0 / (1.0 - r)
         g = r / (1.0 - r)
-        m2_lead[delta] = d * alpha
-        m2_const[delta] = d * logr * g
-    return GeomSumBounds(
-        alpha=alpha, upper=upper, ratio=ratio, m0=m0, m1=m1,
-        m2_lead=m2_lead, m2_const=m2_const,
-    )
+        rows[family] = ((-delta * alpha3, 1, d * alpha), (-delta * alpha3, 0, d * logr * g))
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# Block term tables: the one source of the collected coefficients and the
-# derivation trace (docs/block_assembly.md)
+# Block ranges: their terms are the one source of the collected
+# coefficients and the derivation trace (docs/block_assembly.md)
 # ---------------------------------------------------------------------------
 
-# (t-exponent in sixths, log-power) of Q1..Q6, which are also c1..c6 ...
-Q_SHAPES = ((1, 2), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
-# ... and of C1..C11.
-C_SHAPES = (
+# The (t-exponent in sixths, log-power) shapes of Q1..Q6, which are also
+# c1..c6, and of C1..C11, each mapped to its coefficient's index.
+Q_SHAPES = {s: i for i, s in enumerate(((1, 2), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0)))}
+C_SHAPES = {s: i for i, s in enumerate((
     (1, 1), (1, 0), (0, 1), (0, 0), (-1, 0), (-3, 0),
     (-2, 0), (-4, 0), (-4, 1), (-3, 1), (-2, 1),
-)
+))}
 
 
 def shape_name(exp6: int, logpow: int) -> str:
@@ -371,75 +349,47 @@ def q_polynomial(t: float, Q: tuple[float, ...]) -> float:
     )
 
 
-class BlockTerm(NamedTuple):
-    """One source term  weight * t^{exp6/6} * block_sum  of a range bound;
-    block_sum names a block-sum family of GeomSumBounds: "M0", "M1" or
-    "M2(d)"."""
-
-    exp6: int
-    block_sum: str
-    weight: Callable[[Any], float]  # of the range's parameter factors
-
-
-def _closed_form_pieces(block_sum: str, alpha3: int, upper3: int) -> list:
-    """(t-exponent in sixths, log-power, index into GeomSumBounds.values())
-    of each piece of a block sum's closed-form dominant."""
-    if block_sum == "M0":
-        return [(0, 2, 0), (0, 1, 1), (0, 0, 2)]
-    if block_sum == "M1":
-        return [(upper3, 1, 3)]
-    d = int(block_sum[3:-1])
-    i = 4 + M2_DELTAS.index(d)
-    return [(-d * alpha3, 1, i), (-d * alpha3, 0, i + len(M2_DELTAS))]
-
-
 @dataclass(frozen=True)
 class BlockTable:
-    """The source terms of the block range (t^{alpha3/3}, t^{upper3/3}],
-    whose bound holds where t^{alpha3/3} >= e^2.  At t <= the ``cutoff``
-    parameter the range takes its crude bound instead.
+    """The block range (t^{alpha3/3}, t^{upper3/3}], whose bound holds where
+    t^{alpha3/3} >= e^2.  At t <= the ``cutoff`` parameter the range takes
+    its crude bound instead.
 
-    What does not depend on the parameters is derived once, here:
-    ``plan`` lists (term, shape, closed-form piece) indices in summation
-    order, and ``routes`` gives each of ``shapes`` its index in Q (None
-    for a decaying shape, folded into Q6), trace label and value at e^6.
+    ``terms``, at the values of the fields in ``reads``, lists the range's
+    source terms  weight * t^{exp6/6} * block_sum  as (exp6, block sum,
+    weight) rows, the block sum a family of ``geom_sum_bounds``.
+    ``routes`` gives each of ``shapes`` its index in Q (None for a decaying
+    shape, folded into Q6), trace label and value at e^6.
     """
 
     source: str  # derivation-trace stage name
     alpha3: int
     upper3: int
-    reads: tuple[str, ...]  # the BoundParams fields ``factors`` takes, block ratio first
+    reads: tuple[str, ...]  # the BoundParams fields ``terms`` takes, block ratio first
     cutoff: str  # the BoundParams field below which the crude bound applies
-    factors: Callable[..., Any]
-    shapes: tuple[tuple[int, int], ...]
-    terms: tuple[BlockTerm, ...]
-    plan: tuple = field(init=False, repr=False)
+    terms: Callable[..., tuple[tuple[int, str, float], ...]]
+    shapes: dict[tuple[int, int], int]  # each shape's index in ``collect``
     routes: tuple = field(init=False, repr=False)
     key: Callable[[BoundParams], tuple] = field(init=False, repr=False, compare=False)  # p's ``reads``
 
     def __post_init__(self) -> None:
-        plan = tuple(
-            (i, self.shapes.index((term.exp6 + exp6, logpow)), j)
-            for i, term in enumerate(self.terms)
-            for exp6, logpow, j in _closed_form_pieces(term.block_sum, self.alpha3, self.upper3)
-        )
         routes = tuple(
-            (Q_SHAPES.index(s) if s in Q_SHAPES else None, shape_name(*s), _shape_value(E6, *s))
+            (Q_SHAPES.get(s), shape_name(*s), _shape_value(E6, *s))
             for s in self.shapes
         )
         get = attrgetter(*self.reads)  # a tuple for two or more fields
-        object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "routes", routes)
         object.__setattr__(self, "key", get if len(self.reads) > 1 else lambda p: (get(p),))
 
     def coefficients(self, *values: float) -> tuple[float, ...]:
-        """``collect`` at these values of the fields in ``reads``."""
-        f = self.factors(*values)
-        w = [term.weight(f) for term in self.terms]
-        v = geom_sum_bounds(self.alpha3 / 3.0, self.upper3 / 3.0, values[0]).values()
-        out = [0.0] * len(self.shapes)
-        for i, s, j in self.plan:
-            out[s] += w[i] * v[j]
+        """``collect`` at these values of the fields in ``reads``: each
+        term's weight times each piece of its block sum, added into its
+        shape from +0.0, term by term and piece by piece."""
+        sums = geom_sum_bounds(self.alpha3, self.upper3, values[0])
+        index, out = self.shapes, [0.0] * len(self.shapes)
+        for exp6, block_sum, weight in self.terms(*values):
+            for piece_exp6, logpow, coef in sums[block_sum]:
+                out[index[exp6 + piece_exp6, logpow]] += weight * coef
         return tuple(out)
 
 
@@ -466,50 +416,50 @@ def block_bound(table: BlockTable, t: float, p: BoundParams) -> float:
     )
 
 
-# Upper range (t^{2/3} < n <= t): the curvature estimate
-# (1/5)(L/V + 1)(8 sqrt(W) + 15) per block, L = (k-1)X + 1, V = 2 pi X^2/t,
-# W = 2 pi k^2 X^2/t, times log X / sqrt(X).  The weights are u1..u6 of
-# the derivation with the 1/5 folded in.  No term has the shape t^{-1/6}
-# of C5, so C5 = 0.
-BLOCK_23 = BlockTable(
-    source="curvature-block-sum", alpha3=2, upper3=3, reads=("k",), cutoff="t1",
-    factors=lambda k: k, shapes=C_SHAPES,
-    terms=(
-        BlockTerm(3, "M2(1)", lambda k: 0.2 * (2.0**2.5 * k * (k - 1.0) / _SQRT_PI)),
-        BlockTerm(3, "M2(3)", lambda k: 0.2 * (2.0**2.5 * k / _SQRT_PI)),
-        BlockTerm(-3, "M1", lambda k: 0.2 * (2.0**3.5 * _SQRT_PI * k)),
-        BlockTerm(6, "M2(3)", lambda k: 0.2 * (15.0 * (k - 1.0) / (2.0 * math.pi))),
-        BlockTerm(6, "M2(5)", lambda k: 0.2 * (15.0 / (2.0 * math.pi))),
-        BlockTerm(0, "M2(1)", lambda k: 0.2 * 15.0),
-    ),
-)
-
-
-def _differencing_factors(tau: float, q: float, t2: float) -> SimpleNamespace:
-    t2_13 = t2 ** (-1.0 / 3.0)
-    return SimpleNamespace(
-        tau=tau, q=q, tp34=(tau + 1.0) ** 0.75,
-        a1=tau - 1.0 + (q + 1.0) * t2_13, a2=tau - 1.0 + t2_13,
-        lam=math.sqrt(2.0 * (tau + t2_13) / (5.0 * q)),
+def _curvature_terms(k: float) -> tuple[tuple[int, str, float], ...]:
+    """The upper range's terms: the curvature estimate
+    (1/5)(L/V + 1)(8 sqrt(W) + 15) per block, L = (k-1)X + 1, V = 2 pi X^2/t,
+    W = 2 pi k^2 X^2/t, times log X / sqrt(X).  The weights are u1..u6 of
+    the derivation with the 1/5 folded in.  No term has the shape t^{-1/6}
+    of C5, so C5 = 0."""
+    return (
+        (3, "M2(1)", 0.2 * (2.0**2.5 * k * (k - 1.0) / _SQRT_PI)),
+        (3, "M2(3)", 0.2 * (2.0**2.5 * k / _SQRT_PI)),
+        (-3, "M1", 0.2 * (2.0**3.5 * _SQRT_PI * k)),
+        (6, "M2(3)", 0.2 * (15.0 * (k - 1.0) / (2.0 * math.pi))),
+        (6, "M2(5)", 0.2 * (15.0 / (2.0 * math.pi))),
+        (0, "M2(1)", 0.2 * 15.0),
     )
 
 
-# Lower range (t^{1/3} < n <= t^{2/3}): differencing, shifted-sum
-# curvature bound and triangular weight sums per block.  The weights are
-# w_ab, w_c, .., w_g of the derivation.
+BLOCK_23 = BlockTable(
+    source="curvature-block-sum", alpha3=2, upper3=3, reads=("k",), cutoff="t1",
+    terms=_curvature_terms, shapes=C_SHAPES,
+)
+
+
+def _differencing_terms(tau: float, q: float, t2: float) -> tuple[tuple[int, str, float], ...]:
+    """The lower range's terms: differencing, shifted-sum curvature bound
+    and triangular weight sums per block.  The weights are w_ab, w_c, ..,
+    w_g of the derivation."""
+    t2_13 = t2 ** (-1.0 / 3.0)
+    tp34 = (tau + 1.0) ** 0.75
+    a1, a2 = tau - 1.0 + (q + 1.0) * t2_13, tau - 1.0 + t2_13
+    lam = math.sqrt(2.0 * (tau + t2_13) / (5.0 * q))
+    return (
+        (1, "M0", math.sqrt(a1 * a2 / q) + lam * (
+            math.sqrt(32.0 / (15.0 * _SQRT_PI) * (tau - 1.0)) * tp34 * q**0.75)),
+        (1, "M2(1)", lam * (math.sqrt(32.0 / (15.0 * _SQRT_PI)) * tp34 * q**0.75)),
+        (-1, "M1", lam * (math.sqrt(32.0 * _SQRT_PI / 3.0) * tp34 * q**0.25)),
+        (2, "M2(1)", lam * (math.sqrt(5.0 / (2.0 * math.pi) * (tau - 1.0)) * q)),
+        (2, "M2(2)", lam * (math.sqrt(5.0 / (2.0 * math.pi)) * q)),
+        (0, "M0", lam * math.sqrt(15.0 * q / 2.0)),
+    )
+
+
 BLOCK_13 = BlockTable(
     source="weyl-block-sum", alpha3=1, upper3=2, reads=("tau", "q", "t2"), cutoff="t2",
-    factors=_differencing_factors, shapes=Q_SHAPES,
-    terms=(
-        BlockTerm(1, "M0", lambda f: math.sqrt(f.a1 * f.a2 / f.q) + f.lam * (
-            math.sqrt(32.0 / (15.0 * _SQRT_PI) * (f.tau - 1.0)) * f.tp34 * f.q**0.75)),
-        BlockTerm(1, "M2(1)", lambda f: f.lam * (
-            math.sqrt(32.0 / (15.0 * _SQRT_PI)) * f.tp34 * f.q**0.75)),
-        BlockTerm(-1, "M1", lambda f: f.lam * (math.sqrt(32.0 * _SQRT_PI / 3.0) * f.tp34 * f.q**0.25)),
-        BlockTerm(2, "M2(1)", lambda f: f.lam * (math.sqrt(5.0 / (2.0 * math.pi) * (f.tau - 1.0)) * f.q)),
-        BlockTerm(2, "M2(2)", lambda f: f.lam * (math.sqrt(5.0 / (2.0 * math.pi)) * f.q)),
-        BlockTerm(0, "M0", lambda f: f.lam * math.sqrt(15.0 * f.q / 2.0)),
-    ),
+    terms=_differencing_terms, shapes=Q_SHAPES,
 )
 
 

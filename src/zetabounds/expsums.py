@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .numerics import compensated_sum, exact_sum
+from .numerics import _integer, compensated_sum, exact_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +68,7 @@ def vdc_params_for_log_block(t: float, N: int, L: int) -> VdCParams:
     """Curvature window of the log phase on [N+1, N+L]:
     |f''(x)| = t/(2 pi x^2) is trapped between the endpoint values.
     L >= 2 is required, otherwise the window collapses (V = W)."""
+    N, L = _integer("N", N), _integer("L", L)
     if L < 2 or N < 1 or not t > 0:
         raise ValueError("need t > 0, N >= 1, L >= 2")
     return VdCParams(L=L, V=TWO_PI * (N + 1) ** 2 / t, W=TWO_PI * (N + L) ** 2 / t)
@@ -75,6 +76,7 @@ def vdc_params_for_log_block(t: float, N: int, L: int) -> VdCParams:
 
 def exp_sum_exact(f: Phase, N: int, L: int) -> complex:
     """Direct sum of e^{2 pi i f(n)} over n = N+1 .. N+L."""
+    N, L = _integer("N", N), _integer("L", L)
     if L < 0:
         raise ValueError("L must be >= 0")
     if L == 0:
@@ -101,6 +103,7 @@ def shifted_diff_maxima(f: Phase, N: int, L: int, M: int) -> list[float]:
     bits of one cumulative sum per m.  More than ``RANGE_GUARD`` terms
     in all, (M-1) L, are refused before ``f`` is evaluated.
     """
+    N, L, M = _integer("N", N), _integer("L", L), _integer("M", M)
     if M < 1:
         raise ValueError("M must be >= 1")
     if L < 1:
@@ -128,6 +131,7 @@ def weyl_differencing_rhs(L: int, M: int, diffmax: Sequence[float]) -> float:
 
     ``diffmax[m-1]`` must hold max_{K<=L} |S'_m(K)| (exact prefix maxima).
     """
+    L, M = _integer("L", L), _integer("M", M)
     if M < 1:
         raise ValueError("M must be a positive integer")
     if L < 0:
@@ -156,6 +160,8 @@ def vertex_max_bound(amps: Sequence[float], phases: Sequence[float]) -> float:
         raise ValueError("need at least one term")
     if len(phases) != n:
         raise ValueError("amps and phases must have equal length")
+    if not all(map(math.isfinite, [*amps, *phases])):
+        raise ValueError("amplitudes and phases must be finite")
     if any(a <= 0 for a in amps):
         raise ValueError("amplitudes must be positive")
     if any(amps[i] > amps[i + 1] for i in range(n - 1)):

@@ -30,7 +30,7 @@ BERNOULLI_MAX_M = 120  # largest index bernoulli_number accepts
 
 
 def _integer(name: str, value: int) -> int:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -126,7 +126,8 @@ def bernoulli_number(m: int) -> float:
     on first use and cached, together with every B_k below it; a cold
     B_120 takes milliseconds, so callers ask only for the orders they use.
     """
-    if not isinstance(m, int) or m % 2 != 0 or not (2 <= m <= BERNOULLI_MAX_M):
+    m = _integer("m", m)
+    if m % 2 != 0 or not (2 <= m <= BERNOULLI_MAX_M):
         raise ValueError(
             f"bernoulli_number requires even m in [2, {BERNOULLI_MAX_M}], got {m!r}"
         )

@@ -27,6 +27,7 @@ from .numerics import BERNOULLI_MAX_M, EPS, _integer, bernoulli_number, exact_su
 # terms, and at the default tol it falls from about 0.34|t| at t = 1e3 to
 # 0.19|t| at t = 1e5 (docs/remainder_bounds.md, "Choosing N and v").
 T_CEILING = 1.0e5
+_MAX_N = 8 * int(T_CEILING)  # largest truncation index EMConfig accepts
 _MAX_V = BERNOULLI_MAX_M // 2  # largest correction order EMConfig accepts (60)
 _START_V = 15  # default_em_config's first order; see its docstring
 # The time of one more correction order in power-sum terms (measured, see
@@ -63,8 +64,8 @@ class EMConfig:
         # a float N would end the power sum and start the tail apart
         object.__setattr__(self, "N", _integer("N", self.N))
         object.__setattr__(self, "v", _integer("v", self.v))
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+        if not (2 <= self.N <= _MAX_N):
+            raise ValueError(f"N must lie in [2, {_MAX_N}], got {self.N}")
         if not (1 <= self.v <= _MAX_V):
             raise ValueError(f"v must lie in [1, {_MAX_V}], got {self.v}")
         _check_tol(self.tol)

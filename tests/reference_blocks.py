@@ -1,7 +1,7 @@
 """Exact block grids and per-block chains for the block ranges (test-only).
 
-The closed forms of ``zetabounds.bounds`` (``geom_sum_bounds``, the term
-tables ``BLOCK_13`` and ``BLOCK_23``) are upper bounds for sums over a
+The closed forms of ``zetabounds.bounds`` (``geom_sum_bounds``, the terms
+of the ranges ``BLOCK_13`` and ``BLOCK_23``) are upper bounds for sums over a
 geometric block cover.  This module builds that cover exactly and
 evaluates the sums and the per-block estimate chains on it, so the tests
 can check that each closed form dominates what it replaces.  Nothing in
@@ -19,7 +19,6 @@ from zetabounds.bounds import (
     M2_DELTAS,
     BlockTable,
     BoundParams,
-    GeomSumBounds,
     _require_t,
     geom_sum_bounds,
 )
@@ -29,10 +28,8 @@ __all__ = [
     "block13_per_block_bound",
     "block23_per_block_bound",
     "block_scheme",
+    "closed_form_at",
     "geom_sums_exact",
-    "m0_at",
-    "m1_at",
-    "m2_at",
     "resummed",
 ]
 
@@ -120,29 +117,21 @@ def geom_sums_exact(scheme: BlockScheme) -> dict[str, float]:
     return out
 
 
-def m0_at(g: GeomSumBounds, t: float) -> float:
+def closed_form_at(rows: tuple[tuple[int, int, float], ...], t: float) -> float:
+    """A block-sum family's closed-form dominant at t, from its rows of
+    ``geom_sum_bounds``: the sum of coef * t^{exp6/6} (log t)^logpow."""
     logt = math.log(t)
-    return (g.m0[0] * logt + g.m0[1]) * logt + g.m0[2]
-
-
-def m1_at(g: GeomSumBounds, t: float) -> float:
-    return g.m1 * t ** (g.upper / 2.0) * math.log(t)
-
-
-def m2_at(g: GeomSumBounds, delta: int, t: float) -> float:
-    decay = t ** (-delta * g.alpha / 2.0)
-    return decay * (g.m2_lead[delta] * math.log(t) + g.m2_const[delta])
+    return math.fsum(coef * t ** (exp6 / 6.0) * logt**logpow for exp6, logpow, coef in rows)
 
 
 def resummed(table: BlockTable, t: float, p: BoundParams) -> float:
     """The same bound summed term by term at t, without collecting shapes;
     must agree with the collected polynomial to floating precision."""
-    f = table.factors(*table.key(p))
-    g = geom_sum_bounds(table.alpha3 / 3.0, table.upper3 / 3.0, getattr(p, table.reads[0]))
-    sums = {"M0": m0_at(g, t), "M1": m1_at(g, t)}
-    sums.update((f"M2({d})", m2_at(g, d, t)) for d in g.m2_lead)
+    values = table.key(p)
+    g = geom_sum_bounds(table.alpha3, table.upper3, values[0])
     return math.fsum(
-        term.weight(f) * t ** (term.exp6 / 6.0) * sums[term.block_sum] for term in table.terms
+        weight * t ** (exp6 / 6.0) * closed_form_at(g[block_sum], t)
+        for exp6, block_sum, weight in table.terms(*values)
     )
 
 

@@ -1,6 +1,8 @@
 """The package's public names: ``__all__`` is exactly what ``import *`` gives;
-and every command and the library example of the README run."""
+every name a module imports is used; and every command and the library
+example of the README run."""
 
+import ast
 import contextlib
 import io
 import pathlib
@@ -25,6 +27,7 @@ PUBLIC_NAMES = {
 }
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+SRC = pathlib.Path(zetabounds.__file__).resolve().parent
 
 
 def test_all_names_resolve_once():
@@ -43,6 +46,22 @@ def test_star_import_runs():
 def test_public_names_pinned():
     assert len(PUBLIC_NAMES) == 36
     assert set(zetabounds.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_every_import_is_used(module):
+    """A name a module imports (``from __future__`` aside) is read in that
+    module; in ``__init__.py`` it is listed in ``__all__``."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    if module == "__init__.py":
+        used = set(zetabounds.__all__)
+    else:
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def test_readme_library_example_uses_public_names():

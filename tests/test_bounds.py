@@ -36,9 +36,7 @@ from reference_blocks import (
     block23_per_block_bound,
     block_scheme,
     geom_sums_exact,
-    m0_at,
-    m1_at,
-    m2_at,
+    closed_form_at,
     resummed,
 )
 from reference_sums import log_dirichlet_sum
@@ -165,21 +163,16 @@ class TestGeomSumClosedForms:
         for _ in range(100):
             t = float(np.exp(rng.uniform(math.log(500.0), math.log(1e6))))
             ratio = float(rng.uniform(1.05, 6.0))
-            for alpha, upper in ((2.0 / 3.0, 1.0), (1.0 / 3.0, 2.0 / 3.0)):
-                if t**alpha < 2.0:
+            for alpha3, upper3 in ((2, 3), (1, 2)):
+                if t ** (alpha3 / 3.0) < 2.0:
                     continue
-                scheme = block_scheme(t, alpha, ratio, upper)
+                scheme = block_scheme(t, alpha3 / 3.0, ratio, upper3 / 3.0)
                 exact = geom_sums_exact(scheme)
-                g = geom_sum_bounds(alpha, upper, ratio)
-                pairs = [
-                    (exact["M0"], m0_at(g, t)),
-                    (exact["M1"], m1_at(g, t)),
-                ] + [
-                    (exact[f"M2({d})"], m2_at(g, d, t)) for d in (1, 2, 3, 5)
-                ]
-                for e_val, b_val in pairs:
+                g = geom_sum_bounds(alpha3, upper3, ratio)
+                assert g.keys() == exact.keys()
+                for e_val, b_val in ((exact[name], closed_form_at(g[name], t)) for name in g):
                     budget = 1e-9 * (1.0 + abs(b_val))
-                    assert e_val <= b_val + budget, (t, ratio, alpha)
+                    assert e_val <= b_val + budget, (t, ratio, alpha3)
                     min_rel_slack = min(min_rel_slack, (b_val - e_val) / (1 + b_val))
         assert min_rel_slack > -1e-12
 
@@ -188,9 +181,26 @@ class TestGeomSumClosedForms:
         # the exact value, so only the float budget separates them
         scheme = block_scheme(1000.0, 2.0 / 3.0, 1000.0, 1.0)
         assert scheme.J == 1
-        g = geom_sum_bounds(2.0 / 3.0, 1.0, 1000.0)
+        g = geom_sum_bounds(2, 3, 1000.0)
         exact = geom_sums_exact(scheme)
-        assert exact["M2(5)"] <= m2_at(g, 5, 1000.0) * (1 + 1e-12)
+        assert exact["M2(5)"] <= closed_form_at(g["M2(5)"], 1000.0) * (1 + 1e-12)
+
+    def test_rows_per_family(self):
+        # (t-exponent in sixths, log power) of each piece, in order
+        g = geom_sum_bounds(1, 2, 2.0)
+        shapes = {name: [row[:2] for row in rows] for name, rows in g.items()}
+        assert shapes == {
+            "M0": [(0, 2), (0, 1), (0, 0)], "M1": [(2, 1)],
+            "M2(1)": [(-1, 1), (-1, 0)], "M2(2)": [(-2, 1), (-2, 0)],
+            "M2(3)": [(-3, 1), (-3, 0)], "M2(5)": [(-5, 1), (-5, 0)],
+        }
+        assert [row[:2] for row in geom_sum_bounds(2, 3, 2.0)["M2(3)"]] == [(-6, 1), (-6, 0)]
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan, 1.0, 0.5])
+    def test_rejects_a_ratio_that_is_not_finite_above_1(self, ratio):
+        # an infinite ratio made the M1 coefficient nan
+        with pytest.raises(ValueError, match="finite ratio > 1"):
+            geom_sum_bounds(1, 2, ratio)
 
 
 class TestBlockBound23:
@@ -227,20 +237,27 @@ class TestBlockBound23:
             assert cs[1.1][idx] > cs[2.0][idx] > cs[4.0][idx], idx
 
     def test_coefficients_recompute_from_derivation_pieces(self):
-        # oracle: rebuild each coefficient from the geometric-sum factors
-        # recorded in the derivation, independently of the term table
-        for k in (1.1, 2.0, 4.0):
-            C = collect(BLOCK_23, BoundParams(k=k))
-            g = geom_sum_bounds(2.0 / 3.0, 1.0, k)
-            u1 = 2.0**2.5 * k * (k - 1.0) / math.sqrt(math.pi)
-            u3 = 2.0**3.5 * math.sqrt(math.pi) * k
-            u4 = 15.0 * (k - 1.0) / (2.0 * math.pi)
-            assert C[0] == pytest.approx(0.2 * u1 * g.m2_lead[1], rel=1e-14)
-            assert C[1] == pytest.approx(0.2 * u1 * g.m2_const[1], rel=1e-14)
-            assert C[2] == pytest.approx(
-                0.2 * (u3 * g.m1 + u4 * g.m2_lead[3]), rel=1e-14
-            )
-            assert C[3] == pytest.approx(0.2 * u4 * g.m2_const[3], rel=1e-14)
+        # oracle: rebuild each coefficient from the derivation's weights
+        # u1/5 .. u6/5 and the closed-form rows, added in term order; the
+        # same additions in the same order give the same bits
+        for k in (1.1, 2.0, 4.0, 1.0 + 2.0**-40, 7.3):
+            g = geom_sum_bounds(2, 3, k)
+            (lead1, const1), (lead3, const3), (lead5, const5) = (
+                [row[2] for row in g[f"M2({d})"]] for d in (1, 3, 5))
+            ((_, _, m1),) = g["M1"]
+            w1 = 0.2 * (2.0**2.5 * k * (k - 1.0) / math.sqrt(math.pi))
+            w2 = 0.2 * (2.0**2.5 * k / math.sqrt(math.pi))
+            w3 = 0.2 * (2.0**3.5 * math.sqrt(math.pi) * k)
+            w4 = 0.2 * (15.0 * (k - 1.0) / (2.0 * math.pi))
+            w5 = 0.2 * (15.0 / (2.0 * math.pi))
+            w6 = 0.2 * 15.0
+            assert collect(BLOCK_23, BoundParams(k=k)) == (
+                w1 * lead1, w1 * const1,  # t^{1/6} log t, t^{1/6}
+                w3 * m1 + w4 * lead3, w4 * const3,  # log t, 1
+                0.0,  # t^{-1/6}: no source term
+                w2 * const3, w6 * const1, w5 * const5,  # t^{-1/2}, t^{-1/3}, t^{-2/3}
+                w5 * lead5, w2 * lead3, w6 * lead1,  # t^{-2/3}, t^{-1/2}, t^{-1/3} log t
+            ), k
 
     def test_resummed_consistency(self):
         for k in (1.3, 2.0, 3.7):
@@ -286,6 +303,40 @@ class TestBlockBound13:
             assert resummed(BLOCK_13, t, p) == pytest.approx(
                 q_polynomial(t, c), rel=1e-11
             ), p
+
+    def test_coefficients_recompute_from_derivation_pieces(self):
+        # c1..c6 from the derivation's weights w_ab, w_c, .., w_g and the
+        # closed-form rows, added in term order: the same bits
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            tau = float(np.exp(rng.uniform(math.log(1.1), math.log(8.0))))
+            q = float(np.exp(rng.uniform(math.log(2.0), math.log(8.0))))
+            t2 = float(np.exp(rng.uniform(6.0, 10.0)))
+            g = geom_sum_bounds(1, 2, tau)
+            m0_2, m0_1, m0_0 = (row[2] for row in g["M0"])
+            ((_, _, m1),) = g["M1"]
+            lead1, const1 = (row[2] for row in g["M2(1)"])
+            lead2, const2 = (row[2] for row in g["M2(2)"])
+            t2_13 = t2 ** (-1.0 / 3.0)
+            tp34 = (tau + 1.0) ** 0.75
+            a1, a2 = tau - 1.0 + (q + 1.0) * t2_13, tau - 1.0 + t2_13
+            lam = math.sqrt(2.0 * (tau + t2_13) / (5.0 * q))
+            sqrt_pi = math.sqrt(math.pi)
+            w_ab = math.sqrt(a1 * a2 / q) + lam * (
+                math.sqrt(32.0 / (15.0 * sqrt_pi) * (tau - 1.0)) * tp34 * q**0.75)
+            w_c = lam * (math.sqrt(32.0 / (15.0 * sqrt_pi)) * tp34 * q**0.75)
+            w_d = lam * (math.sqrt(32.0 * sqrt_pi / 3.0) * tp34 * q**0.25)
+            w_e = lam * (math.sqrt(5.0 / (2.0 * math.pi) * (tau - 1.0)) * q)
+            w_f = lam * (math.sqrt(5.0 / (2.0 * math.pi)) * q)
+            w_g = lam * math.sqrt(15.0 * q / 2.0)
+            assert collect(BLOCK_13, BoundParams(tau=tau, q=q, t2=t2)) == (
+                w_ab * m0_2,
+                w_ab * m0_1 + w_d * m1 + w_e * lead1,
+                w_ab * m0_0 + w_e * const1,
+                w_g * m0_2,
+                w_c * lead1 + w_f * lead2 + w_g * m0_1,
+                w_c * const1 + w_f * const2 + w_g * m0_0,
+            ), (tau, q, t2)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -207,6 +207,42 @@ class TestShiftedDiffMaxima:
                 shifted_diff_maxima(f, 0, L, M)
 
 
+class TestIntegerArguments:
+    """N, L and M count terms: a float one used to be summed over n = 2.5,
+    3.5, .. or to fail inside numpy or range with a TypeError."""
+
+    def test_exp_sum_exact(self):
+        f = log_phase(10.0)
+        for N, L, name in ((1.5, 3, "N"), (1, 3.0, "L")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                exp_sum_exact(f, N, L)
+        assert exp_sum_exact(f, np.int64(1), np.int32(3)) == exp_sum_exact(f, 1, 3)
+
+    def test_shifted_diff_maxima(self):
+        f = log_phase(10.0)
+        for N, L, M, name in ((1.5, 3, 2, "N"), (1, 3.0, 2, "L"), (1, 3, 2.0, "M"), (1, 3, True, "M")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                shifted_diff_maxima(f, N, L, M)
+        want = shifted_diff_maxima(f, 1, 3, 4)
+        assert shifted_diff_maxima(f, np.int64(1), np.int64(3), np.int16(4)) == want
+
+    def test_weyl_differencing_rhs(self):
+        # L = 2.5 returned 7.875
+        for L, M, name in ((2.5, 2, "L"), (2, 2.0, "M")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                weyl_differencing_rhs(L, M, [1.0])
+        assert weyl_differencing_rhs(np.int64(10), np.int32(2), [10.0]) == weyl_differencing_rhs(10, 2, [10.0])
+
+    def test_vdc_params_for_log_block(self):
+        # L = 2.5 built VdCParams(L=2.5)
+        for N, L, name in ((10, 2.5, "L"), (10.0, 5, "N")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                vdc_params_for_log_block(10.0, N, L)
+        got = vdc_params_for_log_block(10.0, np.int64(5), np.int64(3))
+        assert got == vdc_params_for_log_block(10.0, 5, 3)
+        assert type(got.L) is int
+
+
 class TestVertexMaxBound:
     def test_single_term(self):
         assert vertex_max_bound([0.7], [2.3]) == pytest.approx(0.7)
@@ -223,6 +259,16 @@ class TestVertexMaxBound:
             vertex_max_bound([1.0], [0.0, 1.0])  # length mismatch
         with pytest.raises(ValueError):
             vertex_max_bound([0.5] * 21, [0.0] * 21)  # n > 20 exact path
+
+    @pytest.mark.parametrize("amps, phases", [
+        ([1.0, 2.0], [0.0, math.nan]),  # gave 2.0: max(1.0, nan) is 1.0
+        ([1.0, math.nan], [0.0, 1.0]),  # gave nan
+        ([1.0, math.inf], [0.0, 1.0]),  # gave inf
+        ([1.0, 2.0], [-math.inf, 1.0]),
+    ])
+    def test_non_finite_input_rejected(self, amps, phases):
+        with pytest.raises(ValueError, match="amplitudes and phases must be finite"):
+            vertex_max_bound(amps, phases)
 
     def test_dominates_direct_sum_randomized(self):
         rng = np.random.default_rng(2024)

@@ -299,6 +299,14 @@ class TestBernoulli:
             with pytest.raises(ValueError):
                 bernoulli_number(bad)
 
+    def test_numpy_integer_index(self):
+        # np.int64(2) was refused as "requires even m in [2, 120]"
+        for m in (np.int64(2), np.int32(12), np.uint8(120)):
+            assert bernoulli_number(m) == bernoulli_number(int(m)), m
+        for bad in (True, np.float64(2.0), 2.5):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                bernoulli_number(bad)
+
 
 def integrate_one(f, a, b, tol, ellipse_bound, wavelength, node_err):
     """One integral as a batch of one, f and its ellipse bound taking no

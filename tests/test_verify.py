@@ -416,8 +416,10 @@ class TestTheoremEnvelopes:
             verify_theorem_envelope(1, (10.0, 100.0), 2.5)
 
     def test_which_is_read_as_an_integer(self):
-        # True is the integer 1; the report used to be named "theorem-True"
-        assert verify_theorem_envelope(True, (10.0, 100.0), 2).check_id == "theorem-1"
+        # True was read as the integer 1 and ran theorem 1; a bool is no count
+        for which, n_samples, name in ((True, 1, "which"), (1, True, "n_samples")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+                verify_theorem_envelope(which, (10.0, 10.0), n_samples)
         with pytest.raises(ValueError, match="which must be an integer, got 1.0"):
             verify_theorem_envelope(1.0, (10.0, 100.0), 2)
         r = verify_theorem_envelope(np.int64(2), (E6, 1e3), np.int32(2))

@@ -11,6 +11,7 @@ from zetabounds.numerics import geometric_grid
 from zetabounds.zeta import (
     _COST_PER_ORDER,
     _MAX_V,
+    T_CEILING,
     CertifiedComplex,
     EMConfig,
     EvalPoint,
@@ -81,6 +82,26 @@ class TestZetaEm:
         # 40.5: zeta' came out 0.29 off with a radius of 5.3e-13
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             EMConfig(N=N, v=v)
+
+    @pytest.mark.parametrize("N, v", [(True, 6), (40, True), (np.bool_(True), 6)])
+    def test_bool_indices_rejected(self, N, v):
+        # EMConfig(N=50, v=True) used to give v = 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            EMConfig(N=N, v=v)
+
+    def test_truncation_index_capped_at_8_t_ceiling(self):
+        # N = 10**12 was accepted, and an evaluation would have asked for
+        # three float64 tables of 10**12 entries; a config builds no table
+        tables = zeta._tables
+        assert EMConfig(N=8 * int(T_CEILING), v=15).N == 800_000
+        # the defaults reach the cap only at the ceiling, when tol is out of reach
+        for derivative in (False, True):
+            cfg = default_em_config(EvalPoint(-T_CEILING), tol=1e-300, for_derivative=derivative)
+            assert cfg.N == 800_000
+        for N in (800_001, 10**12):
+            with pytest.raises(ValueError, match=r"N must lie in \[2, 800000\]"):
+                EMConfig(N=N, v=15)
+        assert zeta._tables is tables
 
     def test_numpy_integer_indices(self):
         point = EvalPoint(10.0)
