@@ -120,10 +120,15 @@ class BoundCurve:
     per_term: dict[str, float]
 
     def __post_init__(self) -> None:
-        total = math.fsum(self.per_term.values())
-        if not math.isfinite(total) or total < 0:
-            raise ValueError("bound total must be finite and non-negative")
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", checked_total(self.per_term.values()))
+
+
+def checked_total(parts) -> float:
+    """The correctly rounded sum of a bound's parts, in any order; it must be finite and non-negative."""
+    total = math.fsum(parts)
+    if not math.isfinite(total) or total < 0:
+        raise ValueError("bound total must be finite and non-negative")
+    return total
 
 
 class TraceEntry(NamedTuple):
@@ -161,18 +166,8 @@ class BoundCoefficients:
     def __post_init__(self) -> None:
         if len(self.C) != 11 or len(self.c) != 6 or len(self.Q) != 6:
             raise ValueError("coefficient vectors must have lengths 11, 6, 6")
-        coefficients = self.C + self.c + self.Q
-        if all(map(math.isfinite, coefficients)) and min(coefficients) >= 0.0:
-            return  # valid; the walk below only names the first fault
         for name, vec in (("C", self.C), ("c", self.c), ("Q", self.Q)):
-            for i, x in enumerate(vec):
-                if not math.isfinite(x):
-                    raise ValueError(f"{name}{i + 1} is not finite")
-                if x < 0:
-                    raise ValueError(
-                        f"{name}{i + 1} = {x} negative; parameters outside the "
-                        "regime where the six-shape assembly is meaningful"
-                    )
+            check_coefficients(name, vec)
 
     @cached_property
     def derivation_trace(self) -> tuple[TraceEntry, ...]:
@@ -190,6 +185,17 @@ class BoundCoefficients:
         for i, x in enumerate(self.Q):
             lines.append(f"Q{i + 1} = {x:.17g}")
         return "\n".join(lines)
+
+
+def check_coefficients(name: str, vec: tuple[float, ...]) -> None:
+    """Raise ValueError naming the first of ``vec`` (name1, name2, ..) that is not finite or negative."""
+    if all(map(math.isfinite, vec)) and min(vec) >= 0.0:
+        return  # valid; the walk below only names the first fault
+    i, x = next((i, x) for i, x in enumerate(vec, 1) if not (math.isfinite(x) and x >= 0.0))
+    if not math.isfinite(x):
+        raise ValueError(f"{name}{i} is not finite")
+    raise ValueError(f"{name}{i} = {x} negative; parameters outside the regime where the six-shape "
+                     "assembly is meaningful")
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +404,10 @@ def collect(table: BlockTable, p: BoundParams) -> tuple[float, ...]:
     return table.coefficients(*table.key(p))
 
 
-def crude_bound(table: BlockTable, p: BoundParams) -> float:
-    """Integral-comparison fallback for the range when t <= its cutoff T:
-    the integral of log u / sqrt(u) over [1, T^{upper}]."""
-    return integral_bound(getattr(p, table.cutoff), table.upper3 / 3.0) + 4.0
+def crude_bound(table: BlockTable, cutoff: float) -> float:
+    """Integral-comparison fallback for the range when t <= its cutoff T (the
+    ``table.cutoff`` field): the integral of log u / sqrt(u) over [1, T^{upper}]."""
+    return integral_bound(cutoff, table.upper3 / 3.0) + 4.0
 
 
 def block_bound(table: BlockTable, t: float, p: BoundParams) -> float:
@@ -409,8 +415,8 @@ def block_bound(table: BlockTable, t: float, p: BoundParams) -> float:
     bound up to the cutoff, above it the block decomposition collected into
     ``table.shapes`` (docs/block_assembly.md)."""
     _require_t(t, math.exp(6.0 / table.alpha3), f"block_bound({table.source})")
-    if t <= getattr(p, table.cutoff):
-        return crude_bound(table, p)
+    if t <= (cutoff := getattr(p, table.cutoff)):
+        return crude_bound(table, cutoff)
     return math.fsum(
         c * _shape_value(t, *s) for c, s in zip(collect(table, p), table.shapes)
     )
@@ -498,10 +504,10 @@ def _plan_values(routed13, routed23, absorb13: float, absorb23: float) -> tuple[
     return (2.0 / 3.0, -4.0, *routed13, *routed23, *MID_TAIL, *TAIL_REMAINDER[2], absorb13, absorb23)
 
 
-def upper_pieces(p: BoundParams) -> tuple:
+def upper_pieces(k: float) -> tuple:
     """The upper range's share of the assembly, a function of k alone: C, its
     ``routed`` values, their folded sum and the terms of its polynomial at e^6."""
-    C = collect(BLOCK_23, p)
+    C = BLOCK_23.coefficients(k)
     fold23, at_e6 = 0.0, []
     for (i, _, at), v in zip(BLOCK_23.routes, C):
         if i is None:
@@ -511,11 +517,24 @@ def upper_pieces(p: BoundParams) -> tuple:
     return C, routed(BLOCK_23, C), fold23, (*at_e6, fold23)
 
 
-def lower_pieces(p: BoundParams) -> tuple:
+def lower_pieces(tau: float, q: float, t2: float) -> tuple:
     """The lower range's share of the assembly, a function of (tau, q, t2)
     alone: c, its ``routed`` values and the padding ``absorb13``."""
-    c = collect(BLOCK_13, p)
-    return c, routed(BLOCK_13, c), max(0.0, crude_bound(BLOCK_13, p) - q_polynomial(E6, c))
+    c = BLOCK_13.coefficients(tau, q, t2)
+    return c, routed(BLOCK_13, c), max(0.0, crude_bound(BLOCK_13, t2) - q_polynomial(E6, c))
+
+
+def upper_padding(upper: tuple, t1: float) -> float:
+    """The padding ``absorb23`` on [e^6, t1]; the fsum of the terms at e^6 is taken only for t1 > e^6."""
+    return max(0.0, crude_bound(BLOCK_23, t1) - math.fsum(upper[3])) if t1 > E6 else 0.0
+
+
+def plan_q(routed13, routed23, absorb13: float, absorb23: float) -> tuple[float, ...]:
+    """Q1..Q6: each ASSEMBLY_PLAN value added into its Q from +0.0, in plan order."""
+    Q = [0.0] * 6
+    for i, value in zip(_PLAN_TARGETS, _plan_values(routed13, routed23, absorb13, absorb23)):
+        Q[i] += value
+    return tuple(Q)
 
 
 def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
@@ -526,20 +545,12 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     the crude branches contribute through constant paddings (their maxima
     over [e^6, infinity)), each recorded in the derivation trace.
     """
-    return assemble(p, upper_pieces(p), lower_pieces(p))
-
-
-def assemble(p: BoundParams, upper: tuple, lower: tuple) -> BoundCoefficients:
-    """``theorem2_coeffs(p)`` from upper_pieces(p) and lower_pieces(p): the
-    padding on [e^6, t1], then Q1..Q6 summed in ASSEMBLY_PLAN order."""
-    C, routed23, fold23, at_e6 = upper
-    c, routed13, absorb13 = lower
-    absorb23 = max(0.0, crude_bound(BLOCK_23, p) - math.fsum(at_e6)) if p.t1 > E6 else 0.0
-    Q = [0.0] * 6
-    for i, value in zip(_PLAN_TARGETS, _plan_values(routed13, routed23, absorb13, absorb23)):
-        Q[i] += value
+    C, routed23, fold23, _ = upper = upper_pieces(*BLOCK_23.key(p))
+    c, routed13, absorb13 = lower_pieces(*BLOCK_13.key(p))
+    absorb23 = upper_padding(upper, p.t1)
     # Q4 has no k- or q-dependent part: only c4, a function of (tau, t2), feeds it.
-    return BoundCoefficients(p, C, c, tuple(Q), fold23, absorb13, absorb23)
+    Q = plan_q(routed13, routed23, absorb13, absorb23)
+    return BoundCoefficients(p, C, c, Q, fold23, absorb13, absorb23)
 
 
 def theorem2_bound(
@@ -558,25 +569,26 @@ def theorem2_bound(
         coeffs = theorem2_coeffs(p)
     elif coeffs.params is not p and coeffs.params != p:
         raise ValueError("coeffs were assembled for different parameters")
-    C, c = coeffs.C, coeffs.c
+    head, mid_tail, tail_error = theorem2_fixed_parts(t)
+    return BoundCurve(t, {"head": head, "block_13": lower_part(t, coeffs.c, coeffs.absorb13),
+                          "block_23": upper_part(t, coeffs.C, coeffs.fold23_const, coeffs.absorb23),
+                          "mid_tail": mid_tail, "tail_error": tail_error})
+
+
+def theorem2_fixed_parts(t: float) -> tuple[float, float, float]:
+    """Theorem 2's head, mid-tail and tail-remainder parts at t, which no parameter moves."""
+    return integral_bound(t, 1.0 / 3.0), MID_TAIL.at(t), TAIL_REMAINDER[2].at(t)
+
+
+def lower_part(t: float, c: tuple[float, ...], absorb13: float) -> float:
+    """Theorem 2's block_13 part at t: the c polynomial plus its padding."""
+    return q_polynomial(t, c) + absorb13
+
+
+def upper_part(t: float, C: tuple[float, ...], fold23: float, absorb23: float) -> float:
+    """Theorem 2's block_23 part at t: C's growing shapes, the folded decaying ones, the padding."""
     logt = math.log(t)
-    t16 = t ** (1.0 / 6.0)
-    part13 = q_polynomial(t, c) + coeffs.absorb13
-    part23 = (
-        (C[0] * logt + C[1]) * t16
-        + C[2] * logt
-        + C[3]
-        + coeffs.fold23_const
-        + coeffs.absorb23
-    )
-    per = {
-        "head": integral_bound(t, 1.0 / 3.0),
-        "block_13": part13,
-        "block_23": part23,
-        "mid_tail": MID_TAIL.at(t),
-        "tail_error": TAIL_REMAINDER[2].at(t),
-    }
-    return BoundCurve(t, per)
+    return (C[0] * logt + C[1]) * t ** (1.0 / 6.0) + C[2] * logt + C[3] + fold23 + absorb23
 
 
 def theorem2_parts_exact(t: float, p: BoundParams = DEFAULT_PARAMS) -> dict[str, float]:

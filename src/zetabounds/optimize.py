@@ -12,29 +12,33 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable
 
 from .bounds import (
-    BLOCK_13,
-    BLOCK_23,
     DEFAULT_PARAMS,
     E3,
     E6,
-    BoundCoefficients,
     BoundParams,
-    assemble,
+    check_coefficients,
+    checked_total,
     in_theorem_domain,
+    lower_part,
     lower_pieces,
+    plan_q,
     theorem1_bound,
     theorem2_bound,
     theorem2_coeffs,
+    theorem2_fixed_parts,
+    upper_padding,
+    upper_part,
     upper_pieces,
 )
 from .numerics import _integer, geometric_grid
 
 PARAM_ORDER = tuple(f.name for f in fields(BoundParams))
 
-# The search box; BoundParams accepts every point of it.
+# The search box; optimize_params checks that BoundParams accepts its corners.
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "k": (1.1, 8.0),
     "tau": (1.1, 8.0),
@@ -86,17 +90,15 @@ class Objective:
         return Objective(weights=tuple(weights))
 
     def evaluate(self, p: BoundParams) -> float:
-        return self._evaluate(p, theorem2_coeffs)
-
-    def _evaluate(self, p: BoundParams, coeffs_of: Callable[..., BoundCoefficients]) -> float:
         try:
-            coeffs = coeffs_of(p)
+            coeffs = theorem2_coeffs(p)
         except ValueError:
             return math.inf  # parameter corner outside the assembly's regime
-        if self.t is not None:
-            return theorem2_bound(self.t, p, coeffs).total
+        return self._weighted(coeffs.Q) if self.t is None else theorem2_bound(self.t, p, coeffs).total
+
+    def _weighted(self, Q: tuple[float, ...]) -> float:
         try:
-            return math.fsum(w * q for w, q in zip(self.weights, coeffs.Q))
+            return math.fsum(w * q for w, q in zip(self.weights, Q))
         except OverflowError:
             return math.inf  # the weighted sum exceeds the float range
 
@@ -109,20 +111,34 @@ class OptResult:
     evaluations: int = 0
 
 
-def _coeffs_for_one_search() -> Callable[[BoundParams], BoundCoefficients]:
-    """``theorem2_coeffs`` for the points of one search, building each block
-    range's pieces once per value of the fields it reads (``BlockTable.reads``)."""
-    upper, lower = {}, {}
+def _scorer_for_one_search(obj: Objective) -> Callable[[dict[str, float]], float]:
+    """``obj.evaluate`` at a point given as a dict, from parts stored per key (docs/block_assembly.md)."""
+    t = obj.t
+    fixed = () if t is None else theorem2_fixed_parts(t)
 
-    def coeffs_of(p: BoundParams) -> BoundCoefficients:
-        k, key = BLOCK_23.key(p), BLOCK_13.key(p)
-        if k not in upper:
-            upper[k] = upper_pieces(p)
-        if key not in lower:
-            lower[key] = lower_pieces(p)
-        return assemble(p, upper[k], lower[key])
+    def lower_of(tau: float, q: float, t2: float) -> tuple:  # c checked, with block_13's part at t
+        c, routed13, absorb13 = lower_pieces(tau, q, t2)
+        check_coefficients("c", c)
+        return routed13, absorb13, None if t is None else lower_part(t, c, absorb13)
 
-    return coeffs_of
+    def padding_of(k: float, t1: float) -> tuple:  # C checked, absorb23 and block_23's part at t
+        check_coefficients("C", (up := upper(k))[0])
+        absorb23 = upper_padding(up, t1)
+        return absorb23, None if t is None else upper_part(t, up[0], up[2], absorb23)
+
+    upper, lower, padded = map(lru_cache(maxsize=None), (upper_pieces, lower_of, padding_of))
+
+    def score(vals: dict[str, float]) -> float:
+        try:
+            up, lo = upper(vals["k"]), lower(vals["tau"], vals["q"], vals["t2"])
+            pad = padded(vals["k"], vals["t1"])
+            Q = plan_q(lo[0], up[1], lo[1], pad[0])
+            check_coefficients("Q", Q)
+        except ValueError:
+            return math.inf  # parameter corner outside the assembly's regime
+        return obj._weighted(Q) if t is None else checked_total((*fixed, lo[2], pad[1]))
+
+    return score
 
 
 def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
@@ -140,21 +156,22 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
     budget = _integer("budget", budget)
     if budget < 10:
         raise ValueError("budget must be at least 10 evaluations")
+    for end in (0, 1):  # BoundParams checks per-field lower bounds: the corners admit the box
+        BoundParams(**{name: DEFAULT_RANGES[name][end] for name in PARAM_ORDER})
 
     evaluations = 0
     trace: list[tuple[BoundParams, float]] = []
     best_p: BoundParams | None = None
     best_v = math.inf
-    coeffs_of = _coeffs_for_one_search()
+    score = _scorer_for_one_search(obj)
 
     def consider(vals: dict[str, float]) -> bool:
         nonlocal evaluations, best_p, best_v
         evaluations += 1
-        p = BoundParams(**vals)
-        value = obj._evaluate(p, coeffs_of)
+        value = score(vals)
         if value < best_v:
-            best_v, best_p = value, p
-            trace.append((p, value))
+            best_v, best_p = value, BoundParams(**vals)
+            trace.append((best_p, value))
             return True
         return False
 

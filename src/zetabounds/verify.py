@@ -441,9 +441,10 @@ def _m_range(spec: SampleSpec, check_id: str, hi: int) -> tuple[int, int]:
     m_range = spec.ranges.get("M", (1, hi))
     if len(m_range) != 2:
         raise ValueError(f"check {check_id} needs an \"M\" range (min M, max M), got {m_range}")
-    if not all(isinstance(m, (int, np.integer)) for m in m_range):
-        raise ValueError(f"check {check_id} needs integer M bounds, got {m_range}")
-    m_lo, m_hi = m_range
+    try:
+        m_lo, m_hi = (_integer("M", m) for m in m_range)  # no bool, numpy integers pass
+    except ValueError:
+        raise ValueError(f"check {check_id} needs integer M bounds, got {m_range}") from None
     if not 1 <= m_lo <= m_hi <= RANGE_GUARD:
         raise ValueError(
             f"check {check_id} needs 1 <= max M <= {RANGE_GUARD} and 1 <= min M <= max M, "

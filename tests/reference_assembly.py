@@ -60,7 +60,7 @@ def assemble_by_puts(p: BoundParams, C: tuple[float, ...], c: tuple[float, ...])
 
     # crude-branch paddings: the six-shape polynomial must also dominate
     # the flat crude bounds on [e^6, t2] and (when t1 > e^6) on [e^6, t1].
-    absorb13 = max(0.0, crude_bound(BLOCK_13, p) - q_polynomial(E6, c))
+    absorb13 = max(0.0, crude_bound(BLOCK_13, p.t2) - q_polynomial(E6, c))
     if absorb13:
         put(5, BLOCK_13.source, absorb13, note="crude-branch padding on [e^6, t2]")
     absorb23 = 0.0
@@ -69,7 +69,7 @@ def assemble_by_puts(p: BoundParams, C: tuple[float, ...], c: tuple[float, ...])
             [v * at_e6 for (i, _, at_e6), v in zip(BLOCK_23.routes, C) if i is not None]
             + [fold23]
         )
-        absorb23 = max(0.0, crude_bound(BLOCK_23, p) - poly23_at_e6)
+        absorb23 = max(0.0, crude_bound(BLOCK_23, p.t1) - poly23_at_e6)
         if absorb23:
             put(5, BLOCK_23.source, absorb23, note="crude-branch padding on [e^6, t1]")
 

@@ -207,7 +207,7 @@ class TestBlockBound23:
     def test_crude_branch_value(self):
         value = block_bound(BLOCK_23, E3, P0)
         assert value == pytest.approx(12.963, abs=1e-3)
-        assert value == crude_bound(BLOCK_23, P0)
+        assert value == crude_bound(BLOCK_23, P0.t1)
 
     def test_direct_sum_envelope_t50(self):
         t = 50.0
@@ -277,7 +277,7 @@ class TestBlockBound13:
     def test_crude_branch_value(self):
         value = block_bound(BLOCK_13, E6, P0)
         assert value == pytest.approx(33.556, abs=1e-3)
-        assert value == crude_bound(BLOCK_13, P0)
+        assert value == crude_bound(BLOCK_13, P0.t2)
 
     def test_direct_sum_envelope_t1e4(self):
         t = 1e4
@@ -482,7 +482,7 @@ def _outcome(f, p):
 
 
 class TestAssemblyPlan:
-    """``assemble`` adds into Q in ASSEMBLY_PLAN order and ``derivation_trace``
+    """``plan_q`` adds into Q in ASSEMBLY_PLAN order and ``derivation_trace``
     is read off the same plan; both must match the put walk bit for bit."""
 
     def test_parity_with_put_walk(self):

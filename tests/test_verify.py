@@ -182,9 +182,10 @@ class TestLemmaSweeps:
         assert r.violations == 0
 
     @pytest.mark.parametrize("check_id", ["4.3", "4.6"])
-    @pytest.mark.parametrize("m_range", [(1.5, 3.9), (1, 500.0), (np.float64(2.0), 9)])
+    @pytest.mark.parametrize("m_range", [(1.5, 3.9), (1, 500.0), (np.float64(2.0), 9), (True, 3), (True, True)])
     def test_non_integer_m_range_rejected(self, check_id, m_range):
-        # (1.5, 3.9) used to run check 4.3 on M in (1, 3) without a word
+        # (1.5, 3.9) used to run check 4.3 on M in (1, 3) without a word,
+        # and (True, 3) ran it on M from 1
         with pytest.raises(ValueError, match=f"check {check_id} needs integer M bounds"):
             verify_lemma(check_id, SampleSpec(samples=3, ranges={"M": m_range}))
 
