@@ -194,8 +194,8 @@ _BOUND_COLUMNS = [
 def _cmd_bound(args) -> int:
     ts = _t_values(args)
     params = _bound_params(args)
-    if args.theorem is not None:
-        _check_theorem_domain(ts, args.theorem)
+    # without --theorem, a t that theorem 1 does not reach would be an empty row
+    _check_theorem_domain(ts, args.theorem if args.theorem is not None else 1)
     coeffs = theorem2_coeffs(params)
     bound_of = {1: theorem1_bound, 2: lambda t: theorem2_bound(t, params, coeffs)}
     extra = {1: {}, 2: {f"Q{i + 1}": q for i, q in enumerate(coeffs.Q)}}  # columns beside the bound's

@@ -1,12 +1,16 @@
 """The package's public names: ``__all__`` is exactly what ``import *`` gives;
-every name a module imports is used; and every command and the library
-example of the README run."""
+each loads its submodule on first use; every name a module imports is used;
+and every command and the library example of the README run."""
 
 import ast
 import contextlib
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -62,6 +66,100 @@ def test_every_import_is_used(module):
     else:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_public_table_names_each_name_once_where_it_is_defined():
+    """``__init__.py`` imports nothing, so the import rule above checks nothing
+    there: each entry of its table must be bound at the top level of the
+    module the table names, by a def, a class or an assignment."""
+    table = zetabounds._PUBLIC
+    names = [name for module_names in table.values() for name in module_names]
+    assert len(names) == len(set(names))
+    assert set(table) == {path.stem for path in SRC.glob("*.py")} - {"__init__", "cli"}
+    for module, module_names in table.items():
+        defined = set()
+        for node in ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        assert sorted(set(module_names) - defined) == [], module
+
+
+def run_fresh(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter that imports
+    this package from its source tree."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_loads_no_submodule_and_first_use_loads_its_own():
+    lines = run_fresh("""
+        import sys
+        import zetabounds
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("zetabounds.") or m == "numpy")
+        print(loaded())
+        zetabounds.zeta_prime_em
+        print(loaded())
+        print("zeta_prime_em" in vars(zetabounds))
+    """)
+    assert lines == ["[]", "['numpy', 'zetabounds.numerics', 'zetabounds.zeta']", "True"]
+
+
+def test_public_names_are_their_modules_attributes():
+    lines = run_fresh("""
+        import sys
+        import zetabounds
+        values = {name: getattr(zetabounds, name) for name in zetabounds.__all__}
+        for module, names in zetabounds._PUBLIC.items():
+            owner = sys.modules[f"zetabounds.{module}"]
+            assert getattr(zetabounds, module) is owner, module
+            for name in names:
+                assert values[name] is getattr(owner, name), name
+        print(len(values))
+    """)
+    assert lines == ["36"]
+
+
+def test_dir_lists_public_names_and_submodules():
+    listed = dir(zetabounds)
+    assert {"__all__", *zetabounds.__all__, *zetabounds._PUBLIC} <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        zetabounds.no_such_name
+
+
+def test_from_imports_still_work_in_a_fresh_interpreter():
+    lines = run_fresh("""
+        from zetabounds import cli
+        from zetabounds import *
+        print(cli.__name__, zeta_prime_em.__module__, verify_lemma.__module__)
+    """)
+    assert lines == ["zetabounds.cli zetabounds.zeta zetabounds.verify"]
+
+
+def test_import_and_dir_need_no_numpy():
+    lines = run_fresh("""
+        import sys
+        sys.modules["numpy"] = None
+        import zetabounds
+        print(zetabounds.__version__, "zeta_prime_em" in dir(zetabounds))
+        try:
+            zetabounds.zeta_prime_em
+        except ImportError:
+            print("ImportError")
+    """)
+    assert lines == [f"{zetabounds.__version__} True", "ImportError"]
 
 
 def test_readme_library_example_uses_public_names():

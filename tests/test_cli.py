@@ -58,6 +58,22 @@ class TestBoundCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--t", "1"], "t=1 below theorem-1 threshold 7.389056"),
+            (["bound", "--t", "7.389", "--trace"], "t=7.389 below theorem-1 threshold 7.389056"),
+            # a grid straddling e^2: the row of every point below it would be empty
+            (["bound", "--t-min", "2", "--t-max", "100", "--samples", "5"],
+             "t=2 below theorem-1 threshold 7.389056"),
+        ],
+    )
+    def test_no_theorem_reaches_t_is_usage_error(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flags, params",
         [
             ([], DEFAULT_PARAMS),
