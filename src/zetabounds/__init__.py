@@ -5,8 +5,12 @@ verification sweeps for every supporting inequality.
 Each public name, and each submodule in ``_PUBLIC``, loads its submodule
 on first use (PEP 562): ``import zetabounds`` alone loads neither numpy
 nor any submodule, and ``zeta_prime_em`` loads only ``zeta`` and
-``numerics``.  The command line (``zetabounds.cli``) still loads every
-module.
+``numerics``.  The names of ``bounds`` and ``optimize``, and
+``compensated_sum``, ``bernoulli_number`` and ``geometric_grid``, need no
+numpy; the names of ``zeta``, ``expsums`` and ``verify`` load it.  The
+command line (``zetabounds.cli``) loads ``zeta``, ``expsums`` and
+``verify`` only in the subcommands that call them, so ``bound`` and
+``optimize`` run without numpy.
 """
 
 __version__ = "0.1.0"

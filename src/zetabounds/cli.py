@@ -13,6 +13,10 @@ nothing on stderr.  Any ValueError raised while handling an input, by
 the library or by this module's own rules, is a usage error: `main`
 alone prints its message on one `error:` line and returns 1, so no
 command wraps the calls it makes.
+
+Each subcommand loads the modules it calls when it runs: `eval` loads
+`zeta`, and `verify` and `scan` load `verify` (with `expsums` and
+`zeta`), so `bound` and `optimize` run without numpy.
 """
 
 from __future__ import annotations
@@ -36,14 +40,6 @@ from .bounds import (
 )
 from .numerics import geometric_grid
 from .optimize import PARAM_ORDER, Objective, crossover_scan, optimize_params
-from .verify import (
-    SUPPORTED_CHECKS,
-    SampleSpec,
-    envelope_points,
-    verify_lemma,
-    verify_theorem_envelope,
-)
-from .zeta import EvalPoint, default_em_config, zeta_prime_em
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "ZETABOUNDS_OUT"
@@ -60,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
     # errors like every other usage error instead (one line, exit 1).
     def error(self, message):
         raise ValueError(message)
+
+
+class _LemmaHelp(argparse.HelpFormatter):
+    # the check ids live in verify, which loads numpy: `verify --help` reads
+    # them when it prints, so building the parser loads neither
+    def _get_help_string(self, action):
+        if action.dest != "lemma":
+            return action.help
+        from .verify import SUPPORTED_CHECKS
+
+        return action.help.format(checks=", ".join(SUPPORTED_CHECKS))
 
 
 # Argument types; argparse names them in its message: "invalid finite value".
@@ -157,6 +164,8 @@ def _check_theorem_domain(ts: Sequence[float], theorem: int) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .zeta import EvalPoint, default_em_config, zeta_prime_em
+
     ts = _t_values(args)
     if args.theorem is not None:
         _check_theorem_domain(ts, args.theorem)
@@ -221,6 +230,8 @@ _VERIFY_COLUMNS = [
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUPPORTED_CHECKS, SampleSpec, verify_lemma, verify_theorem_envelope
+
     # Everything that can reject an input runs before any check, including
     # an option that the chosen checks would ignore.
     if args.lemma is None and args.theorem is None:
@@ -296,6 +307,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .verify import envelope_points
+
     ts = _t_values(args)
     _check_theorem_domain(ts, args.theorem)
     params = _bound_params(args)
@@ -369,11 +382,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the coefficient derivation trace to stderr")
     p_bound.set_defaults(func=_cmd_bound)
 
-    p_verify = sub.add_parser("verify", help="inequality sweeps")
+    p_verify = sub.add_parser("verify", help="inequality sweeps", formatter_class=_LemmaHelp)
     add_common(p_verify, t_help=None)
     add_params(p_verify)
     p_verify.add_argument("--lemma", default=None,
-                          help=f"check id ({', '.join(SUPPORTED_CHECKS)}) or 'all'")
+                          help="check id ({checks}) or 'all'")
     p_verify.add_argument("--theorem", type=int, choices=(1, 2), default=None)
     p_verify.add_argument("--seed", type=int, default=None,
                           help="seed of the --lemma samples (default 0)")

@@ -1,9 +1,10 @@
 """Deterministic floating-point building blocks.
 
-Compensated summation, Bernoulli numbers, and a certified Gauss-Legendre
-rule for the analytic, rapidly oscillating integrands of the lemma
-checks.  Each returns the same bits for the same inputs (the quadrature,
-for the same integrand values) and carries an explicit error contract:
+Compensated summation, Bernoulli numbers, geometric grids, and a
+certified Gauss-Legendre rule for the analytic, rapidly oscillating
+integrands of the lemma checks.  Each returns the same bits for the same
+inputs (the quadrature, for the same integrand values) and carries an
+explicit error contract:
 
 * ``compensated_sum``  -- correctly rounded (``math.fsum``)
 * ``exact_sum`` -- correctly rounded, the bits of ``math.fsum``, by
@@ -13,24 +14,34 @@ for the same integrand values) and carries an explicit error contract:
   integral of a batch, given a bound on |f| over each panel's Bernstein
   ellipse and one on the error of each integrand value
   (``docs/oscillatory_tails.md``, "Certified quadrature")
+
+Only the array kernels need numpy, and each loads it when it runs:
+``exact_sum``, ``gauss_legendre`` and ``integrate_gauss_legendre``.
+``compensated_sum``, ``bernoulli_number``, ``geometric_grid`` and the
+integer check ``_integer`` run without it, so the optimizer, which uses
+the last two, loads no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
-
-import numpy as np
 
 EPS = math.ulp(1.0)  # 2^-52
 BERNOULLI_MAX_M = 120  # largest index bernoulli_number accepts
 
 
 def _integer(name: str, value: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as an int: an int or a numpy integer, never a bool.  A value
+    can be a numpy integer only once numpy is loaded, so this loads none."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    np = sys.modules.get("numpy")  # None when numpy is unloaded or blocked
+    if np is None or not isinstance(value, np.integer):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -58,6 +69,8 @@ _TOP_MAX = 2.0**1005  # with 2^m <= 2^17, sigma <= 2^1022 below this max|x|
 def _extract(block: np.ndarray, top: float) -> list[float]:
     """Doubles whose exact sum is the sum of ``block``, |block| <= ``top``:
     the sum of each round's extracted parts, then the nonzero residual."""
+    import numpy as np
+
     m = (block.size + 1).bit_length()  # 2^m >= size + 2
     sigma = math.ldexp(1.0, m + math.frexp(top)[1])  # 2^-m sigma > top
     q = np.empty_like(block)
@@ -77,6 +90,8 @@ def exact_sum(values: np.ndarray) -> float:
     error-free extraction in blocks of _BLOCK terms, rounded once.
     OverflowError only when the sum itself overflows; ValueError on
     non-finite or non-1-D input."""
+    import numpy as np
+
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("exact_sum takes a 1-D array")
@@ -136,20 +151,22 @@ def bernoulli_number(m: int) -> float:
 
 # (nodes, owner) -> f at the nodes, where owner[i] is the batch index of
 # the integral that node i belongs to
-BatchFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
+BatchFunction = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 # (panel midpoints, real and imaginary semi-axes with a row per rho, owner
 # of each panel) -> M_rho
-EllipseBound = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+EllipseBound = Callable[["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"], "np.ndarray"]
 
 RHO_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0)  # Bernstein ellipse parameters tried
 MAX_GL_NODES = 64  # nodes per panel; the node and weight errors are pinned up to here
 GL_WEIGHT_ERR = 2e-13  # relative error of the computed weights (measured: 1.3e-13)
 _ROUND_UP = 1.0 + 1e-12  # covers the rounding of the truncation bound's few operations
-_GL_SIZES = np.arange(4, MAX_GL_NODES + 1, 4)  # the rule sizes tried, fewest nodes first
+_GL_SIZES = range(4, MAX_GL_NODES + 1, 4)  # the rule sizes tried, fewest nodes first
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) by the three-term recurrence."""
+    import numpy as np
+
     p0, p1 = np.ones_like(x), x
     for j in range(2, n + 1):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
@@ -164,6 +181,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     weight 2 / ((1 - x^2) P_n'(x)^2) at its final root."""
     if n < 2 or n % 2:
         raise ValueError(f"gauss_legendre needs an even n >= 2, got {n}")
+    import numpy as np
+
     x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))  # descending
     for _ in range(100):
         p, dp = _legendre(n, x)
@@ -219,6 +238,8 @@ def integrate_gauss_legendre(
     than MAX_GL_NODES nodes, and ValueError on an f not finite at a node
     (naming its leftmost such panel).
     """
+    import numpy as np
+
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("integrate_gauss_legendre takes a and b as 1-D arrays of one shape")
@@ -253,6 +274,7 @@ def integrate_gauss_legendre(
 
     # each integral's fewest nodes that meet tol, from its own fsum of h M_rho
     rho = np.array(RHO_GRID)[:, None]  # one row per rho
+    gl_sizes = np.array(_GL_SIZES)
     up = half * (1.0 + 4.0 * EPS)
     with np.errstate(all="ignore"):  # cosh overflows, logs of negatives
         m_rho = ellipse_bound(
@@ -262,12 +284,12 @@ def integrate_gauss_legendre(
     sums = np.array([[math.fsum(row[s:e]) for row in rows] for s, e in zip([0, *cuts], cuts)])
     ok = np.isfinite(sums)
     sums[~ok] = np.inf  # rho whose ellipse leaves f's domain
-    bounds = (64.0 / 15.0 * sums)[:, :, None] * rho ** (2 - 2 * _GL_SIZES) / (rho * rho - 1.0)
+    bounds = (64.0 / 15.0 * sums)[:, :, None] * rho ** (2 - 2 * gl_sizes) / (rho * rho - 1.0)
     bounds = _ROUND_UP * bounds.min(axis=1)  # for each integral and n, over rho
     fits = bounds <= tol
     pick = fits.argmax(axis=1)
     live = count if fits[:, -1].all() else int(fits[:, -1].argmin())  # before the first failure
-    nodes = _GL_SIZES[pick]
+    nodes = gl_sizes[pick]
     nodes[live:] = 0
 
     # each panel's rule: nodes mid + h x, weights h w
@@ -311,7 +333,8 @@ def integrate_gauss_legendre(
 
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n >= 1 geometrically spaced points from lo to hi inclusive, both finite and positive."""
+    """n >= 1 geometrically spaced points from lo to hi inclusive, both finite
+    and positive; for n >= 3, hi / lo must be a finite, normal double."""
     n = _integer("n", n)
     if n < 1:
         raise ValueError("need at least one grid point")
@@ -319,7 +342,10 @@ def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
         raise ValueError(f"grid ends must be finite and positive, got {lo!r} and {hi!r}")
     if n == 1:
         return [lo]
-    ratio = (hi / lo) ** (1.0 / (n - 1))
+    ratio = hi / lo
+    if n > 2 and not (sys.float_info.min <= ratio < math.inf):  # an interior 0 or inf
+        raise ValueError(f"grid ends must have a finite, normal ratio, got {lo!r} and {hi!r}")
+    ratio **= 1.0 / (n - 1)
     pts = [lo * ratio**i for i in range(n)]
     pts[-1] = hi
     return pts

@@ -162,6 +162,53 @@ def test_import_and_dir_need_no_numpy():
     assert lines == [f"{zetabounds.__version__} True", "ImportError"]
 
 
+# The bound path: tuning, the crossover scan and both theorems' bounds,
+# printed as float.hex.  {before} runs before the package is imported.
+BOUND_PATH = """
+    import sys
+    {before}
+    import zetabounds as Z
+    result = Z.optimize_params(Z.Objective.minimize_bound_at_t(1e4), budget=200)
+    coeffs = Z.theorem2_coeffs(result.best)
+    values = [
+        result.objective_value, Z.crossover_scan(result.best, t_max=1e30),
+        Z.theorem1_bound(1e4).total, Z.theorem2_bound(1e4, result.best, coeffs).total,
+        *coeffs.C, *coeffs.c, *coeffs.Q,
+    ]
+    print(" ".join(v.hex() for v in values))
+    print(sorted(m for m, v in sys.modules.items()
+                 if v is not None and m.split(".")[0] in ("numpy", "zetabounds")))
+"""
+BOUND_PATH_MODULES = "['zetabounds', 'zetabounds.bounds', 'zetabounds.numerics', 'zetabounds.optimize']"
+
+
+def test_bound_path_needs_no_numpy_and_keeps_its_bits():
+    plain = run_fresh(BOUND_PATH.format(before=""))
+    blocked = run_fresh(BOUND_PATH.format(before='sys.modules["numpy"] = None'))
+    with_numpy = run_fresh(BOUND_PATH.format(before="import numpy"))
+    assert plain[1] == blocked[1] == BOUND_PATH_MODULES  # numpy never loaded
+    assert "'numpy'" in with_numpy[1]
+    assert plain[0] == blocked[0] == with_numpy[0]
+
+
+def test_integer_without_numpy_takes_int_and_rejects_bool():
+    lines = run_fresh("""
+        import sys
+        sys.modules["numpy"] = None
+        from zetabounds.numerics import _integer
+        print(_integer("n", 3), _integer("n", 2**70) == 2**70)
+        for value in (True, 3.0, "3"):
+            try:
+                _integer("n", value)
+            except ValueError as exc:
+                print(exc)
+    """)
+    assert lines == [
+        "3 True", "n must be an integer, got True", "n must be an integer, got 3.0",
+        "n must be an integer, got '3'",
+    ]
+
+
 def test_readme_library_example_uses_public_names():
     block = re.search(r"from zetabounds import \(([^)]*)\)", README.read_text(encoding="utf-8"))
     assert block is not None, "README has no library example"

@@ -221,13 +221,14 @@ class TestOutputRouting:
         assert main(["frobnicate"]) == 1
 
 
-# One library call per subcommand, and an argv that reaches it.
+# One library call per subcommand, where the CLI reads it (eval, verify and
+# scan import theirs when they run), and an argv that reaches it.
 LIBRARY_CALLS = {
-    "eval": ("zeta_prime_em", ["eval", "--t", "50"]),
-    "bound": ("theorem1_bound", ["bound", "--t", "1e4"]),
-    "verify": ("verify_lemma", ["verify", "--lemma", "2.1", "--samples", "2"]),
-    "optimize": ("optimize_params", ["optimize", "--budget", "10"]),
-    "scan": ("envelope_points", ["scan", "--t", "1e3", "--theorem", "1"]),
+    "eval": ("zetabounds.zeta.zeta_prime_em", ["eval", "--t", "50"]),
+    "bound": ("zetabounds.cli.theorem1_bound", ["bound", "--t", "1e4"]),
+    "verify": ("zetabounds.verify.verify_lemma", ["verify", "--lemma", "2.1", "--samples", "2"]),
+    "optimize": ("zetabounds.cli.optimize_params", ["optimize", "--budget", "10"]),
+    "scan": ("zetabounds.verify.envelope_points", ["scan", "--t", "1e3", "--theorem", "1"]),
 }
 
 
@@ -239,7 +240,7 @@ def test_library_value_error_is_one_error_line(command, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, name, boom)
+    monkeypatch.setattr(name, boom)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -275,6 +276,79 @@ def test_module_entry_point_usage_error():
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert "Traceback" not in result.stderr
+
+
+# Runs each argv of a JSON list through main in a fresh interpreter, after
+# {before}; prints one JSON record per argv: stdout, stderr, exit code and
+# the package's modules and numpy, where loaded by then.
+FRESH_MAIN = """
+import contextlib, io, json, sys
+{before}
+from zetabounds.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    loaded = sorted(m for m, v in sys.modules.items()
+                    if v is not None and (m == "numpy" or m.split(".")[0] == "zetabounds"))
+    print(json.dumps({{"stdout": out.getvalue(), "stderr": err.getvalue(),
+                      "exit": f"{{code}}\\n", "modules": loaded}}))
+"""
+# What bound and optimize load, and what verify and scan load: every module.
+_BOUND_PATH = ["zetabounds", "zetabounds.bounds", "zetabounds.cli", "zetabounds.numerics",
+               "zetabounds.optimize"]
+_EVERY_MODULE = sorted([*_BOUND_PATH, "numpy", "zetabounds.expsums", "zetabounds.verify",
+                        "zetabounds.zeta"])
+
+
+def _run_fresh_main(argvs, before=""):
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_MAIN.format(before=before), json.dumps(argvs)],
+        capture_output=True, text=True, env=_module_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_bound_and_optimize_goldens_replay_without_numpy():
+    from test_golden import CASES, GOLDEN_DIR
+
+    names = [name for name in CASES if name.startswith(("bound_", "optimize_"))]
+    assert len(names) == 7
+    records = _run_fresh_main([CASES[n] for n in names], 'sys.modules["numpy"] = None')
+    for name, record in zip(names, records):
+        assert record["modules"] == _BOUND_PATH, name
+        for stream in ("stdout", "stderr", "exit"):
+            golden = (GOLDEN_DIR / f"{name}.{stream}").read_text(encoding="utf-8")
+            assert record[stream] == golden, (name, stream)
+
+
+# Each subcommand, an argv that runs it, and the modules loaded once it has
+# run: eval, verify and scan load what they call when they run.
+SUBCOMMAND_MODULES = {
+    "bound": (["bound", "--t", "1e4"], _BOUND_PATH),
+    "optimize": (["optimize", "--objective", "bound-at-t", "--t", "1e4", "--crossover"],
+                 _BOUND_PATH),
+    "eval": (["eval", "--t", "1e4"], sorted([*_BOUND_PATH, "numpy", "zetabounds.zeta"])),
+    "verify": (["verify", "--lemma", "4.6", "--max-m", "100"], _EVERY_MODULE),
+    "scan": (["scan", "--t", "1e3", "--theorem", "1"], _EVERY_MODULE),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_each_subcommand_loads_only_what_it_calls(command):
+    argv, modules = SUBCOMMAND_MODULES[command]
+    [record] = _run_fresh_main([argv])
+    assert record["exit"] == "0\n", record["stderr"]
+    assert record["modules"] == modules
+
+
+def test_verify_help_lists_every_check_id(capsys):
+    from zetabounds.verify import SUPPORTED_CHECKS
+
+    assert main(["verify", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"check id ({', '.join(SUPPORTED_CHECKS)}) or 'all'" in text
 
 
 def test_closed_pipe_ends_quietly():
@@ -354,6 +428,9 @@ ERROR_MESSAGES = {
     "bound --t 100 --theorem 1 --k 3": "--k applies only to theorem 2",
     # no t of the grid reaches e^6, so no theorem-2 figure is printed
     "bound --t 100 --k 3": "--k applies only to theorem 2",
+    # 1e5 / 5e-324 overflows; the grid's middle point was inf, reported as
+    # above the certified ceiling
+    "eval --t-min 5e-324 --t-max 1e5 --samples 3": "grid ends must have a finite, normal ratio",
 }
 
 
@@ -402,6 +479,7 @@ ERROR_MESSAGES = {
         ["scan", "--theorem", "1", "--t", "100", "--k", "3"],
         ["bound", "--t", "100", "--theorem", "1", "--k", "3"],
         ["bound", "--t", "100", "--k", "3"],
+        ["eval", "--t-min", "5e-324", "--t-max", "1e5", "--samples", "3"],
     ],
 )
 def test_input_error_is_one_error_line(argv, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -565,6 +566,62 @@ def test_geometric_grid_needs_an_integer_count():
     with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
         geometric_grid(1.0, 2.0, 2.5)
     assert geometric_grid(1.0, 4.0, np.int64(3)) == geometric_grid(1.0, 4.0, 3)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1e-300, 1e300),  # hi / lo overflows: gave [1e-300, inf, 1e300]
+    (1e300, 1e-300),  # hi / lo underflows to 0: gave [1e300, 0.0, 1e-300]
+    (5e-324, 1e5),
+    (1e300, 1e-10),  # hi / lo = 1e-310, subnormal
+])
+def test_geometric_grid_rejects_ends_whose_ratio_is_not_normal(lo, hi):
+    with pytest.raises(ValueError, match="grid ends must have a finite, normal ratio"):
+        geometric_grid(lo, hi, 3)
+    # one or two points have no interior point, and keep working
+    assert geometric_grid(lo, hi, 1) == [lo]
+    assert geometric_grid(lo, hi, 2) == [lo, hi]
+
+
+def _parent_grid(lo, hi, n):
+    """geometric_grid as it was before it checked hi / lo."""
+    if n == 1:
+        return [lo]
+    ratio = (hi / lo) ** (1.0 / (n - 1))
+    pts = [lo * ratio**i for i in range(n)]
+    pts[-1] = hi
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    hi=st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    n=st.integers(1, 40),
+)
+def test_geometric_grid_keeps_the_bits_of_every_grid_it_spaces(lo, hi, n):
+    ratio = hi / lo
+    if n > 2 and not (sys.float_info.min <= ratio < math.inf):
+        with pytest.raises(ValueError, match="grid ends must have a finite, normal ratio"):
+            geometric_grid(lo, hi, n)
+        return
+    grid = geometric_grid(lo, hi, n)
+    assert [x.hex() for x in grid] == [x.hex() for x in _parent_grid(lo, hi, n)]
+    assert all(0.0 < x < math.inf for x in grid)
+
+
+def test_geometric_grid_keeps_edge_grids():
+    assert geometric_grid(1.0, 2.0**-1022, 3) == [1.0, 2.0**-511, 2.0**-1022]
+    assert geometric_grid(2.0**-1074, 2.0**-52, 3) == [2.0**-1074, 2.0**-563, 2.0**-52]
+    assert geometric_grid(5.0, 5.0, 4) == [5.0] * 4
+
+
+def test_integer_with_numpy_loaded_takes_numpy_integers_only():
+    assert numerics._integer("n", np.int64(3)) == 3
+    assert type(numerics._integer("n", np.int64(3))) is int
+    assert numerics._integer("n", np.uint8(7)) == 7
+    for value in (np.bool_(True), np.float64(3.0), True, 3.0):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {re.escape(repr(value))}"):
+            numerics._integer("n", value)
 
 
 @pytest.mark.parametrize("lo, hi", [
