@@ -72,6 +72,8 @@ def in_theorem_domain(t: float, which: int) -> bool:
 
 
 def _require_t(t: float, threshold: float, label: str) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"{label} requires a finite t, got {t!r}")
     if not _at_least(t, threshold):
         raise ValueError(f"{label} requires t >= {threshold:.9g}, got {t!r}")
 
@@ -172,7 +174,8 @@ class BoundCoefficients:
     @cached_property
     def derivation_trace(self) -> tuple[TraceEntry, ...]:
         """One entry per ASSEMBLY_PLAN row, less zero folds and paddings."""
-        values = _plan_values(routed(BLOCK_13, self.c), routed(BLOCK_23, self.C), self.absorb13, self.absorb23)
+        values = (*_prefix_values(routed(BLOCK_13, self.c)),
+                  *_rest_values(routed(BLOCK_23, self.C), self.absorb13, self.absorb23))
         return tuple(TraceEntry(Q_TARGETS[i], source, shape or Q_NAMES[i], value, note)
                      for (i, source, shape, note, kept), value in zip(ASSEMBLY_PLAN, values) if kept or value)
 
@@ -259,12 +262,13 @@ def theorem1_bound(t: float) -> BoundCurve:
         2 t^{1/2} log t - 4 t^{1/2} + 8.047 log t + 6.399
     """
     _require_t(t, THRESHOLD[1], "theorem1_bound")
-    per = {
-        "head": max(integral_bound(t, 1.0), 0.0),
-        "mid_tail": MID_TAIL.at(t),
-        "tail_error": TAIL_REMAINDER[1].at(t),
-    }
-    return BoundCurve(t, per)
+    head, mid_tail, tail_error = theorem1_parts(t)
+    return BoundCurve(t, {"head": head, "mid_tail": mid_tail, "tail_error": tail_error})
+
+
+def theorem1_parts(t: float) -> tuple[float, float, float]:
+    """Theorem 1's head, mid-tail and tail-remainder parts at t; t is not checked."""
+    return max(integral_bound(t, 1.0), 0.0), MID_TAIL.at(t), TAIL_REMAINDER[1].at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +391,15 @@ class BlockTable:
         object.__setattr__(self, "routes", routes)
         object.__setattr__(self, "key", get if len(self.reads) > 1 else lambda p: (get(p),))
 
-    def coefficients(self, *values: float) -> tuple[float, ...]:
-        """``collect`` at these values of the fields in ``reads``: each
-        term's weight times each piece of its block sum, added into its
-        shape from +0.0, term by term and piece by piece."""
-        sums = geom_sum_bounds(self.alpha3, self.upper3, values[0])
+    def block_sums(self, ratio: float) -> dict[str, tuple[tuple[int, int, float], ...]]:
+        """``geom_sum_bounds`` of this range's cover with block ratio ``ratio``."""
+        return geom_sum_bounds(self.alpha3, self.upper3, ratio)
+
+    def coefficients(self, sums: dict, *values: float) -> tuple[float, ...]:
+        """``collect`` at these values of the fields in ``reads``, given
+        ``sums = self.block_sums(values[0])``: each term's weight times each
+        piece of its block sum, added into its shape from +0.0, term by term
+        and piece by piece."""
         index, out = self.shapes, [0.0] * len(self.shapes)
         for exp6, block_sum, weight in self.terms(*values):
             for piece_exp6, logpow, coef in sums[block_sum]:
@@ -401,7 +409,8 @@ class BlockTable:
 
 def collect(table: BlockTable, p: BoundParams) -> tuple[float, ...]:
     """The range's closed-form bound collected into ``table.shapes``."""
-    return table.coefficients(*table.key(p))
+    values = table.key(p)
+    return table.coefficients(table.block_sums(values[0]), *values)
 
 
 def crude_bound(table: BlockTable, cutoff: float) -> float:
@@ -482,7 +491,8 @@ def routed(table: BlockTable, coeffs: tuple[float, ...]) -> tuple[float, ...]:
 
 # Each addition to Q1..Q6 in summation order: (Q index, source, trace shape
 # ("" for the Q's own), note, whether the row stays in the trace when its
-# value is zero).  ``_plan_values`` lists the values of a point alike.
+# value is zero).  ``_prefix_values`` and ``_rest_values`` list the values
+# of a point alike.
 ASSEMBLY_PLAN = (
     (1, "head-integral", "", "", True),  # integral_bound(t, 1/3) = 2 t^{1/6}((1/3) log t - 2)
     (2, "head-integral", "", "", True),
@@ -497,17 +507,30 @@ ASSEMBLY_PLAN = (
     (5, BLOCK_13.source, "", "crude-branch padding on [e^6, t2]", False),
     (5, BLOCK_23.source, "", "crude-branch padding on [e^6, t1]", False),
 )
-_PLAN_TARGETS = tuple(row[0] for row in ASSEMBLY_PLAN)
+# The rows that no field but (tau, q, t2) moves: the head's two and BLOCK_13's.
+_PREFIX_ROWS = 2 + len(BLOCK_13.routes)
+_PREFIX_TARGETS = tuple(row[0] for row in ASSEMBLY_PLAN[:_PREFIX_ROWS])
+_REST_TARGETS = tuple(row[0] for row in ASSEMBLY_PLAN[_PREFIX_ROWS:])
 
 
-def _plan_values(routed13, routed23, absorb13: float, absorb23: float) -> tuple[float, ...]:
-    return (2.0 / 3.0, -4.0, *routed13, *routed23, *MID_TAIL, *TAIL_REMAINDER[2], absorb13, absorb23)
+def _prefix_values(routed13) -> tuple[float, ...]:
+    return (2.0 / 3.0, -4.0, *routed13)
+
+
+def _rest_values(routed23, absorb13: float, absorb23: float) -> tuple[float, ...]:
+    return (*routed23, *MID_TAIL, *TAIL_REMAINDER[2], absorb13, absorb23)
+
+
+def _add_rows(Q: list[float], targets: tuple[int, ...], values: tuple[float, ...]) -> tuple[float, ...]:
+    for i, value in zip(targets, values):
+        Q[i] += value
+    return tuple(Q)
 
 
 def upper_pieces(k: float) -> tuple:
     """The upper range's share of the assembly, a function of k alone: C, its
     ``routed`` values, their folded sum and the terms of its polynomial at e^6."""
-    C = BLOCK_23.coefficients(k)
+    C = BLOCK_23.coefficients(BLOCK_23.block_sums(k), k)
     fold23, at_e6 = 0.0, []
     for (i, _, at), v in zip(BLOCK_23.routes, C):
         if i is None:
@@ -517,10 +540,11 @@ def upper_pieces(k: float) -> tuple:
     return C, routed(BLOCK_23, C), fold23, (*at_e6, fold23)
 
 
-def lower_pieces(tau: float, q: float, t2: float) -> tuple:
+def lower_pieces(sums: dict, tau: float, q: float, t2: float) -> tuple:
     """The lower range's share of the assembly, a function of (tau, q, t2)
-    alone: c, its ``routed`` values and the padding ``absorb13``."""
-    c = BLOCK_13.coefficients(tau, q, t2)
+    alone, given ``sums = BLOCK_13.block_sums(tau)``: c, its ``routed``
+    values and the padding ``absorb13``."""
+    c = BLOCK_13.coefficients(sums, tau, q, t2)
     return c, routed(BLOCK_13, c), max(0.0, crude_bound(BLOCK_13, t2) - q_polynomial(E6, c))
 
 
@@ -529,12 +553,15 @@ def upper_padding(upper: tuple, t1: float) -> float:
     return max(0.0, crude_bound(BLOCK_23, t1) - math.fsum(upper[3])) if t1 > E6 else 0.0
 
 
-def plan_q(routed13, routed23, absorb13: float, absorb23: float) -> tuple[float, ...]:
-    """Q1..Q6: each ASSEMBLY_PLAN value added into its Q from +0.0, in plan order."""
-    Q = [0.0] * 6
-    for i, value in zip(_PLAN_TARGETS, _plan_values(routed13, routed23, absorb13, absorb23)):
-        Q[i] += value
-    return tuple(Q)
+def q_prefix(routed13) -> tuple[float, ...]:
+    """Q1..Q6 after the first ASSEMBLY_PLAN rows, the head's two and
+    BLOCK_13's, each added into its Q from +0.0 in plan order."""
+    return _add_rows([0.0] * 6, _PREFIX_TARGETS, _prefix_values(routed13))
+
+
+def plan_q(prefix: tuple[float, ...], routed23, absorb13: float, absorb23: float) -> tuple[float, ...]:
+    """Q1..Q6: the ASSEMBLY_PLAN rows after ``q_prefix``'s added onto its Q, in plan order."""
+    return _add_rows(list(prefix), _REST_TARGETS, _rest_values(routed23, absorb13, absorb23))
 
 
 def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
@@ -546,10 +573,10 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     over [e^6, infinity)), each recorded in the derivation trace.
     """
     C, routed23, fold23, _ = upper = upper_pieces(*BLOCK_23.key(p))
-    c, routed13, absorb13 = lower_pieces(*BLOCK_13.key(p))
+    c, routed13, absorb13 = lower_pieces(BLOCK_13.block_sums(p.tau), *BLOCK_13.key(p))
     absorb23 = upper_padding(upper, p.t1)
     # Q4 has no k- or q-dependent part: only c4, a function of (tau, t2), feeds it.
-    Q = plan_q(routed13, routed23, absorb13, absorb23)
+    Q = plan_q(q_prefix(routed13), routed23, absorb13, absorb23)
     return BoundCoefficients(p, C, c, Q, fold23, absorb13, absorb23)
 
 
@@ -569,10 +596,17 @@ def theorem2_bound(
         coeffs = theorem2_coeffs(p)
     elif coeffs.params is not p and coeffs.params != p:
         raise ValueError("coeffs were assembled for different parameters")
-    head, mid_tail, tail_error = theorem2_fixed_parts(t)
-    return BoundCurve(t, {"head": head, "block_13": lower_part(t, coeffs.c, coeffs.absorb13),
-                          "block_23": upper_part(t, coeffs.C, coeffs.fold23_const, coeffs.absorb23),
+    head, block_13, block_23, mid_tail, tail_error = theorem2_parts(t, coeffs)
+    return BoundCurve(t, {"head": head, "block_13": block_13, "block_23": block_23,
                           "mid_tail": mid_tail, "tail_error": tail_error})
+
+
+def theorem2_parts(t: float, coeffs: BoundCoefficients) -> tuple[float, ...]:
+    """Theorem 2's head, block_13, block_23, mid-tail and tail-remainder
+    parts at t from assembled coefficients; t is not checked."""
+    head, mid_tail, tail_error = theorem2_fixed_parts(t)
+    return (head, lower_part(t, coeffs.c, coeffs.absorb13),
+            upper_part(t, coeffs.C, coeffs.fold23_const, coeffs.absorb23), mid_tail, tail_error)
 
 
 def theorem2_fixed_parts(t: float) -> tuple[float, float, float]:

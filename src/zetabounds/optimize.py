@@ -3,8 +3,9 @@
 A coarse geometric grid scan seeds a coordinate-descent refinement with
 geometrically shrinking multiplicative steps.  No randomness anywhere:
 identical inputs give identical traces.  The crossover scan compares the
-totals of ``theorem1_bound`` and ``theorem2_bound``, so it reads the same
-part definitions as every other caller of the two theorems.
+totals of ``theorem1_parts`` and ``theorem2_parts``, the parts that
+``theorem1_bound`` and ``theorem2_bound`` are built from, so it reads the
+same part definitions as every other caller of the two theorems.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .bounds import (
+    BLOCK_13,
     DEFAULT_PARAMS,
     E3,
     E6,
@@ -26,10 +28,12 @@ from .bounds import (
     lower_part,
     lower_pieces,
     plan_q,
-    theorem1_bound,
+    q_prefix,
+    theorem1_parts,
     theorem2_bound,
     theorem2_coeffs,
     theorem2_fixed_parts,
+    theorem2_parts,
     upper_padding,
     upper_part,
     upper_pieces,
@@ -65,6 +69,8 @@ class Objective:
         if (self.t is None) == (self.weights is None):
             raise ValueError("an objective takes exactly one of t and weights")
         if self.t is not None:
+            if not math.isfinite(self.t):
+                raise ValueError(f"the objective's t must be finite, got {self.t}")
             if not in_theorem_domain(self.t, 2):
                 raise ValueError(f"the objective's t must be >= e^6, got {self.t}")
         elif not (
@@ -111,15 +117,18 @@ class OptResult:
     evaluations: int = 0
 
 
-def _scorer_for_one_search(obj: Objective) -> Callable[[dict[str, float]], float]:
-    """``obj.evaluate`` at a point given as a dict, from parts stored per key (docs/block_assembly.md)."""
+def _scorer_for_one_search(obj: Objective) -> Callable[..., float]:
+    """``score(vals, below=inf)``: ``obj.evaluate`` at a point given as a
+    dict where that value is below ``below``, else some value >= below,
+    from parts stored per key (docs/block_assembly.md)."""
     t = obj.t
     fixed = () if t is None else theorem2_fixed_parts(t)
+    block_sums = lru_cache(maxsize=None)(BLOCK_13.block_sums)  # the rows of each tau
 
-    def lower_of(tau: float, q: float, t2: float) -> tuple:  # c checked, with block_13's part at t
-        c, routed13, absorb13 = lower_pieces(tau, q, t2)
+    def lower_of(tau: float, q: float, t2: float) -> tuple:  # c checked: Q's prefix, absorb13, block_13's part at t
+        c, routed13, absorb13 = lower_pieces(block_sums(tau), tau, q, t2)
         check_coefficients("c", c)
-        return routed13, absorb13, None if t is None else lower_part(t, c, absorb13)
+        return q_prefix(routed13), absorb13, None if t is None else lower_part(t, c, absorb13)
 
     def padding_of(k: float, t1: float) -> tuple:  # C checked, absorb23 and block_23's part at t
         check_coefficients("C", (up := upper(k))[0])
@@ -128,15 +137,32 @@ def _scorer_for_one_search(obj: Objective) -> Callable[[dict[str, float]], float
 
     upper, lower, padded = map(lru_cache(maxsize=None), (upper_pieces, lower_of, padding_of))
 
-    def score(vals: dict[str, float]) -> float:
+    def checked_q(up: tuple, lo: tuple, pad: tuple) -> tuple[float, ...] | None:  # None if Q fails its check
+        Q = plan_q(lo[0], up[1], lo[1], pad[0])
+        try:
+            check_coefficients("Q", Q)
+        except ValueError:
+            return None
+        return Q
+
+    def score(vals: dict[str, float], below: float = math.inf) -> float:
         try:
             up, lo = upper(vals["k"]), lower(vals["tau"], vals["q"], vals["t2"])
             pad = padded(vals["k"], vals["t1"])
-            Q = plan_q(lo[0], up[1], lo[1], pad[0])
-            check_coefficients("Q", Q)
         except ValueError:
             return math.inf  # parameter corner outside the assembly's regime
-        return obj._weighted(Q) if t is None else checked_total((*fixed, lo[2], pad[1]))
+        if t is None:
+            Q = checked_q(up, lo, pad)
+            return math.inf if Q is None else obj._weighted(Q)
+        try:
+            total = checked_total((*fixed, lo[2], pad[1]))
+        except ValueError:
+            if checked_q(up, lo, pad) is None:
+                return math.inf  # Q's fault is found first, as in theorem2_coeffs
+            raise
+        # Q decides only whether the point is feasible: a total at or above
+        # ``below`` is returned unchecked, since it cannot improve either way.
+        return total if total >= below or checked_q(up, lo, pad) is not None else math.inf
 
     return score
 
@@ -168,7 +194,7 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
     def consider(vals: dict[str, float]) -> bool:
         nonlocal evaluations, best_p, best_v
         evaluations += 1
-        value = score(vals)
+        value = score(vals, best_v)
         if value < best_v:
             best_v, best_p = value, BoundParams(**vals)
             trace.append((best_p, value))
@@ -222,12 +248,18 @@ def optimize_params(obj: Objective, budget: int = 600) -> OptResult:
 def crossover_scan(p: BoundParams, t_max: float) -> float | None:
     """Smallest t* in [e^6, t_max] where the six-shape bound drops below
     the direct-integration bound, or None if there is no crossover in
-    range.  t_max must lie in theorem 2's domain (``in_theorem_domain``).
+    range.  t_max must be finite and lie in theorem 2's domain
+    (``in_theorem_domain``).
 
     The scan walks a geometric grid (ratio 1.1) in log t and refines the
-    first sign change by bisection to width 1e-6 in log t, comparing the
-    ``theorem2_bound`` and ``theorem1_bound`` totals at each probe.
+    first sign change by bisection to width 1e-6 in log t.  Each probe
+    compares the ``checked_total`` of ``theorem2_parts`` with that of
+    ``theorem1_parts``: the totals of ``theorem2_bound(t, p)`` and
+    ``theorem1_bound(t)`` bit for bit, without building either curve.
+    p's coefficients are assembled once, before the first probe.
     """
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if not in_theorem_domain(t_max, 2):
         raise ValueError("t_max must be >= e^6")
     log_t_max = math.log(t_max)
@@ -236,7 +268,7 @@ def crossover_scan(p: BoundParams, t_max: float) -> float | None:
 
     def beats(logt: float) -> bool:
         t = math.exp(logt)
-        return theorem2_bound(t, p, coeffs).total < theorem1_bound(t).total
+        return checked_total(theorem2_parts(t, coeffs)) < checked_total(theorem1_parts(t))
 
     logt = 6.0
     while not beats(logt):

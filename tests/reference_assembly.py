@@ -1,6 +1,8 @@
 """The six-shape assembly as a walk of ``put`` calls, one per addition to
 Q1..Q6 in order: the reference that ``bounds.ASSEMBLY_PLAN``, and the
-assembly and trace built from it, are checked against."""
+assembly and trace built from it, are checked against.  Also the
+crossover scan that compares ``BoundCurve`` totals, the reference for
+``optimize.crossover_scan``."""
 
 from __future__ import annotations
 
@@ -20,6 +22,9 @@ from zetabounds.bounds import (
     collect,
     crude_bound,
     q_polynomial,
+    theorem1_bound,
+    theorem2_bound,
+    theorem2_coeffs,
 )
 
 
@@ -83,3 +88,32 @@ def assemble_by_puts(p: BoundParams, C: tuple[float, ...], c: tuple[float, ...])
 
 def theorem2_coeffs_by_puts(p: BoundParams) -> BoundCoefficients:
     return assemble_by_puts(p, collect(BLOCK_23, p), collect(BLOCK_13, p))
+
+
+def crossover_scan_by_curves(p: BoundParams, t_max: float) -> float | None:
+    """``optimize.crossover_scan(p, t_max)`` for a t_max it accepts, with
+    each probe comparing the totals of a ``theorem2_bound`` and a
+    ``theorem1_bound`` curve."""
+    log_t_max = math.log(t_max)
+    coeffs = theorem2_coeffs(p)
+    step = math.log(1.1)
+
+    def beats(logt: float) -> bool:
+        t = math.exp(logt)
+        return theorem2_bound(t, p, coeffs).total < theorem1_bound(t).total
+
+    logt = 6.0
+    while not beats(logt):
+        if logt >= log_t_max:
+            return None
+        logt = min(logt + step, log_t_max)
+    if logt == 6.0:
+        return math.exp(logt)
+    left, right = logt - step, logt
+    while right - left > 1e-6:
+        mid = 0.5 * (left + right)
+        if beats(mid):
+            right = mid
+        else:
+            left = mid
+    return math.exp(right)

@@ -24,8 +24,10 @@ from zetabounds.bounds import (
     q_polynomial,
     tail_error_bound,
     theorem1_bound,
+    theorem1_parts,
     theorem2_bound,
     theorem2_coeffs,
+    theorem2_parts,
     theorem2_parts_exact,
 )
 from zetabounds.optimize import DEFAULT_RANGES, PARAM_ORDER
@@ -438,8 +440,15 @@ class TestTheorem2Assembly:
             ).total
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theorem2_bound requires t >= 403.428793, got 100.0"):
             theorem2_bound(100.0, P0)
+
+    @pytest.mark.parametrize("bound", [theorem1_bound, theorem2_bound])
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_t_named_as_such(self, bound, t):
+        # inf is above both thresholds, so the message names finiteness
+        with pytest.raises(ValueError, match=f"{bound.__name__} requires a finite t, got {t}$"):
+            bound(t)
 
     def test_coeffs_params_mismatch_rejected(self):
         coeffs = theorem2_coeffs(P0)
@@ -525,6 +534,15 @@ class TestOneDefinitionPerPart:
             exact = theorem2_parts_exact(t, p)
             for name in ("head", "mid_tail", "tail_error"):
                 assert per[name] == exact[name], (name, t)
+
+    def test_curves_are_built_from_the_parts_functions(self):
+        coeffs = theorem2_coeffs(P0)
+        for t in np.geomspace(E6, 1e300, 300):
+            t = float(t)
+            per1, per2 = theorem1_bound(t).per_term, theorem2_bound(t, P0, coeffs).per_term
+            assert list(per1) == ["head", "mid_tail", "tail_error"]
+            assert list(per2) == ["head", "block_13", "block_23", "mid_tail", "tail_error"]
+            assert tuple(per1.values()) == theorem1_parts(t) and tuple(per2.values()) == theorem2_parts(t, coeffs)
 
 
 class TestMonotonicityInvariant:

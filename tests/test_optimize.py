@@ -16,6 +16,9 @@ from zetabounds.optimize import (
     optimize_params,
 )
 from zetabounds.bounds import theorem2_coeffs
+from zetabounds.numerics import geometric_grid
+
+from reference_assembly import crossover_scan_by_curves
 
 P0 = BoundParams()
 
@@ -38,6 +41,14 @@ class TestObjective:
             Objective()
         with pytest.raises(ValueError, match="exactly one of t and weights"):
             Objective(t=1e4, weights=(1, 1, 1, 1, 1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_t_named_as_such(self, bad):
+        # inf is above e^6: the message names finiteness, not the threshold
+        with pytest.raises(ValueError, match=f"the objective's t must be finite, got {bad}$"):
+            Objective.minimize_bound_at_t(bad)
+        with pytest.raises(ValueError, match=r"the objective's t must be >= e\^6, got 100.0$"):
+            Objective.minimize_bound_at_t(100.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, bad):
@@ -144,8 +155,28 @@ def _outcome(f, *args):
 
 
 def _reference_scorer(obj):
-    """Every point scored from scratch, by theorem2_coeffs and theorem2_bound."""
-    return lambda vals: obj.evaluate(BoundParams(**vals))
+    """Every point scored from scratch, by theorem2_coeffs and theorem2_bound;
+    exact whatever ``below`` is."""
+    return lambda vals, below=math.inf: obj.evaluate(BoundParams(**vals))
+
+
+def _patch_infeasible_tables(monkeypatch):
+    """Block tables under which some points of the box fail each check: where
+    k > 6, C6 and C10 < 0 with Q fine; where tau > 3, c5 < 0; where
+    tau < 1.5, c is tiny, so Q3 = -4 + c3 + (C's part) < 0 at small k."""
+    def lower_terms(tau, q, t2):
+        rows = bounds._differencing_terms(tau, q, t2)
+        scale = [1e-6 if tau < 1.5 else 1.0] * len(rows)
+        if tau > 3.0:
+            scale[4] = -20.0
+        return tuple((exp6, block_sum, f * weight) for f, (exp6, block_sum, weight) in zip(scale, rows))
+
+    def upper_terms(k):
+        rows = bounds._curvature_terms(k)
+        return (rows[0], (*rows[1][:2], -rows[1][2]), *rows[2:]) if k > 6.0 else rows
+
+    monkeypatch.setattr(bounds, "BLOCK_13", dataclasses.replace(bounds.BLOCK_13, terms=lower_terms))
+    monkeypatch.setattr(bounds, "BLOCK_23", dataclasses.replace(bounds.BLOCK_23, terms=upper_terms))
 
 
 def _hexed(result):
@@ -188,30 +219,77 @@ class TestOneSearchCoefficients:
         want = _outcome(optimize_params, obj, budget)
         assert _hexed(got) == _hexed(want)
 
+    @pytest.mark.parametrize("tables", ["real", "infeasible", "infeasible, negative head"])
+    def test_score_below_contract(self, tables, monkeypatch):
+        # score(vals, below) is the exact value where that is below ``below``
+        # and some value >= below elsewhere; at below = inf it is exact
+        if tables != "real":
+            _patch_infeasible_tables(monkeypatch)
+        if tables == "infeasible, negative head":
+            # every total fails its check: a point whose Q fails still scores
+            # infinite, as when Q was checked first, and any other raises
+            def negative_head(t, fixed_parts=bounds.theorem2_fixed_parts):
+                return (-1e300, *fixed_parts(t)[1:])
+
+            for module in (bounds, optimize):
+                monkeypatch.setattr(module, "theorem2_fixed_parts", negative_head)
+        rng = random.Random(34)
+        axes = {  # the search's grid and three more values per axis, so that points share stored keys
+            name: [*geometric_grid(*DEFAULT_RANGES[name], 5),
+                   *(math.exp(rng.uniform(*map(math.log, DEFAULT_RANGES[name]))) for _ in range(3))]
+            for name in PARAM_ORDER
+        }
+        points = [{name: rng.choice(axes[name]) for name in PARAM_ORDER} for _ in range(500)]
+        # Q fails at these points, with C and c fine, so their totals are
+        # finite: below a bar of the largest float only Q's check keeps them out
+        q_faults = [vals for vals in points
+                    if str(_outcome(theorem2_coeffs, BoundParams(**vals))).startswith("ValueError: Q")]
+        assert len(q_faults) >= 10 if tables != "real" else not q_faults
+        raised = 0
+        for kind, obj in {**OBJECTIVES, **MORE_OBJECTIVES}.items():
+            score = optimize._scorer_for_one_search(obj)
+            for vals in points:
+                want = _outcome(obj.evaluate, BoundParams(**vals))
+                if isinstance(want, str):  # the total's check raised: so does every bar
+                    raised += 1
+                    for below in (math.inf, 1e3, 0.0):
+                        assert _outcome(score, vals, below) == want, (kind, vals)
+                    continue
+                bars = [math.inf, want, math.nextafter(want, -math.inf), math.nextafter(want, math.inf),
+                        10.0 ** rng.uniform(-1.0, 7.0)]
+                for below in bars:
+                    got = score(vals, below)
+                    if want < below:
+                        assert got.hex() == want.hex(), (kind, vals, below)
+                    else:
+                        assert got >= below, (kind, vals, below, got)
+                assert score(vals).hex() == want.hex(), (kind, vals)
+        assert bool(raised) == (tables == "infeasible, negative head")
+
+    @pytest.mark.parametrize("kind", ["bound-at-t", "bound-at-e6.0", "bound-at-e13.0", "bound-at-e20.0"])
+    def test_bound_at_t_checks_q_only_at_improvements(self, kind, monkeypatch):
+        checked = []
+
+        def recording(name, vec, check=optimize.check_coefficients):
+            if name == "Q":
+                checked.append(vec)
+            return check(name, vec)
+
+        monkeypatch.setattr(optimize, "check_coefficients", recording)
+        result = optimize_params({**OBJECTIVES, **MORE_OBJECTIVES}[kind], budget=600)
+        assert checked == [theorem2_coeffs(p).Q for p, _ in result.trace]
+        assert 5 * len(checked) < result.evaluations
+
     def test_infeasible_points_score_infinite(self, monkeypatch):
-        # where k > 6, C6 and C10 < 0 with Q fine; where tau > 3, c5 < 0;
-        # where tau < 1.5, c is tiny, so Q3 = -4 + c3 + (C's part) < 0 at small k
-        def lower_terms(tau, q, t2):
-            rows = bounds._differencing_terms(tau, q, t2)
-            scale = [1e-6 if tau < 1.5 else 1.0] * len(rows)
-            if tau > 3.0:
-                scale[4] = -20.0
-            return tuple((exp6, block_sum, f * weight) for f, (exp6, block_sum, weight) in zip(scale, rows))
-
-        def upper_terms(k):
-            rows = bounds._curvature_terms(k)
-            return (rows[0], (*rows[1][:2], -rows[1][2]), *rows[2:]) if k > 6.0 else rows
-
-        monkeypatch.setattr(bounds, "BLOCK_13", dataclasses.replace(bounds.BLOCK_13, terms=lower_terms))
-        monkeypatch.setattr(bounds, "BLOCK_23", dataclasses.replace(bounds.BLOCK_23, terms=upper_terms))
+        _patch_infeasible_tables(monkeypatch)
         scored = []
 
         def recording(obj, scorer_for=optimize._scorer_for_one_search):
             score = scorer_for(obj)
 
-            def recorded(vals):
-                scored.append((vals, score(vals)))
-                return scored[-1][1]
+            def recorded(vals, below=math.inf):
+                scored.append((vals, score(vals)))  # exact, whatever the search's bar
+                return score(vals, below)
 
             return recorded
 
@@ -253,6 +331,14 @@ class TestOneSearchCoefficients:
             calls.append(table.source)
             return coefficients(table, *values)
 
+        rows = []
+        geom_sum_bounds = bounds.geom_sum_bounds
+
+        def counted_rows(alpha3, upper3, ratio):
+            rows.append((alpha3, ratio))
+            return geom_sum_bounds(alpha3, upper3, ratio)
+
+        monkeypatch.setattr(bounds, "geom_sum_bounds", counted_rows)
         pieces = []
         for name in ("upper_pieces", "lower_pieces", "upper_padding"):
             def build(*values, name=name, pieces_of=getattr(optimize, name)):
@@ -263,11 +349,17 @@ class TestOneSearchCoefficients:
         monkeypatch.setattr(bounds.BlockTable, "coefficients", counted)
         obj = OBJECTIVES["q1"]
         optimize_params(obj, budget=200)
-        first, first_pieces = len(calls), list(pieces)
+        first, first_pieces, first_rows = len(calls), list(pieces), list(rows)
         optimize_params(obj, budget=200)
         assert 0 < first < 2 * 200  # shared ranges were reused within the search
         assert len(calls) == 2 * first  # but nothing carried over to the next
-        assert pieces == 2 * first_pieces
+        assert pieces == 2 * first_pieces and rows == 2 * first_rows
+        # the lower range's rows are built once per distinct tau, the upper's
+        # once per k, with its pieces
+        taus = [values[1] for name, values in first_pieces if name == "lower_pieces"]
+        assert len(taus) > len(set(taus))
+        assert [ratio for alpha3, ratio in first_rows if alpha3 == 1] == list(dict.fromkeys(taus))
+        assert sum(alpha3 == 2 for alpha3, _ in first_rows) == calls.count(bounds.BLOCK_23.source) // 2
         # each range is collected only to build its pieces, and each key's
         # pieces and each (k, t1)'s padding are built once per search
         names = [name for name, _ in first_pieces]
@@ -294,6 +386,29 @@ class TestCrossoverScan:
     def test_none_when_range_too_small(self):
         assert crossover_scan(P0, t_max=math.exp(6.5)) is None
 
+    def test_default_crossover_pinned(self):
+        assert crossover_scan(P0, t_max=1e30).hex() == (19291.48236652549).hex()
+
+    def test_equals_the_scan_over_bound_curves(self):
+        # 64 seeded points, half of them from a box ten times wider at the
+        # top, so that some have no crossover below 1e4, and a k at which C1
+        # is not finite
+        rng = random.Random(34)
+        points = [BoundParams(k=1e200)]
+        for i in range(64):
+            points.append(BoundParams(**{
+                name: math.exp(rng.uniform(math.log(lo), math.log(hi * (10.0 if i % 2 else 1.0))))
+                for name, (lo, hi) in DEFAULT_RANGES.items()
+            }))
+        t_maxes = (1e4, 1e6, 1e30, 1e300, sys.float_info.max, math.exp(6.5))
+        outcomes = {"None": 0, "t": 0, "error": 0}
+        for p in points:
+            for t_max in t_maxes:
+                got = repr(_outcome(crossover_scan, p, t_max))
+                assert got == repr(_outcome(crossover_scan_by_curves, p, t_max)), (p, t_max)
+                outcomes["None" if got == "None" else "error" if "Error" in got else "t"] += 1
+        assert sum(outcomes.values()) >= 320 and all(outcomes.values()), outcomes
+
     def test_far_scan_exponent_dominance(self):
         # the leading shapes guarantee a crossover below 1e300 for any
         # finite coefficients
@@ -316,7 +431,10 @@ class TestCrossoverScan:
             crossover_scan(P0, t_max=math.exp(6.0) * (1.0 - 2e-6))
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"t_max must be >= e\^6$"):
             crossover_scan(P0, t_max=100.0)
-        with pytest.raises(ValueError):
-            crossover_scan(P0, t_max=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_max_named_as_such(self, bad):
+        with pytest.raises(ValueError, match=f"t_max must be finite, got {bad}$"):
+            crossover_scan(P0, t_max=bad)
