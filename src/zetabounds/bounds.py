@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import attrgetter
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 E2 = math.exp(2.0)
@@ -174,8 +173,7 @@ class BoundCoefficients:
     @cached_property
     def derivation_trace(self) -> tuple[TraceEntry, ...]:
         """One entry per ASSEMBLY_PLAN row, less zero folds and paddings."""
-        values = (*_prefix_values(routed(BLOCK_13, self.c)),
-                  *_rest_values(routed(BLOCK_23, self.C), self.absorb13, self.absorb23))
+        values = (*_prefix_values(self.c), *_rest_values(routed(BLOCK_23, self.C), self.absorb13, self.absorb23))
         return tuple(TraceEntry(Q_TARGETS[i], source, shape or Q_NAMES[i], value, note)
                      for (i, source, shape, note, kept), value in zip(ASSEMBLY_PLAN, values) if kept or value)
 
@@ -380,16 +378,10 @@ class BlockTable:
     terms: Callable[..., tuple[tuple[int, str, float], ...]]
     shapes: dict[tuple[int, int], int]  # each shape's index in ``collect``
     routes: tuple = field(init=False, repr=False)
-    key: Callable[[BoundParams], tuple] = field(init=False, repr=False, compare=False)  # p's ``reads``
 
     def __post_init__(self) -> None:
-        routes = tuple(
-            (Q_SHAPES.get(s), shape_name(*s), _shape_value(E6, *s))
-            for s in self.shapes
-        )
-        get = attrgetter(*self.reads)  # a tuple for two or more fields
+        routes = tuple((Q_SHAPES.get(s), shape_name(*s), _shape_value(E6, *s)) for s in self.shapes)
         object.__setattr__(self, "routes", routes)
-        object.__setattr__(self, "key", get if len(self.reads) > 1 else lambda p: (get(p),))
 
     def block_sums(self, ratio: float) -> dict[str, tuple[tuple[int, int, float], ...]]:
         """``geom_sum_bounds`` of this range's cover with block ratio ``ratio``."""
@@ -409,7 +401,7 @@ class BlockTable:
 
 def collect(table: BlockTable, p: BoundParams) -> tuple[float, ...]:
     """The range's closed-form bound collected into ``table.shapes``."""
-    values = table.key(p)
+    values = tuple(getattr(p, name) for name in table.reads)
     return table.coefficients(table.block_sums(values[0]), *values)
 
 
@@ -485,7 +477,7 @@ BLOCK_13 = BlockTable(
 
 def routed(table: BlockTable, coeffs: tuple[float, ...]) -> tuple[float, ...]:
     """The range's coefficients as they add into Q: that of a decaying shape
-    (route None) at its maximum over [e^6, inf), its value at t = e^6."""
+    (route None; BLOCK_23 has all of them) at its maximum over [e^6, inf), its value at t = e^6."""
     return tuple(v if i is not None else v * at_e6 for (i, _, at_e6), v in zip(table.routes, coeffs))
 
 
@@ -513,8 +505,8 @@ _PREFIX_TARGETS = tuple(row[0] for row in ASSEMBLY_PLAN[:_PREFIX_ROWS])
 _REST_TARGETS = tuple(row[0] for row in ASSEMBLY_PLAN[_PREFIX_ROWS:])
 
 
-def _prefix_values(routed13) -> tuple[float, ...]:
-    return (2.0 / 3.0, -4.0, *routed13)
+def _prefix_values(c) -> tuple[float, ...]:
+    return (2.0 / 3.0, -4.0, *c)
 
 
 def _rest_values(routed23, absorb13: float, absorb23: float) -> tuple[float, ...]:
@@ -542,10 +534,9 @@ def upper_pieces(k: float) -> tuple:
 
 def lower_pieces(sums: dict, tau: float, q: float, t2: float) -> tuple:
     """The lower range's share of the assembly, a function of (tau, q, t2)
-    alone, given ``sums = BLOCK_13.block_sums(tau)``: c, its ``routed``
-    values and the padding ``absorb13``."""
+    alone, given ``sums = BLOCK_13.block_sums(tau)``: c and the padding ``absorb13``."""
     c = BLOCK_13.coefficients(sums, tau, q, t2)
-    return c, routed(BLOCK_13, c), max(0.0, crude_bound(BLOCK_13, t2) - q_polynomial(E6, c))
+    return c, max(0.0, crude_bound(BLOCK_13, t2) - q_polynomial(E6, c))
 
 
 def upper_padding(upper: tuple, t1: float) -> float:
@@ -553,10 +544,10 @@ def upper_padding(upper: tuple, t1: float) -> float:
     return max(0.0, crude_bound(BLOCK_23, t1) - math.fsum(upper[3])) if t1 > E6 else 0.0
 
 
-def q_prefix(routed13) -> tuple[float, ...]:
+def q_prefix(c) -> tuple[float, ...]:
     """Q1..Q6 after the first ASSEMBLY_PLAN rows, the head's two and
     BLOCK_13's, each added into its Q from +0.0 in plan order."""
-    return _add_rows([0.0] * 6, _PREFIX_TARGETS, _prefix_values(routed13))
+    return _add_rows([0.0] * 6, _PREFIX_TARGETS, _prefix_values(c))
 
 
 def plan_q(prefix: tuple[float, ...], routed23, absorb13: float, absorb23: float) -> tuple[float, ...]:
@@ -572,12 +563,38 @@ def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     the crude branches contribute through constant paddings (their maxima
     over [e^6, infinity)), each recorded in the derivation trace.
     """
-    C, routed23, fold23, _ = upper = upper_pieces(*BLOCK_23.key(p))
-    c, routed13, absorb13 = lower_pieces(BLOCK_13.block_sums(p.tau), *BLOCK_13.key(p))
+    C, routed23, fold23, _ = upper = upper_pieces(p.k)
+    c, absorb13 = lower_pieces(BLOCK_13.block_sums(p.tau), p.tau, p.q, p.t2)
     absorb23 = upper_padding(upper, p.t1)
     # Q4 has no k- or q-dependent part: only c4, a function of (tau, t2), feeds it.
-    Q = plan_q(q_prefix(routed13), routed23, absorb13, absorb23)
+    Q = plan_q(q_prefix(c), routed23, absorb13, absorb23)
     return BoundCoefficients(p, C, c, Q, fold23, absorb13, absorb23)
+
+
+def theorem2_stores(t: float | None) -> tuple[Callable[..., tuple], Callable[..., tuple]]:
+    """One search's stores of theorem 2's pieces: ``lower(tau, q, t2)`` and
+    ``padded(k, t1)`` give a range's share of Q, its padding and its part at t
+    (None if t is None), after c's or C's check.  Each key, and each k's C, is
+    built once for this call alone; a key whose build raises is not stored."""
+    rows = cache(BLOCK_13.block_sums)
+
+    @cache
+    def upper(k: float) -> tuple:
+        check_coefficients("C", (up := upper_pieces(k))[0])
+        return up
+
+    @cache
+    def lower(tau: float, q: float, t2: float) -> tuple:
+        c, absorb13 = lower_pieces(rows(tau), tau, q, t2)
+        check_coefficients("c", c)
+        return q_prefix(c), absorb13, None if t is None else lower_part(t, c, absorb13)
+
+    @cache
+    def padded(k: float, t1: float) -> tuple:
+        absorb23 = upper_padding(up := upper(k), t1)
+        return up[1], absorb23, None if t is None else upper_part(t, up[0], up[2], absorb23)
+
+    return lower, padded
 
 
 def theorem2_bound(

@@ -2,10 +2,11 @@
 
 A coarse geometric grid scan seeds a coordinate-descent refinement with
 geometrically shrinking multiplicative steps.  No randomness anywhere:
-identical inputs give identical traces.  The crossover scan compares the
-totals of ``theorem1_parts`` and ``theorem2_parts``, the parts that
-``theorem1_bound`` and ``theorem2_bound`` are built from, so it reads the
-same part definitions as every other caller of the two theorems.
+identical inputs give identical traces.  A search scores its points from
+one set of ``bounds.theorem2_stores``, which build and check theorem 2's
+pieces per key; its scorer holds only what depends on the objective.  The
+crossover scan compares the totals of ``theorem1_parts`` and
+``theorem2_parts``, the parts both theorems' bound functions are built from.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Callable
 
 from .bounds import (
-    BLOCK_13,
     DEFAULT_PARAMS,
     E3,
     E6,
@@ -25,18 +24,13 @@ from .bounds import (
     check_coefficients,
     checked_total,
     in_theorem_domain,
-    lower_part,
-    lower_pieces,
     plan_q,
-    q_prefix,
     theorem1_parts,
     theorem2_bound,
     theorem2_coeffs,
     theorem2_fixed_parts,
     theorem2_parts,
-    upper_padding,
-    upper_part,
-    upper_pieces,
+    theorem2_stores,
 )
 from .numerics import _integer, geometric_grid
 
@@ -123,22 +117,10 @@ def _scorer_for_one_search(obj: Objective) -> Callable[..., float]:
     from parts stored per key (docs/block_assembly.md)."""
     t = obj.t
     fixed = () if t is None else theorem2_fixed_parts(t)
-    block_sums = lru_cache(maxsize=None)(BLOCK_13.block_sums)  # the rows of each tau
+    lower, padded = theorem2_stores(t)  # C and c checked there
 
-    def lower_of(tau: float, q: float, t2: float) -> tuple:  # c checked: Q's prefix, absorb13, block_13's part at t
-        c, routed13, absorb13 = lower_pieces(block_sums(tau), tau, q, t2)
-        check_coefficients("c", c)
-        return q_prefix(routed13), absorb13, None if t is None else lower_part(t, c, absorb13)
-
-    def padding_of(k: float, t1: float) -> tuple:  # C checked, absorb23 and block_23's part at t
-        check_coefficients("C", (up := upper(k))[0])
-        absorb23 = upper_padding(up, t1)
-        return absorb23, None if t is None else upper_part(t, up[0], up[2], absorb23)
-
-    upper, lower, padded = map(lru_cache(maxsize=None), (upper_pieces, lower_of, padding_of))
-
-    def checked_q(up: tuple, lo: tuple, pad: tuple) -> tuple[float, ...] | None:  # None if Q fails its check
-        Q = plan_q(lo[0], up[1], lo[1], pad[0])
+    def checked_q(lo: tuple, pad: tuple) -> tuple[float, ...] | None:  # None if Q fails its check
+        Q = plan_q(lo[0], pad[0], lo[1], pad[1])
         try:
             check_coefficients("Q", Q)
         except ValueError:
@@ -147,22 +129,21 @@ def _scorer_for_one_search(obj: Objective) -> Callable[..., float]:
 
     def score(vals: dict[str, float], below: float = math.inf) -> float:
         try:
-            up, lo = upper(vals["k"]), lower(vals["tau"], vals["q"], vals["t2"])
-            pad = padded(vals["k"], vals["t1"])
+            lo, pad = lower(vals["tau"], vals["q"], vals["t2"]), padded(vals["k"], vals["t1"])
         except ValueError:
             return math.inf  # parameter corner outside the assembly's regime
         if t is None:
-            Q = checked_q(up, lo, pad)
+            Q = checked_q(lo, pad)
             return math.inf if Q is None else obj._weighted(Q)
         try:
-            total = checked_total((*fixed, lo[2], pad[1]))
+            total = checked_total((*fixed, lo[2], pad[2]))
         except ValueError:
-            if checked_q(up, lo, pad) is None:
+            if checked_q(lo, pad) is None:
                 return math.inf  # Q's fault is found first, as in theorem2_coeffs
             raise
         # Q decides only whether the point is feasible: a total at or above
         # ``below`` is returned unchecked, since it cannot improve either way.
-        return total if total >= below or checked_q(up, lo, pad) is not None else math.inf
+        return total if total >= below or checked_q(lo, pad) is not None else math.inf
 
     return score
 
@@ -251,12 +232,12 @@ def crossover_scan(p: BoundParams, t_max: float) -> float | None:
     range.  t_max must be finite and lie in theorem 2's domain
     (``in_theorem_domain``).
 
-    The scan walks a geometric grid (ratio 1.1) in log t and refines the
-    first sign change by bisection to width 1e-6 in log t.  Each probe
-    compares the ``checked_total`` of ``theorem2_parts`` with that of
-    ``theorem1_parts``: the totals of ``theorem2_bound(t, p)`` and
-    ``theorem1_bound(t)`` bit for bit, without building either curve.
-    p's coefficients are assembled once, before the first probe.
+    The scan walks a geometric grid (ratio 1.1) in log t, its last step
+    clipped to t_max, and bisects the first sign change to width 1e-6 in
+    log t, a clipped step from the probe before it.  Each probe compares the
+    ``checked_total`` of ``theorem2_parts`` with that of ``theorem1_parts``:
+    the totals of ``theorem2_bound(t, p)`` and ``theorem1_bound(t)`` bit for
+    bit, without building either curve; p's coefficients are assembled once.
     """
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
@@ -270,14 +251,14 @@ def crossover_scan(p: BoundParams, t_max: float) -> float | None:
         t = math.exp(logt)
         return checked_total(theorem2_parts(t, coeffs)) < checked_total(theorem1_parts(t))
 
-    logt = 6.0
+    logt = left = 6.0
     while not beats(logt):
         if logt >= log_t_max:
             return None
-        logt = min(logt + step, log_t_max)
+        left, logt = logt, min(logt + step, log_t_max)
     if logt == 6.0:
         return math.exp(logt)  # crossover at (or before) the grid start
-    left, right = logt - step, logt
+    left, right = (logt - step if left + step <= log_t_max else left), logt
     # invariant: thm2 >= thm1 at left, thm2 < thm1 at right
     while right - left > 1e-6:
         mid = 0.5 * (left + right)

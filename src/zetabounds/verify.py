@@ -587,9 +587,8 @@ def verify_theorem_envelope(
 
     zeta' and the bound come from ``envelope_points``; each sample's budget
     is the error radius plus 1e-9 of the bound.  Non-converged points are
-    excluded and counted in the notes.  The range must start inside the
-    theorem's domain and satisfy t_min <= t_max <= T_CEILING; it is checked
-    before anything is evaluated.
+    excluded and counted in the notes.  The range, checked before any evaluation,
+    must be finite and in the theorem's domain, with t_min <= t_max <= T_CEILING.
     """
     which, n_samples = _integer("which", which), _integer("n_samples", n_samples)
     if which not in (1, 2):
@@ -597,6 +596,9 @@ def verify_theorem_envelope(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     lo, hi = t_range
+    for end in (lo, hi):
+        if not math.isfinite(end):
+            raise ValueError(f"t range must be finite, got {end}")
     if not in_theorem_domain(lo, which):
         raise ValueError(f"t range must start at or above {THRESHOLD[which]:.6g}")
     if not lo <= hi:

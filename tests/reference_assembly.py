@@ -102,14 +102,14 @@ def crossover_scan_by_curves(p: BoundParams, t_max: float) -> float | None:
         t = math.exp(logt)
         return theorem2_bound(t, p, coeffs).total < theorem1_bound(t).total
 
-    logt = 6.0
+    logt = left = 6.0
     while not beats(logt):
         if logt >= log_t_max:
             return None
-        logt = min(logt + step, log_t_max)
+        left, logt = logt, min(logt + step, log_t_max)
     if logt == 6.0:
         return math.exp(logt)
-    left, right = logt - step, logt
+    left, right = (logt - step if left + step <= log_t_max else left), logt
     while right - left > 1e-6:
         mid = 0.5 * (left + right)
         if beats(mid):

@@ -127,7 +127,7 @@ def closed_form_at(rows: tuple[tuple[int, int, float], ...], t: float) -> float:
 def resummed(table: BlockTable, t: float, p: BoundParams) -> float:
     """The same bound summed term by term at t, without collecting shapes;
     must agree with the collected polynomial to floating precision."""
-    values = table.key(p)
+    values = tuple(getattr(p, name) for name in table.reads)
     g = geom_sum_bounds(table.alpha3, table.upper3, values[0])
     return math.fsum(
         weight * t ** (exp6 / 6.0) * closed_form_at(g[block_sum], t)

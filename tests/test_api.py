@@ -68,6 +68,21 @@ def test_every_import_is_used(module):
     assert sorted(imported - used) == []
 
 
+def test_every_top_level_definition_is_read():
+    """A top-level ``def`` or ``class`` of ``src/`` is read by name somewhere
+    in ``src/`` or listed in ``__all__``; a module's dunder hooks, which the
+    interpreter calls, aside.  A piece left behind when its caller moves is
+    caught here."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}:{node.name}" for module, tree in sorted(trees.items()) for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in read and node.name not in zetabounds.__all__
+              and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert unread == []
+
+
 def test_public_table_names_each_name_once_where_it_is_defined():
     """``__init__.py`` imports nothing, so the import rule above checks nothing
     there: each entry of its table must be bound at the top level of the

@@ -10,6 +10,7 @@ from zetabounds.bounds import (
     E2,
     E3,
     E6,
+    Q_SHAPES,
     BoundCurve,
     BoundParams,
     BLOCK_13,
@@ -509,6 +510,13 @@ class TestAssemblyPlan:
             assert got.trace_report() == want.trace_report(), p
             assert_trace_sums_to_q(got)
         assert raised == 4 and t1_sides == 3
+
+    def test_lower_range_adds_into_q_unrouted(self):
+        # c is added into Q as it is: the lower range's shape i is Q's shape i,
+        # so no shape of it is folded, and only BLOCK_23 is routed
+        assert [route[0] for route in BLOCK_13.routes] == list(range(6))
+        assert list(BLOCK_13.shapes) == list(Q_SHAPES)
+        assert None in [route[0] for route in BLOCK_23.routes]
 
 
 class TestOneDefinitionPerPart:

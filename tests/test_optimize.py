@@ -324,6 +324,7 @@ class TestOneSearchCoefficients:
             optimize_params(obj, budget=50)
 
     def test_nothing_memoised_across_searches(self, monkeypatch):
+        # the stores are those of bounds.theorem2_stores, made anew for each search
         calls = []
         coefficients = bounds.BlockTable.coefficients
 
@@ -338,22 +339,30 @@ class TestOneSearchCoefficients:
             rows.append((alpha3, ratio))
             return geom_sum_bounds(alpha3, upper3, ratio)
 
+        checks = []
+        check_coefficients = bounds.check_coefficients
+
+        def counted_check(name, vec):
+            checks.append(name)
+            return check_coefficients(name, vec)
+
         monkeypatch.setattr(bounds, "geom_sum_bounds", counted_rows)
+        monkeypatch.setattr(bounds, "check_coefficients", counted_check)
         pieces = []
         for name in ("upper_pieces", "lower_pieces", "upper_padding"):
-            def build(*values, name=name, pieces_of=getattr(optimize, name)):
+            def build(*values, name=name, pieces_of=getattr(bounds, name)):
                 pieces.append((name, values))
                 return pieces_of(*values)
 
-            monkeypatch.setattr(optimize, name, build)
+            monkeypatch.setattr(bounds, name, build)
         monkeypatch.setattr(bounds.BlockTable, "coefficients", counted)
         obj = OBJECTIVES["q1"]
         optimize_params(obj, budget=200)
-        first, first_pieces, first_rows = len(calls), list(pieces), list(rows)
+        first, first_pieces, first_rows, first_checks = len(calls), list(pieces), list(rows), list(checks)
         optimize_params(obj, budget=200)
         assert 0 < first < 2 * 200  # shared ranges were reused within the search
         assert len(calls) == 2 * first  # but nothing carried over to the next
-        assert pieces == 2 * first_pieces and rows == 2 * first_rows
+        assert pieces == 2 * first_pieces and rows == 2 * first_rows and checks == 2 * first_checks
         # the lower range's rows are built once per distinct tau, the upper's
         # once per k, with its pieces
         taus = [values[1] for name, values in first_pieces if name == "lower_pieces"]
@@ -368,6 +377,13 @@ class TestOneSearchCoefficients:
         ]
         assert len(set(map(repr, first_pieces))) == len(first_pieces)
         assert names.count("upper_padding") > names.count("upper_pieces")
+        # the stores check C once per distinct k and c once per lower key;
+        # Q is checked by the scorer, not by the stores
+        ks = [values for name, values in first_pieces if name == "upper_pieces"]
+        lower_keys = [values[1:] for name, values in first_pieces if name == "lower_pieces"]
+        assert first_checks.count("C") == len(ks) == len(set(ks)) < names.count("upper_padding")
+        assert first_checks.count("c") == len(lower_keys) == len(set(lower_keys))
+        assert sorted(set(first_checks)) == ["C", "c"]
 
 
 class TestCrossoverScan:
@@ -429,6 +445,55 @@ class TestCrossoverScan:
         assert crossover_scan(P0, t_max=t_max) is None
         with pytest.raises(ValueError, match="t_max must be >= e\\^6"):
             crossover_scan(P0, t_max=math.exp(6.0) * (1.0 - 2e-6))
+
+    @pytest.mark.parametrize("case", ["near the far crossover", "theorem 1 drops at e^6.02"])
+    def test_clipped_scan_bisects_between_probed_points(self, case, monkeypatch):
+        # a last grid step clipped to log t_max used to bisect from
+        # log t_max - log 1.1, which no probe had seen, and below e^6.0953
+        # even from below e^6; each bisection probe is now the midpoint of two
+        # earlier probes, and the result is one
+        step = math.log(1.1)
+        if case == "near the far crossover":
+            rng = random.Random(35)
+            points = [P0, *(BoundParams(**{
+                name: math.exp(rng.uniform(*map(math.log, DEFAULT_RANGES[name]))) for name in PARAM_ORDER
+            }) for _ in range(3))]
+            cases = []
+            for p in points:  # t_max between the far crossover and the grid point after it
+                logt, grid_next = math.log(crossover_scan(p, 1e30)), 6.0
+                while grid_next <= logt:
+                    grid_next += step
+                cases.extend((p, math.exp(logt + f * (grid_next - logt))) for f in (0.01, 0.5, 0.99))
+        else:
+            def dropping(t, parts=optimize.theorem1_parts):
+                return tuple(x * (1e3 if t > math.exp(6.02) else 1.0) for x in parts(t))
+
+            monkeypatch.setattr(optimize, "theorem1_parts", dropping)
+            cases = [(P0, math.exp(6.05))]
+        logs = []
+
+        class RecordingMath:  # optimize's math, recording each log t that exp gets
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def exp(x):
+                logs.append(x)
+                return math.exp(x)
+
+        monkeypatch.setattr(optimize, "math", RecordingMath())
+        for p, t_max in cases:
+            logs.clear()
+            t_star = crossover_scan(p, t_max)
+            *probes, returned = logs  # the last exp is the result's
+            assert t_star == math.exp(returned) and returned in probes, (p, t_max)
+            n_grid = next(i for i in range(1, len(probes)) if probes[i] < probes[i - 1])
+            grid = probes[:n_grid]
+            assert grid[-1] == math.log(t_max) and 0 < grid[-1] - grid[-2] < step, (p, t_max)  # clipped
+            for i in range(n_grid, len(probes)):
+                seen = probes[:i]
+                assert any(probes[i] == 0.5 * (a + b) for a in seen for b in seen), (p, t_max, i)
+            assert min(probes) == 6.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match=r"t_max must be >= e\^6$"):

@@ -446,6 +446,21 @@ class TestTheoremEnvelopes:
             with pytest.raises(ValueError, match="need 0 < t_min <= t_max"):
                 verify_theorem_envelope(which, t_range, 50)
 
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t_named_as_such(self, which, bad, monkeypatch):
+        # (inf, inf) and (nan, 1e4) used to say the range must start at or
+        # above the threshold; a finite start below it keeps that wording
+        def no_evaluation(point, cfg):
+            raise AssertionError(f"zeta' evaluated at t={point.t}")
+
+        monkeypatch.setattr(verify, "zeta_prime_em", no_evaluation)
+        for t_range in ((bad, 1e4), (1e4, bad), (bad, bad)):
+            with pytest.raises(ValueError, match=f"^t range must be finite, got {bad}$"):
+                verify_theorem_envelope(which, t_range, 5)
+        with pytest.raises(ValueError, match=f"^t range must start at or above {(E2, E6)[which - 1]:.6g}$"):
+            verify_theorem_envelope(which, (5.0, 1e4), 5)
+
     def test_keeps_skip_note(self, monkeypatch):
         # every third point fails to converge; the report must say how many
         # samples it left out
