@@ -555,20 +555,31 @@ def plan_q(prefix: tuple[float, ...], routed23, absorb13: float, absorb23: float
     return _add_rows(list(prefix), _REST_TARGETS, _rest_values(routed23, absorb13, absorb23))
 
 
+_last_coeffs: tuple = (None, None)  # (params, coefficients) of the last theorem2_coeffs build
+
+
 def theorem2_coeffs(p: BoundParams) -> BoundCoefficients:
     """Assemble Q1..Q6 from the per-part bounds so that the six-shape
     polynomial dominates the exact five-part sum at every t >= e^6.
 
     Shape-for-shape sums are exact; the upper-range decaying shapes and
     the crude branches contribute through constant paddings (their maxima
-    over [e^6, infinity)), each recorded in the derivation trace.
+    over [e^6, infinity)), each recorded in the derivation trace.  The
+    last build is kept with its params and served again for that same
+    object, so a run of checks at one ``BoundParams`` builds it once.
     """
+    global _last_coeffs
+    key, coeffs = _last_coeffs
+    if key is p:
+        return coeffs
     C, routed23, fold23, _ = upper = upper_pieces(p.k)
     c, absorb13 = lower_pieces(BLOCK_13.block_sums(p.tau), p.tau, p.q, p.t2)
     absorb23 = upper_padding(upper, p.t1)
     # Q4 has no k- or q-dependent part: only c4, a function of (tau, t2), feeds it.
     Q = plan_q(q_prefix(c), routed23, absorb13, absorb23)
-    return BoundCoefficients(p, C, c, Q, fold23, absorb13, absorb23)
+    coeffs = BoundCoefficients(p, C, c, Q, fold23, absorb13, absorb23)
+    _last_coeffs = (p, coeffs)
+    return coeffs
 
 
 def theorem2_stores(t: float | None) -> tuple[Callable[..., tuple], Callable[..., tuple]]:

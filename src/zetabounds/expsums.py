@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .numerics import _integer, compensated_sum, exact_sum
+from .numerics import _exact_sums, _integer, compensated_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,8 +84,16 @@ def exp_sum_exact(f: Phase, N: int, L: int) -> complex:
     if L > RANGE_GUARD:
         raise ValueError("range too long for direct summation")
     n = np.arange(N + 1, N + L + 1, dtype=np.float64)
-    phase = TWO_PI * f(n)
-    return complex(exact_sum(np.cos(phase)), exact_sum(np.sin(phase)))
+    return _unit_sum(TWO_PI * f(n))
+
+
+def _unit_sum(phase: np.ndarray) -> complex:
+    """The sum of e^{i phase} over a 1-D array: its cos and sin rows,
+    correctly rounded by one ``_exact_sums`` call."""
+    parts = np.empty((2, phase.size))
+    np.cos(phase, out=parts[0])
+    np.sin(phase, out=parts[1])
+    return complex(*_exact_sums(parts))
 
 
 SHIFT_BLOCK = 2**15  # terms per array pass of shifted_diff_maxima; bounds its arrays

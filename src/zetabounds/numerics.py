@@ -8,7 +8,8 @@ explicit error contract:
 
 * ``compensated_sum``  -- correctly rounded (``math.fsum``)
 * ``exact_sum`` -- correctly rounded, the bits of ``math.fsum``, by
-  error-free extraction on long arrays (``docs/exact_summation.md``)
+  error-free extraction on long arrays (``docs/exact_summation.md``); the
+  one-row case of ``_exact_sums``, which sums the rows of an array at once
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
 * ``integrate_gauss_legendre`` -- |value - integral| <= radius for each
   integral of a batch, given a bound on |f| over each panel's Bernstein
@@ -60,62 +61,107 @@ def compensated_sum(terms: Iterable[float]) -> float:
 # Exact summation by error-free extraction (docs/exact_summation.md): for
 # n <= 2^m - 2 terms with |r| <= 2^-m sigma, q = fl(sigma + r) - sigma sums
 # exactly in any order, and r - q is exact with |r - q| <= 2^-53 sigma.
-_EXACT_MIN_TERMS = 512  # below this, math.fsum is the faster of the two
+_EXACT_MIN_TERMS = 512  # terms in all below which math.fsum is the faster (measured)
+_ROWS_MAX_TERMS = 2**14  # terms in all above which rows are extracted one at a time
 _BLOCK = 2**16  # terms per extraction pass; bounds the temporaries
 _ROUNDS = 2  # extraction rounds per block; the residual left goes to fsum
 _TOP_MAX = 2.0**1005  # with 2^m <= 2^17, sigma <= 2^1022 below this max|x|
 
 
-def _extract(block: np.ndarray, top: float) -> list[float]:
-    """Doubles whose exact sum is the sum of ``block``, |block| <= ``top``:
-    the sum of each round's extracted parts, then the nonzero residual."""
+def _extract(block: np.ndarray, top: float) -> list[list[float]]:
+    """For each row of the 2-D ``block``, |block| <= ``top``, doubles whose
+    exact sum is the row's: each round's extracted part, then the row's
+    nonzero residual terms.  The passes run on the block as one flat array."""
     import numpy as np
 
-    m = (block.size + 1).bit_length()  # 2^m >= size + 2
+    rows, width = block.shape
+    m = (width + 1).bit_length()  # 2^m >= row length + 2
     sigma = math.ldexp(1.0, m + math.frexp(top)[1])  # 2^-m sigma > top
-    q = np.empty_like(block)
-    r, parts = block, []
+    flat = block.reshape(-1)  # a view of a contiguous block
+    q = np.empty_like(flat)
+    r, rounds = flat, []
     for _ in range(_ROUNDS):
         np.add(r, sigma, out=q)
         q -= sigma
-        r = np.subtract(r, q, out=None if r is block else r)  # block is the caller's
-        parts.append(float(q.sum()))
+        r = np.subtract(r, q, out=None if r is flat else r)  # flat is the caller's
+        rounds.append(np.add.reduce(q.reshape(rows, width), axis=1).tolist())
         sigma = math.ldexp(sigma, m - 53)  # 2^-m of it bounds the residual
-    return parts + r[r != 0].tolist()
+    parts = [list(row_parts) for row_parts in zip(*rounds)]
+    left = r[r != 0]  # mostly empty, so one mask serves every row
+    if rows == 1:
+        parts[0] += left.tolist()
+    elif left.size:
+        for row_parts, row in zip(parts, r.reshape(rows, width)):
+            row_parts += row[row != 0].tolist()
+    return parts
+
+
+def _short_sum(row: np.ndarray) -> float:
+    """``math.fsum`` of a row, taken first: a finite result means every term
+    was finite, and is correctly rounded.  Otherwise a term is not finite
+    (ValueError) or a partial sum overflowed, and the row goes as integers."""
+    try:
+        total = math.fsum(memoryview(row))  # finite only if every term is
+        if math.isfinite(total):
+            return total
+    except (OverflowError, ValueError):  # a partial sum overflowed, or inf met -inf
+        pass
+    if not all(map(math.isfinite, row.tolist())):
+        raise ValueError("non-finite term in compensated sum")
+    return _integer_sum(row)  # fsum overflowed on finite terms
+
+
+def _exact_sums(rows: np.ndarray) -> list[float]:
+    """Correctly rounded sums of the rows of a C-contiguous 2-D float64
+    array, each the bits of ``math.fsum`` on its row: ``math.fsum`` itself
+    below _EXACT_MIN_TERMS terms in all, else error-free extraction of all
+    rows together (of one row at a time above _ROWS_MAX_TERMS), in blocks
+    of _BLOCK columns, each row rounded once.  OverflowError only when a
+    sum itself overflows; ValueError on a non-finite term."""
+    import numpy as np
+
+    if rows.size < _EXACT_MIN_TERMS:
+        return [_short_sum(row) for row in rows]
+    if rows.size > _ROWS_MAX_TERMS and len(rows) > 1:
+        return [_exact_sums(row[None])[0] for row in rows]
+    hi, lo = np.maximum.reduce(rows, None, initial=0.0), np.minimum.reduce(rows, None, initial=0.0)
+    top = float(max(hi, -lo))  # nan if any term is
+    if not math.isfinite(top):
+        raise ValueError("non-finite term in compensated sum")
+    if top >= _TOP_MAX:
+        return [_integer_sum(row) for row in rows]
+    parts = _extract(rows[:, :_BLOCK], top)
+    for start in range(_BLOCK, rows.shape[1], _BLOCK):
+        for row_parts, more in zip(parts, _extract(rows[:, start:start + _BLOCK], top)):
+            row_parts += more
+    sums = []
+    for i, row_parts in enumerate(parts):
+        try:
+            sums.append(math.fsum(row_parts))
+        except OverflowError:  # a partial sum overflowed, which the sum may not
+            sums.append(_integer_sum(rows[i]))
+    return sums
 
 
 def exact_sum(values: np.ndarray) -> float:
     """Correctly rounded sum of a 1-D float64 array, the bits of
-    ``math.fsum``: ``math.fsum`` itself below _EXACT_MIN_TERMS terms, else
-    error-free extraction in blocks of _BLOCK terms, rounded once.
-    OverflowError only when the sum itself overflows; ValueError on
-    non-finite or non-1-D input."""
+    ``math.fsum``: ``_exact_sums`` of it as one row.  OverflowError only
+    when the sum itself overflows; ValueError on non-finite or non-1-D
+    input."""
     import numpy as np
 
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("exact_sum takes a 1-D array")
-    top = float(max(arr.max(initial=0.0), -arr.min(initial=0.0)))  # nan if any term is
-    if not math.isfinite(top):
-        raise ValueError("non-finite term in compensated sum")
-    if top >= _TOP_MAX:
-        return _integer_sum(arr)
-    if arr.size < _EXACT_MIN_TERMS:  # n max|x| < 2^1014: no partial sum overflows
-        return math.fsum(arr.tolist())
-    parts: list[float] = []
-    for start in range(0, arr.size, _BLOCK):
-        parts += _extract(arr[start:start + _BLOCK], top)
-    try:
-        return math.fsum(parts)
-    except OverflowError:  # a partial sum overflowed, which the sum may not
-        return _integer_sum(arr)
+    return _exact_sums(arr[None])[0]
 
 
 def _integer_sum(arr: np.ndarray) -> float:
     """The sum in whole multiples of 2^-1074, rounded once by int / int,
-    half to even; OverflowError when the sum itself overflows."""
+    half to even; OverflowError when the sum itself overflows.  A double's
+    ratio p / q has q = 2^k, k <= 1074, so it is p << (1074 - k) units."""
     ratios = map(float.as_integer_ratio, arr.tolist())
-    return sum(p * ((1 << 1074) // q) for p, q in ratios) / (1 << 1074)
+    return sum(p << (1075 - q.bit_length()) for p, q in ratios) / (1 << 1074)
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +369,7 @@ def integrate_gauss_legendre(
     size = panels * nodes
     cuts = size.cumsum().tolist()
     magnitudes, slices = np.abs(terms), list(zip([0, *cuts], cuts))
-    values = np.array([math.fsum(terms[s:e].tolist()) for s, e in slices])
+    values = np.array([exact_sum(terms[s:e]) for s, e in slices])
     scale = np.array([np.add.reduce(magnitudes[s:e]) for s, e in slices])
     # weights, two products and the sum: (2 eps + GL_WEIGHT_ERR) sum |w h f|,
     # that sum rounded up by its recursive-summation bound
@@ -346,6 +392,5 @@ def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
     if n > 2 and not (sys.float_info.min <= ratio < math.inf):  # an interior 0 or inf
         raise ValueError(f"grid ends must have a finite, normal ratio, got {lo!r} and {hi!r}")
     ratio **= 1.0 / (n - 1)
-    pts = [lo * ratio**i for i in range(n)]
-    pts[-1] = hi
-    return pts
+    # the last point is hi itself: ratio^(n-1) may round above the largest double
+    return [lo * ratio**i for i in range(n - 1)] + [hi]

@@ -35,6 +35,7 @@ from .bounds import (
 from .expsums import (
     RANGE_GUARD,
     TWO_PI,
+    _unit_sum,
     exp_sum_exact,
     log_phase,
     quadratic_phase,
@@ -262,43 +263,59 @@ def _decreasing_from(a: float, t: float, v: int, sigma: float, sign: float) -> b
     return sign < 0 or t <= w * (math.log(a) - 1.0) + sigma * math.log(a) * (w + t)
 
 
+# check 2.2's uniform draws, by column of its block draws: t, margin, b / a, sigma
+_OSC_LOW = np.array([5.0, 0.1, 1.5, 0.0])
+_OSC_HIGH = np.array([60.0, 2.0, 4.0, 1.5])
+
+
 def _oscillatory_tail_draws(
     spec: SampleSpec, variants: tuple[str, ...],
 ) -> Iterator[tuple[float, ...]]:
     """Check 2.2's samples in stream order, variant by variant: (index into
     ``variants``, t, a, b, v, sigma, sign, bound, node error), the bound
-    side in Python floats."""
+    side in Python floats.  A sample draws, in stream order, rng.uniform
+    for t, margin and b / a, rng.integers(1, 5) for v, rng.uniform for
+    sigma and rng.integers(0, 2) for the sign; they come QUAD_BLOCK
+    samples per rng.random((n, 5)) call with the bits of those calls.
+    Columns 0, 1, 2 and 4 are the uniforms, low + (high - low) u as
+    rng.uniform forms them.  The two integer draws keep the top bits of
+    the low and then the high half of one 64-bit output, whose top 53
+    bits are column 3's w = u 2^53: v = 1 + bits 19-20 of w, and the
+    sign is +1 when bit 52 is set."""
+    low, width = _OSC_LOW, _OSC_HIGH - _OSC_LOW
+    per = spec.samples // len(variants)
     for k, variant in enumerate(variants):
         rng = np.random.default_rng(spec.seed + k)
-        for _ in range(spec.samples // len(variants)):
-            t = float(rng.uniform(5.0, 60.0))
-            margin = float(rng.uniform(0.1, 2.0))
-            a = t / TWO_PI * (1.0 + margin)
-            if a <= math.e:
-                a = math.e * 1.05  # keep log a positive so the bound is meaningful
-            b = a * float(rng.uniform(1.5, 4.0))
-            v = int(rng.integers(1, 5))
-            sigma = float(rng.uniform(0.0, 1.5))
-            sign = 1.0 if rng.integers(0, 2) else -1.0
-            while variant == "2.2a" and not _decreasing_from(a, t, v, sigma, sign):
-                a, b = 1.05 * a, 1.05 * b
+        for first in range(0, per, QUAD_BLOCK):
+            u = rng.random((min(QUAD_BLOCK, per - first), 5))
+            w = (u[:, 3] * 2.0**53).astype(np.uint64)
+            vs = (1 + ((w >> np.uint64(19)) & np.uint64(3))).tolist()
+            signs = np.where(w >> np.uint64(52), 1.0, -1.0).tolist()
+            uniforms = (low + width * u[:, [0, 1, 2, 4]]).tolist()
+            for (t, margin, stretch, sigma), v, sign in zip(uniforms, vs, signs):
+                a = t / TWO_PI * (1.0 + margin)
+                if a <= math.e:
+                    a = math.e * 1.05  # keep log a positive so the bound is meaningful
+                b = a * stretch
+                while variant == "2.2a" and not _decreasing_from(a, t, v, sigma, sign):
+                    a, b = 1.05 * a, 1.05 * b
 
-            if variant == "2.2a":
-                denom = TWO_PI * v * a + sign * t
-                bound = 2.0 * math.log(a) / (a**sigma * denom)
-            else:
-                bound = (
-                    8.0 * math.pi * v * a * math.log(a)
-                    / (a**sigma * (4.0 * math.pi**2 * v**2 * a**2 - t * t))
-                )
+                if variant == "2.2a":
+                    denom = TWO_PI * v * a + sign * t
+                    bound = 2.0 * math.log(a) / (a**sigma * denom)
+                else:
+                    bound = (
+                        8.0 * math.pi * v * a * math.log(a)
+                        / (a**sigma * (4.0 * math.pi**2 * v**2 * a**2 - t * t))
+                    )
 
-            # a node value's error (docs/oscillatory_tails.md, "Certified quadrature")
-            log_a, log_b = math.log(a), math.log(b)
-            envelope = (2.0 if variant == "2.2b" else 1.0) * log_a / a ** (1.0 + sigma)
-            phase = t * log_b + TWO_PI * v * b
-            drift = t / a + TWO_PI * v + (1.0 + 2.5 * log_b) / (a * log_a)
-            node_err = EPS * envelope * (3.0 * phase + 3.0 * b * drift + 2.0 * log_b + 8.0)
-            yield k, t, a, b, v, sigma, sign, bound, node_err
+                # a node value's error (docs/oscillatory_tails.md, "Certified quadrature")
+                log_a, log_b = math.log(a), math.log(b)
+                envelope = (2.0 if variant == "2.2b" else 1.0) * log_a / a ** (1.0 + sigma)
+                phase = t * log_b + TWO_PI * v * b
+                drift = t / a + TWO_PI * v + (1.0 + 2.5 * log_b) / (a * log_a)
+                node_err = EPS * envelope * (3.0 * phase + 3.0 * b * drift + 2.0 * log_b + 8.0)
+                yield k, t, a, b, v, sigma, sign, bound, node_err
 
 
 def _runs(kinds: np.ndarray) -> list[tuple[int, int, int]]:
@@ -471,8 +488,11 @@ def _check_differencing(spec: SampleSpec) -> VerificationReport:
         n_start = int(rng.integers(1, 500))
         length = int(rng.integers(1, 200))
         m_val = int(rng.integers(m_lo, m_hi + 1))
-        diffmax = shifted_diff_maxima(f, n_start, length, m_val)  # refuses too many terms first
-        s_val = abs(exp_sum_exact(f, n_start, length)) ** 2
+        phases = []  # shifted_diff_maxima's one evaluation of f, on N+1 .. N+L+M-1
+        # refuses too many terms before f runs
+        diffmax = shifted_diff_maxima(lambda x: phases.append(f(x)) or phases[0], n_start, length, m_val)
+        # f is elementwise, so its first L values are those exp_sum_exact(f, N, L) takes
+        s_val = abs(_unit_sum(TWO_PI * phases[0][:length])) ** 2
         rhs = weyl_differencing_rhs(length, m_val, diffmax)
         budget = 2.0 * math.sqrt(s_val) * 8.0 * EPS * length + 1e-10 * (1.0 + rhs)
         sweep.add(

@@ -15,13 +15,12 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import BERNOULLI_MAX_M, EPS, _integer, bernoulli_number, exact_sum
+from .numerics import BERNOULLI_MAX_M, EPS, _exact_sums, _integer, bernoulli_number
 
 # Certified-evaluation ceiling; the truncation index never exceeds 8|t| <= 8e5
 # terms, and at the default tol it falls from about 0.34|t| at t = 1e3 to
@@ -119,9 +118,8 @@ def default_em_config(
     log_tol, log_cap = math.log(tol), math.log(cap)
     hi, y, steps = cap, log_cap, 4  # order v must need at most hi terms
     taken = None
-    sums = islice(_pochhammer_sums(point.s), _START_V - 1, None)
-    for v, (log_pi, habs) in enumerate(sums, start=_START_V):
-        if v > _MAX_V or hi < 64:
+    for v, (log_pi, habs) in zip(range(_START_V, _MAX_V + 1), _pochhammer_sums(point.s, _START_V)):
+        if hi < 64:
             break
         log_k, p, shift = _bound_constants(point.sigma, v, log_pi, habs)
         a = log_k - math.log(p) - log_tol
@@ -168,18 +166,20 @@ def _term_tables(sigma: float, N: int) -> list[np.ndarray]:
 
 def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
     """sum_{n<N} n^{-s} (or sum_{n<N} log n * n^{-s} when ``log_weighted``),
-    each real part n^{-sigma} cos or sin(-t log n) summed by ``exact_sum``
-    (docs/exact_summation.md), and the sum of the term moduli."""
+    its real parts n^{-sigma} cos and sin(-t log n) summed as the two rows
+    of one ``_exact_sums`` call (docs/exact_summation.md), and the sum of
+    the term moduli."""
     logn, moduli, weighted = _term_tables(s.real, N)
     phase = (-s.imag) * logn
-    re, im = np.cos(phase), np.sin(phase, out=phase)
-    re *= moduli
-    im *= moduli
+    parts = np.empty((2, phase.size))
+    np.cos(phase, out=parts[0])
+    np.sin(phase, out=parts[1])
+    parts *= moduli
     if log_weighted:
-        for part in (re, im):
-            part *= logn
+        parts *= logn
         moduli = weighted
-    return complex(exact_sum(re), exact_sum(im)), float(np.sum(moduli))
+    re, im = _exact_sums(parts)
+    return complex(re, im), float(np.add.reduce(moduli))
 
 
 def _pow_err(point: EvalPoint, log_n: float) -> float:
@@ -188,43 +188,58 @@ def _pow_err(point: EvalPoint, log_n: float) -> float:
     return EPS * (2.0 * (abs(point.t) + abs(point.sigma)) * log_n + 4.0)
 
 
-@lru_cache(maxsize=None)
 def _correction_ratio(j: int) -> float:
     """B_{2j} / (B_{2j-2} (2j)(2j-1)) (B_0 = 1), the ratio of B_{2j}/(2j)!
-    to B_{2j-2}/(2j-2)!; computed on first use, so only the orders a
-    caller reaches cost a Bernoulli number."""
+    to B_{2j-2}/(2j-2)!."""
     prev = bernoulli_number(2 * j - 2) if j > 1 else 1.0
     return bernoulli_number(2 * j) / prev / (2 * j * (2 * j - 1))
 
 
-@lru_cache(maxsize=None)
 def _log_bernoulli_factor(v: int) -> float:
     """log(|B_{2v}| / (2v)!)."""
     return math.log(abs(bernoulli_number(2 * v))) - math.log(math.factorial(2 * v))
 
 
-_walk: tuple = (None, [])  # (s, [(log_pi, habs) for v = 1, 2, ...]) of the last walk
+# The values of _correction_ratio and _log_bernoulli_factor at orders 1, 2,
+# ..., each grown by ``_grown`` only as far as a caller reaches, so only
+# those orders cost a Bernoulli number.
+_ratios: list[float] = []
+_log_factors: list[float] = []
 
 
-def _pochhammer_sums(s: complex) -> Iterator[tuple[float, float]]:
-    """Yield sum_{i<2v} log|s+i| and sum_{i<2v} 1/|s+i| for v = 1, 2, ...
-    Once some s + i = 0 they are -inf (the product is 0) and inf.  Orders
-    the last walk of this s reached are read back from its list."""
+def _grown(table: list[float], v: int, entry: Callable[[int], float]) -> list[float]:
+    """``table`` grown to at least v entries, entry(j) at index j - 1."""
+    while len(table) < v:
+        table.append(entry(len(table) + 1))
+    return table
+
+
+_walk: tuple = (None, [])  # (s, [(log_pi, habs) for v = 1, 2, ...]): the orders walked for s
+
+
+def _pochhammer_sums(s: complex, v: int) -> Iterator[tuple[float, float]]:
+    """Yield sum_{i<2v} log|s+i| and sum_{i<2v} 1/|s+i| for orders v, v + 1,
+    ..., read from the list of the orders walked for this s, which a step
+    past its end extends one order at a time.  Once some s + i = 0 they
+    are -inf (the product is 0) and inf."""
     global _walk
     key, walked = _walk
-    pairs = list(walked) if key == s else []  # a copy: only this walk appends to it
-    yield from pairs
-    _walk = (s, pairs)
-    log_pi, habs = pairs[-1] if pairs else (0.0, 0.0)
-    for i in count(2 * len(pairs), 2):
+    if key != s:
+        walked = []
+        _walk = (s, walked)
+    for v in range(v, len(walked) + 1):
+        yield walked[v - 1]
+    log_pi, habs = walked[-1] if walked else (0.0, 0.0)
+    for i in count(2 * len(walked), 2):
         a, b = abs(s + i), abs(s + (i + 1))
         if a and b:
             log_pi += math.log(a * b)
             habs += 1.0 / a + 1.0 / b
         else:
             log_pi, habs = -math.inf, math.inf
-        pairs.append((log_pi, habs))
-        yield log_pi, habs
+        walked.append((log_pi, habs))
+        if len(walked) >= v:
+            yield log_pi, habs
 
 
 def _check_domain(point: EvalPoint, v: int, derivative: bool) -> None:
@@ -243,7 +258,7 @@ def _bound_constants(sigma: float, v: int, log_pi: float, habs: float) -> tuple[
     """log K, p and H + 1/p of the order-v bound, from
     log_pi = sum_{i<2v} log|s+i| and habs = H."""
     p = sigma + 2 * v - 1
-    return log_pi + _log_bernoulli_factor(v), p, habs + 1.0 / p
+    return log_pi + _grown(_log_factors, v, _log_bernoulli_factor)[v - 1], p, habs + 1.0 / p
 
 
 def em_remainder_bound(point: EvalPoint, N: int, v: int, derivative: bool = False) -> float:
@@ -267,7 +282,7 @@ def em_remainder_bound(point: EvalPoint, N: int, v: int, derivative: bool = Fals
 def _remainder_in_n(point: EvalPoint, v: int, derivative: bool) -> Callable[[int], float]:
     """``em_remainder_bound`` at order v as a function of N, after ``_check_domain``."""
     _check_domain(point, v, derivative)
-    sums = next(islice(_pochhammer_sums(point.s), v - 1, None))
+    sums = next(_pochhammer_sums(point.s, v))
     return _bound_in_n(*_bound_constants(point.sigma, v, *sums), derivative)
 
 
@@ -306,33 +321,45 @@ def _corrections(
     """
     logN = math.log(N)
     n2 = float(N * N)
-    base = N * n_pow
+    ratios = _grown(_ratios, v, _correction_ratio)
     total = harm = 0j
     habs = rounding = moduli = 0.0
-    for j in range(1, v + 1):
-        a = s + (2 * j - 2)
-        step = _correction_ratio(j) / n2
-        if j == 1:
-            base *= step * a
-        else:
+    a = s + 0  # as order 1 always took it: an imaginary -0.0 becomes +0.0
+    base = N * n_pow * (ratios[0] / n2 * a)  # order 1: the ratio times s alone
+    if derivative:
+        inv = 1.0 / a
+        harm += inv
+        habs += abs(inv)
+        mag = abs(base) * (habs + logN)
+        total += base * (harm - logN)
+        rounding += (16 + v) * mag
+        moduli += mag
+        for j, ratio in zip(range(2, v + 1), ratios[1:v]):
+            a = s + (2 * j - 2)
             b = a - 1
-            base *= step * (b * a)
-            if derivative:
-                inv = 1.0 / b
-                harm += inv
-                habs += abs(inv)
-        if derivative:
+            base *= ratio / n2 * (b * a)
+            inv = 1.0 / b
+            harm += inv
+            habs += abs(inv)
             inv = 1.0 / a
             harm += inv
             habs += abs(inv)
-            term = base * (harm - logN)
             mag = abs(base) * (habs + logN)
-        else:
-            term = base
-            mag = abs(base)
-        total += term
-        rounding += (16 * j + v) * mag
+            total += base * (harm - logN)
+            rounding += (16 * j + v) * mag
+            moduli += mag
+    else:
+        mag = abs(base)
+        total += base
+        rounding += (16 + v) * mag
         moduli += mag
+        for j, ratio in zip(range(2, v + 1), ratios[1:v]):
+            a = s + (2 * j - 2)
+            base *= ratio / n2 * ((a - 1) * a)
+            mag = abs(base)
+            total += base
+            rounding += (16 * j + v) * mag
+            moduli += mag
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError("correction-term overflow; reduce v")
     return total, EPS * rounding + pow_err * moduli
@@ -353,18 +380,20 @@ def _em_tail(
     (docs/remainder_bounds.md, "Rounding").
     """
     s = point.s
+    s1 = s - 1
     logN = math.log(N)
     n_pow = cmath.exp(-s * logN)  # N^{-s}
     pow_err = _pow_err(point, logN)
-    m = N * abs(n_pow) / abs(s - 1)
+    pow_abs, s1_abs = abs(n_pow), abs(s1)
+    m = N * pow_abs / s1_abs
     if derivative:
-        first = -logN * N * n_pow / (s - 1) - N * n_pow / (s - 1) ** 2
+        first = -logN * N * n_pow / s1 - N * n_pow / s1**2
         second = -0.5 * logN * n_pow
-        moduli = m * logN + m / abs(s - 1) + 0.5 * logN * abs(n_pow)
+        moduli = m * logN + m / s1_abs + 0.5 * logN * pow_abs
     else:
-        first = N * n_pow / (s - 1)
+        first = N * n_pow / s1
         second = 0.5 * n_pow
-        moduli = m + 0.5 * abs(n_pow)
+        moduli = m + 0.5 * pow_abs
     value = start + first
     value += second
     corrections, rounding = _corrections(s, N, n_pow, v, derivative, pow_err)

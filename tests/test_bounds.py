@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from zetabounds import bounds
 from zetabounds.bounds import (
     E2,
     E3,
@@ -30,6 +31,7 @@ from zetabounds.bounds import (
     theorem2_coeffs,
     theorem2_parts,
     theorem2_parts_exact,
+    upper_pieces as bounds_upper_pieces,
 )
 from zetabounds.optimize import DEFAULT_RANGES, PARAM_ORDER
 
@@ -352,6 +354,62 @@ class TestBlockBound13:
     def test_non_finite_params_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             BoundParams(**{name: value})
+
+
+class TestKeptCoefficients:
+    """theorem2_coeffs keeps its last build and serves it again for the
+    same BoundParams object; what it serves equals a fresh build."""
+
+    @staticmethod
+    def fresh(p):
+        bounds._last_coeffs = (None, None)
+        return theorem2_coeffs(p)
+
+    def test_served_equals_fresh_on_seeded_params(self):
+        rng = random.Random(36)
+        params = [BoundParams(**{name: math.exp(rng.uniform(*map(math.log, DEFAULT_RANGES[name])))
+                                 for name in PARAM_ORDER}) for _ in range(500)]
+        outcomes = []
+        for p in params:
+            kept = bounds._last_coeffs
+            try:
+                first = theorem2_coeffs(p)
+            except ValueError as exc:  # a raising build keeps nothing new
+                assert bounds._last_coeffs is kept
+                outcomes.append(str(exc))
+                continue
+            assert theorem2_coeffs(p) is first and bounds._last_coeffs == (p, first)
+            want = repr(self.fresh(p))
+            assert repr(first) == want and repr(theorem2_coeffs(p)) == want
+            outcomes.append(want)
+        assert any(o.startswith("BoundCoefficients(") for o in outcomes)
+        for p in rng.sample(params, 100):  # revisits, out of order, rebuild
+            assert str(_outcome(theorem2_coeffs, p)) == str(_outcome(self.fresh, p))
+
+    def test_equal_params_are_another_key(self):
+        # kept by object: an equal BoundParams is built anew, with its own params
+        first = theorem2_coeffs(BoundParams(k=3))
+        again = theorem2_coeffs(BoundParams(k=3.0))
+        assert again is not first and repr(again.params) == "BoundParams(k=3.0, tau=2.0, q=2.0, " \
+            f"t1={E3!r}, t2={E6!r})" and repr(again) == repr(self.fresh(BoundParams(k=3.0)))
+
+    def test_a_patched_builder_leaves_nothing_kept(self, monkeypatch):
+        # the first of two steps: coefficients built by a patched builder;
+        # tests/conftest.py clears the kept build around each test
+        monkeypatch.setattr(bounds, "upper_pieces", lambda k: _scaled_upper(k, 2.0))
+        type(self).patched = repr(theorem2_coeffs(P0))
+        assert bounds._last_coeffs[0] is P0
+
+    def test_the_next_test_sees_a_fresh_build(self):
+        # the second step: P0 again, with the builder restored
+        assert bounds._last_coeffs == (None, None)
+        got = repr(theorem2_coeffs(P0))
+        assert got != getattr(type(self), "patched", got + "?") and got == repr(self.fresh(P0))
+
+
+def _scaled_upper(k, factor):
+    C, routed23, fold23, at_e6 = bounds_upper_pieces(k)
+    return tuple(factor * c for c in C), routed23, fold23, at_e6
 
 
 class TestTheorem2Assembly:

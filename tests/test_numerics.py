@@ -178,21 +178,23 @@ class TestExactComplexSum:
 
     @pytest.mark.parametrize("log_weighted", [False, True])
     def test_evaluator_power_sums(self, log_weighted, monkeypatch):
-        # the arrays zeta_em / zeta_prime_em sum at their default config
+        # the arrays zeta_em / zeta_prime_em sum at their default config:
+        # one call a power sum, its real and imaginary parts as two rows
         seen = []
 
-        def recording(values):
-            seen.append((np.array(values), exact_sum(values)))
+        def recording(rows):
+            seen.append((np.array(rows), numerics._exact_sums(rows)))
             return seen[-1][1]
 
-        monkeypatch.setattr(zeta, "exact_sum", recording)
+        monkeypatch.setattr(zeta, "_exact_sums", recording)
         for t in geometric_grid(10.0, 1e5, 81):
             point = zeta.EvalPoint(t)
             N = zeta.default_em_config(point, for_derivative=log_weighted).N
             zeta._power_sums(point.s, N, log_weighted)
-        assert len(seen) == 2 * 81 and max(arr.size for arr, _ in seen) > 3 * 4096
-        for arr, got in seen:
-            assert got.hex() == math.fsum(arr).hex()
+        assert len(seen) == 81 and max(rows.shape[1] for rows, _ in seen) > 3 * 4096
+        for rows, got in seen:
+            assert rows.shape[0] == len(got) == 2
+            assert [x.hex() for x in got] == [math.fsum(row).hex() for row in rows]
 
     def test_rejects_non_finite(self):
         for n in (10, 10**4):
@@ -237,7 +239,7 @@ class TestExactSumEdges:
         for seed in range(8):
             values = np.random.default_rng(seed).uniform(1.01, 1.1, 2**17 - 2) * 2.0**-35
             values[0] = 1.0
-            parts = numerics._extract(values, 1.0)
+            parts, = numerics._extract(values[None], 1.0)
             assert exact(parts) == exact(values.tolist()), seed
 
     @pytest.mark.parametrize("n", [2, 1000, 4 * 4096])
@@ -587,9 +589,7 @@ def _parent_grid(lo, hi, n):
     if n == 1:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (n - 1))
-    pts = [lo * ratio**i for i in range(n)]
-    pts[-1] = hi
-    return pts
+    return [lo * ratio**i for i in range(n - 1)] + [hi]  # the last point, hi, never formed
 
 
 @settings(max_examples=300, deadline=None)
@@ -610,6 +610,10 @@ def test_geometric_grid_keeps_the_bits_of_every_grid_it_spaces(lo, hi, n):
 
 
 def test_geometric_grid_keeps_edge_grids():
+    # ratio^16 rounds above the largest double here; the grid ends at hi
+    wide = geometric_grid(1.0, 1.7976931348623145e308, 17)
+    assert len(wide) == 17 and wide[-1] == 1.7976931348623145e308
+    assert all(a < b < math.inf for a, b in zip(wide, wide[1:]))
     assert geometric_grid(1.0, 2.0**-1022, 3) == [1.0, 2.0**-511, 2.0**-1022]
     assert geometric_grid(2.0**-1074, 2.0**-52, 3) == [2.0**-1074, 2.0**-563, 2.0**-52]
     assert geometric_grid(5.0, 5.0, 4) == [5.0] * 4

@@ -257,6 +257,22 @@ def test_partial_integration_block_draws_have_the_scalar_bits():
             assert [x.hex() for x in drawn[:8]] == [x.hex() for x in scalar], seed
 
 
+def test_oscillatory_tail_block_draws_have_the_scalar_bits():
+    # the scalar uniform and integers calls of the reference, replayed from
+    # one rng.random((n, 5)) call per QUAD_BLOCK samples: 20 samples (5 a
+    # variant), and 163 (40 a variant, a full block and a part block, and
+    # 3 not drawn)
+    for seed in range(300):
+        for samples in (20, 163):
+            got = verify._oscillatory_tail_draws(SampleSpec(samples=samples, seed=seed), verify._OSC_VARIANTS)
+            want = oscillatory_tail_draws(seed, samples, verify._OSC_VARIANTS)
+            for drawn, (_, a, b, _, _, params) in zip(got, want, strict=True):
+                kind = verify._OSC_VARIANTS.index(params["variant"])
+                scalar = (kind, params["t"], a, b, params["v"], params["sigma"], params["sign"])
+                assert [repr(x) for x in drawn[:7]] == [repr(x) for x in scalar], seed
+                assert type(drawn[4]) is int
+
+
 def _recorded_quadratures(monkeypatch, check_id, spec):
     """Run a check and return, per integral, (value, radius, value of the
     same integral at a thousandth of its tol)."""

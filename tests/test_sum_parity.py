@@ -25,7 +25,7 @@ import pytest
 
 from reference_sums import binned_complex_sum, complex_power_sums
 from zetabounds import zeta
-from zetabounds.numerics import exact_sum, geometric_grid
+from zetabounds.numerics import _exact_sums, exact_sum, geometric_grid
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -56,14 +56,14 @@ def _seeded_arrays():
 def _evaluator_arrays() -> list[np.ndarray]:
     """The real and imaginary parts of every power sum ``zeta_em`` and
     ``zeta_prime_em`` add up at their default config, on 81 points of t
-    log-spaced in [10, 1e5]."""
+    log-spaced in [10, 1e5]: the rows of one ``_exact_sums`` call a sum."""
     seen: list[np.ndarray] = []
 
-    def recording(values):
-        seen.append(np.array(values))
-        return exact_sum(values)
+    def recording(rows):
+        seen.extend(np.array(rows))
+        return _exact_sums(rows)
 
-    with patch.object(zeta, "exact_sum", recording):
+    with patch.object(zeta, "_exact_sums", recording):
         for t in geometric_grid(10.0, 1e5, 81):
             point = zeta.EvalPoint(t)
             for log_weighted in (False, True):
@@ -156,6 +156,99 @@ def test_power_sums_match_the_complex_route(disabled):
     bad, prefix_reads = json.loads(out.stdout)
     assert bad == []
     assert prefix_reads >= len(TABLE_CASES) // 2
+
+
+# Both routes of the exact-sum kernel, math.fsum and error-free extraction,
+# must give math.fsum's bits on every input, one row or two, with rows
+# extracted together or one at a time: each case runs under four settings
+# of the route thresholds, at each SIMD level (the extraction's passes and
+# reductions are numpy kernels picked by that level).  The math.fsum route
+# and terms of 2^1005 and above, which are added as Python ints, run no
+# numpy pass, so below the top level neither the forced fsum route nor the
+# 2^16-term cases of those terms run again.
+ROUTE_LENGTHS = [0, 1, 127, 128, 511, 512, 2**16 - 1, 2**16 + 1]
+ROUTE_KINDS = ["subnormal", "near 2^1005", "above 2^1005", "one huge among tiny",
+               "cancelling", "all -0.0", "mixed signs"]
+ROUTES = {  # (_EXACT_MIN_TERMS, _ROWS_MAX_TERMS)
+    "default": None, "fsum": (2**40, 2**40), "extraction": (0, 2**40), "row by row": (0, 0),
+}
+
+
+def route_case(kind: str, n: int, seed: int) -> np.ndarray:
+    """n seeded terms of one kind; none makes math.fsum overflow."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], n)
+    if kind == "subnormal":  # subnormals and normals just above them
+        x = rng.integers(-(2**40), 2**40, n) * 5e-324
+        x[rng.random(n) < 0.3] *= 2.0**60
+        return x
+    if kind == "near 2^1005":  # just below the extraction's top, partial sums far below overflow
+        return signs * rng.uniform(0.5, 1.0, n) * math.nextafter(2.0**1005, 0.0)
+    if kind == "above 2^1005":
+        return signs * rng.uniform(1.0, 8.0, n) * 2.0**1005
+    if kind == "one huge among tiny":
+        x = rng.normal(size=n) * 1e-300
+        if n:
+            x[rng.integers(n)] = 2.0**1010 * signs[0]
+        return x
+    if kind == "cancelling":  # x and -x: exactly +0.0
+        half = rng.normal(size=n // 2) * 10.0 ** rng.integers(-300, 300, n // 2)
+        return rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+    if kind == "all -0.0":
+        return np.full(n, -0.0)
+    return signs * np.exp(rng.uniform(-740.0, 690.0, n))  # mixed signs and exponents, below 2^1005
+
+
+_ROUTE_SCRIPT = """
+import json, math, sys
+import numpy as np
+from zetabounds import numerics
+from test_sum_parity import ROUTE_KINDS, ROUTE_LENGTHS, ROUTES, route_case
+top_level = sys.argv[1] == "top"
+cases = [(n, kind, route_case(kind, n, 2 * k), route_case(kind, n, 2 * k + 1))
+         for n in ROUTE_LENGTHS for k, kind in enumerate(ROUTE_KINDS)
+         if top_level or n < 2**15 or kind not in ("above 2^1005", "one huge among tiny")]
+wants = [[math.fsum(one).hex(), math.fsum(two).hex()] for _, _, one, two in cases]
+bad, raised = [], 0
+default = (numerics._EXACT_MIN_TERMS, numerics._ROWS_MAX_TERMS)
+for route, limits in ROUTES.items():
+    if route == "fsum" and not top_level:
+        continue
+    numerics._EXACT_MIN_TERMS, numerics._ROWS_MAX_TERMS = limits or default
+    for (n, kind, one, two), want in zip(cases, wants):
+        got = [numerics.exact_sum(one).hex(), *(x.hex() for x in numerics._exact_sums(np.stack([one, two])))]
+        if got != want[:1] + want:
+            bad.append([route, n, kind, got, want])
+    for n in ROUTE_LENGTHS:
+        for bad_term in (math.nan, math.inf, -math.inf, "inf and -inf"):
+            row = np.ones(max(n, 2))
+            row[-1] = math.inf if bad_term == "inf and -inf" else bad_term
+            if bad_term == "inf and -inf":
+                row[0] = -math.inf
+            for call in (lambda: numerics.exact_sum(row), lambda: numerics._exact_sums(np.stack([row[::-1], row]))):
+                try:
+                    call()
+                except ValueError as exc:
+                    raised += str(exc) == "non-finite term in compensated sum"
+                else:
+                    bad.append([route, n, "no error on", str(bad_term)])
+print(json.dumps([bad, raised]))
+"""
+
+
+@pytest.mark.parametrize(
+    "disabled", _dispatch_levels(), ids=lambda d: f"off-from-{d.split()[0]}" if d else "all-on"
+)
+def test_both_sum_routes_match_fsum(disabled):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    level = "top" if disabled == "" else "lower"
+    out = subprocess.run([sys.executable, "-c", _ROUTE_SCRIPT, level], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    bad, raised = json.loads(out.stdout)
+    assert bad == []
+    assert raised == (len(ROUTES) - (level != "top")) * len(ROUTE_LENGTHS) * 4 * 2
 
 
 def test_table_views_are_read_only():

@@ -222,6 +222,31 @@ class TestLemmaSweeps:
         with pytest.raises(ValueError, match="range too long for direct summation"):
             verify_lemma("4.3", SampleSpec(samples=1, ranges={"M": (10**8, 10**8)}))
 
+    def test_differencing_evaluates_each_phase_once(self, monkeypatch):
+        # f runs once a sample, on N+1 .. N+L+M-1, and |S|^2 has the bits of
+        # the direct sum over its first L values, exp_sum_exact(f, N, L)
+        calls, sums = [], []
+        for name in ("quadratic_phase", "log_phase"):
+            def counted(*args, make=getattr(verify, name)):
+                f = make(*args)
+                return lambda x: calls.append((f, x[0], x.size)) or f(x)
+
+            monkeypatch.setattr(verify, name, counted)
+        maxima = verify.shifted_diff_maxima
+
+        def recorded(f, N, L, M):
+            sums.append((N, L, M))
+            return maxima(f, N, L, M)
+
+        monkeypatch.setattr(verify, "shifted_diff_maxima", recorded)
+        added = []
+        monkeypatch.setattr(verify._Sweep, "add", lambda sweep, value, *rest: added.append(value))
+        verify_lemma("4.3", SampleSpec(samples=30, seed=3, ranges={"M": (1, 40)}))
+        assert len(calls) == len(sums) == len(added) == 30
+        for (f, first, size), (N, L, M), value in zip(calls, sums, added):
+            assert (first, size) == (N + 1, L + M - 1)
+            assert value.hex() == (abs(expsums.exp_sum_exact(f, N, L)) ** 2).hex()
+
     @pytest.mark.parametrize(
         "check_id, ranges, name",
         [

@@ -22,6 +22,7 @@ from zetabounds.zeta import (
     zeta_prime_em,
 )
 
+import reference_zeta
 from reference_oracle import default_eta_terms, eta_oracle, zeta_prime_oracle
 from reference_sums import direct_sum_budget, log_dirichlet_sum
 
@@ -284,23 +285,26 @@ class TestDefaultEmConfig:
         # t = 100 and e^6 (the benchmark warm-ups) nothing past B_32, with
         # the Pochhammer walk of each point cold and then already taken to
         # order 60.  The exact recurrence caches B_0, B_1 and every even
-        # index up to the largest read, 18 entries for B_32.
+        # index up to the largest read, 18 entries for B_32, and the grown
+        # lists hold no order past 16.
         read = []
         monkeypatch.setattr(zeta, "bernoulli_number",
                             lambda m: read.append(m) or numerics.bernoulli_number(m))
-        caches = (numerics._bernoulli_exact, zeta._correction_ratio, zeta._log_bernoulli_factor)
         for warm in (False, True):
-            for cache in caches:
-                cache.cache_clear()
+            numerics._bernoulli_exact.cache_clear()
+            zeta._ratios.clear()
+            zeta._log_factors.clear()
             read.clear()
             for t in (100.0, math.exp(6.0)):
                 point = EvalPoint(t)
                 zeta._walk = (None, [])
                 if warm:
-                    assert len(list(islice(zeta._pochhammer_sums(point.s), _MAX_V))) == _MAX_V
+                    assert len(list(islice(zeta._pochhammer_sums(point.s, 1), _MAX_V))) == _MAX_V
+                    assert len(zeta._walk[1]) == _MAX_V
                 zeta_prime_em(point, default_em_config(point, for_derivative=True))
             assert read and max(read) <= 32, warm
             assert numerics._bernoulli_exact.cache_info().currsize <= 2 + 32 // 2, warm
+            assert 0 < len(zeta._ratios) <= 16 and 0 < len(zeta._log_factors) <= 16, warm
 
     @pytest.mark.parametrize(
         "t, n, v",
@@ -429,15 +433,25 @@ class TestPochhammerWalk:
         assert self.hexes(got) == self.hexes(self.cold(f, *args, **kwargs)), (f, args)
         return got
 
-    def test_evaluation_reads_the_config_walk(self):
+    def test_evaluation_reads_the_config_walk(self, monkeypatch):
+        # the evaluation indexes the list the config walk filled: no order
+        # is walked twice, so the walk's abs calls are the config's alone
+        calls = []
+        monkeypatch.setattr(zeta, "abs", lambda x: calls.append(x) or abs(x), raising=False)
         for t, sigma in ((1e5, 0.5), (3e3, 0.5), (1234.5, 2.0), (50.0, -3.2)):
             point = EvalPoint(t, sigma)
             cfg = self.cold(default_em_config, point, for_derivative=True)
-            walked = zeta._walk[1]
-            assert zeta._walk[0] == point.s and len(walked) >= cfg.v
+            walked, length = zeta._walk[1], len(zeta._walk[1])
+            assert zeta._walk[0] == point.s and length >= cfg.v
+            steps = sum(1 for x in calls if isinstance(x, complex) and x.imag == point.t)
+            assert steps == 2 * length  # two factors |s + i| an order, each walked once
+            calls.clear()
             got = zeta_prime_em(point, cfg)
-            assert zeta._walk[1] is walked  # read back, nothing walked again
+            assert zeta._walk[1] is walked and len(walked) == length  # read back, nothing walked
+            assert not any(isinstance(x, complex) and x.imag == point.t and x.real > point.sigma
+                           for x in calls)  # no |s + i| of the walk, i >= 1, taken again
             assert self.hexes(got) == self.hexes(self.cold(zeta_prime_em, point, cfg))
+            calls.clear()
 
     def test_user_order_past_the_walk(self):
         # at t = 100 default_em_config walks to order 16; v = 60 goes on from there
@@ -463,6 +477,54 @@ class TestPochhammerWalk:
             self.same_as_cold(em_range_sum, point, a, a + int(rng.integers(0, 10**6)))
             self.same_as_cold(em_remainder_bound, point, cfg.N, cfg.v)
             self.same_as_cold(zeta_em, point, EMConfig(N=cfg.N, v=int(rng.integers(15, 61))))
+
+
+class TestGeneratorRouteParity:
+    """The list memo of the Pochhammer walk, the grown Bernoulli lists and
+    the corrections loop split by ``derivative`` give the bits of the
+    generator walk, the cached factors and the one loop they replaced
+    (``tests/reference_zeta.py``), on 400 log-spaced t in [10, 1e5] at four
+    sigma, with each call finding the memo the previous one left."""
+
+    T_GRID = geometric_grid(10.0, 1e5, 400)
+
+    @staticmethod
+    def outcome(f, *args, **kwargs):
+        try:
+            r = f(*args, **kwargs)
+        except (ValueError, OverflowError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        if isinstance(r, CertifiedComplex):
+            return r.value.real.hex(), r.value.imag.hex(), r.error_bound.hex(), r.converged
+        return r.hex() if isinstance(r, float) else (r.N, r.v, r.tol)
+
+    def same(self, name, *args, **kwargs):
+        got = self.outcome(getattr(zeta, name), *args, **kwargs)
+        assert got == self.outcome(getattr(reference_zeta, name), *args, **kwargs), (name, args)
+        return got
+
+    @pytest.mark.parametrize("sigma", [0.5, -0.5, 0.25, 1.5])
+    def test_default_configs_and_evaluations(self, sigma):
+        for t in self.T_GRID:
+            point = EvalPoint(t, sigma)
+            for derivative, evaluate in ((False, "zeta_em"), (True, "zeta_prime_em")):
+                N, v, tol = self.same("default_em_config", point, for_derivative=derivative)
+                self.same(evaluate, point, EMConfig(N=N, v=v, tol=tol))
+                self.same("em_remainder_bound", point, N, v, derivative)
+
+    @pytest.mark.parametrize("sigma", [0.5, -0.5, 0.25, 1.5])
+    def test_other_orders_and_range_sums(self, sigma):
+        # orders below the config walk's start and past its end, and range
+        # sums around t / (2 pi), some of whose radii are not finite
+        rng = np.random.default_rng(36)
+        for t in self.T_GRID[::8]:
+            point = EvalPoint(t, sigma)
+            N = int(rng.integers(2, 2_000))
+            for v in (int(rng.integers(1, 15)), int(rng.integers(15, 61)), _MAX_V):
+                self.same("em_remainder_bound", point, N, v, bool(rng.integers(0, 2)))
+                self.same("zeta_em" if rng.integers(0, 2) else "zeta_prime_em", point, EMConfig(N=N, v=v))
+            a = max(1, int(t / (2 * math.pi) * rng.uniform(0.5, 2.0)))
+            self.same("em_range_sum", point, a, a + int(rng.integers(0, 10**5)))
 
 
 def mid_tail_ends(t):
