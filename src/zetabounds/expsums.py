@@ -89,11 +89,11 @@ def exp_sum_exact(f: Phase, N: int, L: int) -> complex:
 
 def _unit_sum(phase: np.ndarray) -> complex:
     """The sum of e^{i phase} over a 1-D array: its cos and sin rows,
-    correctly rounded by one ``_exact_sums`` call."""
+    correctly rounded as the segments of one ``_exact_sums`` call."""
     parts = np.empty((2, phase.size))
     np.cos(phase, out=parts[0])
     np.sin(phase, out=parts[1])
-    return complex(*_exact_sums(parts))
+    return complex(*_exact_sums(parts.reshape(-1), (phase.size, parts.size)))
 
 
 SHIFT_BLOCK = 2**15  # terms per array pass of shifted_diff_maxima; bounds its arrays

@@ -7,9 +7,9 @@ inputs (the quadrature, for the same integrand values) and carries an
 explicit error contract:
 
 * ``compensated_sum``  -- correctly rounded (``math.fsum``)
-* ``exact_sum`` -- correctly rounded, the bits of ``math.fsum``, by
-  error-free extraction on long arrays (``docs/exact_summation.md``); the
-  one-row case of ``_exact_sums``, which sums the rows of an array at once
+* ``_exact_sums`` -- correctly rounded sums of the segments of one array,
+  each the bits of ``math.fsum``, by error-free extraction on long arrays
+  (``docs/exact_summation.md``)
 * ``bernoulli_number`` -- exact rational recurrence, rounded once to float
 * ``integrate_gauss_legendre`` -- |value - integral| <= radius for each
   integral of a batch, given a bound on |f| over each panel's Bernstein
@@ -17,7 +17,7 @@ explicit error contract:
   (``docs/oscillatory_tails.md``, "Certified quadrature")
 
 Only the array kernels need numpy, and each loads it when it runs:
-``exact_sum``, ``gauss_legendre`` and ``integrate_gauss_legendre``.
+``_exact_sums``, ``gauss_legendre`` and ``integrate_gauss_legendre``.
 ``compensated_sum``, ``bernoulli_number``, ``geometric_grid`` and the
 integer check ``_integer`` run without it, so the optimizer, which uses
 the last two, loads no numpy.
@@ -25,12 +25,13 @@ the last two, loads no numpy.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 EPS = math.ulp(1.0)  # 2^-52
 BERNOULLI_MAX_M = 120  # largest index bernoulli_number accepts
@@ -62,44 +63,44 @@ def compensated_sum(terms: Iterable[float]) -> float:
 # n <= 2^m - 2 terms with |r| <= 2^-m sigma, q = fl(sigma + r) - sigma sums
 # exactly in any order, and r - q is exact with |r - q| <= 2^-53 sigma.
 _EXACT_MIN_TERMS = 512  # terms in all below which math.fsum is the faster (measured)
-_ROWS_MAX_TERMS = 2**14  # terms in all above which rows are extracted one at a time
-_BLOCK = 2**16  # terms per extraction pass; bounds the temporaries
-_ROUNDS = 2  # extraction rounds per block; the residual left goes to fsum
+_PASS_MAX_TERMS = 2**14  # terms in all up to which whole segments share a pass (measured)
+_BLOCK = 2**16  # terms per pass at most, of a longer segment; bounds the temporaries
 _TOP_MAX = 2.0**1005  # with 2^m <= 2^17, sigma <= 2^1022 below this max|x|
 
 
-def _extract(block: np.ndarray, top: float) -> list[list[float]]:
-    """For each row of the 2-D ``block``, |block| <= ``top``, doubles whose
-    exact sum is the row's: each round's extracted part, then the row's
-    nonzero residual terms.  The passes run on the block as one flat array."""
+def _extract(block: np.ndarray, starts: list[int], top: float) -> tuple[list, list]:
+    """Split the pieces block[starts[j]:starts[j + 1]] of the 1-D ``block``,
+    |block| <= ``top``, starts non-decreasing from 0 and below its length,
+    into doubles with the same exact sums: each round's extracted part of
+    every piece, a list per round, and the nonzero residual terms as
+    (piece, term) pairs.  A round is one set of passes over the whole
+    block, with one reduceat for the pieces' parts; an empty piece gets
+    reduceat's term at its start and no residual term, and is the caller's
+    to drop."""
     import numpy as np
 
-    rows, width = block.shape
-    m = (width + 1).bit_length()  # 2^m >= row length + 2
+    m = (block.size + 1).bit_length()  # 2^m >= block length + 2
     sigma = math.ldexp(1.0, m + math.frexp(top)[1])  # 2^-m sigma > top
-    flat = block.reshape(-1)  # a view of a contiguous block
-    q = np.empty_like(flat)
-    r, rounds = flat, []
-    for _ in range(_ROUNDS):
+    q = np.empty_like(block)
+    r, rounds = block, []
+    for _ in range(2):
         np.add(r, sigma, out=q)
         q -= sigma
-        r = np.subtract(r, q, out=None if r is flat else r)  # flat is the caller's
-        rounds.append(np.add.reduce(q.reshape(rows, width), axis=1).tolist())
+        r = np.subtract(r, q, out=None if r is block else r)  # block is the caller's
+        rounds.append(np.add.reduceat(q, starts).tolist())
         sigma = math.ldexp(sigma, m - 53)  # 2^-m of it bounds the residual
-    parts = [list(row_parts) for row_parts in zip(*rounds)]
-    left = r[r != 0]  # mostly empty, so one mask serves every row
-    if rows == 1:
-        parts[0] += left.tolist()
-    elif left.size:
-        for row_parts, row in zip(parts, r.reshape(rows, width)):
-            row_parts += row[row != 0].tolist()
-    return parts
+    nonzero = r != 0
+    left = r[nonzero]  # mostly empty
+    if not left.size or len(starts) == 1:
+        return rounds, [(0, x) for x in left.tolist()]
+    pieces = np.searchsorted(starts, np.flatnonzero(nonzero), side="right") - 1
+    return rounds, list(zip(pieces.tolist(), left.tolist()))
 
 
 def _short_sum(row: np.ndarray) -> float:
-    """``math.fsum`` of a row, taken first: a finite result means every term
-    was finite, and is correctly rounded.  Otherwise a term is not finite
-    (ValueError) or a partial sum overflowed, and the row goes as integers."""
+    """``math.fsum`` of a 1-D array, taken first: a finite result means every
+    term was finite, and is correctly rounded.  Otherwise a term is not
+    finite (ValueError) or a partial sum overflowed, and it goes as integers."""
     try:
         total = math.fsum(memoryview(row))  # finite only if every term is
         if math.isfinite(total):
@@ -111,49 +112,55 @@ def _short_sum(row: np.ndarray) -> float:
     return _integer_sum(row)  # fsum overflowed on finite terms
 
 
-def _exact_sums(rows: np.ndarray) -> list[float]:
-    """Correctly rounded sums of the rows of a C-contiguous 2-D float64
-    array, each the bits of ``math.fsum`` on its row: ``math.fsum`` itself
-    below _EXACT_MIN_TERMS terms in all, else error-free extraction of all
-    rows together (of one row at a time above _ROWS_MAX_TERMS), in blocks
-    of _BLOCK columns, each row rounded once.  OverflowError only when a
+def _exact_sums(terms: np.ndarray, cuts: Sequence[int]) -> list[float]:
+    """Correctly rounded sums of the segments of a contiguous 1-D float64
+    array that end at ``cuts`` (ascending, the last the array's size), each
+    the bits of ``math.fsum`` on its segment: ``math.fsum`` itself below
+    _EXACT_MIN_TERMS terms in all, else error-free extraction from one
+    ``top``, in passes over whole segments of up to _PASS_MAX_TERMS terms
+    in all, and over _BLOCK terms at a time of a longer segment.  A
+    segment in one pass with no residual left is its two round sums added
+    once; any other is its parts' ``math.fsum``.  OverflowError only when a
     sum itself overflows; ValueError on a non-finite term."""
     import numpy as np
 
-    if rows.size < _EXACT_MIN_TERMS:
-        return [_short_sum(row) for row in rows]
-    if rows.size > _ROWS_MAX_TERMS and len(rows) > 1:
-        return [_exact_sums(row[None])[0] for row in rows]
-    hi, lo = np.maximum.reduce(rows, None, initial=0.0), np.minimum.reduce(rows, None, initial=0.0)
+    starts = [0, *cuts[:-1]]
+    if terms.size < _EXACT_MIN_TERMS:
+        return [_short_sum(terms[s:e]) for s, e in zip(starts, cuts)]
+    hi, lo = np.maximum.reduce(terms, initial=0.0), np.minimum.reduce(terms, initial=0.0)
     top = float(max(hi, -lo))  # nan if any term is
     if not math.isfinite(top):
         raise ValueError("non-finite term in compensated sum")
     if top >= _TOP_MAX:
-        return [_integer_sum(row) for row in rows]
-    parts = _extract(rows[:, :_BLOCK], top)
-    for start in range(_BLOCK, rows.shape[1], _BLOCK):
-        for row_parts, more in zip(parts, _extract(rows[:, start:start + _BLOCK], top)):
-            row_parts += more
-    sums = []
-    for i, row_parts in enumerate(parts):
+        return [_integer_sum(terms[s:e]) for s, e in zip(starts, cuts)]
+    sums = [0.0] * len(cuts)  # an empty segment's
+    spread: dict[int, list[float]] = {}  # the parts of the segments fsum rounds
+    span, p = min(_PASS_MAX_TERMS, _BLOCK), 0
+    while p < terms.size:
+        first = bisect.bisect_right(cuts, p)  # the segment of term p
+        whole = bisect.bisect_right(cuts, p + span)
+        e = cuts[whole - 1] if whole > first else min(p + _BLOCK, cuts[first])
+        last = bisect.bisect_left(cuts, e)  # the segment of term e - 1
+        pieces = starts[first:last + 1]
+        if p:
+            pieces = [max(start - p, 0) for start in pieces]
+        rounds, left = _extract(terms[p:e], pieces, top)
+        for j, x in left:
+            spread.setdefault(first + j, []).append(x)
+        for i, one, two in zip(range(first, last + 1), *rounds):
+            if starts[i] == cuts[i]:
+                continue  # empty, and inside the pass: reduceat gave it a term, not 0
+            if p <= starts[i] and cuts[i] <= e and i not in spread:
+                sums[i] = one + two  # the exact sum, rounded once
+            else:
+                spread.setdefault(i, []).extend((one, two))
+        p = e
+    for i, parts in spread.items():
         try:
-            sums.append(math.fsum(row_parts))
+            sums[i] = math.fsum(parts)
         except OverflowError:  # a partial sum overflowed, which the sum may not
-            sums.append(_integer_sum(rows[i]))
+            sums[i] = _integer_sum(terms[starts[i]:cuts[i]])
     return sums
-
-
-def exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum of a 1-D float64 array, the bits of
-    ``math.fsum``: ``_exact_sums`` of it as one row.  OverflowError only
-    when the sum itself overflows; ValueError on non-finite or non-1-D
-    input."""
-    import numpy as np
-
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("exact_sum takes a 1-D array")
-    return _exact_sums(arr[None])[0]
 
 
 def _integer_sum(arr: np.ndarray) -> float:
@@ -369,7 +376,7 @@ def integrate_gauss_legendre(
     size = panels * nodes
     cuts = size.cumsum().tolist()
     magnitudes, slices = np.abs(terms), list(zip([0, *cuts], cuts))
-    values = np.array([exact_sum(terms[s:e]) for s, e in slices])
+    values = np.array(_exact_sums(terms, cuts))
     scale = np.array([np.add.reduce(magnitudes[s:e]) for s, e in slices])
     # weights, two products and the sum: (2 eps + GL_WEIGHT_ERR) sum |w h f|,
     # that sum rounded up by its recursive-summation bound

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterator
 
@@ -41,14 +41,12 @@ class EvalPoint:
 
     t: float
     sigma: float = 0.5
+    s: complex = field(init=False, repr=False, compare=False)  # sigma + it, formed once
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and math.isfinite(self.sigma)):
             raise ValueError("EvalPoint requires finite coordinates")
-
-    @property
-    def s(self) -> complex:
-        return complex(self.sigma, self.t)
+        object.__setattr__(self, "s", complex(self.sigma, self.t))
 
 
 @dataclass(frozen=True)
@@ -167,8 +165,8 @@ def _term_tables(sigma: float, N: int) -> list[np.ndarray]:
 def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]:
     """sum_{n<N} n^{-s} (or sum_{n<N} log n * n^{-s} when ``log_weighted``),
     its real parts n^{-sigma} cos and sin(-t log n) summed as the two rows
-    of one ``_exact_sums`` call (docs/exact_summation.md), and the sum of
-    the term moduli."""
+    of one array, the segments of one ``_exact_sums`` call
+    (docs/exact_summation.md), and the sum of the term moduli."""
     logn, moduli, weighted = _term_tables(s.real, N)
     phase = (-s.imag) * logn
     parts = np.empty((2, phase.size))
@@ -178,7 +176,7 @@ def _power_sums(s: complex, N: int, log_weighted: bool) -> tuple[complex, float]
     if log_weighted:
         parts *= logn
         moduli = weighted
-    re, im = _exact_sums(parts)
+    re, im = _exact_sums(parts.reshape(-1), (phase.size, parts.size))
     return complex(re, im), float(np.add.reduce(moduli))
 
 
@@ -367,11 +365,12 @@ def _corrections(
 
 def _em_tail(
     point: EvalPoint, N: int, v: int, derivative: bool, start: complex = 0j
-) -> tuple[complex, float]:
-    """start + T(N) and a bound on its rounding, where T(N), the boundary
-    terms plus the order-1..v corrections, is the Euler-Maclaurin tail of
-    zeta (of zeta', with ``derivative``) at N: sum_{n>=N} n^{-s} (minus
-    sum_{n>=N} log n n^{-s}) up to the remainder bound at N.
+) -> tuple[complex, float, float]:
+    """start + T(N), a bound on its rounding, and ``_pow_err`` at N, where
+    T(N), the boundary terms plus the order-1..v corrections, is the
+    Euler-Maclaurin tail of zeta (of zeta', with ``derivative``) at N:
+    sum_{n>=N} n^{-s} (minus sum_{n>=N} log n n^{-s}) up to the remainder
+    bound at N.
 
     The terms are added to ``start`` in the order ``_truncated`` always
     used.  The bound covers the rounding of N^{-s} = exp(-s log N),
@@ -400,7 +399,7 @@ def _em_tail(
     value += corrections
     rounding += (pow_err + 8.0 * EPS) * moduli
     rounding += 2.0 * EPS * (abs(start) + moduli + abs(corrections))
-    return value, rounding
+    return value, rounding, pow_err
 
 
 def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedComplex:
@@ -417,8 +416,8 @@ def _truncated(point: EvalPoint, cfg: EMConfig, derivative: bool) -> CertifiedCo
         raise ValueError(f"|t| exceeds the certified ceiling {T_CEILING:g}")
     trunc = em_remainder_bound(point, cfg.N, cfg.v, derivative)  # rejects s + i = 0
     head, moduli = _power_sums(point.s, cfg.N, log_weighted=derivative)
-    value, rounding = _em_tail(point, cfg.N, cfg.v, derivative, -head if derivative else head)
-    term_err = _pow_err(point, math.log(cfg.N)) + (2.0 * EPS if derivative else 0.0)
+    value, rounding, pow_err = _em_tail(point, cfg.N, cfg.v, derivative, -head if derivative else head)
+    term_err = pow_err + (2.0 * EPS if derivative else 0.0)
     err = trunc + term_err * moduli + rounding
     return CertifiedComplex(value=value, error_bound=err, converged=trunc <= cfg.tol)
 
@@ -447,8 +446,8 @@ def em_range_sum(point: EvalPoint, a: int, b: int) -> CertifiedComplex:
     remainder = _remainder_in_n(point, _START_V, derivative=True)
     a, a_err = _double_end(a, point.sigma)
     b, b_err = _double_end(b, point.sigma)
-    tail_a, round_a = _em_tail(point, a, _START_V, derivative=True)
-    tail_b, round_b = _em_tail(point, b, _START_V, derivative=True)
+    tail_a, round_a, _ = _em_tail(point, a, _START_V, derivative=True)
+    tail_b, round_b, _ = _em_tail(point, b, _START_V, derivative=True)
     value = tail_b - tail_a
     err = remainder(a) + remainder(b) + round_a + round_b + a_err + b_err + EPS * abs(value)
     return CertifiedComplex(value=value, error_bound=err)

@@ -8,11 +8,12 @@ that ``zetabounds.expsums.weight_sum_blocks`` runs in numpy blocks, and
 ``shifted_diff_rows`` the one-shift-at-a-time loop that
 ``zetabounds.expsums.shifted_diff_maxima`` runs in array passes; both
 must be reproduced to the bit.  ``binned_complex_sum`` is the exact
-per-exponent binned accumulator that ``zetabounds.numerics.exact_sum``
+per-exponent binned accumulator that ``zetabounds.numerics._exact_sums``
 replaced, and ``complex_power_sums`` the complex-exponential power sums
 that ``zetabounds.zeta._power_sums`` now forms in real parts; both are
-parity references.  ``compensated_complex_sum`` is ``exact_sum`` of each
-part of a complex array, which the references above sum through.
+parity references.  ``exact_sum`` is the kernel on one segment, and
+``compensated_complex_sum`` ``exact_sum`` of each part of a complex
+array, which the references above sum through.
 Nothing in ``zetabounds`` calls this module.
 """
 
@@ -26,11 +27,11 @@ from typing import Iterator
 import numpy as np
 
 from zetabounds.expsums import RANGE_GUARD, TWO_PI, Phase
-from zetabounds.numerics import EPS, exact_sum
+from zetabounds.numerics import EPS, _exact_sums
 
 __all__ = [
     "WeightSums", "binned_complex_sum", "compensated_complex_sum", "complex_power_sums",
-    "direct_sum_budget", "log_dirichlet_sum", "shifted_diff_rows", "weight_sum_rows",
+    "direct_sum_budget", "exact_sum", "log_dirichlet_sum", "shifted_diff_rows", "weight_sum_rows",
 ]
 
 
@@ -81,6 +82,17 @@ def binned_complex_sum(values: np.ndarray) -> complex:
             totals[part] += sum(map(operator.lshift, ints, _BIN_SHIFT[used].tolist()))
     # int / int is correctly rounded, half to even; an exact zero gives +0.0
     return complex(totals[0] / _SCALE, totals[1] / _SCALE)
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-D float64 array, the bits of
+    ``math.fsum``: ``_exact_sums`` of it as one segment.  OverflowError
+    only when the sum itself overflows; ValueError on non-finite or
+    non-1-D input."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("exact_sum takes a 1-D array")
+    return _exact_sums(arr, [arr.size])[0]
 
 
 def compensated_complex_sum(values: np.ndarray) -> complex:

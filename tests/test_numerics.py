@@ -19,7 +19,6 @@ from zetabounds.numerics import (
     MAX_GL_NODES,
     bernoulli_number,
     compensated_sum,
-    exact_sum,
     gauss_legendre,
     geometric_grid,
     integrate_gauss_legendre,
@@ -27,7 +26,7 @@ from zetabounds.numerics import (
 from zetabounds import numerics, verify, zeta
 from zetabounds.zeta import _MAX_V
 
-from reference_sums import compensated_complex_sum
+from reference_sums import compensated_complex_sum, exact_sum
 
 
 class TestCompensatedSum:
@@ -179,22 +178,23 @@ class TestExactComplexSum:
     @pytest.mark.parametrize("log_weighted", [False, True])
     def test_evaluator_power_sums(self, log_weighted, monkeypatch):
         # the arrays zeta_em / zeta_prime_em sum at their default config:
-        # one call a power sum, its real and imaginary parts as two rows
+        # one call a power sum, its real and imaginary parts as two
+        # segments of equal length
         seen = []
 
-        def recording(rows):
-            seen.append((np.array(rows), numerics._exact_sums(rows)))
-            return seen[-1][1]
+        def recording(terms, cuts):
+            seen.append((np.array(terms), list(cuts), numerics._exact_sums(terms, cuts)))
+            return seen[-1][2]
 
         monkeypatch.setattr(zeta, "_exact_sums", recording)
         for t in geometric_grid(10.0, 1e5, 81):
             point = zeta.EvalPoint(t)
             N = zeta.default_em_config(point, for_derivative=log_weighted).N
             zeta._power_sums(point.s, N, log_weighted)
-        assert len(seen) == 81 and max(rows.shape[1] for rows, _ in seen) > 3 * 4096
-        for rows, got in seen:
-            assert rows.shape[0] == len(got) == 2
-            assert [x.hex() for x in got] == [math.fsum(row).hex() for row in rows]
+        assert len(seen) == 81 and max(cuts[0] for _, cuts, _ in seen) > 3 * 4096
+        for terms, cuts, got in seen:
+            assert terms.size % 2 == 0 and cuts == [terms.size // 2, terms.size] and len(got) == 2
+            assert [x.hex() for x in got] == [math.fsum(row).hex() for row in terms.reshape(2, -1)]
 
     def test_rejects_non_finite(self):
         for n in (10, 10**4):
@@ -239,8 +239,8 @@ class TestExactSumEdges:
         for seed in range(8):
             values = np.random.default_rng(seed).uniform(1.01, 1.1, 2**17 - 2) * 2.0**-35
             values[0] = 1.0
-            parts, = numerics._extract(values[None], 1.0)
-            assert exact(parts) == exact(values.tolist()), seed
+            (one, two), left = numerics._extract(values, [0], 1.0)
+            assert exact(one + two + [x for _, x in left]) == exact(values.tolist()), seed
 
     @pytest.mark.parametrize("n", [2, 1000, 4 * 4096])
     def test_overflow_only_when_the_sum_overflows(self, n):

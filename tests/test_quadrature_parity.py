@@ -154,6 +154,37 @@ def test_batch_equals_one_integral_batches(monkeypatch):
         assert abs(values[i] - truth) <= radii[i] <= 1e-9 + 1e-11
 
 
+def test_one_exact_sum_call_per_batch(monkeypatch):
+    # a batch's values come from one call of the exact-sum kernel, with a
+    # segment per integral in batch order, never from a sum per integral;
+    # so do those of each quadrature call of checks 2.1 and 2.2
+    calls, quadratures = [], []
+    kernel, integrate = numerics._exact_sums, numerics.integrate_gauss_legendre
+
+    def kernel_spy(terms, cuts):
+        calls.append((terms.size, list(cuts)))
+        return kernel(terms, cuts)
+
+    def integrate_spy(*args):
+        quadratures.append(args[1].size)
+        return integrate(*args)
+
+    monkeypatch.setattr(numerics, "_exact_sums", kernel_spy)
+    values, _ = integrate(*_peak_batch())
+    [(size, cuts)] = calls
+    assert len(cuts) == BATCH_C.size and cuts[-1] == size and cuts == sorted(cuts)
+    for i in range(BATCH_C.size):
+        alone, _ = integrate(*_alone(_peak_batch(), i))
+        assert len(calls) == 2 + i and len(calls[-1][1]) == 1
+        assert float(alone[0]).hex() == float(values[i]).hex()
+    monkeypatch.setattr(verify, "integrate_gauss_legendre", integrate_spy)
+    calls.clear()
+    for check_id in ("2.1", "2.2"):
+        verify_lemma(check_id, SampleSpec(samples=72, seed=11))
+    assert max(quadratures) == verify.QUAD_BLOCK and len(quadratures) >= 5
+    assert [len(cuts) for _, cuts in calls] == quadratures
+
+
 def test_check_blocks_equal_one_sample_blocks():
     # check 2.2's block, all four variants in one call, against each sample
     # integrated alone: the kernel slices keep every bit

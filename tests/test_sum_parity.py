@@ -1,13 +1,15 @@
 """Bit parity of the exact sums with their references.
 
 ``exact_sum`` must give the bits of ``math.fsum`` and of the binned
-accumulator it replaced (``reference_sums.binned_complex_sum``), and
+accumulator it replaced (``reference_sums.binned_complex_sum``),
+``_exact_sums`` those of ``math.fsum`` on each segment it sums, and
 ``zeta._power_sums``, which forms its terms in real parts from cached
 per-sigma tables, the bits of the complex-exponential route on fresh
 arrays (``reference_sums.complex_power_sums``).  numpy picks its ``cos``,
 ``sin``, ``log``, ``power`` and complex ``exp`` kernels by the host's SIMD
-level, so the second claim is checked at every level this host can switch
-off, each in a subprocess started with ``NPY_DISABLE_CPU_FEATURES``.
+level, so that claim, and the kernel's on every route, is checked at every
+level this host can switch off, each in a subprocess started with
+``NPY_DISABLE_CPU_FEATURES``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from reference_sums import binned_complex_sum, complex_power_sums
+from reference_sums import binned_complex_sum, complex_power_sums, exact_sum
 from zetabounds import zeta
-from zetabounds.numerics import _exact_sums, exact_sum, geometric_grid
+from zetabounds.numerics import _exact_sums, geometric_grid
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -56,12 +58,12 @@ def _seeded_arrays():
 def _evaluator_arrays() -> list[np.ndarray]:
     """The real and imaginary parts of every power sum ``zeta_em`` and
     ``zeta_prime_em`` add up at their default config, on 81 points of t
-    log-spaced in [10, 1e5]: the rows of one ``_exact_sums`` call a sum."""
+    log-spaced in [10, 1e5]: the segments of one ``_exact_sums`` call a sum."""
     seen: list[np.ndarray] = []
 
-    def recording(rows):
-        seen.extend(np.array(rows))
-        return _exact_sums(rows)
+    def recording(terms, cuts):
+        seen.extend(np.array(terms[s:e]) for s, e in zip([0, *cuts[:-1]], cuts))
+        return _exact_sums(terms, cuts)
 
     with patch.object(zeta, "_exact_sums", recording):
         for t in geometric_grid(10.0, 1e5, 81):
@@ -159,17 +161,17 @@ def test_power_sums_match_the_complex_route(disabled):
 
 
 # Both routes of the exact-sum kernel, math.fsum and error-free extraction,
-# must give math.fsum's bits on every input, one row or two, with rows
-# extracted together or one at a time: each case runs under four settings
-# of the route thresholds, at each SIMD level (the extraction's passes and
-# reductions are numpy kernels picked by that level).  The math.fsum route
+# must give math.fsum's bits on every input, one segment or two, with
+# segments extracted in one pass or one at a time: each case runs under four
+# settings of the route thresholds, at each SIMD level (the extraction's
+# passes and reductions are numpy kernels picked by that level).  The math.fsum route
 # and terms of 2^1005 and above, which are added as Python ints, run no
 # numpy pass, so below the top level neither the forced fsum route nor the
 # 2^16-term cases of those terms run again.
 ROUTE_LENGTHS = [0, 1, 127, 128, 511, 512, 2**16 - 1, 2**16 + 1]
 ROUTE_KINDS = ["subnormal", "near 2^1005", "above 2^1005", "one huge among tiny",
                "cancelling", "all -0.0", "mixed signs"]
-ROUTES = {  # (_EXACT_MIN_TERMS, _ROWS_MAX_TERMS)
+ROUTES = {  # (_EXACT_MIN_TERMS, _PASS_MAX_TERMS)
     "default": None, "fsum": (2**40, 2**40), "extraction": (0, 2**40), "row by row": (0, 0),
 }
 
@@ -203,6 +205,7 @@ _ROUTE_SCRIPT = """
 import json, math, sys
 import numpy as np
 from zetabounds import numerics
+from reference_sums import exact_sum
 from test_sum_parity import ROUTE_KINDS, ROUTE_LENGTHS, ROUTES, route_case
 top_level = sys.argv[1] == "top"
 cases = [(n, kind, route_case(kind, n, 2 * k), route_case(kind, n, 2 * k + 1))
@@ -210,13 +213,14 @@ cases = [(n, kind, route_case(kind, n, 2 * k), route_case(kind, n, 2 * k + 1))
          if top_level or n < 2**15 or kind not in ("above 2^1005", "one huge among tiny")]
 wants = [[math.fsum(one).hex(), math.fsum(two).hex()] for _, _, one, two in cases]
 bad, raised = [], 0
-default = (numerics._EXACT_MIN_TERMS, numerics._ROWS_MAX_TERMS)
+default = (numerics._EXACT_MIN_TERMS, numerics._PASS_MAX_TERMS)
 for route, limits in ROUTES.items():
     if route == "fsum" and not top_level:
         continue
-    numerics._EXACT_MIN_TERMS, numerics._ROWS_MAX_TERMS = limits or default
+    numerics._EXACT_MIN_TERMS, numerics._PASS_MAX_TERMS = limits or default
     for (n, kind, one, two), want in zip(cases, wants):
-        got = [numerics.exact_sum(one).hex(), *(x.hex() for x in numerics._exact_sums(np.stack([one, two])))]
+        pair = numerics._exact_sums(np.concatenate([one, two]), [n, 2 * n])
+        got = [exact_sum(one).hex(), *(x.hex() for x in pair)]
         if got != want[:1] + want:
             bad.append([route, n, kind, got, want])
     for n in ROUTE_LENGTHS:
@@ -225,7 +229,8 @@ for route, limits in ROUTES.items():
             row[-1] = math.inf if bad_term == "inf and -inf" else bad_term
             if bad_term == "inf and -inf":
                 row[0] = -math.inf
-            for call in (lambda: numerics.exact_sum(row), lambda: numerics._exact_sums(np.stack([row[::-1], row]))):
+            pair = np.concatenate([row[::-1], row])
+            for call in (lambda: exact_sum(row), lambda: numerics._exact_sums(pair, [row.size, pair.size])):
                 try:
                     call()
                 except ValueError as exc:
@@ -249,6 +254,112 @@ def test_both_sum_routes_match_fsum(disabled):
     bad, raised = json.loads(out.stdout)
     assert bad == []
     assert raised == (len(ROUTES) - (level != "top")) * len(ROUTE_LENGTHS) * 4 * 2
+
+
+# The kernel on many segments at once, as integrate_gauss_legendre calls it:
+# each segment's sum must be math.fsum's on that segment, by float.hex, at
+# each SIMD level.  The layouts hold 0, 1, 511, 512 and 2^14 +- 1 terms in
+# all, with empty segments among the others (np.add.reduceat gives an
+# empty segment the element at its start, not 0), plus one segment longer
+# than a block, which crosses a pass boundary.  The routes add one with
+# 1,000-term blocks, where every layout of 2^14 +- 1 terms crosses too.
+SEGMENT_LAYOUTS = {
+    "0": [0], "0, 0, 0": [0, 0, 0], "1": [0, 1, 0], "511": [0, 255, 0, 256],
+    "512": [256, 0, 256], "512 uneven": [1, 510, 1], "2^14 - 1": [8191, 0, 8192],
+    "2^14 + 1": [8192, 1, 8192], "2^14 + 1 many": [0] + [431] * 38 + [7] + [0],
+    "crossing": [2**16 + 3, 5, 0, 700],
+}
+SEGMENT_KINDS = ["mixed", "tiny next to huge", "cancelling", "subnormal", "above 2^1005"]
+SEGMENT_ROUTES = {  # (_EXACT_MIN_TERMS, _PASS_MAX_TERMS, _BLOCK)
+    "default": None, "fsum": (2**40, 2**14, 2**16), "one pass": (0, 2**40, 2**40),
+    "one at a time": (0, 0, 2**16), "1,000-term blocks": (0, 2**14, 1000),
+}
+
+
+def segment_case(kind: str, lengths: list[int], seed: int) -> np.ndarray:
+    """The segments of ``lengths``, each filled with terms of one kind."""
+    rng = np.random.default_rng(seed)
+    segments = []
+    for i, n in enumerate(lengths):
+        if kind == "tiny next to huge":  # the tiny segments keep residual terms
+            x = rng.normal(size=n) * (1e-300 if i % 2 else 1e300)
+        elif kind == "cancelling":  # x and -x in each segment: exactly +0.0
+            half = rng.normal(size=n // 2) * 10.0 ** rng.integers(-300, 300, n // 2)
+            x = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+        elif kind == "subnormal":
+            x = rng.integers(-(2**40), 2**40, n) * 5e-324
+        elif kind == "above 2^1005" and i == len(lengths) // 2:  # the Python-int route
+            x = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 8.0, n) * 2.0**1005
+        else:
+            x = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-740.0, 690.0, n))
+        segments.append(x)
+    return np.concatenate(segments)
+
+
+_SEGMENT_SCRIPT = """
+import json, math, sys
+import numpy as np
+from zetabounds import numerics
+from test_sum_parity import SEGMENT_KINDS, SEGMENT_LAYOUTS, SEGMENT_ROUTES, segment_case
+top_level = sys.argv[1] == "top"
+cases = []
+for k, (layout, lengths) in enumerate(SEGMENT_LAYOUTS.items()):
+    cuts = np.cumsum(lengths).tolist()
+    for kind in SEGMENT_KINDS:
+        if top_level or kind != "above 2^1005":
+            terms = segment_case(kind, lengths, k)
+            want = [math.fsum(terms[s:e].tolist()).hex() for s, e in zip([0, *cuts[:-1]], cuts)]
+            cases.append((layout, kind, terms, cuts, want))
+extract, residual_passes = numerics._extract, []
+def counting(block, starts, top):
+    rounds, left = extract(block, starts, top)
+    residual_passes.append(bool(left))
+    return rounds, left
+numerics._extract = counting
+default = (numerics._EXACT_MIN_TERMS, numerics._PASS_MAX_TERMS, numerics._BLOCK)
+bad, raised = [], 0
+for route, limits in SEGMENT_ROUTES.items():
+    if route == "fsum" and not top_level:
+        continue
+    numerics._EXACT_MIN_TERMS, numerics._PASS_MAX_TERMS, numerics._BLOCK = limits or default
+    for layout, kind, terms, cuts, want in cases:
+        got = [x.hex() for x in numerics._exact_sums(terms, cuts)]
+        if got != want:
+            bad.append([route, layout, kind, got, want])
+    for layout, lengths in SEGMENT_LAYOUTS.items():
+        cuts = np.cumsum(lengths).tolist()
+        if cuts[-1] < 2:
+            continue
+        for bad_term in (math.nan, math.inf, -math.inf, "inf and -inf"):
+            terms = np.ones(cuts[-1])
+            terms[-1] = math.inf if bad_term == "inf and -inf" else bad_term
+            if bad_term == "inf and -inf":
+                terms[-2] = -math.inf
+            try:
+                numerics._exact_sums(terms, cuts)
+            except ValueError as exc:
+                raised += str(exc) == "non-finite term in compensated sum"
+            else:
+                bad.append([route, layout, "no error on", str(bad_term)])
+print(json.dumps([bad, raised, any(residual_passes)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "disabled", _dispatch_levels(), ids=lambda d: f"off-from-{d.split()[0]}" if d else "all-on"
+)
+def test_segment_sums_match_fsum(disabled):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    level = "top" if disabled == "" else "lower"
+    out = subprocess.run([sys.executable, "-c", _SEGMENT_SCRIPT, level], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    bad, raised, residual_seen = json.loads(out.stdout)
+    assert bad == []
+    layouts = sum(sum(lengths) >= 2 for lengths in SEGMENT_LAYOUTS.values())
+    assert raised == (len(SEGMENT_ROUTES) - (level != "top")) * layouts * 4
+    assert residual_seen  # the tiny segments took the residual route
 
 
 def test_table_views_are_read_only():

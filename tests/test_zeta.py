@@ -360,12 +360,13 @@ class TestCorrections:
             head, moduli = zeta._power_sums(s, N, log_weighted=True)
             n_pow = cmath.exp(-s * math.log(N))
             _, corrections = zeta._corrections(s, N, n_pow, v, True, 0.0)
-            value, rounding = zeta._em_tail(point, N, v, True, -head)
+            value, rounding, pow_err = zeta._em_tail(point, N, v, True, -head)
             assert value == r.value
             # the tail's bound holds the corrections' and the rounding of N^{-s}
             assert rounding > corrections > 0
             trunc = em_remainder_bound(point, N, v, derivative=True)
-            term_err = zeta._pow_err(point, math.log(N)) + 2.0 * numerics.EPS
+            assert pow_err == zeta._pow_err(point, math.log(N))
+            term_err = pow_err + 2.0 * numerics.EPS
             assert r.error_bound == trunc + term_err * moduli + rounding
 
     @pytest.mark.parametrize("t", [1e4, 1e5])
@@ -575,7 +576,7 @@ class TestEmRangeSum:
         # would miss it by orders of magnitude
         mpmath = pytest.importorskip("mpmath")
         point, N, v = EvalPoint(1e8), 10**16, 15
-        value, rounding = zeta._em_tail(point, N, v, True)
+        value, rounding, _ = zeta._em_tail(point, N, v, True)
         s = point.s
         _, corrections = zeta._corrections(s, N, cmath.exp(-s * math.log(N)), v, True, 0.0)
         with mpmath.workdps(40):
