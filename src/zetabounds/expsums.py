@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -188,6 +189,11 @@ def vertex_max_bound(amps: Sequence[float], phases: Sequence[float]) -> float:
 
 
 WEIGHT_BLOCK = 2**14  # rows per block of weight_sum_blocks
+# Relations 3 and 4 of a block whose largest M is at most this run in int64:
+# their numerators are at most M (M^2-1)/6 < 2^53 (exact doubles) and every
+# product and running sum at most M^3/2 < 2^63.  2^18 is the largest power
+# of 2 below (6 * 2^53)^{1/3} = 3.8e5; Python ints take over above it.
+WEIGHT_INT64_M = 2**18
 
 
 def _sum2_prefix(s: float, e: float, terms: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -202,10 +208,16 @@ def _sum2_prefix(s: float, e: float, terms: np.ndarray) -> tuple[np.ndarray, flo
     return before + e_run[:-1], float(s_run[-1]), float(e_run[-1])
 
 
+def _exact_ints(ms: np.ndarray) -> np.ndarray:
+    """A block's M as int64 when every integer of relations 3 and 4 fits
+    in it (largest M at most WEIGHT_INT64_M), else as Python ints."""
+    return ms if ms[-1] <= WEIGHT_INT64_M else ms.astype(object)
+
+
 def _int_prefix(n: int, terms: np.ndarray) -> np.ndarray:
-    """Exact running sums of the Python ints ``terms`` from n, before each
-    term and after the last (object dtype: int64 would overflow)."""
-    run = np.empty(terms.size + 1, dtype=object)
+    """Exact running sums of the integers ``terms`` (of ``_exact_ints``)
+    from n, before each term and after the last."""
+    run = np.empty(terms.size + 1, dtype=terms.dtype)
     run[0] = n
     run[1:] = terms
     return np.cumsum(run)
@@ -221,8 +233,9 @@ def weight_sum_blocks(max_m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.n
     S0 - S1/M with S0 = sum_{m<M} f(m) and S1 = sum_{m<M} m f(m).
     Relations 1 and 2 need running sums of m^{-1/2}, m^{1/2} and m^{3/2},
     carried compensated (Sum2) from block to block; relations 3 and 4
-    need sums of m and m^2, carried as Python ints and divided once, so
-    they are (M^2-1)/6 and (M-1)/2 correctly rounded.
+    need sums of m and m^2, carried exactly (int64 up to WEIGHT_INT64_M,
+    Python ints above) and divided once, so they are (M^2-1)/6 and
+    (M-1)/2 correctly rounded.
     docs/weight_sums.md bounds the rounding error.
     """
     if max_m < 1:
@@ -240,21 +253,23 @@ def weight_sum_blocks(max_m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.n
             pairs[i] = (s, e)
             runs.append(run)
         inv, root, root3 = runs
-        mo = ms.astype(object)
-        lin = _int_prefix(n_lin, mo)
-        sq = _int_prefix(n_sq, mo * mo)
-        n_lin, n_sq = lin[-1], sq[-1]
+        mi = _exact_ints(ms)
+        lin = _int_prefix(n_lin, mi)
+        sq = _int_prefix(n_sq, mi * mi)
+        n_lin, n_sq = int(lin[-1]), int(sq[-1])
         lin, sq = lin[:-1], sq[:-1]
+        # one correctly rounded division of two exact integers: int64 / int64
+        # divides their (exact) doubles, Python's int / int rounds once
         exact = np.column_stack((
             root - root3 / m,
             inv - root / m,
-            ((mo * lin - sq) / mo).astype(np.float64),
-            ((mo * (mo - 1) - lin) / mo).astype(np.float64),
+            ((mi * lin - sq) / mi).astype(np.float64, copy=False),
+            ((mi * (mi - 1) - lin) / mi).astype(np.float64, copy=False),
         ))
-        # Python's ** on each M: numpy's power can differ from libm's pow
-        # in the last bit
+        # libm's pow on each M, as Python's **: numpy's power can differ
+        # from it in the last bit
         bound = np.column_stack((
-            4.0 / 15.0 * np.array([k**1.5 for k in range(first, first + ms.size)]),
+            4.0 / 15.0 * np.fromiter(map(math.pow, m.tolist(), repeat(1.5)), np.float64, ms.size),
             4.0 / 3.0 * r,
             m * m / 6.0,
             m / 2.0,

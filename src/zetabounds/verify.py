@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
@@ -35,6 +34,7 @@ from .bounds import (
 from .expsums import (
     RANGE_GUARD,
     TWO_PI,
+    _exact_ints,
     _unit_sum,
     exp_sum_exact,
     log_phase,
@@ -396,6 +396,12 @@ def _check_oscillatory_tail(spec: SampleSpec, variants: tuple[str, ...]) -> Veri
     return sweep.report("; ".join(notes) if len(variants) > 1 else "")
 
 
+def _floor_square(t: float) -> int:
+    """floor(t^2) of the double t > 0, exactly: t = p/q, so t^2 = p^2/q^2."""
+    p, q = t.as_integer_ratio()
+    return p * p // (q * q)
+
+
 def _check_mid_tail(spec: SampleSpec) -> VerificationReport:
     """|sum over (t, t^2]| against 2 log t + 1.944, t log-uniform in
     [e^2, 1e8].
@@ -410,7 +416,7 @@ def _check_mid_tail(spec: SampleSpec) -> VerificationReport:
     for _ in range(spec.samples):
         t = math.exp(float(rng.uniform(math.log(E2), math.log(1e8))))
         a = math.floor(t) + 1
-        b = math.floor(Fraction(t) ** 2) + 1
+        b = _floor_square(t) + 1
         mid_tail = em_range_sum(EvalPoint(t), a, b)
         sweep.add(abs(mid_tail.value), mid_tail_sum_bound(t), mid_tail.error_bound, {"t": t})
     return sweep.report()
@@ -517,10 +523,10 @@ def _check_weight_sums(spec: SampleSpec) -> VerificationReport:
             continue
         if below > 0:
             ms, exact, bound = ms[below:], exact[below:], bound[below:]
-        mo = ms.astype(object)
+        mi = _exact_ints(ms)  # M^2 - 1 is exact in int64 and as a double there
         past_1 = int(ms[0] == 1)  # strict from M = 2 on
         if not (
-            np.array_equal(exact[:, 2], ((mo * mo - 1) / 6).astype(np.float64))
+            np.array_equal(exact[:, 2], ((mi * mi - 1) / 6).astype(np.float64, copy=False))
             and np.array_equal(exact[:, 3], (ms - 1) / 2)  # exact below 2^53
             and (exact[past_1:, 2:] < bound[past_1:, 2:]).all()
         ):

@@ -300,7 +300,7 @@ def _bound_in_n(log_k: float, p: float, shift: float, derivative: bool) -> Calla
 
 
 def _corrections(
-    s: complex, N: int, n_pow: complex, v: int, derivative: bool, pow_err: float
+    s: complex, N: int, logN: float, n_pow: complex, v: int, derivative: bool, pow_err: float
 ) -> tuple[complex, float]:
     """The sum of the order-1..v corrections of ``zeta_em`` (of their
     s-derivatives, with ``derivative``) and a bound on its rounding error.
@@ -315,9 +315,8 @@ def _corrections(
     16 j eps |base_j| (H_j + log N), H_j = sum_{i<2j-1} 1/|s+i|; summing
     v terms adds v eps times each modulus (docs/remainder_bounds.md).
     ``n_pow`` = N^{-s} is taken as off by at most ``pow_err`` relative,
-    an error every term inherits.
+    an error every term inherits; ``logN`` is ``math.log(N)``.
     """
-    logN = math.log(N)
     n2 = float(N * N)
     ratios = _grown(_ratios, v, _correction_ratio)
     total = harm = 0j
@@ -395,7 +394,7 @@ def _em_tail(
         moduli = m + 0.5 * pow_abs
     value = start + first
     value += second
-    corrections, rounding = _corrections(s, N, n_pow, v, derivative, pow_err)
+    corrections, rounding = _corrections(s, N, logN, n_pow, v, derivative, pow_err)
     value += corrections
     rounding += (pow_err + 8.0 * EPS) * moduli
     rounding += 2.0 * EPS * (abs(start) + moduli + abs(corrections))

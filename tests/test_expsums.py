@@ -450,6 +450,59 @@ class TestWeightSumBlocks:
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
+    @pytest.mark.parametrize("block, limit, max_m", [
+        (1, 1, 40),  # int64 for M = 1 alone
+        (7, 37, 1000),  # int64 up to the block of 29..35
+        (None, 1, 2 * 2**14 + 5),  # Python ints throughout
+        (None, 37, 2 * 2**14 + 5),  # limit inside the first block
+        (None, 2**14 - 1, 2 * 2**14 + 5),
+        (None, 2**14, 2 * 2**14 + 5),  # switch at the first block boundary
+        (None, 2**14 + 1, 2 * 2**14 + 5),  # limit inside the second block
+    ])
+    def test_int64_and_python_int_routes_keep_the_bits(self, monkeypatch, block, limit, max_m):
+        # relations 3 and 4 run in int64 up to the block holding
+        # WEIGHT_INT64_M and in Python ints from the next one; wherever the
+        # switch falls, every row keeps the bits of the scalar loop and of
+        # the unpatched blocks
+        if block is not None:
+            monkeypatch.setattr(expsums, "WEIGHT_BLOCK", block)
+        unpatched, _ = block_bits(max_m)
+        monkeypatch.setattr(expsums, "WEIGHT_INT64_M", limit)
+        kinds = []
+        exact_ints = expsums._exact_ints
+
+        def recording(ms):
+            ints = exact_ints(ms)
+            kinds.append(ints.dtype)
+            return ints
+
+        monkeypatch.setattr(expsums, "_exact_ints", recording)
+        got, sizes = block_bits(max_m)
+        int64_blocks = sum(1 for _ in itertools.takewhile(lambda n: n <= limit, itertools.accumulate(sizes)))
+        assert kinds == [np.int64] * int64_blocks + [object] * (len(sizes) - int64_blocks)
+        assert object in kinds
+        want = reference_bits(max_m)
+        for route in (unpatched, want):
+            assert got[0] == route[0]
+            assert np.array_equal(got[1], route[1]) and np.array_equal(got[2], route[2])
+
+    def test_rows_at_the_int64_limit_round_correctly(self):
+        limit = expsums.WEIGHT_INT64_M
+        *_, (ms_below, exact_below, _), (ms_above, exact_above, _) = weight_sum_blocks(limit + 1)
+        assert ms_below[-1] == limit and ms_above.tolist() == [limit + 1]  # the limit ends a block
+        ms = ms_below[-2:].tolist() + ms_above.tolist()
+        exact = np.concatenate((exact_below[-2:], exact_above))
+        for m_val, row in zip(ms, exact.tolist()):
+            assert row[2] == float(Fraction(m_val * m_val - 1, 6))
+            assert row[3] == float(Fraction(m_val - 1, 2))
+
+    def test_int64_limit_derivation(self):
+        # numerators M (M^2-1)/6 below 2^53 (exact doubles), every product
+        # and running sum below M^3/2 < 2^63; twice the limit breaks 2^53
+        g = expsums.WEIGHT_INT64_M
+        assert g * (g * g - 1) < 6 * 2**53 <= 2 * g * (4 * g * g - 1)
+        assert g**3 < 2 * 2**63
+
     def test_bound_keeps_python_power(self):
         # numpy's power can round M^1.5 differently from the libm pow
         # behind Python's **; the bound must not depend on which

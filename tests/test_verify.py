@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ class TestLemmaSweeps:
         assert E2 <= min(ts) and max(ts) <= 1e8
         assert max(ts) > 1e6
 
+    def test_mid_tail_floor_square_is_exact(self):
+        # check 2.4's b = floor(t^2) + 1 from t's integer ratio, against
+        # exact rational arithmetic
+        rng = np.random.default_rng(24)
+        ts = np.exp(rng.uniform(math.log(E2), math.log(1e8), size=10**4)).tolist()
+        ts += [float(n) for n in (8, 9, 1000, 99_999_999, 10**8)]
+        for k in (8, 9, 10, 12345, 10**8, 10**16 - 1, 10**16):
+            root = math.sqrt(k)
+            ts += [root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)]
+        for t in ts:
+            assert verify._floor_square(t) == math.floor(Fraction(t) ** 2), t
+
     def test_vertex_clean(self):
         r = verify_lemma("2.5", SampleSpec(samples=1500, seed=5))
         assert r.violations == 0
@@ -144,15 +157,11 @@ class TestLemmaSweeps:
         assert r.violations == 0
         assert 500 <= r.min_slack_inputs["M"] <= 600
 
-    @pytest.mark.parametrize("block, m_range", [(64, (300, 400)), (None, (2**14 + 5, 2**14 + 40))])
-    def test_weight_sums_start_inside_a_later_block(self, monkeypatch, block, m_range):
-        # the M range starts in the fifth block of 64 rows, or in the second
-        # real block; the report equals the in-order fold of every row and
-        # relation
-        if block is not None:
-            monkeypatch.setattr(expsums, "WEIGHT_BLOCK", block)
+    @staticmethod
+    def assert_weight_sums_fold_the_reference_rows(m_range):
+        """The report of check 4.6 over m_range equals the in-order fold of
+        every reference row and relation."""
         m_lo, m_hi = m_range
-        assert m_lo > expsums.WEIGHT_BLOCK
         reference = ReferenceSweep("4.6")
         for ws in weight_sum_rows(m_hi):
             if ws.M >= m_lo:
@@ -162,6 +171,28 @@ class TestLemmaSweeps:
         assert "strict inequality" in r.notes
         assert dataclasses.replace(r, notes="") == reference.report()
         assert r.samples == 4 * (m_hi - m_lo + 1)
+
+    @pytest.mark.parametrize("block, m_range", [(64, (300, 400)), (None, (2**14 + 5, 2**14 + 40))])
+    def test_weight_sums_start_inside_a_later_block(self, monkeypatch, block, m_range):
+        # the M range starts in the fifth block of 64 rows, or in the second
+        # real block
+        if block is not None:
+            monkeypatch.setattr(expsums, "WEIGHT_BLOCK", block)
+        assert m_range[0] > expsums.WEIGHT_BLOCK
+        self.assert_weight_sums_fold_the_reference_rows(m_range)
+
+    @pytest.mark.parametrize("block, limit, m_range", [
+        (64, 350, (300, 400)),  # int64 up to the block of 257..320
+        (None, 2**14, (2**14 - 20, 2**14 + 20)),  # int64 in the first real block only
+    ])
+    def test_weight_sums_cross_the_int64_limit(self, monkeypatch, block, limit, m_range):
+        # relations 3 and 4 and their closed forms leave int64 for Python
+        # ints inside the range, with the same report
+        if block is not None:
+            monkeypatch.setattr(expsums, "WEIGHT_BLOCK", block)
+        monkeypatch.setattr(expsums, "WEIGHT_INT64_M", limit)
+        assert m_range[0] <= limit < m_range[1]
+        self.assert_weight_sums_fold_the_reference_rows(m_range)
 
     @pytest.mark.parametrize("relation", [3, 4])
     def test_weight_sums_note_fails_one_ulp_off(self, monkeypatch, relation):

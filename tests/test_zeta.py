@@ -359,7 +359,7 @@ class TestCorrections:
             r = zeta_prime_em(point, EMConfig(N=N, v=v))
             head, moduli = zeta._power_sums(s, N, log_weighted=True)
             n_pow = cmath.exp(-s * math.log(N))
-            _, corrections = zeta._corrections(s, N, n_pow, v, True, 0.0)
+            _, corrections = zeta._corrections(s, N, math.log(N), n_pow, v, True, 0.0)
             value, rounding, pow_err = zeta._em_tail(point, N, v, True, -head)
             assert value == r.value
             # the tail's bound holds the corrections' and the rounding of N^{-s}
@@ -399,7 +399,7 @@ class TestCorrections:
         mpmath = pytest.importorskip("mpmath")
         s = complex(sigma, t)
         n_pow = cmath.exp(-s * math.log(N))
-        total, rounding = zeta._corrections(s, N, n_pow, v, derivative, 0.0)
+        total, rounding = zeta._corrections(s, N, math.log(N), n_pow, v, derivative, 0.0)
         with mpmath.workdps(50):
             sm, logn = mpmath.mpc(s), mpmath.log(N)
             exact, poch, harm = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpc(0)
@@ -578,7 +578,7 @@ class TestEmRangeSum:
         point, N, v = EvalPoint(1e8), 10**16, 15
         value, rounding, _ = zeta._em_tail(point, N, v, True)
         s = point.s
-        _, corrections = zeta._corrections(s, N, cmath.exp(-s * math.log(N)), v, True, 0.0)
+        _, corrections = zeta._corrections(s, N, math.log(N), cmath.exp(-s * math.log(N)), v, True, 0.0)
         with mpmath.workdps(40):
             sm = mpmath.mpc(0.5, 1e8)
             err = float(abs(mpmath.mpc(value) - mpmath.zeta(sm, N, 1)))
